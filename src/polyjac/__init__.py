@@ -19,7 +19,6 @@ from .hadamard import (
 from .system import (
     PolySystem,
     LinearizedForm,
-    JacobianReport,
     from_kronecker,
     jacobian_deviation,
     load_system_json,

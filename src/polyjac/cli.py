@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from . import presets
-from .expressions import SemiDiscreteIVP, h_eval, load_hexpr_json, lower_to_poly
-from .quasi_newton import QNOptions, deviation_report, qn_solve
+from .expressions import SemiDiscreteIVP, _infer_dim, load_hexpr_json, lower_to_poly
+from .quasi_newton import QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
 from .stability import (
@@ -53,8 +53,11 @@ def _load_input(path, n=None, Re=None):
         try:
             rhs = load_hexpr_json(data["rhs"])
             sd = SemiDiscreteIVP(n=int(data["n"]), rhs=rhs, description=data.get("description", ""))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise CliError(f"bad expression input: {exc}") from exc
+        dim = _infer_dim(rhs)
+        if dim is not None and dim != sd.n:
+            raise CliError(f"bad expression input: tree has dimension {dim}, 'n' is {sd.n}")
         try:
             poly = lower_to_poly(sd.rhs, sd.n)
         except (ValueError, TypeError):
@@ -62,7 +65,7 @@ def _load_input(path, n=None, Re=None):
         return poly, sd
     try:
         return load_system_json(data), None
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"bad system input: {exc}") from exc
 
 

@@ -283,16 +283,8 @@ class _PolyRep:
         return cls(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n, n)))
 
 
-def _sym2(t):
-    return 0.5 * (t + np.swapaxes(t, 1, 2))
-
-
-def _sym3(t):
-    perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
-    return sum(np.transpose(t, p) for p in perms) / 6.0
-
-
 def _rep_product(a, b, n):
+    # Coefficient tensors stay unsymmetrized here; PolySystem symmetrizes them once.
     if a.degree + b.degree > 3:
         raise ValueError("non-polynomial or degree > 3: product exceeds cubic")
     m = a.c0.size
@@ -300,9 +292,9 @@ def _rep_product(a, b, n):
     out.c0 = a.c0 * b.c0
     out.lin = a.c0[:, None] * b.lin + b.c0[:, None] * a.lin
     cross2 = np.einsum("ij,ik->ijk", a.lin, b.lin)
-    out.quad = _sym2(a.c0[:, None, None] * b.quad + b.c0[:, None, None] * a.quad + cross2)
+    out.quad = a.c0[:, None, None] * b.quad + b.c0[:, None, None] * a.quad + cross2
     cross3 = np.einsum("ij,ikl->ijkl", a.lin, b.quad) + np.einsum("ij,ikl->ijkl", b.lin, a.quad)
-    out.cub = _sym3(a.c0[:, None, None, None] * b.cub + b.c0[:, None, None, None] * a.cub + cross3)
+    out.cub = a.c0[:, None, None, None] * b.cub + b.c0[:, None, None, None] * a.cub + cross3
     return out
 
 
@@ -405,6 +397,8 @@ def load_hexpr_json(data):
         import json
 
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"expression node must be a JSON object, got {type(data).__name__}")
     op = data.get("op")
     if op == "state":
         return State()

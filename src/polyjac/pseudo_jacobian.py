@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stability import _matrix_norm
+
 __all__ = [
     "RankOneForm",
     "NonlinearRhs",
@@ -20,9 +22,6 @@ __all__ = [
     "deviation_matrix",
     "pseudo_jacobian_of_poly",
 ]
-
-_NORM_ORD = {"l1": 1, "linf": np.inf}
-
 
 @dataclass(frozen=True)
 class NonlinearRhs:
@@ -82,8 +81,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
     inequality, and 2/||L + w v^T|| on the assembled matrix.  The relaxed
     bound never exceeds the tight one.
     """
-    ordv = _NORM_ORD[norm_kind]
-    Lnrm = np.linalg.norm(form.L, ordv)
+    Lnrm = _matrix_norm(form.L, norm_kind)
     # induced norm of the outer product: ||w||_inf ||v||_1 (linf) or
     # ||w||_1 ||v||_inf (l1)
     if norm_kind == "linf":
@@ -91,7 +89,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
     else:
         rank1 = np.linalg.norm(form.w, 1) * np.linalg.norm(form.v, np.inf)
     denom_relaxed = Lnrm + rank1
-    denom_tight = np.linalg.norm(form.matrix(), ordv)
+    denom_tight = _matrix_norm(form.matrix(), norm_kind)
     if denom_relaxed == 0.0:
         raise ValueError("zero matrix: no step restriction")
     return 2.0 / denom_relaxed, 2.0 / denom_tight

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import jacobian_deviation
+from .system import diverged, jacobian_action, jacobian_deviation
 from .trace import SolverTrace
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
-DIVERGENCE_LIMIT = 1e8
 PAIRING_TOL = 1e-6
 
 
@@ -65,13 +64,6 @@ def _guard(denom_guard, q):
     if denom_guard is not None:
         return denom_guard
     return 1e-12 * (1.0 + float(q @ q))
-
-
-def jacobian_action(s, U):
-    """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
-    U = np.asarray(U, dtype=float).ravel()
-    n2, n3 = s.nonlinear_parts(U)
-    return s.L @ U + 2.0 * n2 + 3.0 * n3
 
 
 def classic_update(J_prev, q, delta_f, denom_guard=None):
@@ -180,12 +172,12 @@ def qn_solve(s, U0, opts=None):
 
     fU = s.eval(U)
     if opts.variant == "newton":
-        record(U, s.jacobian(U))
+        J = s.jacobian(U)
+        record(U, J)
         for _ in range(opts.max_iter):
             if np.linalg.norm(fU, np.inf) <= opts.tol:
                 trace.status = "converged"
                 return trace
-            J = s.jacobian(U)
             try:
                 step = np.linalg.solve(J, -fU)
             except np.linalg.LinAlgError:
@@ -194,8 +186,9 @@ def qn_solve(s, U0, opts=None):
                 return trace
             U = U + step
             fU = s.eval(U)
-            record(U, s.jacobian(U))
-            if np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT:
+            J = s.jacobian(U)
+            record(U, J)
+            if diverged(U):
                 trace.status = "diverged"
                 return trace
         trace.status = (
@@ -249,7 +242,7 @@ def qn_solve(s, U0, opts=None):
         if modified:
             fbar_U = jacobian_action(s, U)
         record(U, J)
-        if not np.all(np.isfinite(U)) or np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT:
+        if diverged(U):
             trace.status = "diverged"
             return trace
 

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .system import diverged
 from .trace import SolverTrace
 
 __all__ = ["IterativeOptions", "iterative_solve", "sweep_once"]
 
 METHODS = ("jacobi", "gauss_seidel", "sor")
-DIVERGENCE_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def iterative_solve(s, U0, opts=None):
             return trace
         trace.permutation = perm
         res = record(U)
-        if not np.isfinite(res) or np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT:
+        if not np.isfinite(res) or diverged(U):
             trace.status = "diverged"
             trace.failure_index = k
             return trace

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem
+from .system import PolySystem, diverged
 from .expressions import SemiDiscreteIVP, h_eval, lower_to_poly
 
 __all__ = [
@@ -150,6 +150,7 @@ class IVP:
     def __init__(self, source, U0, t0=0.0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
         self.t0 = float(t0)
+        self.semidiscrete = None
         if isinstance(source, PolySystem):
             self.poly = source
         elif isinstance(source, SemiDiscreteIVP):
@@ -160,7 +161,6 @@ class IVP:
                 self.poly = None
         else:
             raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-        self.semidiscrete = getattr(self, "semidiscrete", None)
         n = self.poly.n if self.poly is not None else self.semidiscrete.n
         if self.U0.size != n:
             raise ValueError(f"U0 length {self.U0.size} != dimension {n}")
@@ -177,37 +177,63 @@ class IVP:
         return self.poly.linearized_matrix(U)
 
 
-DIVERGENCE_LIMIT = 1e8
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
 
 
-def _report_explicit(method, A, norm_kind):
-    nrm = _matrix_norm(A, norm_kind)
-    bound = (2.0 if method == "explicit_euler" else RK4_REAL_AXIS) / nrm if nrm > 0 else math.inf
-    return StabilityReport(method=method, norm_kind=norm_kind, norm_value=float(nrm), h_bound=bound)
-
-
-def _report_implicit(method, A, norm_kind):
+def _report(method, A, norm_kind):
+    """Report of one step: a step bound (explicit) or definiteness certificate (implicit)."""
+    nrm = float(_matrix_norm(A, norm_kind))
+    if method in ("explicit_euler", "rk4"):
+        bound = step_bound_explicit_euler if method == "explicit_euler" else step_bound_rk4
+        return StabilityReport(method, norm_kind, nrm, h_bound=bound(A, norm_kind))
     ok, lam = is_negative_definite(A)
     return StabilityReport(
-        method=method,
-        norm_kind=norm_kind,
-        norm_value=float(_matrix_norm(A, norm_kind)),
-        negdef_certificate=ok,
-        eig_max_symmetric_part=lam,
+        method, norm_kind, nrm, negdef_certificate=ok, eig_max_symmetric_part=lam
     )
+
+
+def _step(ivp, method, U, h):
+    """The state one step of size h after U, or None when an implicit solve fails."""
+    if method == "explicit_euler":
+        return U + h * ivp.rhs(U)
+    if method == "rk4":
+        k1 = ivp.rhs(U)
+        k2 = ivp.rhs(U + 0.5 * h * k1)
+        k3 = ivp.rhs(U + 0.5 * h * k2)
+        k4 = ivp.rhs(U + h * k3)
+        return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    eye = np.eye(ivp.n)
+    try:
+        if method == "semi_implicit_euler":
+            return U + h * np.linalg.solve(eye - h * ivp.poly.jacobian(U), ivp.rhs(U))
+        # implicit Euler by Picard iteration: freeze A at the current guess, solve, repeat
+        V = U
+        rhs_vec = U + h * ivp.poly.const
+        for _ in range(PICARD_MAX_ITER):
+            V_new = np.linalg.solve(eye - h * ivp.linear_form(V).A, rhs_vec)
+            if not np.all(np.isfinite(V_new)):
+                return None
+            tol = PICARD_TOL * (1.0 + np.linalg.norm(V_new, np.inf))
+            if np.linalg.norm(V_new - V, np.inf) <= tol:
+                return V_new
+            V = V_new
+    except np.linalg.LinAlgError:
+        return None
+    return None  # Picard iteration did not converge
 
 
 def integrate(ivp, method, h, steps, report=False, norm_kind="linf"):
     """Advance an IVP with a fixed step; returns a Trajectory.
 
-    explicit_euler advances through the linear form [I + A(U)h]U + hF when
-    polynomial structure is available (identical to U + h rhs(U), asserted
-    each step) and through rhs directly otherwise.  implicit_euler solves the
-    step equation by Picard iteration on the frozen linear form;
+    explicit_euler steps U + h rhs(U), which for polynomial structure equals
+    the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
+    solves the step equation by Picard iteration on the frozen linear form;
     semi_implicit_euler does one linear solve with the exact Jacobian per
-    step.  Divergence is declared at ||U||_inf > 1e8.
+    step; a failed solve ends the run as solver_failed.  Divergence (a
+    non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
+    each step of a polynomial IVP records a StabilityReport from A(U) at the
+    step's start (at its end for implicit_euler).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -219,84 +245,20 @@ def integrate(ivp, method, h, steps, report=False, norm_kind="linf"):
     U = ivp.U0.copy()
     t = ivp.t0
     traj = Trajectory(times=[t], states=[U.copy()])
-    F = ivp.poly.const if ivp.poly is not None else None
-    eye = np.eye(ivp.n)
-
     for k in range(steps):
-        if method == "explicit_euler":
-            if ivp.poly is not None:
-                A = ivp.linear_form(U).A
-                U_next = (eye + h * A) @ U + h * F
-                direct = U + h * ivp.rhs(U)
-                scale = 1.0 + np.linalg.norm(direct, np.inf)
-                if np.linalg.norm(U_next - direct, np.inf) > 1e-9 * scale:
-                    raise AssertionError("linear-form step disagrees with direct step")
-                if report:
-                    traj.per_step_reports.append(_report_explicit(method, A, norm_kind))
-            else:
-                U_next = U + h * ivp.rhs(U)
-        elif method == "rk4":
-            k1 = ivp.rhs(U)
-            k2 = ivp.rhs(U + 0.5 * h * k1)
-            k3 = ivp.rhs(U + 0.5 * h * k2)
-            k4 = ivp.rhs(U + h * k3)
-            U_next = U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if report and ivp.poly is not None:
-                traj.per_step_reports.append(
-                    _report_explicit(method, ivp.linear_form(U).A, norm_kind)
-                )
-        elif method == "implicit_euler":
-            # Picard iteration: freeze A at the current guess, solve, repeat
-            V = U.copy()
-            rhs_vec = U + h * F
-            converged = False
-            for _ in range(PICARD_MAX_ITER):
-                A = ivp.linear_form(V).A
-                try:
-                    V_new = np.linalg.solve(eye - h * A, rhs_vec)
-                except np.linalg.LinAlgError:
-                    traj.status = "solver_failed"
-                    traj.failure_step = k
-                    return traj
-                if not np.all(np.isfinite(V_new)):
-                    traj.status = "solver_failed"
-                    traj.failure_step = k
-                    return traj
-                if np.linalg.norm(V_new - V, np.inf) <= PICARD_TOL * (
-                    1.0 + np.linalg.norm(V_new, np.inf)
-                ):
-                    V = V_new
-                    converged = True
-                    break
-                V = V_new
-            if not converged:
-                traj.status = "solver_failed"
-                traj.failure_step = k
-                return traj
-            U_next = V
-            if report:
-                traj.per_step_reports.append(
-                    _report_implicit(method, ivp.linear_form(U_next).A, norm_kind)
-                )
-        else:  # semi_implicit_euler
-            J = ivp.poly.jacobian(U)
-            try:
-                step = np.linalg.solve(eye - h * J, ivp.rhs(U))
-            except np.linalg.LinAlgError:
-                traj.status = "solver_failed"
-                traj.failure_step = k
-                return traj
-            U_next = U + h * step
-            if report:
-                traj.per_step_reports.append(
-                    _report_implicit(method, ivp.linear_form(U).A, norm_kind)
-                )
-
+        U_next = _step(ivp, method, U, h)
+        if U_next is None:
+            traj.status = "solver_failed"
+            traj.failure_step = k
+            return traj
+        if report and ivp.poly is not None:
+            A = ivp.linear_form(U_next if method == "implicit_euler" else U).A
+            traj.per_step_reports.append(_report(method, A, norm_kind))
         t += h
         U = U_next
         traj.times.append(t)
         traj.states.append(U.copy())
-        if not np.all(np.isfinite(U)) or np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT:
+        if diverged(U):
             traj.status = "diverged"
             traj.failure_step = k
             return traj

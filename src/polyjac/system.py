@@ -10,7 +10,7 @@ Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -18,12 +18,21 @@ import numpy as np
 __all__ = [
     "PolySystem",
     "LinearizedForm",
-    "JacobianReport",
     "from_kronecker",
+    "jacobian_action",
     "jacobian_deviation",
     "load_system_json",
     "dump_system_json",
 ]
+
+
+# Divergence rule shared by every solver and integrator.
+DIVERGENCE_LIMIT = 1e8
+
+
+def diverged(U):
+    """True when U has a non-finite entry or ||U||_inf > DIVERGENCE_LIMIT."""
+    return not np.all(np.isfinite(U)) or np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT
 
 
 def _sym_last2(t):
@@ -137,14 +146,6 @@ class LinearizedForm:
     U_at: np.ndarray
 
 
-@dataclass(frozen=True)
-class JacobianReport:
-    """An approximate Jacobian together with its relative deviation metric."""
-
-    J: np.ndarray
-    relative_deviation: float
-
-
 def from_kronecker(K, G, R, F):
     """Build a PolySystem from flattened coefficient matrices.
 
@@ -172,6 +173,13 @@ def from_kronecker(K, G, R, F):
     return PolySystem(L=K, quad=quad, cubic=cubic, const=F)
 
 
+def jacobian_action(s, U):
+    """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
+    U = s._check_state(U)
+    n2, n3 = s.nonlinear_parts(U)
+    return s.L @ U + 2.0 * n2 + 3.0 * n3
+
+
 def jacobian_deviation(s, U, J_hat):
     """Relative deviation of an approximate Jacobian from the exact one.
 
@@ -181,8 +189,7 @@ def jacobian_deviation(s, U, J_hat):
     """
     U = s._check_state(U)
     J_hat = np.asarray(J_hat, dtype=float)
-    n2, n3 = s.nonlinear_parts(U)
-    fbar = s.L @ U + 2.0 * n2 + 3.0 * n3
+    fbar = jacobian_action(s, U)
     denom = np.linalg.norm(fbar)
     if denom == 0.0:
         raise ValueError("fbar(U) = 0: deviation undefined at this state")
@@ -201,6 +208,8 @@ def load_system_json(source):
         data = json.loads(source)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
     try:
         n = int(data["n"])
         L = np.asarray(data["L"], dtype=float)

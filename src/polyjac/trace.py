@@ -13,9 +13,11 @@ class SolverTrace:
     """Iterate history, residual norms and termination status of one solve.
 
     status is one of "converged", "max_iter_exceeded", "singular_pivot",
-    "diverged", "guard_trip".  failure_index carries the offending row or
-    iteration for the failure statuses.  jacobians is populated only by
-    quasi-Newton solves that retain the per-iteration approximation.
+    "diverged", "guard_trip".  "diverged" means an iterate had a non-finite
+    entry or left ||U||_inf <= 1e8 (system.diverged).  failure_index carries
+    the offending row or iteration for the failure statuses.  jacobians is
+    populated only by quasi-Newton solves that retain the per-iteration
+    approximation.
     """
 
     iterates: list = field(default_factory=list)

@@ -60,6 +60,28 @@ class TestExitCodes:
         assert main(["solve", str(bad)]) == 1
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"n": [2], "L": [[1.0]], "F": [1.0]},
+            {"n": 2, "rhs": [1]},
+            {"n": 2, "rhs": {"op": "sum", "children": [1]}},
+            {"n": 2, "rhs": {"op": "linear", "matrix": np.eye(3).tolist()}},
+        ],
+        ids=["top-level-list", "non-integer-n", "rhs-list", "child-not-object", "dim-mismatch"],
+    )
+    def test_exits_one_with_one_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["integrate", str(path), "--h", "0.1", "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestSolve:
     def test_json_trace_reloadable_and_accurate(self, tmp_path, system_file):
         out = tmp_path / "trace.json"

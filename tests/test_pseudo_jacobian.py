@@ -109,6 +109,11 @@ class TestStepBounds:
         assert relaxed == pytest.approx(2.0 / np.linalg.norm(M, np.inf))
         assert relaxed == pytest.approx(tight)
 
+    def test_unknown_norm_kind_rejected(self):
+        form = decompose(square_rhs(np.eye(2)), 0.0, np.ones(2))
+        with pytest.raises(ValueError, match="norm_kind"):
+            pj_step_bound_explicit(form, "fro")
+
     def test_zero_matrix_rejected(self):
         rhs = NonlinearRhs(L=np.zeros((2, 2)), N=lambda t, U: np.zeros(2))
         form = decompose(rhs, 0.0, np.ones(2))

@@ -3,11 +3,13 @@ import pytest
 
 from polyjac import (
     GuardTripError,
+    IterativeOptions,
     PolySystem,
     QNOptions,
     classic_inverse_update,
     classic_update,
     deviation_report,
+    iterative_solve,
     jacobian_action,
     modified_inverse_update,
     modified_update,
@@ -229,6 +231,35 @@ class TestSolve:
         )
         tr = qn_solve(s, np.array([1e7]), QNOptions(variant="newton", max_iter=3))
         assert tr.status in ("diverged", "max_iter_exceeded")
+
+    def test_newton_assembles_one_jacobian_per_iterate(self, monkeypatch):
+        calls = []
+        jacobian = PolySystem.jacobian
+        monkeypatch.setattr(PolySystem, "jacobian", lambda s, U: calls.append(U) or jacobian(s, U))
+        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant="newton"))
+        assert tr.status == "converged"
+        assert len(calls) == tr.iterations
+
+
+def runaway_cubic_system():
+    """f1 = U1 + U1^3 - U2^3 + 1, f2 = U2 + U1^3 + 2 U2^3 + 1."""
+    cubic = np.zeros((2, 2, 2, 2))
+    cubic[0, 0, 0, 0], cubic[0, 1, 1, 1] = 1.0, -1.0
+    cubic[1, 0, 0, 0], cubic[1, 1, 1, 1] = 1.0, 2.0
+    return PolySystem(L=np.eye(2), quad=np.zeros((2, 2, 2)), cubic=cubic, const=np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "solver, opts",
+    [(qn_solve, QNOptions(variant=v)) for v in ("newton", "classic_rank1", "modified_rank1")]
+    + [(iterative_solve, IterativeOptions(method=m)) for m in ("jacobi", "gauss_seidel")],
+    ids=["newton", "classic_rank1", "modified_rank1", "jacobi", "gauss_seidel"],
+)
+def test_overflowing_start_ends_diverged(solver, opts):
+    # f(U0) overflows, so the first step produces non-finite iterates
+    with np.errstate(all="ignore"):
+        tr = solver(runaway_cubic_system(), np.array([1e110, 1e110]), opts)
+    assert tr.status == "diverged"
 
 
 class TestDeviationReport:

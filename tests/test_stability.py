@@ -106,6 +106,20 @@ class TestIntegrate:
         assert traj.status == "completed"
         assert traj.states[-1][0] == pytest.approx(0.9**10)
 
+    @pytest.mark.parametrize("source", ["burgers", "poly"])
+    def test_explicit_step_equals_linear_form_step(self, rng, source):
+        # U + h rhs(U) = [I + h A(U)] U + h F, the step the linear form gives
+        if source == "burgers":
+            ivp, h = IVP(burgers_discretize(16, 100.0), burgers_initial_state(16)), 0.005
+        else:
+            ivp, h = IVP(random_poly_system(rng, 4, scale=0.3), 0.5 * np.ones(4)), 0.05
+        traj = integrate(ivp, "explicit_euler", h, 20)
+        assert traj.status == "completed"
+        for U, U_next in zip(traj.states, traj.states[1:]):
+            linear = (np.eye(ivp.n) + h * ivp.linear_form(U).A) @ U + h * ivp.poly.const
+            scale = 1.0 + np.linalg.norm(U_next, np.inf)
+            assert np.linalg.norm(U_next - linear, np.inf) <= 1e-9 * scale
+
     def test_rk4_accuracy_on_decay(self):
         s = linear_system(np.array([[-1.0]]))
         traj = integrate(IVP(s, [1.0]), "rk4", 0.1, 10)
