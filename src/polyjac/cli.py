@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import presets
-from .expressions import SemiDiscreteIVP, _infer_dim, load_hexpr_json, lower_to_poly
+from .expressions import SemiDiscreteIVP, _infer_dim, h_eval, load_hexpr_json, lower_to_poly
 from .quasi_newton import QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
@@ -58,6 +58,13 @@ def _load_input(path, n=None, Re=None):
         dim = _infer_dim(rhs)
         if dim is not None and dim != sd.n:
             raise CliError(f"bad expression input: tree has dimension {dim}, 'n' is {sd.n}")
+        try:
+            with np.errstate(all="ignore"):
+                out_len = h_eval(rhs, np.ones(sd.n)).size
+        except (ValueError, TypeError) as exc:
+            raise CliError(f"bad expression input: {exc}") from exc
+        if out_len != sd.n:
+            raise CliError(f"bad expression input: tree has output length {out_len}, 'n' is {sd.n}")
         try:
             poly = lower_to_poly(sd.rhs, sd.n)
         except (ValueError, TypeError):

@@ -23,6 +23,9 @@ __all__ = [
     "pseudo_jacobian_of_poly",
 ]
 
+SM_DENOM_GUARD = 1e-12  # smallest usable Sherman-Morrison denominator in pj_implicit_step
+
+
 @dataclass(frozen=True)
 class NonlinearRhs:
     """dU/dt = L U + N(t, U) with a caller-supplied nonlinearity."""
@@ -95,7 +98,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
     return 2.0 / denom_relaxed, 2.0 / denom_tight
 
 
-def pj_implicit_step(form, U_n, h, denom_guard=1e-12):
+def pj_implicit_step(form, U_n, h):
     """One implicit Euler step [I - (L + w v^T) h]^{-1} U_n.
 
     Computed with one dense solve against I - L h plus a Sherman-Morrison
@@ -110,7 +113,7 @@ def pj_implicit_step(form, U_n, h, denom_guard=1e-12):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular I - L h at step size {h}") from exc
     denom = 1.0 - h * float(form.v @ z)
-    if abs(denom) <= denom_guard:
+    if abs(denom) <= SM_DENOM_GUARD:
         raise ValueError(f"Sherman-Morrison denominator {denom:.3e} below guard")
     return x0 + (h * float(form.v @ x0) / denom) * z
 

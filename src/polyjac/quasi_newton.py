@@ -44,10 +44,18 @@ class GuardTripError(ValueError):
 
 @dataclass(frozen=True)
 class QNOptions:
+    """Settings of one qn_solve run; variant is one of VARIANTS.
+
+    reinit_policy "on_guard_trip" replaces a rank-one update that trips a
+    guard by the exact Jacobian at the new iterate; "never" ends the solve
+    with status "guard_trip".  keep_jacobians records each iterate's
+    Jacobian or approximation in trace.jacobians, as deviation_report needs.
+    Every rank-one denominator is guarded by _guard(q).
+    """
+
     variant: str = "newton"
     tol: float = 1e-10
     max_iter: int = 100
-    denom_guard: float = None  # defaults to 1e-12 * (1 + ||q||^2) per update
     reinit_policy: str = "on_guard_trip"  # or "never"
     keep_jacobians: bool = False
 
@@ -60,13 +68,12 @@ class QNOptions:
             raise ValueError("tol must be positive")
 
 
-def _guard(denom_guard, q):
-    if denom_guard is not None:
-        return denom_guard
+def _guard(q):
+    """Smallest usable rank-one denominator for step q: 1e-12 (1 + ||q||^2)."""
     return 1e-12 * (1.0 + float(q @ q))
 
 
-def classic_update(J_prev, q, delta_f, denom_guard=None):
+def classic_update(J_prev, q, delta_f):
     """Rank-one secant update: J = J_prev - (J_prev q - delta_f) q^T / (q^T q).
 
     The result satisfies J q = delta_f exactly and leaves the action on any
@@ -76,28 +83,27 @@ def classic_update(J_prev, q, delta_f, denom_guard=None):
     q = np.asarray(q, dtype=float).ravel()
     delta_f = np.asarray(delta_f, dtype=float).ravel()
     s = float(q @ q)
-    g = _guard(denom_guard, q)
-    if s <= g:
+    if s <= _guard(q):
         raise GuardTripError("q^T q", s)
     return J_prev - np.outer(J_prev @ q - delta_f, q) / s
 
 
-def classic_inverse_update(Jinv_prev, q, delta_f, denom_guard=None):
+def classic_inverse_update(Jinv_prev, q, delta_f):
     """Sherman-Morrison counterpart of classic_update on the inverse."""
     Jinv_prev = np.asarray(Jinv_prev, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     delta_f = np.asarray(delta_f, dtype=float).ravel()
     z = Jinv_prev @ delta_f
     denom = float(q @ z)
-    if abs(denom) <= _guard(denom_guard, q):
+    if abs(denom) <= _guard(q):
         raise GuardTripError("q^T (Jinv delta_f)", denom)
     return Jinv_prev - np.outer(z - q, q @ Jinv_prev) / denom
 
 
-def _modified_correction(J_prev, U_prev, q, y, denom_guard):
+def _modified_correction(J_prev, U_prev, q, y):
     """The rank-one correction vector r with J = J_prev + r q^T."""
     s = float(q @ q)
-    g = _guard(denom_guard, q)
+    g = _guard(q)
     if s <= g:
         raise GuardTripError("q^T q", s)
     t = float(q @ U_prev)
@@ -109,7 +115,7 @@ def _modified_correction(J_prev, U_prev, q, y, denom_guard):
     return r
 
 
-def modified_update(J_prev, U_prev, U_cur, y, denom_guard=None):
+def modified_update(J_prev, U_prev, U_cur, y):
     """Rank-one update enforcing the exact relation J U_cur - J_prev U_prev = y.
 
     y is the difference of jacobian_action values between the two iterates.
@@ -121,11 +127,11 @@ def modified_update(J_prev, U_prev, U_cur, y, denom_guard=None):
     U_cur = np.asarray(U_cur, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     q = U_cur - U_prev
-    r = _modified_correction(J_prev, U_prev, q, y, denom_guard)
+    r = _modified_correction(J_prev, U_prev, q, y)
     return J_prev + np.outer(r, q)
 
 
-def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y, denom_guard=None):
+def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
     """Sherman-Morrison inverse of modified_update's result."""
     Jinv_prev = np.asarray(Jinv_prev, dtype=float)
     J_prev = np.asarray(J_prev, dtype=float)
@@ -133,21 +139,43 @@ def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y, denom_guard=Non
     U_cur = np.asarray(U_cur, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     q = U_cur - U_prev
-    r = _modified_correction(J_prev, U_prev, q, y, denom_guard)
+    r = _modified_correction(J_prev, U_prev, q, y)
     z = Jinv_prev @ r
     denom = 1.0 + float(q @ z)
-    if abs(denom) <= _guard(denom_guard, q):
+    if abs(denom) <= _guard(q):
         raise GuardTripError("1 + q^T (Jinv r)", denom)
     return Jinv_prev - np.outer(z, q @ Jinv_prev) / denom
+
+
+def _rank_one_update(J, J_inv, U, U_new, y, modified):
+    """Both halves of one rank-one update, checked against each other.
+
+    y is fbar(U_new) - fbar(U) for the modified variant and
+    f(U_new) - f(U) for the classic one.
+    """
+    if modified:
+        J_new = modified_update(J, U, U_new, y)
+        Jinv_new = modified_inverse_update(J_inv, J, U, U_new, y)
+    else:
+        q = U_new - U
+        J_new = classic_update(J, q, y)
+        Jinv_new = classic_inverse_update(J_inv, q, y)
+    pairing = np.linalg.norm(Jinv_new @ J_new - np.eye(U.size), np.inf)
+    if not np.isfinite(pairing) or pairing > PAIRING_TOL:
+        raise GuardTripError("inverse pairing", pairing)
+    return J_new, Jinv_new
 
 
 def qn_solve(s, U0, opts=None):
     """Root-find f(U) = 0 by Newton or a rank-one quasi-Newton variant.
 
-    Rank-one variants initialize from the exact Jacobian at U0 and step with
-    the maintained inverse approximation; guard trips and inverse-pairing
-    failures trigger an exact reinitialization (default) or abort the solve,
-    per opts.reinit_policy.
+    Every variant starts from the exact Jacobian at U0.  Newton solves with
+    the exact Jacobian at each iterate; the rank-one variants invert it once
+    and then update the inverse.  A rank-one update that trips a guard or
+    fails the inverse-pairing check is replaced by the exact Jacobian at the
+    new iterate (default) or ends the solve, per opts.reinit_policy.  A
+    singular exact Jacobian ends the solve with status "singular_jacobian"
+    and failure_index at the iterate where it was assembled.
     """
     opts = opts or QNOptions()
     U = np.asarray(U0, dtype=float).ravel()
@@ -160,109 +188,66 @@ def qn_solve(s, U0, opts=None):
     if opts.keep_jacobians:
         trace.jacobians = []
 
-    def record(u, J=None):
+    def record(u, f, J):
         trace.iterates.append(u.copy())
-        trace.residual_norms.append(float(np.linalg.norm(s.eval(u), np.inf)))
+        trace.residual_norms.append(float(np.linalg.norm(f, np.inf)))
         if trace.jacobians is not None:
-            trace.jacobians.append(None if J is None else J.copy())
+            trace.jacobians.append(J.copy())
 
-    def reinit(u):
-        J = s.jacobian(u)
-        return J, np.linalg.inv(J)
-
-    fU = s.eval(U)
-    if opts.variant == "newton":
-        J = s.jacobian(U)
-        record(U, J)
-        for _ in range(opts.max_iter):
-            if np.linalg.norm(fU, np.inf) <= opts.tol:
-                trace.status = "converged"
-                return trace
-            try:
-                step = np.linalg.solve(J, -fU)
-            except np.linalg.LinAlgError:
-                trace.status = "guard_trip"
-                trace.failure_index = trace.iterations - 1
-                return trace
-            U = U + step
-            fU = s.eval(U)
-            J = s.jacobian(U)
-            record(U, J)
-            if diverged(U):
-                trace.status = "diverged"
-                return trace
-        trace.status = (
-            "converged" if np.linalg.norm(fU, np.inf) <= opts.tol else "max_iter_exceeded"
-        )
+    def finish(status, failure_index=None):
+        trace.status = status
+        trace.failure_index = failure_index
         return trace
 
+    newton = opts.variant == "newton"
     modified = opts.variant == "modified_rank1"
-    try:
-        J, J_inv = reinit(U)
-    except np.linalg.LinAlgError:
-        trace.status = "guard_trip"
-        return trace
-    fbar_U = jacobian_action(s, U) if modified else None
-    record(U, J)
-
+    # J_inv is None whenever J is an exact Jacobian not yet inverted
+    f, J, J_inv = s.eval(U), s.jacobian(U), None
+    fbar = jacobian_action(s, U) if modified else None
+    record(U, f, J)
     for k in range(opts.max_iter):
-        if np.linalg.norm(fU, np.inf) <= opts.tol:
-            trace.status = "converged"
-            return trace
-        step = -J_inv @ fU
+        if trace.residual_norms[-1] <= opts.tol:
+            return finish("converged")
+        try:
+            if newton:
+                step = np.linalg.solve(J, -f)
+            else:
+                if J_inv is None:
+                    J_inv = np.linalg.inv(J)
+                step = -J_inv @ f
+        except np.linalg.LinAlgError:
+            return finish("singular_jacobian", k)
         U_new = U + step
         f_new = s.eval(U_new)
-        try:
-            if modified:
-                fbar_new = jacobian_action(s, U_new)
-                y = fbar_new - fbar_U
-                J_new = modified_update(J, U, U_new, y, opts.denom_guard)
-                Jinv_new = modified_inverse_update(J_inv, J, U, U_new, y, opts.denom_guard)
-            else:
-                q = U_new - U
-                df = f_new - fU
-                J_new = classic_update(J, q, df, opts.denom_guard)
-                Jinv_new = classic_inverse_update(J_inv, q, df, opts.denom_guard)
-            pairing = np.linalg.norm(Jinv_new @ J_new - np.eye(s.n), np.inf)
-            if not np.isfinite(pairing) or pairing > PAIRING_TOL:
-                raise GuardTripError("inverse pairing", pairing)
-        except GuardTripError:
-            if opts.reinit_policy == "never":
-                trace.status = "guard_trip"
-                trace.failure_index = k
-                return trace
+        if newton:
+            J = s.jacobian(U_new)
+        else:
+            fbar_new = jacobian_action(s, U_new) if modified else None
+            y = fbar_new - fbar if modified else f_new - f
             try:
-                J_new, Jinv_new = reinit(U_new)
-            except np.linalg.LinAlgError:
-                trace.status = "guard_trip"
-                trace.failure_index = k
-                return trace
-
-        U, fU, J, J_inv = U_new, f_new, J_new, Jinv_new
-        if modified:
-            fbar_U = jacobian_action(s, U)
-        record(U, J)
+                J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified)
+            except GuardTripError:
+                if opts.reinit_policy == "never":
+                    return finish("guard_trip", k)
+                J, J_inv = s.jacobian(U_new), None
+            fbar = fbar_new
+        U, f = U_new, f_new
+        record(U, f, J)
         if diverged(U):
-            trace.status = "diverged"
-            return trace
-
-    trace.status = "converged" if np.linalg.norm(fU, np.inf) <= opts.tol else "max_iter_exceeded"
-    return trace
+            return finish("diverged")
+    return finish("converged" if trace.residual_norms[-1] <= opts.tol else "max_iter_exceeded")
 
 
 def deviation_report(s, trace):
     """Relative Jacobian deviation at every recorded iterate.
 
     Requires a trace built with keep_jacobians=True.  Entries are None where
-    fbar(U) = 0 (metric undefined) or no approximation was recorded.
+    fbar(U) = 0 (metric undefined).
     """
     if trace.jacobians is None:
         raise ValueError("trace has no recorded Jacobian approximations")
     out = []
     for U, J in zip(trace.iterates, trace.jacobians):
-        if J is None:
-            out.append(None)
-            continue
         try:
             out.append(jacobian_deviation(s, U, J))
         except ValueError:

@@ -17,24 +17,30 @@ from .trace import SolverTrace
 __all__ = ["IterativeOptions", "iterative_solve", "sweep_once"]
 
 METHODS = ("jacobi", "gauss_seidel", "sor")
+PIVOT_TOL = 1e-12  # a diagonal entry of A(U) at or below this is swapped away
 
 
 @dataclass(frozen=True)
 class IterativeOptions:
+    """Settings of one iterative_solve run.
+
+    method is "jacobi", "gauss_seidel" or "sor"; omega is the SOR relaxation
+    factor in (0, 2].  The solve stops once ||f(U)||_inf <= tol or after
+    max_iter sweeps.  Every iterate is recorded in the trace.
+    """
+
     method: str = "gauss_seidel"
     omega: float = 1.0
     tol: float = 1e-8
     max_iter: int = 500
-    pivot_tol: float = 1e-12
-    keep_iterates: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.omega <= 2.0:
             raise ValueError(f"omega must lie in (0, 2], got {self.omega}")
-        if self.tol <= 0 or self.pivot_tol <= 0:
-            raise ValueError("tol and pivot_tol must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 class SingularPivotError(ValueError):
@@ -43,8 +49,8 @@ class SingularPivotError(ValueError):
         self.row = row
 
 
-def _pivot(a, b, pivot_tol):
-    """Row-interchange equations so every diagonal exceeds pivot_tol.
+def _pivot(a, b):
+    """Row-interchange equations so every diagonal exceeds PIVOT_TOL.
 
     For each deficient diagonal, searches rows below (then above) for the
     largest usable entry in that column and swaps the equations.  Returns the
@@ -53,13 +59,13 @@ def _pivot(a, b, pivot_tol):
     n = a.shape[0]
     perm = list(range(n))
     for i in range(n):
-        if abs(a[i, i]) > pivot_tol:
+        if abs(a[i, i]) > PIVOT_TOL:
             continue
         candidates = [j for j in range(i + 1, n)] + [j for j in range(i)]
-        best, best_val = None, pivot_tol
+        best, best_val = None, PIVOT_TOL
         for j in candidates:
             # the swap must leave row i usable without breaking row j's slot
-            if abs(a[j, i]) > best_val and abs(a[i, j]) > pivot_tol:
+            if abs(a[j, i]) > best_val and abs(a[i, j]) > PIVOT_TOL:
                 best, best_val = j, abs(a[j, i])
         if best is None:
             # fall back: any row with a large entry in column i
@@ -91,14 +97,19 @@ def _sweep(a, b, U, method, omega):
     return U_new
 
 
-def sweep_once(s, U, method="gauss_seidel", omega=1.0, pivot_tol=1e-12):
-    """One full sweep at iterate U; returns (U_new, permutation)."""
+def sweep_once(s, U, method="gauss_seidel", omega=1.0):
+    """One full sweep at iterate U; returns (U_new, permutation).
+
+    Equations whose diagonal entry of A(U) is at or below PIVOT_TOL are
+    row-interchanged first; the permutation lists the row order used.
+    Raises SingularPivotError if no interchange fixes a diagonal.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     U = np.asarray(U, dtype=float).ravel()
     a = s.linearized_matrix(U).A.copy()
     b = -s.const.copy()
-    perm = _pivot(a, b, pivot_tol)
+    perm = _pivot(a, b)
     return _sweep(a, b, U, method, omega), perm
 
 
@@ -114,39 +125,24 @@ def iterative_solve(s, U0, opts=None):
     trace = SolverTrace()
 
     def record(u):
-        res = float(np.linalg.norm(s.eval(u), np.inf))
-        if opts.keep_iterates:
-            trace.iterates.append(u.copy())
-        trace.residual_norms.append(res)
-        return res
+        trace.iterates.append(u.copy())
+        trace.residual_norms.append(float(np.linalg.norm(s.eval(u), np.inf)))
+        return trace.residual_norms[-1]
 
     res = record(U)
-    if res <= opts.tol:
-        trace.status = "converged"
-        if not opts.keep_iterates:
-            trace.iterates.append(U.copy())
-        return trace
-
     for k in range(opts.max_iter):
+        if res <= opts.tol:
+            break
         try:
-            U, perm = sweep_once(s, U, opts.method, opts.omega, opts.pivot_tol)
+            U, trace.permutation = sweep_once(s, U, opts.method, opts.omega)
         except SingularPivotError as exc:
             trace.status = "singular_pivot"
             trace.failure_index = exc.row
             return trace
-        trace.permutation = perm
         res = record(U)
         if not np.isfinite(res) or diverged(U):
             trace.status = "diverged"
             trace.failure_index = k
             return trace
-        if res <= opts.tol:
-            trace.status = "converged"
-            if not opts.keep_iterates:
-                trace.iterates.append(U.copy())
-            return trace
-
-    trace.status = "max_iter_exceeded"
-    if not opts.keep_iterates:
-        trace.iterates.append(U.copy())
+    trace.status = "converged" if res <= opts.tol else "max_iter_exceeded"
     return trace

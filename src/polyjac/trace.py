@@ -13,9 +13,12 @@ class SolverTrace:
     """Iterate history, residual norms and termination status of one solve.
 
     status is one of "converged", "max_iter_exceeded", "singular_pivot",
-    "diverged", "guard_trip".  "diverged" means an iterate had a non-finite
-    entry or left ||U||_inf <= 1e8 (system.diverged).  failure_index carries
-    the offending row or iteration for the failure statuses.  jacobians is
+    "diverged", "guard_trip", "singular_jacobian".  "diverged" means an
+    iterate had a non-finite entry or left ||U||_inf <= 1e8
+    (system.diverged).  "guard_trip" means a rank-one update tripped a guard
+    with reinitialisation off; "singular_jacobian" means the exact Jacobian
+    at an iterate could not be solved with or inverted.  failure_index
+    carries the offending row or iteration for the failure statuses.  jacobians is
     populated only by quasi-Newton solves that retain the per-iteration
     approximation.
     """

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polyjac import load_system_json
+from polyjac import PolySystem, load_system_json
 from polyjac.cli import main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 from polyjac.system import dump_system_json
@@ -45,6 +45,15 @@ class TestExitCodes:
         assert code == 2
         assert read_json(str(out))["status"] != "converged"
 
+    def test_singular_jacobian_is_two(self, tmp_path):
+        # f(U) = U^2 - 1 has a singular Jacobian at U0 = 0
+        s = PolySystem(L=np.zeros((1, 1)), quad=np.ones((1, 1, 1)),
+                       cubic=np.zeros((1, 1, 1, 1)), const=-np.ones(1))
+        path, out = tmp_path / "system.json", tmp_path / "t.json"
+        path.write_text(json.dumps(dump_system_json(s)))
+        assert main(["--out", str(out), "solve", str(path), "--x0", "0", "--method", "newton"]) == 2
+        assert read_json(str(out))["status"] == "singular_jacobian"
+
     def test_integrate_divergence_is_two(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(
@@ -69,8 +78,16 @@ class TestMalformedInput:
             {"n": 2, "rhs": [1]},
             {"n": 2, "rhs": {"op": "sum", "children": [1]}},
             {"n": 2, "rhs": {"op": "linear", "matrix": np.eye(3).tolist()}},
+            {"n": 2, "rhs": {"op": "linear", "matrix": np.ones((3, 2)).tolist()}},
         ],
-        ids=["top-level-list", "non-integer-n", "rhs-list", "child-not-object", "dim-mismatch"],
+        ids=[
+            "top-level-list",
+            "non-integer-n",
+            "rhs-list",
+            "child-not-object",
+            "dim-mismatch",
+            "output-length-mismatch",
+        ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, doc):
         path = tmp_path / "in.json"

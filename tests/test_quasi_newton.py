@@ -15,6 +15,7 @@ from polyjac import (
     modified_update,
     qn_solve,
 )
+from polyjac import quasi_newton
 from polyjac.quasi_newton import GuardTripError  # noqa: F811 (re-export check)
 from polyjac.presets import (
     circle_cubic_system,
@@ -239,6 +240,52 @@ class TestSolve:
         tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant="newton"))
         assert tr.status == "converged"
         assert len(calls) == tr.iterations
+
+    @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
+    def test_each_iterate_evaluates_once(self, variant, monkeypatch):
+        evals, actions = [], []
+        eval_, action = PolySystem.eval, quasi_newton.jacobian_action
+        monkeypatch.setattr(PolySystem, "eval", lambda s, U: evals.append(U) or eval_(s, U))
+        monkeypatch.setattr(
+            quasi_newton, "jacobian_action", lambda s, U: actions.append(U) or action(s, U)
+        )
+        s = circle_cubic_system()
+        tr = qn_solve(s, np.array([0.5, 1.0]), QNOptions(variant=variant))
+        assert tr.status == "converged"
+        assert len(evals) == tr.iterations
+        assert len(actions) == (tr.iterations if variant == "modified_rank1" else 0)
+        for U, r in zip(tr.iterates, tr.residual_norms):
+            assert r == float(np.linalg.norm(eval_(s, U), np.inf))
+
+    @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
+    def test_singular_start_jacobian(self, variant):
+        # f(U) = U^2 - 1 from U0 = 0: J(U0) = 0, no rank-one guard involved
+        s = PolySystem(
+            L=np.zeros((1, 1)),
+            quad=np.ones((1, 1, 1)),
+            cubic=np.zeros((1, 1, 1, 1)),
+            const=-np.ones(1),
+        )
+        tr = qn_solve(s, np.zeros(1), QNOptions(variant=variant))
+        assert tr.status == "singular_jacobian"
+        assert tr.failure_index == 0
+        assert tr.iterations == 1
+        np.testing.assert_array_equal(tr.solution, [0.0])
+
+    def test_reinit_policy_decides_guard_trip(self):
+        # a seeded system on which a classic rank-one update trips a guard
+        rng = np.random.default_rng(1)
+        s = random_poly_system(rng, int(rng.integers(2, 9)), scale=0.3)
+        U0 = rng.standard_normal(s.n)
+        never = qn_solve(s, U0, QNOptions(variant="classic_rank1", reinit_policy="never"))
+        assert never.status == "guard_trip"
+        k = never.failure_index
+        assert never.iterations == k + 1
+        tr = qn_solve(s, U0, QNOptions(variant="classic_rank1", keep_jacobians=True))
+        assert tr.iterations > k + 1
+        np.testing.assert_array_equal(tr.iterates[: k + 1], never.iterates)
+        # the update past iterate k was replaced by the exact Jacobian
+        np.testing.assert_array_equal(tr.jacobians[k + 1], s.jacobian(tr.iterates[k + 1]))
 
 
 def runaway_cubic_system():
