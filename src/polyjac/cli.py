@@ -170,16 +170,17 @@ def _cmd_check_jacobian(args):
 
 
 def _central_difference_jacobian(f, U, step=None):
-    n = U.size
-    J = np.zeros((n, n))
-    for j in range(n):
+    """Central finite differences, step (default 1e-6) scaled per component by 1 + |U_j|."""
+    U = np.asarray(U, dtype=float)
+    cols = []
+    for j in range(U.size):
         h = (step if step else 1e-6) * (1.0 + abs(U[j]))
         up = U.copy()
         dn = U.copy()
         up[j] += h
         dn[j] -= h
-        J[:, j] = (f(up) - f(dn)) / (2.0 * h)
-    return J
+        cols.append((np.asarray(f(up)) - np.asarray(f(dn))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _cmd_stability(args):

@@ -6,7 +6,10 @@ scalar chain rule applied with row scaling: d/dU of (A U) o (B U) is
 row_scale(A, B U) + row_scale(B, A U), and so on for powers, sin, cos, exp.
 
 Polynomial trees of total degree <= 3 can be lowered to an equivalent
-PolySystem for cross-checks and for the linear-form machinery.
+PolySystem for cross-checks and for the linear-form machinery.  Lowering
+carries per-row coefficients of each order: a linear map is one matmul on the
+flattened trailing axes, products broadcast, and an order no subtree has is
+carried as None rather than as a dense zero tensor.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +54,10 @@ class LinearMap(HExpr):
     child: HExpr = field(default_factory=State)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"linear map matrix must be 2-D, got shape {A.shape}")
+        object.__setattr__(self, "A", A)
 
 
 @dataclass(frozen=True)
@@ -260,9 +266,13 @@ def burgers_discretize(n, Re):
 
 
 class _PolyRep:
-    """Per-row scalar polynomials up to degree 3 in the state."""
+    """Per-row scalar polynomials up to degree 3 in the state.
 
-    def __init__(self, c0, lin, quad, cub):
+    c0 (m,) and lin (m, n) are always present; quad (m, n, n) and cub
+    (m, n, n, n) are None when the tree has no term of that order.
+    """
+
+    def __init__(self, c0, lin, quad=None, cub=None):
         self.c0 = c0
         self.lin = lin
         self.quad = quad
@@ -270,71 +280,81 @@ class _PolyRep:
 
     @property
     def degree(self):
-        if np.any(self.cub):
+        if self.cub is not None and np.any(self.cub):
             return 3
-        if np.any(self.quad):
+        if self.quad is not None and np.any(self.quad):
             return 2
         if np.any(self.lin):
             return 1
         return 0
 
-    @classmethod
-    def zeros(cls, m, n):
-        return cls(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, n, n, n)))
+
+def _add(*terms):
+    """Left-to-right sum of the terms that are present; None if none is."""
+    present = [t for t in terms if t is not None]
+    if not present:
+        return None
+    out = present[0]
+    for t in present[1:]:
+        out = out + t
+    return out
 
 
-def _rep_product(a, b, n):
+def _rows(v, t):
+    """Row i of t scaled by v[i] (v broadcast over t's trailing axes); None stays None."""
+    return None if t is None else v.reshape((-1,) + (1,) * (t.ndim - 1)) * t
+
+
+def _outer(a, b):
+    """Per-row outer product: out[i, j, ...] = a[i, j] * b[i, ...]; None if b is."""
+    return None if b is None else a.reshape(a.shape + (1,) * (b.ndim - 1)) * b[:, None]
+
+
+def _apply(A, t):
+    """A applied along the row axis of t: one matmul on the flattened trailing axes."""
+    if t is None:
+        return None
+    return (A @ t.reshape(t.shape[0], -1)).reshape((A.shape[0],) + t.shape[1:])
+
+
+def _rep_product(a, b):
     # Coefficient tensors stay unsymmetrized here; PolySystem symmetrizes them once.
     if a.degree + b.degree > 3:
         raise ValueError("non-polynomial or degree > 3: product exceeds cubic")
-    m = a.c0.size
-    out = _PolyRep.zeros(m, n)
-    out.c0 = a.c0 * b.c0
-    out.lin = a.c0[:, None] * b.lin + b.c0[:, None] * a.lin
-    cross2 = np.einsum("ij,ik->ijk", a.lin, b.lin)
-    out.quad = a.c0[:, None, None] * b.quad + b.c0[:, None, None] * a.quad + cross2
-    cross3 = np.einsum("ij,ikl->ijkl", a.lin, b.quad) + np.einsum("ij,ikl->ijkl", b.lin, a.quad)
-    out.cub = a.c0[:, None, None, None] * b.cub + b.c0[:, None, None, None] * a.cub + cross3
-    return out
+    return _PolyRep(
+        a.c0 * b.c0,
+        _rows(a.c0, b.lin) + _rows(b.c0, a.lin),
+        _add(_rows(a.c0, b.quad), _rows(b.c0, a.quad), _outer(a.lin, b.lin)),
+        _add(_rows(a.c0, b.cub), _rows(b.c0, a.cub), _add(_outer(a.lin, b.quad), _outer(b.lin, a.quad))),
+    )
 
 
 def _lower(e, n):
     if isinstance(e, State):
-        r = _PolyRep.zeros(n, n)
-        r.lin = np.eye(n)
-        return r
+        return _PolyRep(np.zeros(n), np.eye(n))
     if isinstance(e, LinearMap):
         c = _lower(e.child, n)
         A = e.A
-        return _PolyRep(
-            A @ c.c0,
-            A @ c.lin,
-            np.einsum("ia,ajk->ijk", A, c.quad),
-            np.einsum("ia,ajkl->ijkl", A, c.cub),
-        )
+        return _PolyRep(A @ c.c0, A @ c.lin, _apply(A, c.quad), _apply(A, c.cub))
     if isinstance(e, DiagScale):
         c = _lower(e.child, n)
         d = e.c
-        return _PolyRep(
-            d * c.c0,
-            d[:, None] * c.lin,
-            d[:, None, None] * c.quad,
-            d[:, None, None, None] * c.cub,
-        )
+        return _PolyRep(d * c.c0, _rows(d, c.lin), _rows(d, c.quad), _rows(d, c.cub))
     if isinstance(e, Sum):
         reps = [_lower(ch, n) for ch in e.children]
-        out = _PolyRep.zeros(reps[0].c0.size, n)
+        m = reps[0].c0.size
+        out = _PolyRep(np.zeros(m), np.zeros((m, n)))
         for w, r in zip(e.weights, reps):
             out.c0 = out.c0 + w * r.c0
             out.lin = out.lin + w * r.lin
-            out.quad = out.quad + w * r.quad
-            out.cub = out.cub + w * r.cub
+            out.quad = _add(out.quad, None if r.quad is None else w * r.quad)
+            out.cub = _add(out.cub, None if r.cub is None else w * r.cub)
         return out
     if isinstance(e, HadamardProduct):
         reps = [_lower(ch, n) for ch in e.children]
         out = reps[0]
         for r in reps[1:]:
-            out = _rep_product(out, r, n)
+            out = _rep_product(out, r)
         return out
     if isinstance(e, HadamardPower):
         q = e.q
@@ -343,12 +363,10 @@ def _lower(e, n):
         m = int(q)
         base = _lower(e.child, n)
         if m == 0:
-            out = _PolyRep.zeros(base.c0.size, n)
-            out.c0 = np.ones_like(base.c0)
-            return out
+            return _PolyRep(np.ones_like(base.c0), np.zeros((base.c0.size, n)))
         out = base
         for _ in range(m - 1):
-            out = _rep_product(out, base, n)
+            out = _rep_product(out, base)
         return out
     if isinstance(e, ElementwiseFunction):
         raise ValueError(f"non-polynomial node: elementwise {e.name}")
@@ -375,7 +393,9 @@ def lower_to_poly(e, n=None):
     """Lower a polynomial expression tree (degree <= 3) to a PolySystem.
 
     Raises on non-polynomial nodes (elementwise functions, fractional or
-    negative powers) and on total degree above 3.
+    negative powers) and on total degree above 3.  An order the tree lacks
+    reaches PolySystem as a zero tensor, which it neither symmetrizes nor
+    contracts.
     """
     if n is None:
         n = _infer_dim(e)
@@ -384,7 +404,9 @@ def lower_to_poly(e, n=None):
     rep = _lower(e, n)
     if rep.c0.size != n:
         raise ValueError(f"tree evaluates to length {rep.c0.size}, expected {n}")
-    return PolySystem(L=rep.lin, quad=rep.quad, cubic=rep.cub, const=rep.c0)
+    quad = np.zeros((n, n, n)) if rep.quad is None else rep.quad
+    cubic = np.zeros((n, n, n, n)) if rep.cub is None else rep.cub
+    return PolySystem(L=rep.lin, quad=quad, cubic=cubic, const=rep.c0)
 
 
 def load_hexpr_json(data):

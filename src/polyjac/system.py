@@ -6,6 +6,14 @@ U_j U_k U_l (symmetric in j, k, l).  Symmetrizing at ingestion makes the Euler
 identity m * N(U) = J_m(U) U hold to rounding, which the rest of the library
 leans on.
 
+Every evaluation at a state U starts from two contractions, each one BLAS
+matrix-vector product on a reshaped view of a coefficient tensor:
+M2 = quad . U (the (n^2, n) view times U) and M3 = cubic . U . U (the
+(n^2, n^2) view times vec(U U^T)).  Then N2 = M2 U, N3 = M3 U,
+J(U) = L + 2 M2 + 3 M3 and A(U) = L + M2 + M3.  An order whose tensor is all
+zero (the cubic of Burgers, both orders of a linear system) is decided once at
+construction; it is never symmetrized and never contracted.
+
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
@@ -71,12 +79,14 @@ class PolySystem:
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        quad = _sym_last2(quad)
-        cubic = _sym_last3(cubic)
+        # An order whose tensor is all zero is neither symmetrized nor contracted.
+        has_quad, has_cubic = bool(np.any(quad)), bool(np.any(cubic))
+        quad = _sym_last2(quad) if has_quad else np.zeros((n, n, n))
+        cubic = _sym_last3(cubic) if has_cubic else np.zeros((n, n, n, n))
         for name, val in (("L", L), ("quad", quad), ("cubic", cubic), ("const", const)):
             object.__setattr__(self, name, val)
-        for a in (self.L, self.quad, self.cubic, self.const):
-            a.setflags(write=False)
+            val.setflags(write=False)
+        object.__setattr__(self, "_orders", (has_quad, has_cubic))
 
     @property
     def n(self):
@@ -88,6 +98,17 @@ class PolySystem:
             raise ValueError(f"state length {U.size} != system dimension {self.n}")
         return U
 
+    def _contract(self, U):
+        """(M2, M3) = (quad . U, cubic . U . U), two BLAS products; zero for an absent order."""
+        n = self.n
+        has_quad, has_cubic = self._orders
+        M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n) if has_quad else np.zeros((n, n))
+        if has_cubic:
+            M3 = (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
+        else:
+            M3 = np.zeros((n, n))
+        return M2, M3
+
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""
         U = self._check_state(U)
@@ -95,26 +116,26 @@ class PolySystem:
         return self.L @ U + n2 + n3 + self.const
 
     def nonlinear_parts(self, U):
-        """The pure quadratic and pure cubic term values (N2(U), N3(U))."""
+        """The pure quadratic and pure cubic term values (N2(U), N3(U)) = (M2 U, M3 U)."""
         U = self._check_state(U)
-        n2 = np.einsum("ijk,j,k->i", self.quad, U, U)
-        n3 = np.einsum("ijkl,j,k,l->i", self.cubic, U, U, U)
-        return n2, n3
+        M2, M3 = self._contract(U)
+        return M2 @ U, M3 @ U
 
     def quadratic_jacobian(self, U):
-        """Jacobian of the quadratic part alone: 2 * quad contracted with U."""
+        """Jacobian of the quadratic part alone: J2(U) = 2 M2."""
         U = self._check_state(U)
-        return 2.0 * np.einsum("ijk,k->ij", self.quad, U)
+        return 2.0 * self._contract(U)[0]
 
     def cubic_jacobian(self, U):
-        """Jacobian of the cubic part alone: 3 * cubic contracted with U twice."""
+        """Jacobian of the cubic part alone: J3(U) = 3 M3."""
         U = self._check_state(U)
-        return 3.0 * np.einsum("ijkl,k,l->ij", self.cubic, U, U)
+        return 3.0 * self._contract(U)[1]
 
     def jacobian(self, U):
-        """Exact Jacobian of eval at U."""
+        """Exact Jacobian of eval at U: L + 2 M2 + 3 M3."""
         U = self._check_state(U)
-        return self.L + self.quadratic_jacobian(U) + self.cubic_jacobian(U)
+        M2, M3 = self._contract(U)
+        return self.L + 2.0 * M2 + 3.0 * M3
 
     def euler_residuals(self, U):
         """Residuals of the homogeneous-function identity, per nonlinear order.
@@ -123,19 +144,19 @@ class PolySystem:
         vanish to rounding because the coefficient tensors are symmetric.
         """
         U = self._check_state(U)
-        n2, n3 = self.nonlinear_parts(U)
-        r2 = np.linalg.norm(2.0 * n2 - self.quadratic_jacobian(U) @ U, np.inf)
-        r3 = np.linalg.norm(3.0 * n3 - self.cubic_jacobian(U) @ U, np.inf)
+        M2, M3 = self._contract(U)
+        r2 = np.linalg.norm(2.0 * (M2 @ U) - (2.0 * M2) @ U, np.inf)
+        r3 = np.linalg.norm(3.0 * (M3 @ U) - (3.0 * M3) @ U, np.inf)
         return r2, r3
 
     def linearized_matrix(self, U):
-        """State-dependent matrix A(U) = L + J2(U)/2 + J3(U)/3.
+        """State-dependent matrix A(U) = L + J2(U)/2 + J3(U)/3 = L + M2 + M3.
 
         Satisfies A(U) U = L U + N2(U) + N3(U) = eval(U) - F.
         """
         U = self._check_state(U)
-        A = self.L + 0.5 * self.quadratic_jacobian(U) + self.cubic_jacobian(U) / 3.0
-        return LinearizedForm(A=A, U_at=U)
+        M2, M3 = self._contract(U)
+        return LinearizedForm(A=self.L + M2 + M3, U_at=U)
 
 
 @dataclass(frozen=True)
@@ -220,49 +241,54 @@ def load_system_json(source):
         raise ValueError(f"field 'L': expected {n}x{n}, got {L.shape}")
     if F.shape != (n,):
         raise ValueError(f"field 'F': expected length {n}, got {F.shape}")
-    quad = np.zeros((n, n, n))
-    for entry in data.get("quadratic", []):
-        if len(entry) != 4:
-            raise ValueError(f"field 'quadratic': bad entry {entry!r}")
-        i, j, k, v = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"field 'quadratic': index out of range in {entry!r}")
-        quad[i, j, k] += v
-    cubic = np.zeros((n, n, n, n))
-    for entry in data.get("cubic", []):
-        if len(entry) != 5:
-            raise ValueError(f"field 'cubic': bad entry {entry!r}")
-        i, j, k, l, v = (int(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]), float(entry[4]))
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
-            raise ValueError(f"field 'cubic': index out of range in {entry!r}")
-        cubic[i, j, k, l] += v
+    quad = _read_coefficients(data, "quadratic", n, 3)
+    cubic = _read_coefficients(data, "cubic", n, 4)
     return PolySystem(L=L, quad=quad, cubic=cubic, const=F)
+
+
+def _read_coefficients(data, field, n, ndim):
+    """Sum the [i, j, ..., value] entries of `field` into a dense (n,)*ndim tensor."""
+    entries = data.get(field, [])
+    out = np.zeros((n,) * ndim)
+    if len(entries) == 0:
+        return out
+    try:
+        table = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.shape != (len(entries), ndim + 1):
+        bad = next(e for e in entries if not _is_entry(e, ndim + 1))
+        raise ValueError(f"field {field!r}: bad entry {bad!r}")
+    index = table[:, :-1]
+    # An index is valid when int() of it, which truncates toward zero, is in [0, n).
+    outside = ~np.all((index > -1) & (index < n), axis=1)
+    if outside.any():
+        raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmax(outside))]!r}")
+    np.add.at(out, tuple(index.astype(np.intp).T), table[:, -1])
+    return out
+
+
+def _is_entry(entry, width):
+    try:
+        return np.asarray(entry, dtype=float).shape == (width,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _sparse_entries(t):
+    """[i, j, ..., value] for every nonzero of t, in row-major order."""
+    index = np.nonzero(t)
+    return [list(row) for row in zip(*(ix.tolist() for ix in index), t[index].tolist())]
 
 
 def dump_system_json(s):
     """Serialize a PolySystem to the sparse-coefficient JSON format."""
-    n = s.n
-    quadratic = [
-        [i, j, k, s.quad[i, j, k]]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if s.quad[i, j, k] != 0.0
-    ]
-    cubic = [
-        [i, j, k, l, s.cubic[i, j, k, l]]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        for l in range(n)
-        if s.cubic[i, j, k, l] != 0.0
-    ]
     return json.dumps(
         {
-            "n": n,
+            "n": s.n,
             "L": s.L.tolist(),
-            "quadratic": quadratic,
-            "cubic": cubic,
+            "quadratic": _sparse_entries(s.quad),
+            "cubic": _sparse_entries(s.cubic),
             "F": s.const.tolist(),
         }
     )

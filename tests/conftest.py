@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polyjac import PolySystem
+from polyjac.cli import _central_difference_jacobian as fd_jacobian  # noqa: F401 (imported by the tests)
+
+# Property tests draw the same examples on every run and have no time limit,
+# so a slow or busy host cannot make them flaky.
+settings.register_profile("polyjac", derandomize=True, deadline=None, database=None)
+settings.load_profile("polyjac")
 
 
 @pytest.fixture
@@ -21,21 +28,6 @@ def random_poly_system(rng, n, scale=1.0, linear_only=False):
     return PolySystem(L=L, quad=quad, cubic=cubic, const=F)
 
 
-def fd_jacobian(f, U, step=1e-6):
-    """Central finite differences with step scaled per component."""
-    U = np.asarray(U, dtype=float)
-    n = U.size
-    cols = []
-    for j in range(n):
-        h = step * (1.0 + abs(U[j]))
-        up = U.copy()
-        dn = U.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((np.asarray(f(up)) - np.asarray(f(dn))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
 def diag_dominant_quadratic_system(rng, n, margin=2.0):
     """A quadratic system whose linear form stays diagonally dominant near 1.
 
@@ -51,3 +43,26 @@ def diag_dominant_quadratic_system(rng, n, margin=2.0):
         quad[i, i, i] = 0.1 * rng.uniform(0.5, 1.0)
     F = -rng.uniform(0.5, 1.5, size=n)
     return PolySystem(L=L, quad=quad, cubic=np.zeros((n, n, n, n)), const=F)
+
+
+def reference_values(s, U):
+    """The system's quantities at U from plain einsum over the dense tensors.
+
+    The slow reference for PolySystem's contraction path; keyed by method name.
+    """
+    U = np.asarray(U, dtype=float)
+    n2 = np.einsum("ijk,j,k->i", s.quad, U, U)
+    n3 = np.einsum("ijkl,j,k,l->i", s.cubic, U, U, U)
+    J2 = 2.0 * np.einsum("ijk,k->ij", s.quad, U)
+    J3 = 3.0 * np.einsum("ijkl,k,l->ij", s.cubic, U, U)
+    return {
+        "eval": s.L @ U + n2 + n3 + s.const,
+        "nonlinear_parts": (n2, n3),
+        "jacobian": s.L + J2 + J3,
+        "linearized_matrix": s.L + 0.5 * J2 + J3 / 3.0,
+        "jacobian_action": s.L @ U + 2.0 * n2 + 3.0 * n3,
+        "euler_residuals": (
+            np.linalg.norm(2.0 * n2 - J2 @ U, np.inf),
+            np.linalg.norm(3.0 * n3 - J3 @ U, np.inf),
+        ),
+    }

@@ -79,6 +79,8 @@ class TestMalformedInput:
             {"n": 2, "rhs": {"op": "sum", "children": [1]}},
             {"n": 2, "rhs": {"op": "linear", "matrix": np.eye(3).tolist()}},
             {"n": 2, "rhs": {"op": "linear", "matrix": np.ones((3, 2)).tolist()}},
+            {"n": 2, "rhs": {"op": "linear", "matrix": 5}},
+            {"n": 2, "rhs": {"op": "linear", "matrix": [1, 2]}},
         ],
         ids=[
             "top-level-list",
@@ -87,6 +89,8 @@ class TestMalformedInput:
             "child-not-object",
             "dim-mismatch",
             "output-length-mismatch",
+            "scalar-matrix",
+            "vector-matrix",
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, doc):

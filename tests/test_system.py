@@ -248,3 +248,24 @@ class TestJsonFormat:
         data = {"n": 2, "L": [[0, 0], [0, 0]], "quadratic": [[0, 0, 5, 1.0]], "F": [0, 0]}
         with pytest.raises(ValueError, match="quadratic"):
             load_system_json(data)
+
+    @pytest.mark.parametrize(
+        "field, entries, message",
+        [
+            ("quadratic", [[0, 0, 0, 1.0], [0, 0, 1]], r"field 'quadratic': bad entry \[0, 0, 1\]"),
+            ("cubic", [[0, 0, 0, 0, 1.0], [1, 1, "x", 1, 2.0]], r"field 'cubic': bad entry \[1, 1, 'x', 1, 2.0\]"),
+            ("quadratic", [[0, 0, 0, 1.0], [0, 0, 5, 1.0]], r"index out of range in \[0, 0, 5, 1.0\]"),
+            ("cubic", [[0, 0, 0, -1, 1.0]], r"field 'cubic': index out of range in \[0, 0, 0, -1, 1.0\]"),
+        ],
+        ids=["short-entry", "non-numeric-entry", "index-too-large", "negative-index"],
+    )
+    def test_bad_entry_quoted(self, field, entries, message):
+        data = {"n": 2, "L": [[0, 0], [0, 0]], field: entries, "F": [0, 0]}
+        with pytest.raises(ValueError, match=message):
+            load_system_json(data)
+
+    def test_repeated_entries_add(self):
+        data = {"n": 2, "L": [[0, 0], [0, 0]], "F": [0, 0],
+                "cubic": [[1, 0, 0, 0, 1.5], [1, 0, 0, 0, 0.25], [0, 1, 1, 1, 2.0]]}
+        s = load_system_json(data)
+        np.testing.assert_allclose(s.eval([2.0, 1.0]), [2.0, 14.0])
