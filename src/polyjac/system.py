@@ -10,9 +10,9 @@ Every evaluation at a state U starts from two contractions, each one BLAS
 matrix-vector product on a reshaped view of a coefficient tensor:
 M2 = quad . U (the (n^2, n) view times U) and M3 = cubic . U . U (the
 (n^2, n^2) view times vec(U U^T)).  Then N2 = M2 U, N3 = M3 U,
-J(U) = L + 2 M2 + 3 M3 and A(U) = L + M2 + M3.  An order whose tensor is all
-zero (the cubic of Burgers, both orders of a linear system) is decided once at
-construction; it is never symmetrized and never contracted.
+J(U) = L + 2 M2 + 3 M3 and A(U) = L + M2 + M3.  Whether the cubic tensor is
+all zero (as for Burgers) is decided once at construction; such a cubic is
+never symmetrized and never contracted, and M3 is zero.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
@@ -79,14 +79,14 @@ class PolySystem:
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        # An order whose tensor is all zero is neither symmetrized nor contracted.
-        has_quad, has_cubic = bool(np.any(quad)), bool(np.any(cubic))
-        quad = _sym_last2(quad) if has_quad else np.zeros((n, n, n))
+        # An all-zero cubic (Burgers) is neither symmetrized nor contracted.
+        has_cubic = bool(np.any(cubic))
+        quad = _sym_last2(quad)
         cubic = _sym_last3(cubic) if has_cubic else np.zeros((n, n, n, n))
         for name, val in (("L", L), ("quad", quad), ("cubic", cubic), ("const", const)):
             object.__setattr__(self, name, val)
             val.setflags(write=False)
-        object.__setattr__(self, "_orders", (has_quad, has_cubic))
+        object.__setattr__(self, "_has_cubic", has_cubic)
 
     @property
     def n(self):
@@ -98,16 +98,17 @@ class PolySystem:
             raise ValueError(f"state length {U.size} != system dimension {self.n}")
         return U
 
-    def _contract(self, U):
-        """(M2, M3) = (quad . U, cubic . U . U), two BLAS products; zero for an absent order."""
+    def _m2(self, U):
+        """M2 = quad . U, one BLAS product on the (n^2, n) view."""
         n = self.n
-        has_quad, has_cubic = self._orders
-        M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n) if has_quad else np.zeros((n, n))
-        if has_cubic:
-            M3 = (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
-        else:
-            M3 = np.zeros((n, n))
-        return M2, M3
+        return (self.quad.reshape(n * n, n) @ U).reshape(n, n)
+
+    def _m3(self, U):
+        """M3 = cubic . U . U, one BLAS product on the (n^2, n^2) view; zero when cubic is."""
+        n = self.n
+        if not self._has_cubic:
+            return np.zeros((n, n))
+        return (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""
@@ -118,23 +119,22 @@ class PolySystem:
     def nonlinear_parts(self, U):
         """The pure quadratic and pure cubic term values (N2(U), N3(U)) = (M2 U, M3 U)."""
         U = self._check_state(U)
-        M2, M3 = self._contract(U)
-        return M2 @ U, M3 @ U
+        return self._m2(U) @ U, self._m3(U) @ U
 
     def quadratic_jacobian(self, U):
         """Jacobian of the quadratic part alone: J2(U) = 2 M2."""
         U = self._check_state(U)
-        return 2.0 * self._contract(U)[0]
+        return 2.0 * self._m2(U)
 
     def cubic_jacobian(self, U):
         """Jacobian of the cubic part alone: J3(U) = 3 M3."""
         U = self._check_state(U)
-        return 3.0 * self._contract(U)[1]
+        return 3.0 * self._m3(U)
 
     def jacobian(self, U):
         """Exact Jacobian of eval at U: L + 2 M2 + 3 M3."""
         U = self._check_state(U)
-        M2, M3 = self._contract(U)
+        M2, M3 = self._m2(U), self._m3(U)
         return self.L + 2.0 * M2 + 3.0 * M3
 
     def euler_residuals(self, U):
@@ -144,7 +144,7 @@ class PolySystem:
         vanish to rounding because the coefficient tensors are symmetric.
         """
         U = self._check_state(U)
-        M2, M3 = self._contract(U)
+        M2, M3 = self._m2(U), self._m3(U)
         r2 = np.linalg.norm(2.0 * (M2 @ U) - (2.0 * M2) @ U, np.inf)
         r3 = np.linalg.norm(3.0 * (M3 @ U) - (3.0 * M3) @ U, np.inf)
         return r2, r3
@@ -155,7 +155,7 @@ class PolySystem:
         Satisfies A(U) U = L U + N2(U) + N3(U) = eval(U) - F.
         """
         U = self._check_state(U)
-        M2, M3 = self._contract(U)
+        M2, M3 = self._m2(U), self._m3(U)
         return LinearizedForm(A=self.L + M2 + M3, U_at=U)
 
 

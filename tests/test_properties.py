@@ -2,7 +2,7 @@
 round trip, and lowering.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
-independently zero or nonzero, so the paths that skip an absent order are
+independently zero or nonzero, so the path that skips an all-zero cubic is
 covered.  Every comparison of two evaluations allows 1e-12 * (1 + scale), where scale is the same
 quantity evaluated with absolute coefficients at |U|, which bounds the size of
 the terms whose rounding is compared.
@@ -39,8 +39,8 @@ def systems_and_states(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     quad = rng.standard_normal((n, n, n)) if has_quad else np.zeros((n, n, n))
     cubic = rng.standard_normal((n, n, n, n)) if has_cubic else np.zeros((n, n, n, n))
-    s = PolySystem(L=rng.standard_normal((n, n)), quad=quad, cubic=cubic, const=rng.standard_normal(n))
-    return s, rng.standard_normal(n)
+    raw = SimpleNamespace(L=rng.standard_normal((n, n)), quad=quad, cubic=cubic, const=rng.standard_normal(n))
+    return PolySystem(**vars(raw)), rng.standard_normal(n), raw
 
 
 def _abs_reference(s, U):
@@ -54,7 +54,7 @@ def _close(got, want, scale):
 
 @given(systems_and_states())
 def test_contraction_matches_einsum_reference(case):
-    s, U = case
+    s, U, _ = case
     ref, scale = reference_values(s, U), _abs_reference(s, U)
     for name in METHODS:
         got = getattr(s, name)(U)
@@ -66,15 +66,22 @@ def test_contraction_matches_einsum_reference(case):
 
 
 @given(systems_and_states())
+def test_residual_matches_unsymmetrized_input(case):
+    # Symmetrizing, or skipping an all-zero cubic, must not change f.
+    s, U, raw = case
+    assert _close(s.eval(U), reference_values(raw, U)["eval"], _abs_reference(s, U)["eval"])
+
+
+@given(systems_and_states())
 def test_linear_form_reproduces_residual(case):
-    s, U = case
+    s, U, _ = case
     scale = _abs_reference(s, U)["eval"]
     assert _close(s.linearized_matrix(U).A @ U + s.const, s.eval(U), scale)
 
 
 @given(systems_and_states())
 def test_json_round_trip(case):
-    s, _ = case
+    s, _, _ = case
     s2 = load_system_json(dump_system_json(s))
     assert np.array_equal(s2.L, s.L) and np.array_equal(s2.const, s.const)
     # Symmetrizing again re-averages entries that agree only to rounding (the six
