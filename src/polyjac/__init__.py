@@ -18,7 +18,7 @@ from .hadamard import (
 )
 from .system import (
     PolySystem,
-    LinearizedForm,
+    PolyState,
     from_kronecker,
     jacobian_deviation,
     load_system_json,

@@ -5,6 +5,7 @@ Exit codes are a stable scripting contract: 0 success, 1 usage or IO error,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,7 +195,7 @@ def _cmd_stability(args):
         U = presets.burgers_initial_state(n)
     else:
         U = np.ones(n)
-    A = system.linearized_matrix(U).A
+    A = system.at(U).A
     negdef, lam = is_negative_definite(A)
     report = {
         "dimension": n,
@@ -256,6 +257,7 @@ def _cmd_integrate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="polyjac",

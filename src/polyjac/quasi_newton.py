@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import diverged, jacobian_action, jacobian_deviation
+from .system import diverged, jacobian_deviation
 from .trace import SolverTrace
 
 __all__ = [
@@ -71,6 +71,11 @@ class QNOptions:
 def _guard(q):
     """Smallest usable rank-one denominator for step q: 1e-12 (1 + ||q||^2)."""
     return 1e-12 * (1.0 + float(q @ q))
+
+
+def jacobian_action(s, U):
+    """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
+    return s.at(U).fbar
 
 
 def classic_update(J_prev, q, delta_f):
@@ -201,9 +206,10 @@ def qn_solve(s, U0, opts=None):
 
     newton = opts.variant == "newton"
     modified = opts.variant == "modified_rank1"
+    st = s.at(U)  # one contraction per iterate; f, J and fbar all come from it
     # J_inv is None whenever J is an exact Jacobian not yet inverted
-    f, J, J_inv = s.eval(U), s.jacobian(U), None
-    fbar = jacobian_action(s, U) if modified else None
+    f, J, J_inv = st.f, st.J, None
+    fbar = st.fbar if modified else None
     record(U, f, J)
     for k in range(opts.max_iter):
         if trace.residual_norms[-1] <= opts.tol:
@@ -218,18 +224,19 @@ def qn_solve(s, U0, opts=None):
         except np.linalg.LinAlgError:
             return finish("singular_jacobian", k)
         U_new = U + step
-        f_new = s.eval(U_new)
+        st = s.at(U_new)
+        f_new = st.f
         if newton:
-            J = s.jacobian(U_new)
+            J = st.J
         else:
-            fbar_new = jacobian_action(s, U_new) if modified else None
+            fbar_new = st.fbar if modified else None
             y = fbar_new - fbar if modified else f_new - f
             try:
                 J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified)
             except GuardTripError:
                 if opts.reinit_policy == "never":
                     return finish("guard_trip", k)
-                J, J_inv = s.jacobian(U_new), None
+                J, J_inv = st.J, None
             fbar = fbar_new
         U, f = U_new, f_new
         record(U, f, J)

@@ -80,21 +80,23 @@ def _pivot(a, b):
     return perm
 
 
-def _sweep(a, b, U, method, omega):
-    n = U.size
+def _sweep(st, method, omega):
+    """One sweep of A(U) U = -F from the state record st; returns (U_new, permutation)."""
+    a, b, U = st.A, -st.s.const, st.U
+    perm = _pivot(a, b)
     if method == "jacobi":
         diag = np.diag(a)
         off = a - np.diag(diag)
-        return (b - off @ U) / diag
+        return (b - off @ U) / diag, perm
     U_new = U.copy()
-    for i in range(n):
+    for i in range(U.size):
         sigma = a[i, :i] @ U_new[:i] + a[i, i + 1 :] @ U[i + 1 :]
         gs_val = (b[i] - sigma) / a[i, i]
         if method == "gauss_seidel":
             U_new[i] = gs_val
         else:  # sor
             U_new[i] = (1.0 - omega) * U[i] + omega * gs_val
-    return U_new
+    return U_new, perm
 
 
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):
@@ -106,11 +108,7 @@ def sweep_once(s, U, method="gauss_seidel", omega=1.0):
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    U = np.asarray(U, dtype=float).ravel()
-    a = s.linearized_matrix(U).A.copy()
-    b = -s.const.copy()
-    perm = _pivot(a, b)
-    return _sweep(a, b, U, method, omega), perm
+    return _sweep(s.at(U), method, omega)
 
 
 def iterative_solve(s, U0, opts=None):
@@ -124,22 +122,24 @@ def iterative_solve(s, U0, opts=None):
 
     trace = SolverTrace()
 
-    def record(u):
-        trace.iterates.append(u.copy())
-        trace.residual_norms.append(float(np.linalg.norm(s.eval(u), np.inf)))
+    def record(st):
+        trace.iterates.append(st.U.copy())
+        trace.residual_norms.append(float(np.linalg.norm(st.f, np.inf)))
         return trace.residual_norms[-1]
 
-    res = record(U)
+    st = s.at(U)  # one record per iterate: its residual and its sweep's A(U)
+    res = record(st)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
         try:
-            U, trace.permutation = sweep_once(s, U, opts.method, opts.omega)
+            U, trace.permutation = _sweep(st, opts.method, opts.omega)
         except SingularPivotError as exc:
             trace.status = "singular_pivot"
             trace.failure_index = exc.row
             return trace
-        res = record(U)
+        st = s.at(U)
+        res = record(st)
         if not np.isfinite(res) or diverged(U):
             trace.status = "diverged"
             trace.failure_index = k

@@ -174,7 +174,7 @@ class IVP:
     def linear_form(self, U):
         if self.poly is None:
             raise ValueError("no polynomial structure; linear form unavailable")
-        return self.poly.linearized_matrix(U)
+        return self.poly.at(U)
 
 
 PICARD_TOL = 1e-12

@@ -6,13 +6,14 @@ U_j U_k U_l (symmetric in j, k, l).  Symmetrizing at ingestion makes the Euler
 identity m * N(U) = J_m(U) U hold to rounding, which the rest of the library
 leans on.
 
-Every evaluation at a state U starts from two contractions, each one BLAS
-matrix-vector product on a reshaped view of a coefficient tensor:
-M2 = quad . U (the (n^2, n) view times U) and M3 = cubic . U . U (the
-(n^2, n^2) view times vec(U U^T)).  Then N2 = M2 U, N3 = M3 U,
-J(U) = L + 2 M2 + 3 M3 and A(U) = L + M2 + M3.  Whether the cubic tensor is
-all zero (as for Burgers) is decided once at construction; such a cubic is
-never symmetrized and never contracted, and M3 is zero.
+Everything at a state U comes from one record, PolySystem.at(U) -> PolyState,
+which checks U and runs two BLAS matrix-vector products on reshaped views of
+the coefficients: M2 = quad . U (the (n^2, n) view times U) and
+M3 = cubic . U . U (the (n^2, n^2) view times vec(U U^T)).  With J2 = 2 M2 and
+J3 = 3 M3, the record's f, J(U) = L + 2 M2 + 3 M3, A(U) = L + M2 + M3 and
+fbar = J(U) U are computed when read; eval, jacobian, linearized_matrix and the
+rest are one-liners over it.  An all-zero cubic (Burgers) is detected once at
+construction, never symmetrized and never contracted: M3 is zero.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
@@ -25,9 +26,8 @@ import numpy as np
 
 __all__ = [
     "PolySystem",
-    "LinearizedForm",
+    "PolyState",
     "from_kronecker",
-    "jacobian_action",
     "jacobian_deviation",
     "load_system_json",
     "dump_system_json",
@@ -63,10 +63,11 @@ class PolySystem:
     const: np.ndarray
 
     def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
+        # Copies, so freezing the stored arrays never freezes the caller's.
+        L = np.array(self.L, dtype=float)
         quad = np.asarray(self.quad, dtype=float)
         cubic = np.asarray(self.cubic, dtype=float)
-        const = np.asarray(self.const, dtype=float).ravel()
+        const = np.array(self.const, dtype=float).ravel()
         n = L.shape[0]
         if L.shape != (n, n):
             raise ValueError(f"L must be square, got {L.shape}")
@@ -92,50 +93,31 @@ class PolySystem:
     def n(self):
         return self.L.shape[0]
 
-    def _check_state(self, U):
+    def at(self, U):
+        """The system at state U: checks U and contracts the coefficients once."""
         U = np.asarray(U, dtype=float).ravel()
-        if U.shape != (self.n,):
-            raise ValueError(f"state length {U.size} != system dimension {self.n}")
-        return U
-
-    def _m2(self, U):
-        """M2 = quad . U, one BLAS product on the (n^2, n) view."""
         n = self.n
-        return (self.quad.reshape(n * n, n) @ U).reshape(n, n)
-
-    def _m3(self, U):
-        """M3 = cubic . U . U, one BLAS product on the (n^2, n^2) view; zero when cubic is."""
-        n = self.n
-        if not self._has_cubic:
-            return np.zeros((n, n))
-        return (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
+        if U.shape != (n,):
+            raise ValueError(f"state length {U.size} != system dimension {n}")
+        M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
+        if self._has_cubic:
+            M3 = (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
+        else:
+            M3 = np.zeros((n, n))
+        return PolyState(self, U, M2, M3)
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""
-        U = self._check_state(U)
-        n2, n3 = self.nonlinear_parts(U)
-        return self.L @ U + n2 + n3 + self.const
+        return self.at(U).f
 
     def nonlinear_parts(self, U):
         """The pure quadratic and pure cubic term values (N2(U), N3(U)) = (M2 U, M3 U)."""
-        U = self._check_state(U)
-        return self._m2(U) @ U, self._m3(U) @ U
-
-    def quadratic_jacobian(self, U):
-        """Jacobian of the quadratic part alone: J2(U) = 2 M2."""
-        U = self._check_state(U)
-        return 2.0 * self._m2(U)
-
-    def cubic_jacobian(self, U):
-        """Jacobian of the cubic part alone: J3(U) = 3 M3."""
-        U = self._check_state(U)
-        return 3.0 * self._m3(U)
+        st = self.at(U)
+        return st.M2 @ st.U, st.M3 @ st.U
 
     def jacobian(self, U):
         """Exact Jacobian of eval at U: L + 2 M2 + 3 M3."""
-        U = self._check_state(U)
-        M2, M3 = self._m2(U), self._m3(U)
-        return self.L + 2.0 * M2 + 3.0 * M3
+        return self.at(U).J
 
     def euler_residuals(self, U):
         """Residuals of the homogeneous-function identity, per nonlinear order.
@@ -143,28 +125,44 @@ class PolySystem:
         Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf); both
         vanish to rounding because the coefficient tensors are symmetric.
         """
-        U = self._check_state(U)
-        M2, M3 = self._m2(U), self._m3(U)
-        r2 = np.linalg.norm(2.0 * (M2 @ U) - (2.0 * M2) @ U, np.inf)
-        r3 = np.linalg.norm(3.0 * (M3 @ U) - (3.0 * M3) @ U, np.inf)
+        st = self.at(U)
+        r2 = np.linalg.norm(2.0 * (st.M2 @ st.U) - (2.0 * st.M2) @ st.U, np.inf)
+        r3 = np.linalg.norm(3.0 * (st.M3 @ st.U) - (3.0 * st.M3) @ st.U, np.inf)
         return r2, r3
 
     def linearized_matrix(self, U):
-        """State-dependent matrix A(U) = L + J2(U)/2 + J3(U)/3 = L + M2 + M3.
-
-        Satisfies A(U) U = L U + N2(U) + N3(U) = eval(U) - F.
-        """
-        U = self._check_state(U)
-        M2, M3 = self._m2(U), self._m3(U)
-        return LinearizedForm(A=self.L + M2 + M3, U_at=U)
+        """The state record at U; its A = L + M2 + M3 satisfies A U + F = eval(U)."""
+        return self.at(U)
 
 
 @dataclass(frozen=True)
-class LinearizedForm:
-    """A(U) at a fixed state, with A(U) U + F = f(U)."""
+class PolyState:
+    """A PolySystem at one state U; the properties compute from M2, M3 when read."""
 
-    A: np.ndarray
-    U_at: np.ndarray
+    s: PolySystem
+    U: np.ndarray
+    M2: np.ndarray
+    M3: np.ndarray
+
+    @property
+    def f(self):
+        """Residual f(U) = L U + M2 U + M3 U + F."""
+        return self.s.L @ self.U + self.M2 @ self.U + self.M3 @ self.U + self.s.const
+
+    @property
+    def J(self):
+        """Exact Jacobian J(U) = L + 2 M2 + 3 M3."""
+        return self.s.L + 2.0 * self.M2 + 3.0 * self.M3
+
+    @property
+    def A(self):
+        """Linear form A(U) = L + J2/2 + J3/3 = L + M2 + M3, with A U + F = f."""
+        return self.s.L + self.M2 + self.M3
+
+    @property
+    def fbar(self):
+        """fbar(U) = J(U) U without forming J: L U + 2 M2 U + 3 M3 U."""
+        return self.s.L @ self.U + 2.0 * (self.M2 @ self.U) + 3.0 * (self.M3 @ self.U)
 
 
 def from_kronecker(K, G, R, F):
@@ -194,13 +192,6 @@ def from_kronecker(K, G, R, F):
     return PolySystem(L=K, quad=quad, cubic=cubic, const=F)
 
 
-def jacobian_action(s, U):
-    """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
-    U = s._check_state(U)
-    n2, n3 = s.nonlinear_parts(U)
-    return s.L @ U + 2.0 * n2 + 3.0 * n3
-
-
 def jacobian_deviation(s, U, J_hat):
     """Relative deviation of an approximate Jacobian from the exact one.
 
@@ -208,13 +199,12 @@ def jacobian_deviation(s, U, J_hat):
     metric ||fbar(U) - J_hat U||_2 / ||fbar(U)||_2 needs no exact Jacobian.
     Raises at states where fbar(U) = 0 (metric undefined).
     """
-    U = s._check_state(U)
-    J_hat = np.asarray(J_hat, dtype=float)
-    fbar = jacobian_action(s, U)
+    st = s.at(U)
+    fbar = st.fbar
     denom = np.linalg.norm(fbar)
     if denom == 0.0:
         raise ValueError("fbar(U) = 0: deviation undefined at this state")
-    return float(np.linalg.norm(fbar - J_hat @ U) / denom)
+    return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float) @ st.U) / denom)
 
 
 def load_system_json(source):

@@ -16,6 +16,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def count_calls(monkeypatch, cls, name):
+    """Patch method or property `name` of `cls` to log each call; returns the log."""
+    calls = []
+    orig = cls.__dict__[name]
+    if isinstance(orig, property):
+        monkeypatch.setattr(cls, name, property(lambda self: calls.append(self) or orig.fget(self)))
+    else:
+        monkeypatch.setattr(cls, name, lambda self, *a: calls.append(a) or orig(self, *a))
+    return calls
+
+
 def random_poly_system(rng, n, scale=1.0, linear_only=False):
     L = scale * rng.standard_normal((n, n))
     if linear_only:
@@ -48,7 +59,8 @@ def diag_dominant_quadratic_system(rng, n, margin=2.0):
 def reference_values(s, U):
     """The system's quantities at U from plain einsum over the dense tensors.
 
-    The slow reference for PolySystem's contraction path; keyed by method name.
+    The slow reference for PolySystem's contraction path; keyed by method name,
+    plus the per-order Jacobians J2 and J3.
     """
     U = np.asarray(U, dtype=float)
     n2 = np.einsum("ijk,j,k->i", s.quad, U, U)
@@ -61,6 +73,8 @@ def reference_values(s, U):
         "jacobian": s.L + J2 + J3,
         "linearized_matrix": s.L + 0.5 * J2 + J3 / 3.0,
         "jacobian_action": s.L @ U + 2.0 * n2 + 3.0 * n3,
+        "J2": J2,
+        "J3": J3,
         "euler_residuals": (
             np.linalg.norm(2.0 * n2 - J2 @ U, np.inf),
             np.linalg.norm(3.0 * n3 - J3 @ U, np.inf),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyjac import PolySystem, load_system_json
-from polyjac.cli import main
+from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 from polyjac.system import dump_system_json
 
@@ -67,6 +67,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 1
+
+
+class TestParserReuse:
+    def test_usage_error_leaves_parser_intact(self, capsys):
+        argv = ["--seed", "3", "check-jacobian", "circle-cubic", "--random-states", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # the failing command sets global options before its subcommand rejects it
+        bad = ["--seed", "9", "--format", "csv", "solve", "circle-cubic", "--method", "bogus"]
+        assert main(bad) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert build_parser() is build_parser()
 
 
 class TestMalformedInput:

@@ -22,9 +22,10 @@ from polyjac import (
     State,
     Sum,
     h_eval,
+    jacobian_action,
     lower_to_poly,
 )
-from polyjac.system import dump_system_json, jacobian_action, load_system_json
+from polyjac.system import dump_system_json, load_system_json
 
 from conftest import reference_values
 
@@ -63,6 +64,11 @@ def test_contraction_matches_einsum_reference(case):
         bound = scale["jacobian_action"].max() if name == "euler_residuals" else scale[name]
         assert _close(got, ref[name], bound), name
     assert _close(jacobian_action(s, U), ref["jacobian_action"], scale["jacobian_action"])
+    st = s.at(U)
+    fields = ((st.f, "eval"), (st.J, "jacobian"), (st.A, "linearized_matrix"),
+              (st.fbar, "jacobian_action"), (2 * st.M2, "J2"), (3 * st.M3, "J3"))
+    for got, key in fields:
+        assert _close(got, ref[key], scale[key]), key
 
 
 @given(systems_and_states())

@@ -4,6 +4,7 @@ import pytest
 from polyjac import (
     GuardTripError,
     IterativeOptions,
+    PolyState,
     PolySystem,
     QNOptions,
     classic_inverse_update,
@@ -15,7 +16,6 @@ from polyjac import (
     modified_update,
     qn_solve,
 )
-from polyjac import quasi_newton
 from polyjac.quasi_newton import GuardTripError  # noqa: F811 (re-export check)
 from polyjac.presets import (
     circle_cubic_system,
@@ -23,7 +23,7 @@ from polyjac.presets import (
     CIRCLE_CUBIC_ROOT_NEG,
 )
 
-from conftest import random_poly_system
+from conftest import count_calls, random_poly_system
 
 
 def orthogonal_complement_samples(rng, q, count=5):
@@ -234,28 +234,24 @@ class TestSolve:
         assert tr.status in ("diverged", "max_iter_exceeded")
 
     def test_newton_assembles_one_jacobian_per_iterate(self, monkeypatch):
-        calls = []
-        jacobian = PolySystem.jacobian
-        monkeypatch.setattr(PolySystem, "jacobian", lambda s, U: calls.append(U) or jacobian(s, U))
+        states = count_calls(monkeypatch, PolySystem, "at")
+        jacobians = count_calls(monkeypatch, PolyState, "J")
         tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant="newton"))
         assert tr.status == "converged"
-        assert len(calls) == tr.iterations
+        assert len(states) == len(jacobians) == tr.iterations
 
     @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
     def test_each_iterate_evaluates_once(self, variant, monkeypatch):
-        evals, actions = [], []
-        eval_, action = PolySystem.eval, quasi_newton.jacobian_action
-        monkeypatch.setattr(PolySystem, "eval", lambda s, U: evals.append(U) or eval_(s, U))
-        monkeypatch.setattr(
-            quasi_newton, "jacobian_action", lambda s, U: actions.append(U) or action(s, U)
-        )
+        states = count_calls(monkeypatch, PolySystem, "at")
+        residuals = count_calls(monkeypatch, PolyState, "f")
+        actions = count_calls(monkeypatch, PolyState, "fbar")
         s = circle_cubic_system()
         tr = qn_solve(s, np.array([0.5, 1.0]), QNOptions(variant=variant))
         assert tr.status == "converged"
-        assert len(evals) == tr.iterations
+        assert len(states) == len(residuals) == tr.iterations
         assert len(actions) == (tr.iterations if variant == "modified_rank1" else 0)
         for U, r in zip(tr.iterates, tr.residual_norms):
-            assert r == float(np.linalg.norm(eval_(s, U), np.inf))
+            assert r == float(np.linalg.norm(s.eval(U), np.inf))
 
     @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
     def test_singular_start_jacobian(self, variant):

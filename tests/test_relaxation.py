@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from polyjac import IterativeOptions, PolySystem, QNOptions, iterative_solve, qn_solve, sweep_once
+from polyjac import (
+    IterativeOptions,
+    PolyState,
+    PolySystem,
+    QNOptions,
+    iterative_solve,
+    qn_solve,
+    sweep_once,
+)
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 
-from conftest import diag_dominant_quadratic_system
+from conftest import count_calls, diag_dominant_quadratic_system
 
 
 def linear_system(A, b):
@@ -132,6 +140,17 @@ class TestIterativeSolve:
                     s, np.ones(6), IterativeOptions(method=method, omega=omega, max_iter=500)
                 )
                 assert tr.status == "converged", f"{method} failed"
+
+    @pytest.mark.parametrize("method, omega", [("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.2)])
+    def test_each_iterate_contracts_once(self, method, omega, monkeypatch):
+        # one record per iterate gives its residual and the next sweep's A(U)
+        states = count_calls(monkeypatch, PolySystem, "at")
+        sweeps = count_calls(monkeypatch, PolyState, "A")
+        s = diag_dominant_quadratic_system(np.random.default_rng(3), 5)
+        tr = iterative_solve(s, np.ones(5), IterativeOptions(method=method, omega=omega))
+        assert tr.status == "converged"
+        assert len(states) == tr.iterations
+        assert len(sweeps) == tr.iterations - 1
 
     def test_max_iter_exceeded_status(self):
         s = coupled_quadratic_system()

@@ -64,6 +64,23 @@ class TestFromKronecker:
             from_kronecker(np.eye(2), np.zeros((2, 3)), np.zeros((2, 8)), np.zeros(2))
 
 
+class TestCallerArrays:
+    def test_constructor_copies_caller_arrays(self):
+        L, F = np.eye(2), np.ones(2)
+        s = PolySystem(L, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)), F)
+        assert L.flags.writeable and F.flags.writeable
+        L[0, 0], F[0] = 5.0, 5.0
+        assert s.L[0, 0] == 1.0 and s.const[0] == 1.0
+        assert not s.L.flags.writeable and not s.const.flags.writeable
+
+    def test_from_kronecker_copies_caller_arrays(self):
+        K, F = np.eye(2), np.ones(2)
+        s = from_kronecker(K, np.zeros((2, 4)), np.zeros((2, 8)), F)
+        assert K.flags.writeable and F.flags.writeable
+        K[0, 0], F[0] = 5.0, 5.0
+        assert s.L[0, 0] == 1.0 and s.const[0] == 1.0
+
+
 class TestEval:
     def test_at_zero_returns_constant(self, rng):
         s = random_poly_system(rng, 4)
@@ -137,8 +154,9 @@ class TestEulerResiduals:
     def test_circle_cubic_at_ones(self):
         s = circle_cubic_system()
         U = np.array([1.0, 1.0])
-        np.testing.assert_allclose(s.quadratic_jacobian(U) @ U, [4.0, 0.0])
-        np.testing.assert_allclose(s.cubic_jacobian(U) @ U, [0.0, 2.25])
+        st = s.at(U)
+        np.testing.assert_allclose((2 * st.M2) @ U, [4.0, 0.0])
+        np.testing.assert_allclose((3 * st.M3) @ U, [0.0, 2.25])
         r2, r3 = s.euler_residuals(U)
         assert r2 < 1e-14 and r3 < 1e-14
 
