@@ -195,7 +195,7 @@ def qn_solve(s, U0, opts=None):
 
     def record(u, f, J):
         trace.iterates.append(u.copy())
-        trace.residual_norms.append(float(np.linalg.norm(f, np.inf)))
+        trace.residual_norms.append(float(np.abs(f).max()))
         if trace.jacobians is not None:
             trace.jacobians.append(J.copy())
 

@@ -1,11 +1,10 @@
 """Direct nonlinear Jacobi, Gauss-Seidel and SOR sweeps on polynomial systems.
 
-Each sweep assembles the state-dependent matrix a = A(U) at the sweep-start
-iterate and targets a U = -F.  Coefficients stay frozen within a sweep; only
-the solved components use the partially updated iterate (Gauss-Seidel, SOR).
-No linearization step is involved: the linear-form identity supplies the
-matrix-vector separation the classical iterations need.
-"""
+A sweep assembles a = A(U) at its start (the linear-form identity, so nothing
+is linearized), row-interchanges a where a pivot collapses and targets
+a U = b = -F.  Jacobi divides by the diagonal D of a; Gauss-Seidel (omega = 1)
+and SOR are one lower-triangular solve (D + omega L) U_new = omega (b - U_up U)
++ (1 - omega) D U, with L and U_up the strict lower and upper parts of a."""
 
 from dataclasses import dataclass
 
@@ -58,6 +57,8 @@ def _pivot(a, b):
     """
     n = a.shape[0]
     perm = list(range(n))
+    if np.abs(np.diagonal(a)).min() > PIVOT_TOL:
+        return perm
     for i in range(n):
         if abs(a[i, i]) > PIVOT_TOL:
             continue
@@ -82,21 +83,20 @@ def _pivot(a, b):
 
 def _sweep(st, method, omega):
     """One sweep of A(U) U = -F from the state record st; returns (U_new, permutation)."""
-    a, b, U = st.A, -st.s.const, st.U
+    a, b, U = st.A, -st.s.const, st.U  # a and b are fresh arrays, changed in place
     perm = _pivot(a, b)
+    d = np.diagonal(a).copy()
+    np.fill_diagonal(a, 0.0)
     if method == "jacobi":
-        diag = np.diag(a)
-        off = a - np.diag(diag)
-        return (b - off @ U) / diag, perm
-    U_new = U.copy()
-    for i in range(U.size):
-        sigma = a[i, :i] @ U_new[:i] + a[i, i + 1 :] @ U[i + 1 :]
-        gs_val = (b[i] - sigma) / a[i, i]
-        if method == "gauss_seidel":
-            U_new[i] = gs_val
-        else:  # sor
-            U_new[i] = (1.0 - omega) * U[i] + omega * gs_val
-    return U_new, perm
+        return (b - a @ U) / d, perm
+    w = 1.0 if method == "gauss_seidel" else omega
+    up = np.triu(a, 1)
+    rhs = w * (b - up @ U) + (1.0 - w) * d * U
+    m = (a - up) * w + np.diag(d)
+    try:  # reversed, m is upper triangular: LAPACK swaps no rows and back-substitutes
+        return np.linalg.solve(m[::-1, ::-1], rhs[::-1])[::-1], perm
+    except np.linalg.LinAlgError:
+        raise SingularPivotError(int(np.argmin(np.abs(d)))) from None
 
 
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):
@@ -124,7 +124,7 @@ def iterative_solve(s, U0, opts=None):
 
     def record(st):
         trace.iterates.append(st.U.copy())
-        trace.residual_norms.append(float(np.linalg.norm(st.f, np.inf)))
+        trace.residual_norms.append(float(np.abs(st.f).max()))
         return trace.residual_norms[-1]
 
     st = s.at(U)  # one record per iterate: its residual and its sweep's A(U)

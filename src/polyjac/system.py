@@ -40,7 +40,7 @@ DIVERGENCE_LIMIT = 1e8
 
 def diverged(U):
     """True when U has a non-finite entry or ||U||_inf > DIVERGENCE_LIMIT."""
-    return not np.all(np.isfinite(U)) or np.linalg.norm(U, np.inf) > DIVERGENCE_LIMIT
+    return not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 
 
 def _sym_last2(t):
@@ -101,7 +101,7 @@ class PolySystem:
             raise ValueError(f"state length {U.size} != system dimension {n}")
         M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
         if self._has_cubic:
-            M3 = (self.cubic.reshape(n * n, n * n) @ np.outer(U, U).ravel()).reshape(n, n)
+            M3 = (self.cubic.reshape(n * n, n * n) @ (U[:, None] * U).ravel()).reshape(n, n)
         else:
             M3 = np.zeros((n, n))
         return PolyState(self, U, M2, M3)

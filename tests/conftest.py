@@ -80,3 +80,19 @@ def reference_values(s, U):
             np.linalg.norm(3.0 * n3 - J3 @ U, np.inf),
         ),
     }
+
+
+def reference_linear_sweep(A, b, U, method, omega):
+    """Textbook Jacobi/GS/SOR sweep on a constant linear system."""
+    n = U.size
+    U_new = U.copy()
+    if method == "jacobi":
+        for i in range(n):
+            sigma = A[i] @ U - A[i, i] * U[i]
+            U_new[i] = (b[i] - sigma) / A[i, i]
+        return U_new
+    for i in range(n):
+        sigma = A[i, :i] @ U_new[:i] + A[i, i + 1 :] @ U[i + 1 :]
+        val = (b[i] - sigma) / A[i, i]
+        U_new[i] = val if method == "gauss_seidel" else (1 - omega) * U[i] + omega * val
+    return U_new

@@ -1,7 +1,11 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the CLI
+pulls in no heavy module it does not need."""
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +23,20 @@ def test_no_unused_imports(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
+
+
+def test_cli_solve_does_not_import_scipy(tmp_path):
+    # scipy is no dependency; importing it adds about 27 MB and 0.3 s to every CLI call
+    system = tmp_path / "system.json"
+    system.write_text('{"n": 2, "L": [[3, 1], [1, 4]], "quadratic": [[0, 0, 1, 0.5]], "F": [-1, -2]}')
+    script = (
+        "import sys\n"
+        "import polyjac\n"
+        "from polyjac import cli\n"
+        f"code = cli.main(['solve', {str(system)!r}, '--method', 'gauss-seidel'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,5 @@
 """Property tests: the contraction path against the einsum reference, the JSON
-round trip, and lowering.
+round trip, lowering, and the triangular relaxation sweep against the row loop.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently zero or nonzero, so the path that skips an all-zero cubic is
@@ -24,10 +24,11 @@ from polyjac import (
     h_eval,
     jacobian_action,
     lower_to_poly,
+    sweep_once,
 )
 from polyjac.system import dump_system_json, load_system_json
 
-from conftest import reference_values
+from conftest import reference_linear_sweep, reference_values
 
 TOL = 1e-12
 METHODS = ("eval", "nonlinear_parts", "jacobian", "linearized_matrix", "euler_residuals")
@@ -95,6 +96,32 @@ def test_json_round_trip(case):
     # by a few ulps of the largest coefficient.
     for got, want in ((s2.quad, s.quad), (s2.cubic, s.cubic)):
         assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+
+
+triangular_methods = st.sampled_from(("gauss_seidel", "sor"))
+omegas = st.floats(0.1, 2.0)
+
+
+@given(st.integers(1, 8), triangular_methods, omegas, st.integers(0, 2**32 - 1))
+def test_linear_sweep_matches_row_loop(n, method, omega, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    np.fill_diagonal(A, rng.choice([-1.0, 1.0], n) * (np.abs(A).sum(axis=1) + 1.0))
+    b, U = rng.standard_normal(n), rng.standard_normal(n)
+    s = PolySystem(L=A, quad=np.zeros((n, n, n)), cubic=np.zeros((n,) * 4), const=-b)
+    U_new, perm = sweep_once(s, U, method, omega)
+    assert perm == list(range(n))
+    want = reference_linear_sweep(A, b, U, method, omega)
+    assert np.abs(U_new - want).max() <= TOL * (1.0 + np.abs(U_new).max())
+
+
+@given(systems_and_states(), triangular_methods, omegas)
+def test_nonlinear_sweep_matches_row_loop(case, method, omega):
+    # the row loop on A(U), row-interchanged as the sweep reports, with b = -F
+    s, U, _ = case
+    U_new, perm = sweep_once(s, U, method, omega)
+    want = reference_linear_sweep(s.at(U).A[perm], -s.const[perm], U, method, omega)
+    assert np.abs(U_new - want).max() <= TOL * (1.0 + np.abs(U_new).max())
 
 
 @st.composite

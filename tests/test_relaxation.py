@@ -12,7 +12,7 @@ from polyjac import (
 )
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 
-from conftest import count_calls, diag_dominant_quadratic_system
+from conftest import count_calls, diag_dominant_quadratic_system, reference_linear_sweep
 
 
 def linear_system(A, b):
@@ -29,22 +29,6 @@ def coupled_quadratic_system(n=4):
     for i in range(n):
         quad[i, i, i] = 0.1
     return PolySystem(L=L, quad=quad, cubic=np.zeros((n,) * 4), const=-np.ones(n))
-
-
-def reference_linear_sweep(A, b, U, method, omega):
-    """Textbook Jacobi/GS/SOR sweep on a constant linear system."""
-    n = U.size
-    U_new = U.copy()
-    if method == "jacobi":
-        for i in range(n):
-            sigma = A[i] @ U - A[i, i] * U[i]
-            U_new[i] = (b[i] - sigma) / A[i, i]
-        return U_new
-    for i in range(n):
-        sigma = A[i, :i] @ U_new[:i] + A[i, i + 1 :] @ U[i + 1 :]
-        val = (b[i] - sigma) / A[i, i]
-        U_new[i] = val if method == "gauss_seidel" else (1 - omega) * U[i] + omega * val
-    return U_new
 
 
 class TestSweepOnce:
@@ -67,6 +51,48 @@ class TestSweepOnce:
         U_new, perm = sweep_once(s, np.zeros(2), "jacobi")
         assert perm == [1, 0]
         np.testing.assert_allclose(U_new, [3.0, 2.0])
+
+    @pytest.mark.parametrize("method, omega", [("gauss_seidel", 1.0), ("sor", 1.3)])
+    def test_row_interchange_under_triangular_sweeps(self, method, omega):
+        # row 0 has a zero diagonal; swapping it with row 1 repairs every pivot
+        A = np.array([[0.0, 2.0, 1.0], [3.0, 0.5, 0.0], [1.0, 0.0, 4.0]])
+        b = np.array([4.0, 9.0, -1.0])
+        U = np.array([0.3, -0.2, 0.5])
+        U_new, perm = sweep_once(linear_system(A, b), U, method, omega)
+        assert perm == [1, 0, 2]
+        want = reference_linear_sweep(A[perm], b[perm], U, method, omega)
+        assert np.abs(U_new - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("method, omega", [("gauss_seidel", 1.0), ("sor", 1.3)])
+    def test_weak_diagonals_keep_row_loop_accuracy(self, method, omega):
+        # diagonals 100 times below the off-diagonals make D + omega L badly
+        # conditioned; a row-pivoted LU of it loses digits that substitution keeps
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            A = rng.standard_normal((6, 6))
+            np.fill_diagonal(A, 1e-2 * rng.uniform(0.5, 1.0, 6))
+            b, U = rng.standard_normal(6), rng.standard_normal(6)
+            U_new, _ = sweep_once(linear_system(A, b), U, method, omega)
+            want = reference_linear_sweep(A, b, U, method, omega)
+            assert np.abs(U_new - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor"])
+    def test_usable_diagonals_keep_identity_order(self, method):
+        # diagonals just above PIVOT_TOL, dwarfed by the off-diagonals: no swap
+        A = np.array([[1e-11, 5.0, 0.0], [5.0, 1e-11, 1.0], [0.0, 1.0, 2.0]])
+        _, perm = sweep_once(linear_system(A, [1.0, 1.0, 1.0]), np.zeros(3), method, omega=1.3)
+        assert perm == [0, 1, 2]
+
+    def test_failed_triangular_solve_reports_singular_pivot(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        s = linear_system(np.diag([2.0, 0.5, 3.0]), [1.0, 1.0, 1.0])
+        tr = iterative_solve(s, np.zeros(3), IterativeOptions(method="gauss_seidel"))
+        assert tr.status == "singular_pivot"
+        assert tr.failure_index == 1  # the row with the smallest diagonal
+        assert len(tr.iterates) == 1
 
     def test_unfixable_zero_column_reports_singular_pivot(self):
         # at x1 near 0 the whole first column of A(U) collapses: entries x1

@@ -5,6 +5,7 @@ import pytest
 
 from polyjac import PolySystem, from_kronecker, jacobian_deviation, load_system_json, dump_system_json
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
+from polyjac.system import diverged
 
 from conftest import random_poly_system, fd_jacobian
 
@@ -287,3 +288,20 @@ class TestJsonFormat:
                 "cubic": [[1, 0, 0, 0, 1.5], [1, 0, 0, 0, 0.25], [0, 1, 1, 1, 2.0]]}
         s = load_system_json(data)
         np.testing.assert_allclose(s.eval([2.0, 1.0]), [2.0, 14.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_diverged_on_any_non_finite_entry(bad, where):
+    U = np.array([0.5, -1.0, 2.0])
+    U[where] = bad
+    assert diverged(U)
+
+
+@pytest.mark.parametrize(
+    "U, expected",
+    [([1e8, 0.0], False), ([np.nextafter(1e8, np.inf)], True), ([-2e8], True), ([1e-3, -2.0, 0.0], False)],
+    ids=["at-limit", "just-above-limit", "negative-above-limit", "near-zero"],
+)
+def test_diverged_limit(U, expected):
+    assert diverged(np.array(U)) == expected
