@@ -8,14 +8,7 @@ bounds, Jacobi/Gauss-Seidel/SOR sweeps, rank-one quasi-Newton updates) applies
 directly to the nonlinear problem.
 """
 
-from .hadamard import (
-    hadamard_product,
-    hadamard_power,
-    hadamard_function,
-    row_scale,
-    col_scale,
-    kron,
-)
+from .hadamard import row_scale, col_scale
 from .system import (
     PolySystem,
     PolyState,

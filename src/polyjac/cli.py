@@ -12,7 +12,14 @@ import sys
 import numpy as np
 
 from . import presets
-from .expressions import SemiDiscreteIVP, _infer_dim, h_eval, load_hexpr_json, lower_to_poly
+from .expressions import (
+    SemiDiscreteIVP,
+    _infer_dim,
+    burgers_discretize,
+    h_eval,
+    load_hexpr_json,
+    lower_to_poly,
+)
 from .quasi_newton import QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
@@ -41,7 +48,7 @@ def _load_input(path, n=None, Re=None):
     if path == "circle-cubic":
         return presets.circle_cubic_system(), None
     if path == "burgers":
-        sd = presets.burgers_preset(n or 32, Re or 100.0)
+        sd = burgers_discretize(n or 32, Re or 100.0)
         return lower_to_poly(sd.rhs, sd.n), sd
     try:
         with open(path) as fh:
@@ -53,7 +60,7 @@ def _load_input(path, n=None, Re=None):
     if isinstance(data, dict) and "rhs" in data:
         try:
             rhs = load_hexpr_json(data["rhs"])
-            sd = SemiDiscreteIVP(n=int(data["n"]), rhs=rhs, description=data.get("description", ""))
+            sd = SemiDiscreteIVP(n=int(data["n"]), rhs=rhs)
         except (KeyError, ValueError, TypeError) as exc:
             raise CliError(f"bad expression input: {exc}") from exc
         dim = _infer_dim(rhs)
@@ -85,6 +92,15 @@ def _parse_state(text, n):
     if len(vals) != n:
         raise CliError(f"state has {len(vals)} entries, system dimension is {n}")
     return np.array(vals)
+
+
+def _initial_state(text, n, sd):
+    """The given state text, else sin(2 pi x) for a Burgers input, else ones."""
+    if text:
+        return _parse_state(text, n)
+    if sd is not None and sd.reynolds is not None:
+        return presets.burgers_initial_state(n)
+    return np.ones(n)
 
 
 def _emit(text, out):
@@ -189,12 +205,7 @@ def _cmd_stability(args):
     if system is None:
         raise CliError("stability requires a polynomial (or lowerable) input")
     n = system.n
-    if args.state:
-        U = _parse_state(args.state, n)
-    elif sd is not None and sd.reynolds is not None:
-        U = presets.burgers_initial_state(n)
-    else:
-        U = np.ones(n)
+    U = _initial_state(args.state, n, sd)
     A = system.at(U).A
     negdef, lam = is_negative_definite(A)
     report = {
@@ -224,13 +235,7 @@ def _cmd_integrate(args):
     source = sd if sd is not None else system
     if source is None:
         raise CliError("integrate requires a system or expression input")
-    n = sd.n if sd is not None else system.n
-    if args.x0:
-        U0 = _parse_state(args.x0, n)
-    elif sd is not None and sd.reynolds is not None:
-        U0 = presets.burgers_initial_state(n)
-    else:
-        U0 = np.ones(n)
+    U0 = _initial_state(args.x0, source.n, sd)
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
 

@@ -210,7 +210,6 @@ class SemiDiscreteIVP:
 
     n: int
     rhs: HExpr
-    description: str = ""
     first_diff: np.ndarray = None
     second_diff: np.ndarray = None
     reynolds: float = None
@@ -258,7 +257,6 @@ def burgers_discretize(n, Re):
     return SemiDiscreteIVP(
         n=n,
         rhs=rhs,
-        description=f"periodic Burgers, n={n}, Re={Re}",
         first_diff=A,
         second_diff=B,
         reynolds=float(Re),

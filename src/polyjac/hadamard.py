@@ -1,19 +1,15 @@
-"""Elementwise (Hadamard) matrix algebra and row/column scaling products.
+"""Row and column scaling products, diag(u) A and A diag(v).
 
-All kernels work on dense ndarrays and never broadcast silently: a shape
-mismatch is an error, since upstream assembly bugs would otherwise be masked.
+The Jacobian of an elementwise (Hadamard) expression node is its child's
+Jacobian with scaled rows, so the chain rule in expressions needs only
+row_scale.  Both kernels work on dense ndarrays and never broadcast silently:
+a shape mismatch is an error, since upstream assembly bugs would otherwise be
+masked.
 """
 
 import numpy as np
 
-__all__ = [
-    "hadamard_product",
-    "hadamard_power",
-    "hadamard_function",
-    "row_scale",
-    "col_scale",
-    "kron",
-]
+__all__ = ["row_scale", "col_scale"]
 
 
 def _as_matrix(a, name="a"):
@@ -25,55 +21,6 @@ def _as_matrix(a, name="a"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def hadamard_product(a, b):
-    """Elementwise product of two equal-shape matrices."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def hadamard_power(a, q):
-    """Elementwise power a[i,j]**q.
-
-    q = 0 gives the all-ones matrix, q = -1 the elementwise reciprocal.
-    Integral q on negative entries uses repeated-multiplication semantics;
-    fractional q requires non-negative entries and negative q requires no
-    zeros.
-    """
-    a = _as_matrix(a, "a")
-    q = float(q)
-    integral = q == int(q)
-    if not integral and np.any(a < 0):
-        idx = np.argwhere(a < 0)[0]
-        raise ValueError(
-            f"fractional power {q} of negative entry at ({idx[0]}, {idx[1]})"
-        )
-    if q < 0 and np.any(a == 0):
-        idx = np.argwhere(a == 0)[0]
-        raise ValueError(f"negative power {q} of zero entry at ({idx[0]}, {idx[1]})")
-    if q == 0:
-        return np.ones_like(a)
-    return np.power(a, q)
-
-
-def hadamard_function(f, a):
-    """Apply a scalar function entrywise: result[i,j] = f(a[i,j])."""
-    a = _as_matrix(a, "a")
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            try:
-                v = f(a[i, j])
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ValueError(f"f failed at entry ({i}, {j}): {exc}") from exc
-            if not np.isfinite(v):
-                raise ValueError(f"f non-finite at entry ({i}, {j})")
-            out[i, j] = v
-    return out
 
 
 def row_scale(a, u):
@@ -95,10 +42,3 @@ def col_scale(v, a):
     if v.size != a.shape[1]:
         raise ValueError(f"length mismatch: v has {v.size}, a has {a.shape[1]} cols")
     return a * v[None, :]
-
-
-def kron(a, b):
-    """Kronecker product with the standard block structure."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    return np.kron(a, b)

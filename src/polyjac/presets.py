@@ -3,9 +3,8 @@
 import numpy as np
 
 from .system import PolySystem
-from .expressions import burgers_discretize
 
-__all__ = ["circle_cubic_system", "burgers_preset", "burgers_initial_state"]
+__all__ = ["circle_cubic_system", "burgers_initial_state"]
 
 # Reference roots of the circle/cubic pair, frozen from a scalar bisection on
 # x1^2 + (0.75 x1^3 + 0.9)^2 - 1 = 0 (independent of any solver in this
@@ -27,11 +26,6 @@ def circle_cubic_system():
     cubic[1, 0, 0, 0] = 0.75
     F = np.array([-1.0, 0.9])
     return PolySystem(L=L, quad=quad, cubic=cubic, const=F)
-
-
-def burgers_preset(n=32, Re=100.0):
-    """Periodic Burgers semi-discretization (see burgers_discretize)."""
-    return burgers_discretize(n, Re)
 
 
 def burgers_initial_state(n):

@@ -51,19 +51,19 @@ class RankOneForm:
         return self.L + np.outer(self.w, self.v)
 
 
-def decompose(rhs, t, U, zero_tol=None):
+def decompose(rhs, t, U):
     """Build the rank-one form at state U, shifting away zero components.
 
-    Components with |U_i| <= zero_tol move by 2*zero_tol in the direction of
-    their sign (positive for exact zeros); the decomposition then represents
-    the system at the shifted state, which the returned form records.
+    Components with |U_i| <= zero_tol = 1e-8 (1 + ||U||_inf) move by
+    2*zero_tol in the direction of their sign (positive for exact zeros); the
+    decomposition then represents the system at the shifted state, which the
+    returned form records.
     """
     U = np.asarray(U, dtype=float).ravel()
     if not np.all(np.isfinite(U)):
         raise ValueError("U contains non-finite entries")
     n = U.size
-    if zero_tol is None:
-        zero_tol = 1e-8 * (1.0 + np.linalg.norm(U, np.inf))
+    zero_tol = 1e-8 * (1.0 + np.linalg.norm(U, np.inf))
     offenders = np.abs(U) <= zero_tol
     shift = None
     U_at = U

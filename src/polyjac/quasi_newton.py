@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import diverged, jacobian_deviation
-from .trace import SolverTrace
+from .trace import SolverTrace, start_state
 
 __all__ = [
     "QNOptions",
@@ -46,24 +46,20 @@ class GuardTripError(ValueError):
 class QNOptions:
     """Settings of one qn_solve run; variant is one of VARIANTS.
 
-    reinit_policy "on_guard_trip" replaces a rank-one update that trips a
-    guard by the exact Jacobian at the new iterate; "never" ends the solve
-    with status "guard_trip".  keep_jacobians records each iterate's
-    Jacobian or approximation in trace.jacobians, as deviation_report needs.
-    Every rank-one denominator is guarded by _guard(q).
+    keep_jacobians records each iterate's Jacobian or approximation in
+    trace.jacobians, as deviation_report needs.  Every rank-one denominator
+    is guarded by _guard(q); a tripped guard reinitialises with the exact
+    Jacobian at the new iterate.
     """
 
     variant: str = "newton"
     tol: float = 1e-10
     max_iter: int = 100
-    reinit_policy: str = "on_guard_trip"  # or "never"
     keep_jacobians: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.reinit_policy not in ("on_guard_trip", "never"):
-            raise ValueError(f"bad reinit_policy {self.reinit_policy!r}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -178,42 +174,24 @@ def qn_solve(s, U0, opts=None):
     the exact Jacobian at each iterate; the rank-one variants invert it once
     and then update the inverse.  A rank-one update that trips a guard or
     fails the inverse-pairing check is replaced by the exact Jacobian at the
-    new iterate (default) or ends the solve, per opts.reinit_policy.  A
-    singular exact Jacobian ends the solve with status "singular_jacobian"
-    and failure_index at the iterate where it was assembled.
+    new iterate.  A diverging iterate or residual ends the solve "diverged"
+    with failure_index at the iteration that produced it; a singular exact
+    Jacobian ends it "singular_jacobian" at the iterate where it was
+    assembled.
     """
     opts = opts or QNOptions()
-    U = np.asarray(U0, dtype=float).ravel()
-    if U.size != s.n:
-        raise ValueError(f"U0 length {U.size} != system dimension {s.n}")
-    if not np.all(np.isfinite(U)):
-        raise ValueError("U0 contains non-finite entries")
-
-    trace = SolverTrace()
-    if opts.keep_jacobians:
-        trace.jacobians = []
-
-    def record(u, f, J):
-        trace.iterates.append(u.copy())
-        trace.residual_norms.append(float(np.abs(f).max()))
-        if trace.jacobians is not None:
-            trace.jacobians.append(J.copy())
-
-    def finish(status, failure_index=None):
-        trace.status = status
-        trace.failure_index = failure_index
-        return trace
-
+    U = start_state(U0, s.n)
+    trace = SolverTrace(jacobians=[] if opts.keep_jacobians else None)
     newton = opts.variant == "newton"
     modified = opts.variant == "modified_rank1"
     st = s.at(U)  # one contraction per iterate; f, J and fbar all come from it
     # J_inv is None whenever J is an exact Jacobian not yet inverted
     f, J, J_inv = st.f, st.J, None
     fbar = st.fbar if modified else None
-    record(U, f, J)
+    res = trace.record(U, f, J)
     for k in range(opts.max_iter):
-        if trace.residual_norms[-1] <= opts.tol:
-            return finish("converged")
+        if res <= opts.tol:
+            break
         try:
             if newton:
                 step = np.linalg.solve(J, -f)
@@ -222,7 +200,7 @@ def qn_solve(s, U0, opts=None):
                     J_inv = np.linalg.inv(J)
                 step = -J_inv @ f
         except np.linalg.LinAlgError:
-            return finish("singular_jacobian", k)
+            return trace.end("singular_jacobian", k)
         U_new = U + step
         st = s.at(U_new)
         f_new = st.f
@@ -234,15 +212,13 @@ def qn_solve(s, U0, opts=None):
             try:
                 J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified)
             except GuardTripError:
-                if opts.reinit_policy == "never":
-                    return finish("guard_trip", k)
                 J, J_inv = st.J, None
             fbar = fbar_new
         U, f = U_new, f_new
-        record(U, f, J)
-        if diverged(U):
-            return finish("diverged")
-    return finish("converged" if trace.residual_norms[-1] <= opts.tol else "max_iter_exceeded")
+        res = trace.record(U, f, J)
+        if not np.isfinite(res) or diverged(U):
+            return trace.end("diverged", k)
+    return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")
 
 
 def deviation_report(s, trace):

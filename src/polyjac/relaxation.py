@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import diverged
-from .trace import SolverTrace
+from .trace import SolverTrace, start_state
 
-__all__ = ["IterativeOptions", "iterative_solve", "sweep_once"]
+__all__ = ["IterativeOptions", "SingularPivotError", "iterative_solve", "sweep_once"]
 
 METHODS = ("jacobi", "gauss_seidel", "sor")
 PIVOT_TOL = 1e-12  # a diagonal entry of A(U) at or below this is swapped away
@@ -114,35 +114,19 @@ def sweep_once(s, U, method="gauss_seidel", omega=1.0):
 def iterative_solve(s, U0, opts=None):
     """Run sweeps until the residual infinity norm drops below opts.tol."""
     opts = opts or IterativeOptions()
-    U = np.asarray(U0, dtype=float).ravel()
-    if U.size != s.n:
-        raise ValueError(f"U0 length {U.size} != system dimension {s.n}")
-    if not np.all(np.isfinite(U)):
-        raise ValueError("U0 contains non-finite entries")
-
+    U = start_state(U0, s.n)
     trace = SolverTrace()
-
-    def record(st):
-        trace.iterates.append(st.U.copy())
-        trace.residual_norms.append(float(np.abs(st.f).max()))
-        return trace.residual_norms[-1]
-
     st = s.at(U)  # one record per iterate: its residual and its sweep's A(U)
-    res = record(st)
+    res = trace.record(U, st.f)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
         try:
             U, trace.permutation = _sweep(st, opts.method, opts.omega)
         except SingularPivotError as exc:
-            trace.status = "singular_pivot"
-            trace.failure_index = exc.row
-            return trace
+            return trace.end("singular_pivot", exc.row)
         st = s.at(U)
-        res = record(st)
+        res = trace.record(U, st.f)
         if not np.isfinite(res) or diverged(U):
-            trace.status = "diverged"
-            trace.failure_index = k
-            return trace
-    trace.status = "converged" if res <= opts.tol else "max_iter_exceeded"
-    return trace
+            return trace.end("diverged", k)
+    return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")

@@ -61,18 +61,17 @@ def step_bound_rk4(A, norm_kind="linf"):
     return RK4_REAL_AXIS / nrm
 
 
-def burgers_step_bound(ivp, U, Re=None, norm_kind="linf"):
+def burgers_step_bound(ivp, U, norm_kind="linf"):
     """A-priori explicit-Euler bound for the Burgers semi-discretization.
 
-    Returns 2 / ((1/Re) ||B|| + ||A|| ||U||_inf), more conservative than
-    2/||A(t,U)|| of the assembled state-dependent matrix (triangle
-    inequality applied termwise).
+    Returns 2 / ((1/Re) ||B|| + ||A|| ||U||_inf) with Re = ivp.reynolds, more
+    conservative than 2/||A(t,U)|| of the assembled state-dependent matrix
+    (triangle inequality applied termwise).
     """
     if ivp.first_diff is None or ivp.second_diff is None:
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
-    Re = float(ivp.reynolds if Re is None else Re)
     U = np.asarray(U, dtype=float).ravel()
-    denom = _matrix_norm(ivp.second_diff, norm_kind) / Re + _matrix_norm(
+    denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds + _matrix_norm(
         ivp.first_diff, norm_kind
     ) * np.linalg.norm(U, np.inf)
     if denom == 0.0:
@@ -80,10 +79,10 @@ def burgers_step_bound(ivp, U, Re=None, norm_kind="linf"):
     return 2.0 / denom
 
 
-def is_negative_definite(A, tol=0.0):
+def is_negative_definite(A):
     """Negative definiteness of A judged via its symmetric part.
 
-    Returns (lambda_max(sym(A)) < -tol, lambda_max).  The symmetric-part
+    Returns (lambda_max(sym(A)) < 0, lambda_max).  The symmetric-part
     criterion is the standard sufficient condition for ||exp(At)|| decay and
     is the definition adopted here for nonsymmetric A.
     """
@@ -91,7 +90,7 @@ def is_negative_definite(A, tol=0.0):
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got {A.shape}")
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-    return lam < -tol, lam
+    return lam < 0.0, lam
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,8 @@ class IVP:
     polynomial expression tree is lowered automatically.
     """
 
-    def __init__(self, source, U0, t0=0.0):
+    def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
-        self.t0 = float(t0)
         self.semidiscrete = None
         if isinstance(source, PolySystem):
             self.poly = source
@@ -243,7 +241,7 @@ def integrate(ivp, method, h, steps, report=False, norm_kind="linf"):
         raise ValueError(f"{method} requires polynomial structure")
 
     U = ivp.U0.copy()
-    t = ivp.t0
+    t = 0.0
     traj = Trajectory(times=[t], states=[U.copy()])
     for k in range(steps):
         U_next = _step(ivp, method, U, h)

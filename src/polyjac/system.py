@@ -122,8 +122,11 @@ class PolySystem:
     def euler_residuals(self, U):
         """Residuals of the homogeneous-function identity, per nonlinear order.
 
-        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf); both
-        vanish to rounding because the coefficient tensors are symmetric.
+        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf).  Vacuous:
+        with symmetric storage J2 = 2 M2 and J3 = 3 M3 by construction, so the
+        first is exactly 0 and the second a few ulps on every input.  The
+        independent Jacobian check is central differences, reported as
+        fd_max_rel_error by `polyjac check-jacobian`.
         """
         st = self.at(U)
         r2 = np.linalg.norm(2.0 * (st.M2 @ st.U) - (2.0 * st.M2) @ st.U, np.inf)

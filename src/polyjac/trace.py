@@ -8,17 +8,27 @@ import numpy as np
 __all__ = ["SolverTrace"]
 
 
+def start_state(U0, n):
+    """A solve's start U0 as a flat float array, checked for length n and finiteness."""
+    U = np.asarray(U0, dtype=float).ravel()
+    if U.size != n:
+        raise ValueError(f"U0 length {U.size} != system dimension {n}")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("U0 contains non-finite entries")
+    return U
+
+
 @dataclass
 class SolverTrace:
     """Iterate history, residual norms and termination status of one solve.
 
     status is one of "converged", "max_iter_exceeded", "singular_pivot",
-    "diverged", "guard_trip", "singular_jacobian".  "diverged" means an
-    iterate had a non-finite entry or left ||U||_inf <= 1e8
-    (system.diverged).  "guard_trip" means a rank-one update tripped a guard
-    with reinitialisation off; "singular_jacobian" means the exact Jacobian
-    at an iterate could not be solved with or inverted.  failure_index
-    carries the offending row or iteration for the failure statuses.  jacobians is
+    "diverged" or "singular_jacobian".  "diverged" means an iterate had a
+    non-finite entry or left ||U||_inf <= 1e8 (system.diverged), or its
+    residual was not finite; failure_index is then the iteration that
+    produced it.  "singular_pivot" carries the row no interchange could fix;
+    "singular_jacobian" means the exact Jacobian at an iterate could not be
+    solved with or inverted, and carries that iteration.  jacobians is
     populated only by quasi-Newton solves that retain the per-iteration
     approximation.
     """
@@ -29,6 +39,21 @@ class SolverTrace:
     failure_index: int = None
     permutation: list = None
     jacobians: list = None
+
+    def record(self, U, f, J=None):
+        """Append iterate U, ||f||_inf and (when jacobians are kept) J; returns the norm."""
+        res = float(np.abs(f).max())
+        self.iterates.append(U.copy())
+        self.residual_norms.append(res)
+        if self.jacobians is not None:
+            self.jacobians.append(J.copy())
+        return res
+
+    def end(self, status, failure_index=None):
+        """Set the terminal status (and failure index); returns the trace."""
+        self.status = status
+        self.failure_index = failure_index
+        return self
 
     @property
     def iterations(self):

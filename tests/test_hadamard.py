@@ -1,125 +1,7 @@
 import numpy as np
 import pytest
 
-from polyjac import hadamard_product, hadamard_power, hadamard_function, row_scale, col_scale, kron
-
-
-def selection_matrix(n):
-    # columns e_i kron e_i, so that E^T (A kron B) E picks out the
-    # elementwise product
-    E = np.zeros((n * n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        E[:, i] = np.kron(e, e)
-    return E
-
-
-def random_spd(rng, n):
-    M = rng.standard_normal((n, n))
-    return M @ M.T + n * np.eye(n)
-
-
-class TestHadamardProduct:
-    def test_elementwise(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(hadamard_product(a, b), [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_all_ones_is_unit(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(hadamard_product(a, np.ones((3, 4))), a)
-
-    def test_commutative(self, rng):
-        a, b = rng.standard_normal((2, 4, 4))
-        assert np.array_equal(hadamard_product(a, b), hadamard_product(b, a))
-
-    def test_kronecker_compression(self, rng):
-        # A o B = E^T (A kron B) E with E built from unit vectors
-        a, b = rng.standard_normal((2, 4, 4))
-        E = selection_matrix(4)
-        expected = E.T @ np.kron(a, b) @ E
-        np.testing.assert_allclose(hadamard_product(a, b), expected, rtol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            hadamard_product(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_bilinearity(self, rng):
-        a, b, q = rng.standard_normal((3, 5, 5))
-        k = 2.75
-        np.testing.assert_allclose(
-            k * hadamard_product(a, b), hadamard_product(k * a, b), rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            hadamard_product(a + b, q),
-            hadamard_product(a, q) + hadamard_product(b, q),
-            rtol=1e-13,
-            atol=1e-14,
-        )
-
-    def test_spd_eigenvalue_interval(self, rng):
-        # eigenvalues of A o B lie in [lmin(A) min b_ii, lmax(A) max b_ii]
-        for n in range(2, 7):
-            a = random_spd(rng, n)
-            b = random_spd(rng, n)
-            lam = np.linalg.eigvalsh(hadamard_product(a, b))
-            la = np.linalg.eigvalsh(a)
-            d = np.diag(b)
-            assert lam.min() >= la.min() * d.min() - 1e-9
-            assert lam.max() <= la.max() * d.max() + 1e-9
-
-    def test_spd_determinant_inequality(self, rng):
-        for n in range(2, 6):
-            a = random_spd(rng, n)
-            b = random_spd(rng, n)
-            assert np.linalg.det(a) * np.linalg.det(b) <= np.linalg.det(hadamard_product(a, b)) + 1e-9
-
-
-class TestHadamardPower:
-    def test_square(self):
-        assert np.array_equal(hadamard_power(np.array([[2.0, 3.0]]), 2), [[4.0, 9.0]])
-
-    def test_zero_power_is_all_ones(self, rng):
-        a = rng.standard_normal((3, 3))
-        assert np.array_equal(hadamard_power(a, 0), np.ones((3, 3)))
-
-    def test_inverse_power(self, rng):
-        a = rng.uniform(0.5, 2.0, size=(3, 3))
-        np.testing.assert_allclose(
-            hadamard_product(hadamard_power(a, -1), a), np.ones((3, 3)), rtol=1e-14
-        )
-
-    def test_integral_power_of_negative_entries(self):
-        assert np.array_equal(hadamard_power(np.array([[-2.0]]), 3), [[-8.0]])
-
-    def test_fractional_power_of_negative_raises(self):
-        with pytest.raises(ValueError, match="fractional power"):
-            hadamard_power(np.array([[-1.0]]), 0.5)
-
-    def test_negative_power_of_zero_raises(self):
-        with pytest.raises(ValueError, match="zero entry"):
-            hadamard_power(np.array([[0.0]]), -1)
-
-
-class TestHadamardFunction:
-    def test_sin(self):
-        out = hadamard_function(np.sin, np.array([[0.0, np.pi / 2]]))
-        np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-15)
-
-    def test_exp_of_zero(self):
-        assert np.array_equal(hadamard_function(np.exp, np.zeros((2, 2))), np.ones((2, 2)))
-
-    def test_matches_scalar_loop(self, rng):
-        a = rng.standard_normal((3, 3))
-        expected = np.array([[np.exp(a[i, j]) for j in range(3)] for i in range(3)])
-        np.testing.assert_allclose(hadamard_function(np.exp, a), expected, rtol=1e-15)
-
-    def test_domain_violation_reports_index(self):
-        import math
-
-        with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            hadamard_function(math.sqrt, np.array([[1.0, 4.0], [-1.0, 9.0]]))
+from polyjac import row_scale, col_scale
 
 
 class TestRowColScale:
@@ -161,21 +43,3 @@ class TestRowColScale:
             row_scale(np.eye(3), [1.0, 2.0])
         with pytest.raises(ValueError, match="length mismatch"):
             col_scale([1.0, 2.0], np.eye(3))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_column_vectors(self):
-        out = kron(np.array([[1.0], [2.0]]), np.array([[1.0], [0.0]]))
-        assert np.array_equal(out.ravel(), [1.0, 0.0, 2.0, 0.0])
-
-    def test_index_formula(self, rng):
-        a, b = rng.standard_normal((2, 2, 2))
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[2 * i + k, 2 * j + l] == a[i, j] * b[k, l]

@@ -2,6 +2,7 @@
 pulls in no heavy module it does not need."""
 
 import ast
+import importlib
 import os
 from pathlib import Path
 import subprocess
@@ -23,6 +24,16 @@ def test_no_unused_imports(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
+
+
+def test_package_reexports_each_module_all():
+    # the package surface is declared once, in each module's __all__
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"polyjac.{node.module}")
+            names = sorted(a.name for a in node.names)
+            assert names == sorted(module.__all__), f"polyjac re-exports of {node.module}"
 
 
 def test_cli_solve_does_not_import_scipy(tmp_path):

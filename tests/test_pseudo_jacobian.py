@@ -42,10 +42,10 @@ class TestDecompose:
     def test_zero_component_shifted(self):
         rhs = square_rhs(np.zeros((3, 3)))
         U = np.array([1.0, 0.0, -2.0])
-        form = decompose(rhs, 0.0, U, zero_tol=1e-6)
+        form = decompose(rhs, 0.0, U)
         assert form.shift is not None
         assert form.shift[0] == 0.0 and form.shift[2] == 0.0
-        assert form.shift[1] == pytest.approx(2e-6)
+        assert form.shift[1] == pytest.approx(2e-8 * (1.0 + 2.0))  # 2 zero_tol, ||U||_inf = 2
         np.testing.assert_allclose(form.U_at, U + form.shift)
         # the decomposition is exact at the shifted state
         lhs = form.matrix() @ form.U_at
@@ -54,8 +54,8 @@ class TestDecompose:
 
     def test_negative_near_zero_shifts_negative(self):
         rhs = square_rhs(np.zeros((2, 2)))
-        form = decompose(rhs, 0.0, np.array([-1e-9, 1.0]), zero_tol=1e-6)
-        assert form.shift[0] == pytest.approx(-2e-6)
+        form = decompose(rhs, 0.0, np.array([-1e-9, 1.0]))
+        assert form.shift[0] == pytest.approx(-2e-8 * (1.0 + 1.0))
 
     def test_burgers_nonlinearity(self):
         sd = burgers_discretize(16, 50.0)

@@ -214,14 +214,6 @@ class TestSolve:
         J_new = modified_update(s.jacobian(U_prev), U_prev, U_cur, y)
         assert J_new[0, 0] == pytest.approx(s.jacobian(U_cur)[0, 0], rel=1e-12)
 
-    def test_reinit_policy_never_reports_guard_trip(self):
-        s = circle_cubic_system()
-        # start exactly at a stationary configuration for the update: the
-        # first step from the root is zero
-        root = np.array(CIRCLE_CUBIC_ROOT_POS)
-        tr = qn_solve(s, root, QNOptions(variant="classic_rank1", reinit_policy="never"))
-        assert tr.status == "converged"  # already at the root, no update needed
-
     def test_divergence_status(self):
         # steep cubic with far-away start runs off
         s = PolySystem(
@@ -273,15 +265,15 @@ class TestSolve:
         rng = np.random.default_rng(1)
         s = random_poly_system(rng, int(rng.integers(2, 9)), scale=0.3)
         U0 = rng.standard_normal(s.n)
-        never = qn_solve(s, U0, QNOptions(variant="classic_rank1", reinit_policy="never"))
-        assert never.status == "guard_trip"
-        k = never.failure_index
-        assert never.iterations == k + 1
         tr = qn_solve(s, U0, QNOptions(variant="classic_rank1", keep_jacobians=True))
-        assert tr.iterations > k + 1
-        np.testing.assert_array_equal(tr.iterates[: k + 1], never.iterates)
-        # the update past iterate k was replaced by the exact Jacobian
-        np.testing.assert_array_equal(tr.jacobians[k + 1], s.jacobian(tr.iterates[k + 1]))
+        assert tr.status == "converged"
+        # the update into iterate 11 tripped and was replaced by the exact Jacobian there
+        exact = [
+            k
+            for k in range(1, tr.iterations)
+            if np.array_equal(tr.jacobians[k], s.jacobian(tr.iterates[k]))
+        ]
+        assert exact[0] == 11
 
 
 def runaway_cubic_system():
@@ -303,6 +295,7 @@ def test_overflowing_start_ends_diverged(solver, opts):
     with np.errstate(all="ignore"):
         tr = solver(runaway_cubic_system(), np.array([1e110, 1e110]), opts)
     assert tr.status == "diverged"
+    assert tr.failure_index == 0
 
 
 class TestDeviationReport:

@@ -82,7 +82,7 @@ class TestBurgersBound:
 
         sd = SemiDiscreteIVP(n=4, rhs=State())
         with pytest.raises(ValueError, match="difference matrices"):
-            burgers_step_bound(sd, np.zeros(4), Re=1.0)
+            burgers_step_bound(sd, np.zeros(4))
 
 
 class TestNegativeDefinite:
