@@ -18,13 +18,13 @@ from .expressions import (
     burgers_discretize,
     h_eval,
     load_hexpr_json,
-    lower_to_poly,
 )
 from .quasi_newton import QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
 from .stability import (
     IVP,
+    _polynomial,
     burgers_step_bound,
     integrate,
     is_negative_definite,
@@ -44,12 +44,14 @@ class CliError(Exception):
 
 
 def _load_input(path, n=None, Re=None):
-    """Resolve an input token to (PolySystem or None, SemiDiscreteIVP or None)."""
+    """Resolve an input token to its source: a PolySystem or a SemiDiscreteIVP."""
     if path == "circle-cubic":
-        return presets.circle_cubic_system(), None
+        return presets.circle_cubic_system()
     if path == "burgers":
-        sd = burgers_discretize(n or 32, Re or 100.0)
-        return lower_to_poly(sd.rhs, sd.n), sd
+        try:
+            return burgers_discretize(32 if n is None else n, 100.0 if Re is None else Re)
+        except ValueError as exc:
+            raise CliError(f"bad preset argument: {exc}") from exc
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -61,8 +63,10 @@ def _load_input(path, n=None, Re=None):
         try:
             rhs = load_hexpr_json(data["rhs"])
             sd = SemiDiscreteIVP(n=int(data["n"]), rhs=rhs)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise CliError(f"bad expression input: {exc}") from exc
+        if sd.n < 1:
+            raise CliError(f"bad expression input: 'n' is {sd.n}, needs at least 1")
         dim = _infer_dim(rhs)
         if dim is not None and dim != sd.n:
             raise CliError(f"bad expression input: tree has dimension {dim}, 'n' is {sd.n}")
@@ -73,14 +77,10 @@ def _load_input(path, n=None, Re=None):
             raise CliError(f"bad expression input: {exc}") from exc
         if out_len != sd.n:
             raise CliError(f"bad expression input: tree has output length {out_len}, 'n' is {sd.n}")
-        try:
-            poly = lower_to_poly(sd.rhs, sd.n)
-        except (ValueError, TypeError):
-            poly = None
-        return poly, sd
+        return sd
     try:
-        return load_system_json(data), None
-    except (ValueError, TypeError) as exc:
+        return load_system_json(data)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"bad system input: {exc}") from exc
 
 
@@ -94,13 +94,18 @@ def _parse_state(text, n):
     return np.array(vals)
 
 
-def _initial_state(text, n, sd):
+def _is_burgers(source):
+    """True for a Burgers input, whose difference matrices give an a-priori step bound."""
+    return isinstance(source, SemiDiscreteIVP) and source.reynolds is not None
+
+
+def _initial_state(text, source):
     """The given state text, else sin(2 pi x) for a Burgers input, else ones."""
     if text:
-        return _parse_state(text, n)
-    if sd is not None and sd.reynolds is not None:
-        return presets.burgers_initial_state(n)
-    return np.ones(n)
+        return _parse_state(text, source.n)
+    if _is_burgers(source):
+        return presets.burgers_initial_state(source.n)
+    return np.ones(source.n)
 
 
 def _emit(text, out):
@@ -115,7 +120,7 @@ def _emit(text, out):
 
 
 def _cmd_solve(args):
-    system, _ = _load_input(args.input, args.n, args.re)
+    system = _polynomial(_load_input(args.input, args.n, args.re))
     if system is None:
         raise CliError("solve requires a polynomial system input")
     n = system.n
@@ -134,7 +139,7 @@ def _cmd_solve(args):
 
 
 def _cmd_check_jacobian(args):
-    system, _ = _load_input(args.input, args.n, args.re)
+    system = _polynomial(_load_input(args.input, args.n, args.re))
     if system is None:
         raise CliError("check-jacobian requires a polynomial system input")
     n = system.n
@@ -201,11 +206,12 @@ def _central_difference_jacobian(f, U, step=None):
 
 
 def _cmd_stability(args):
-    system, sd = _load_input(args.input, args.n, args.re)
+    source = _load_input(args.input, args.n, args.re)
+    system = _polynomial(source)
     if system is None:
         raise CliError("stability requires a polynomial (or lowerable) input")
     n = system.n
-    U = _initial_state(args.state, n, sd)
+    U = _initial_state(args.state, source)
     A = system.at(U).A
     negdef, lam = is_negative_definite(A)
     report = {
@@ -218,8 +224,8 @@ def _cmd_stability(args):
         "negdef_certificate": negdef,
         "eig_max_symmetric_part": lam,
     }
-    if sd is not None and sd.reynolds is not None:
-        report["burgers_a_priori_bound"] = burgers_step_bound(sd, U, norm_kind="linf")
+    if _is_burgers(source):
+        report["burgers_a_priori_bound"] = burgers_step_bound(source, U, norm_kind="linf")
     if not np.any(U == 0.0):
         rhs = NonlinearRhs(L=system.L, N=lambda t, V: sum(system.nonlinear_parts(V)))
         form = decompose(rhs, 0.0, U)
@@ -231,11 +237,8 @@ def _cmd_stability(args):
 
 
 def _cmd_integrate(args):
-    system, sd = _load_input(args.input, args.n, args.re)
-    source = sd if sd is not None else system
-    if source is None:
-        raise CliError("integrate requires a system or expression input")
-    U0 = _initial_state(args.x0, source.n, sd)
+    source = _load_input(args.input, args.n, args.re)
+    U0 = _initial_state(args.x0, source)
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
 
@@ -247,8 +250,8 @@ def _cmd_integrate(args):
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         report = {"method": method, "blowup_threshold": threshold, "horizon": args.horizon}
-        if sd is not None and sd.reynolds is not None:
-            report["a_priori_bound"] = burgers_step_bound(sd, U0, norm_kind="linf")
+        if _is_burgers(source):
+            report["a_priori_bound"] = burgers_step_bound(source, U0, norm_kind="linf")
         _emit(json.dumps(report, indent=2), args.out)
         return EXIT_OK
 

@@ -6,13 +6,18 @@ scalar chain rule applied with row scaling: d/dU of (A U) o (B U) is
 row_scale(A, B U) + row_scale(B, A U), and so on for powers, sin, cos, exp.
 
 Polynomial trees of total degree <= 3 can be lowered to an equivalent
-PolySystem for cross-checks and for the linear-form machinery.  Lowering
-carries per-row coefficients of each order: a linear map is one matmul on the
-flattened trailing axes, products broadcast, and an order no subtree has is
-carried as None rather than as a dense zero tensor.
+PolySystem for cross-checks and for the linear-form machinery.  A lowered
+subtree is a per-row polynomial, the list [c0, lin, quad, cub] of its
+coefficients indexed by degree; an order no subtree has is carried as None
+rather than as a dense zero tensor.  Each node maps that list order by order:
+a linear map is one matmul on the flattened trailing axes, a diagonal scale
+and a weighted sum act on each order, and products and powers share one
+product of per-row polynomials truncated at degree 3, whose degree-d part
+sums the per-row outer products of the parts of degrees i and d - i.
 """
 
 from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -69,6 +74,8 @@ class HadamardProduct(HExpr):
     def __init__(self, *children):
         if len(children) == 1 and isinstance(children[0], (list, tuple)):
             children = tuple(children[0])
+        if not children:
+            raise ValueError("a product needs at least one child")
         object.__setattr__(self, "children", tuple(children))
 
 
@@ -78,6 +85,10 @@ class HadamardPower(HExpr):
 
     child: HExpr
     q: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.q):
+            raise ValueError(f"exponent must be finite, got {self.q}")
 
 
 _FUNCS = {
@@ -119,6 +130,8 @@ class Sum(HExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+        if not self.children:
+            raise ValueError("a sum needs at least one child")
         w = self.weights
         if w is None:
             w = (1.0,) * len(self.children)
@@ -242,7 +255,7 @@ def burgers_discretize(n, Re):
     """
     if n < 4:
         raise ValueError(f"grid too small: n={n} < 4")
-    if Re <= 0:
+    if not Re > 0:
         raise ValueError(f"Reynolds number must be positive, got {Re}")
     dx = 1.0 / n
     A = _periodic_first_diff(n, dx)
@@ -263,109 +276,69 @@ def burgers_discretize(n, Re):
     )
 
 
-class _PolyRep:
-    """Per-row scalar polynomials up to degree 3 in the state.
-
-    c0 (m,) and lin (m, n) are always present; quad (m, n, n) and cub
-    (m, n, n, n) are None when the tree has no term of that order.
-    """
-
-    def __init__(self, c0, lin, quad=None, cub=None):
-        self.c0 = c0
-        self.lin = lin
-        self.quad = quad
-        self.cub = cub
-
-    @property
-    def degree(self):
-        if self.cub is not None and np.any(self.cub):
-            return 3
-        if self.quad is not None and np.any(self.quad):
-            return 2
-        if np.any(self.lin):
-            return 1
-        return 0
-
-
 def _add(*terms):
     """Left-to-right sum of the terms that are present; None if none is."""
     present = [t for t in terms if t is not None]
-    if not present:
+    return sum(present[1:], present[0]) if present else None
+
+
+def _degree(p):
+    """Highest order of the per-row polynomial p with a nonzero coefficient."""
+    return max((d for d, t in enumerate(p) if d and t is not None and np.any(t)), default=0)
+
+
+def _cross(a, b):
+    """Per-row outer product out[i, j.., k..] = a[i, j..] * b[i, k..]; None if either is."""
+    if a is None or b is None:
         return None
-    out = present[0]
-    for t in present[1:]:
-        out = out + t
-    return out
+    rows_a = a.reshape(a.shape + (1,) * (b.ndim - 1))
+    return rows_a * b.reshape(b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:])
 
 
-def _rows(v, t):
-    """Row i of t scaled by v[i] (v broadcast over t's trailing axes); None stays None."""
-    return None if t is None else v.reshape((-1,) + (1,) * (t.ndim - 1)) * t
+def _product(a, b):
+    """Product of two per-row polynomials, truncated at degree 3.
 
-
-def _outer(a, b):
-    """Per-row outer product: out[i, j, ...] = a[i, j] * b[i, ...]; None if b is."""
-    return None if b is None else a.reshape(a.shape + (1,) * (b.ndim - 1)) * b[:, None]
-
-
-def _apply(A, t):
-    """A applied along the row axis of t: one matmul on the flattened trailing axes."""
-    if t is None:
-        return None
-    return (A @ t.reshape(t.shape[0], -1)).reshape((A.shape[0],) + t.shape[1:])
-
-
-def _rep_product(a, b):
-    # Coefficient tensors stay unsymmetrized here; PolySystem symmetrizes them once.
-    if a.degree + b.degree > 3:
+    Degree d sums the crosses of the parts of degrees i and d - i, the
+    lower-order part first.  Coefficient tensors stay unsymmetrized here and
+    PolySystem symmetrizes them once; the rounding of that symmetrization
+    depends on the index layout, which the crossing order fixes.
+    """
+    if _degree(a) + _degree(b) > 3:
         raise ValueError("non-polynomial or degree > 3: product exceeds cubic")
-    return _PolyRep(
-        a.c0 * b.c0,
-        _rows(a.c0, b.lin) + _rows(b.c0, a.lin),
-        _add(_rows(a.c0, b.quad), _rows(b.c0, a.quad), _outer(a.lin, b.lin)),
-        _add(_rows(a.c0, b.cub), _rows(b.c0, a.cub), _add(_outer(a.lin, b.quad), _outer(b.lin, a.quad))),
-    )
+    return [
+        _add(*(_cross(a[i], b[d - i]) if i <= d - i else _cross(b[d - i], a[i]) for i in range(d + 1)))
+        for d in range(4)
+    ]
 
 
 def _lower(e, n):
+    """The tree's per-row polynomial [c0 (m,), lin (m, n), quad or None, cub or None]."""
     if isinstance(e, State):
-        return _PolyRep(np.zeros(n), np.eye(n))
+        return [np.zeros(n), np.eye(n), None, None]
     if isinstance(e, LinearMap):
-        c = _lower(e.child, n)
-        A = e.A
-        return _PolyRep(A @ c.c0, A @ c.lin, _apply(A, c.quad), _apply(A, c.cub))
+        return [
+            None if t is None else (e.A @ t.reshape(t.shape[0], -1)).reshape(e.A.shape[:1] + t.shape[1:])
+            for t in _lower(e.child, n)
+        ]
     if isinstance(e, DiagScale):
-        c = _lower(e.child, n)
-        d = e.c
-        return _PolyRep(d * c.c0, _rows(d, c.lin), _rows(d, c.quad), _rows(d, c.cub))
+        return [_cross(e.c, t) for t in _lower(e.child, n)]
     if isinstance(e, Sum):
-        reps = [_lower(ch, n) for ch in e.children]
-        m = reps[0].c0.size
-        out = _PolyRep(np.zeros(m), np.zeros((m, n)))
-        for w, r in zip(e.weights, reps):
-            out.c0 = out.c0 + w * r.c0
-            out.lin = out.lin + w * r.lin
-            out.quad = _add(out.quad, None if r.quad is None else w * r.quad)
-            out.cub = _add(out.cub, None if r.cub is None else w * r.cub)
-        return out
+        parts = [_lower(ch, n) for ch in e.children]
+        m = parts[0][0].size
+        start = [np.zeros(m), np.zeros((m, n)), None, None]
+        return [
+            _add(s, *(None if p[d] is None else w * p[d] for w, p in zip(e.weights, parts)))
+            for d, s in enumerate(start)
+        ]
     if isinstance(e, HadamardProduct):
-        reps = [_lower(ch, n) for ch in e.children]
-        out = reps[0]
-        for r in reps[1:]:
-            out = _rep_product(out, r)
-        return out
+        return functools.reduce(_product, [_lower(ch, n) for ch in e.children])
     if isinstance(e, HadamardPower):
-        q = e.q
-        if q != int(q) or q < 0 or q > 3:
-            raise ValueError(f"non-polynomial: elementwise power {q}")
-        m = int(q)
+        if e.q not in (0, 1, 2, 3):
+            raise ValueError(f"non-polynomial: elementwise power {e.q}")
         base = _lower(e.child, n)
-        if m == 0:
-            return _PolyRep(np.ones_like(base.c0), np.zeros((base.c0.size, n)))
-        out = base
-        for _ in range(m - 1):
-            out = _rep_product(out, base)
-        return out
+        if e.q == 0:
+            return [np.ones(base[0].size), np.zeros((base[0].size, n)), None, None]
+        return functools.reduce(_product, [base] * int(e.q))
     if isinstance(e, ElementwiseFunction):
         raise ValueError(f"non-polynomial node: elementwise {e.name}")
     raise TypeError(f"unknown node {type(e).__name__}")
@@ -399,12 +372,12 @@ def lower_to_poly(e, n=None):
         n = _infer_dim(e)
         if n is None:
             raise ValueError("cannot infer dimension; pass n explicitly")
-    rep = _lower(e, n)
-    if rep.c0.size != n:
-        raise ValueError(f"tree evaluates to length {rep.c0.size}, expected {n}")
-    quad = np.zeros((n, n, n)) if rep.quad is None else rep.quad
-    cubic = np.zeros((n, n, n, n)) if rep.cub is None else rep.cub
-    return PolySystem(L=rep.lin, quad=quad, cubic=cubic, const=rep.c0)
+    c0, lin, quad, cubic = _lower(e, n)
+    if c0.size != n:
+        raise ValueError(f"tree evaluates to length {c0.size}, expected {n}")
+    quad = np.zeros((n, n, n)) if quad is None else quad
+    cubic = np.zeros((n, n, n, n)) if cubic is None else cubic
+    return PolySystem(L=lin, quad=quad, cubic=cubic, const=c0)
 
 
 def load_hexpr_json(data):

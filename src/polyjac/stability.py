@@ -95,14 +95,10 @@ def is_negative_definite(A):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Per-step stability certificate for one integration method."""
+    """Per-step stability certificate: a step bound (explicit) or definiteness (implicit)."""
 
-    method: str
-    norm_kind: str
-    norm_value: float
     h_bound: float = None
     negdef_certificate: bool = None
-    eig_max_symmetric_part: float = None
 
 
 @dataclass
@@ -137,6 +133,18 @@ class Trajectory:
         )
 
 
+def _polynomial(source):
+    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered, or None if not polynomial."""
+    if isinstance(source, PolySystem):
+        return source
+    if not isinstance(source, SemiDiscreteIVP):
+        raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
+    try:
+        return lower_to_poly(source.rhs, source.n)
+    except (ValueError, TypeError):
+        return None
+
+
 class IVP:
     """Initial value problem dU/dt = rhs(U) with optional polynomial structure.
 
@@ -148,21 +156,11 @@ class IVP:
 
     def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
-        self.semidiscrete = None
-        if isinstance(source, PolySystem):
-            self.poly = source
-        elif isinstance(source, SemiDiscreteIVP):
-            self.semidiscrete = source
-            try:
-                self.poly = lower_to_poly(source.rhs, source.n)
-            except (ValueError, TypeError):
-                self.poly = None
-        else:
-            raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-        n = self.poly.n if self.poly is not None else self.semidiscrete.n
-        if self.U0.size != n:
-            raise ValueError(f"U0 length {self.U0.size} != dimension {n}")
-        self.n = n
+        self.poly = _polynomial(source)
+        self.semidiscrete = source if isinstance(source, SemiDiscreteIVP) else None
+        self.n = source.n
+        if self.U0.size != self.n:
+            raise ValueError(f"U0 length {self.U0.size} != dimension {self.n}")
 
     def rhs(self, U):
         if self.semidiscrete is not None:
@@ -179,16 +177,12 @@ PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
 
 
-def _report(method, A, norm_kind):
-    """Report of one step: a step bound (explicit) or definiteness certificate (implicit)."""
-    nrm = float(_matrix_norm(A, norm_kind))
+def _report(method, A):
+    """Report of one step: a linf step bound (explicit) or definiteness certificate (implicit)."""
     if method in ("explicit_euler", "rk4"):
         bound = step_bound_explicit_euler if method == "explicit_euler" else step_bound_rk4
-        return StabilityReport(method, norm_kind, nrm, h_bound=bound(A, norm_kind))
-    ok, lam = is_negative_definite(A)
-    return StabilityReport(
-        method, norm_kind, nrm, negdef_certificate=ok, eig_max_symmetric_part=lam
-    )
+        return StabilityReport(h_bound=bound(A, "linf"))
+    return StabilityReport(negdef_certificate=is_negative_definite(A)[0])
 
 
 def _step(ivp, method, U, h):
@@ -221,7 +215,7 @@ def _step(ivp, method, U, h):
     return None  # Picard iteration did not converge
 
 
-def integrate(ivp, method, h, steps, report=False, norm_kind="linf"):
+def integrate(ivp, method, h, steps, report=False):
     """Advance an IVP with a fixed step; returns a Trajectory.
 
     explicit_euler steps U + h rhs(U), which for polynomial structure equals
@@ -251,7 +245,7 @@ def integrate(ivp, method, h, steps, report=False, norm_kind="linf"):
             return traj
         if report and ivp.poly is not None:
             A = ivp.linear_form(U_next if method == "implicit_euler" else U).A
-            traj.per_step_reports.append(_report(method, A, norm_kind))
+            traj.per_step_reports.append(_report(method, A))
         t += h
         U = U_next
         traj.times.append(t)

@@ -8,6 +8,8 @@ from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 from polyjac.system import dump_system_json
 
+from conftest import count_calls
+
 
 @pytest.fixture
 def system_file(tmp_path):
@@ -68,6 +70,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "args", [["--n", "0"], ["--n", "2"], ["--re", "0"], ["--re", "-5"], ["--re", "nan"]]
+    )
+    def test_bad_preset_argument_is_one(self, capsys, args):
+        # explicit values are used as given, never replaced by the defaults
+        assert main(["integrate", "burgers", "--h", "0.001", "--steps", "1"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad preset argument: ")
+        assert err.count("\n") == 1
+
 
 class TestParserReuse:
     def test_usage_error_leaves_parser_intact(self, capsys):
@@ -95,6 +107,13 @@ class TestMalformedInput:
             {"n": 2, "rhs": {"op": "linear", "matrix": np.ones((3, 2)).tolist()}},
             {"n": 2, "rhs": {"op": "linear", "matrix": 5}},
             {"n": 2, "rhs": {"op": "linear", "matrix": [1, 2]}},
+            {"n": 2, "rhs": {"op": "sum", "children": []}},
+            {"n": 2, "rhs": {"op": "hproduct", "children": []}},
+            {"n": 1, "rhs": {"op": "hpower", "child": {"op": "sum", "children": []}, "exponent": 1}},
+            {"n": 0, "rhs": {"op": "state"}},
+            {"n": float("inf"), "rhs": {"op": "state"}},
+            {"n": float("inf"), "L": [[1.0]], "F": [1.0]},
+            {"n": 2, "rhs": {"op": "hpower", "child": {"op": "state"}, "exponent": float("inf")}},
         ],
         ids=[
             "top-level-list",
@@ -105,6 +124,13 @@ class TestMalformedInput:
             "output-length-mismatch",
             "scalar-matrix",
             "vector-matrix",
+            "empty-sum",
+            "empty-product",
+            "power-of-empty-sum",
+            "zero-dimension",
+            "infinite-n-tree",
+            "infinite-n-system",
+            "infinite-exponent",
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, doc):
@@ -277,6 +303,23 @@ class TestIntegrate:
 
     def test_missing_h_is_usage_error(self, capsys):
         assert main(["integrate", "circle-cubic"]) == 1
+
+
+class TestEachInputLoweredOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "burgers", "--n", "8", "--h", "0.001", "--steps", "3"],
+            ["integrate", "burgers", "--n", "8", "--scan", "--h-lo", "0.01", "--h-hi", "0.5",
+             "--horizon", "10"],
+            ["stability", "burgers", "--n", "8"],
+        ],
+        ids=["integrate", "scan", "stability"],
+    )
+    def test_builds_one_poly_system(self, monkeypatch, capsys, argv):
+        built = count_calls(monkeypatch, PolySystem, "__post_init__")
+        assert main(argv) == 0
+        assert len(built) == 1
 
 
 class TestRoundTrip:

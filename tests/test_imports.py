@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, and the CLI
+"""Every name a library module imports is used in that module, every
+module-level private name is referenced elsewhere in the package, and the CLI
 pulls in no heavy module it does not need."""
 
 import ast
@@ -24,6 +25,32 @@ def test_no_unused_imports(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
+
+
+def _references(node):
+    """Names a statement loads or reads as attributes."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _defined(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    # a module-level _name is referenced by some other top-level statement of the package
+    statements = {p: ast.parse(p.read_text()).body for p in SRC.glob("*.py")}
+    for stmt in statements[path]:
+        for name in _defined(stmt):
+            if name.startswith("_") and not name.startswith("__"):
+                others = (s for body in statements.values() for s in body if s is not stmt)
+                assert any(name in _references(s) for s in others), f"{path.name}: {name} is never referenced"
 
 
 def test_package_reexports_each_module_all():

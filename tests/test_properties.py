@@ -128,12 +128,16 @@ def test_nonlinear_sweep_matches_row_loop(case, method, omega):
 def trees(draw, n, max_degree, depth=3):
     """A polynomial expression tree over R^n of degree <= max_degree, with its degree."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = ["state"] if depth == 0 else ["state", "linear", "diag", "sum", "product", "power"]
+    kinds = ["state"] if depth == 0 else ["state", "linear", "diag", "rect", "sum", "product", "power"]
     kind = draw(st.sampled_from(kinds))
     if kind == "state":
         return State(), 1
-    if kind in ("linear", "diag"):
+    if kind in ("linear", "diag", "rect"):
         child, deg = draw(trees(n, max_degree, depth - 1))
+        if kind == "rect":
+            # B (n x m) @ (A (m x n) @ child): lowering passes through m rows
+            m = draw(st.integers(1, 6))
+            return LinearMap(rng.standard_normal((n, m)), LinearMap(rng.standard_normal((m, n)), child)), deg
         if kind == "linear":
             return LinearMap(rng.standard_normal((n, n)), child), deg
         return DiagScale(rng.standard_normal(n), child), deg
@@ -171,6 +175,28 @@ def test_lowering_matches_tree_evaluation(case):
     n, (tree, _), seed = case
     s = lower_to_poly(tree, n)
     for U in np.random.default_rng(seed).standard_normal((3, n)):
+        scale = np.linalg.norm(h_eval(_abs_tree(tree), np.abs(U)), np.inf)
+        assert _close(s.eval(U), h_eval(tree, U), scale)
+
+
+def _every_order(rng, n, degree):
+    """A (U**0) + B U + (C U) o U + (D U) o U o U up to the degree: each order nonzero."""
+    parts = [LinearMap(rng.standard_normal((n, n)), HadamardPower(State(), 0.0))]
+    for d in range(1, degree + 1):
+        parts.append(HadamardProduct(LinearMap(rng.standard_normal((n, n))), *[State()] * (d - 1)))
+    return Sum(children=tuple(parts), weights=tuple(rng.standard_normal(len(parts))))
+
+
+degree_pairs = st.sampled_from([(a, b) for a in range(4) for b in range(4 - a)])
+
+
+@given(st.integers(1, 6), degree_pairs, st.integers(0, 2**32 - 1))
+def test_product_lowering_keeps_every_term(n, degrees, seed):
+    # the factors have every order up to their degrees, so each term of the product counts
+    rng = np.random.default_rng(seed)
+    tree = HadamardProduct(*[_every_order(rng, n, d) for d in degrees])
+    s = lower_to_poly(tree, n)
+    for U in rng.standard_normal((3, n)):
         scale = np.linalg.norm(h_eval(_abs_tree(tree), np.abs(U)), np.inf)
         assert _close(s.eval(U), h_eval(tree, U), scale)
 
