@@ -15,7 +15,6 @@ from .system import (
     from_kronecker,
     jacobian_deviation,
     load_system_json,
-    dump_system_json,
 )
 from .expressions import (
     HExpr,

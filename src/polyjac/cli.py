@@ -1,7 +1,7 @@
 """Command-line front end: solve, check-jacobian, stability, integrate.
 
-Exit codes are a stable scripting contract: 0 success, 1 usage or IO error,
-2 numerical failure (non-convergence, divergence, singular solve).
+Exit codes are a stable scripting contract: 0 success, 1 usage, IO or
+out-of-memory error, 2 numerical failure (non-convergence, divergence, singular solve).
 """
 
 import argparse
@@ -71,8 +71,7 @@ def _load_input(path, n=None, Re=None):
         if dim is not None and dim != sd.n:
             raise CliError(f"bad expression input: tree has dimension {dim}, 'n' is {sd.n}")
         try:
-            with np.errstate(all="ignore"):
-                out_len = h_eval(rhs, np.ones(sd.n)).size
+            out_len = h_eval(rhs, np.ones(sd.n)).size
         except (ValueError, TypeError) as exc:
             raise CliError(f"bad expression input: {exc}") from exc
         if out_len != sd.n:
@@ -333,9 +332,14 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # Overflow and NaN are judged by the solvers' statuses, not printed as warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("error: input too large for memory\n")
         return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")

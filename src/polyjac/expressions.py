@@ -72,11 +72,9 @@ class HadamardProduct(HExpr):
     children: tuple
 
     def __init__(self, *children):
-        if len(children) == 1 and isinstance(children[0], (list, tuple)):
-            children = tuple(children[0])
         if not children:
             raise ValueError("a product needs at least one child")
-        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "children", children)
 
 
 @dataclass(frozen=True)
@@ -360,18 +358,14 @@ def _infer_dim(e):
     return None
 
 
-def lower_to_poly(e, n=None):
-    """Lower a polynomial expression tree (degree <= 3) to a PolySystem.
+def lower_to_poly(e, n):
+    """Lower a polynomial expression tree (degree <= 3) over R^n to a PolySystem.
 
-    Raises on non-polynomial nodes (elementwise functions, fractional or
-    negative powers) and on total degree above 3.  An order the tree lacks
-    reaches PolySystem as a zero tensor, which it neither symmetrizes nor
-    contracts.
+    The tree must evaluate to a length-n vector.  Raises on non-polynomial
+    nodes (elementwise functions, fractional or negative powers) and on total
+    degree above 3.  An order the tree lacks reaches PolySystem as a zero
+    tensor, which it neither symmetrizes nor contracts.
     """
-    if n is None:
-        n = _infer_dim(e)
-        if n is None:
-            raise ValueError("cannot infer dimension; pass n explicitly")
     c0, lin, quad, cubic = _lower(e, n)
     if c0.size != n:
         raise ValueError(f"tree evaluates to length {c0.size}, expected {n}")
@@ -381,15 +375,13 @@ def lower_to_poly(e, n=None):
 
 
 def load_hexpr_json(data):
-    """Build an expression tree from its nested-JSON description.
+    """Build an expression tree from its parsed nested-JSON description.
 
-    Nodes are objects {"op": ...} with op one of state, linear, hproduct,
-    hpower, hfunction, diagscale, sum; matrices are inline dense lists.
+    data is the decoded JSON value, not its text.  Nodes are objects
+    {"op": ...} with op one of state, linear, hproduct, hpower, hfunction,
+    diagscale, sum; matrices are inline dense lists.  A node that is not an
+    object is rejected.
     """
-    if isinstance(data, (str, bytes)):
-        import json
-
-        data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"expression node must be a JSON object, got {type(data).__name__}")
     op = data.get("op")

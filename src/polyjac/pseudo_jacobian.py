@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stability import _matrix_norm
+from .stability import _limit, _matrix_norm
 
 __all__ = [
     "RankOneForm",
@@ -82,7 +82,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
 
     Returns (relaxed, tight): 2/(||L|| + ||w v^T||) via the triangle
     inequality, and 2/||L + w v^T|| on the assembled matrix.  The relaxed
-    bound never exceeds the tight one.
+    bound never exceeds the tight one; a zero norm gives inf.
     """
     Lnrm = _matrix_norm(form.L, norm_kind)
     # induced norm of the outer product: ||w||_inf ||v||_1 (linf) or
@@ -91,11 +91,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
         rank1 = np.linalg.norm(form.w, np.inf) * np.linalg.norm(form.v, 1)
     else:
         rank1 = np.linalg.norm(form.w, 1) * np.linalg.norm(form.v, np.inf)
-    denom_relaxed = Lnrm + rank1
-    denom_tight = _matrix_norm(form.matrix(), norm_kind)
-    if denom_relaxed == 0.0:
-        raise ValueError("zero matrix: no step restriction")
-    return 2.0 / denom_relaxed, 2.0 / denom_tight
+    return _limit(2.0, Lnrm + rank1), _limit(2.0, _matrix_norm(form.matrix(), norm_kind))
 
 
 def pj_implicit_step(form, U_n, h):

@@ -40,6 +40,11 @@ def _matrix_norm(A, norm_kind):
     return np.linalg.norm(A, _NORM_ORD[norm_kind])
 
 
+def _limit(c, nrm):
+    """The step bound c/nrm; a zero norm imposes no restriction, so inf."""
+    return math.inf if nrm == 0.0 else c / nrm
+
+
 def step_bound_explicit_euler(A, norm_kind="linf"):
     """Sufficient explicit-Euler step bound 2/||A||.
 
@@ -47,18 +52,12 @@ def step_bound_explicit_euler(A, norm_kind="linf"):
     the eigenvalue-based bound 2/|lambda|_max.  A zero matrix imposes no
     restriction; returns inf.
     """
-    nrm = _matrix_norm(np.asarray(A, dtype=float), norm_kind)
-    if nrm == 0.0:
-        return math.inf
-    return 2.0 / nrm
+    return _limit(2.0, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
 
 
 def step_bound_rk4(A, norm_kind="linf"):
     """Classic RK4 step bound 2.785/||A|| (real-axis stability interval)."""
-    nrm = _matrix_norm(np.asarray(A, dtype=float), norm_kind)
-    if nrm == 0.0:
-        return math.inf
-    return RK4_REAL_AXIS / nrm
+    return _limit(RK4_REAL_AXIS, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
 
 
 def burgers_step_bound(ivp, U, norm_kind="linf"):
@@ -74,9 +73,7 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
     denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds + _matrix_norm(
         ivp.first_diff, norm_kind
     ) * np.linalg.norm(U, np.inf)
-    if denom == 0.0:
-        return math.inf
-    return 2.0 / denom
+    return _limit(2.0, denom)
 
 
 def is_negative_definite(A):

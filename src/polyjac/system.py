@@ -20,7 +20,6 @@ f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "from_kronecker",
     "jacobian_deviation",
     "load_system_json",
-    "dump_system_json",
 ]
 
 
@@ -210,18 +208,15 @@ def jacobian_deviation(s, U, J_hat):
     return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float) @ st.U) / denom)
 
 
-def load_system_json(source):
-    """Load a PolySystem from the sparse-coefficient JSON format.
+def load_system_json(data):
+    """Build a PolySystem from a parsed sparse-coefficient JSON document.
 
-    Format: {"n": int, "L": [[...]], "quadratic": [[i, j, k, value], ...],
-    "cubic": [[i, j, k, l, value], ...], "F": [...]} with 0-based indices.
-    Coefficients are contributions of monomial U_j U_k (resp. U_j U_k U_l) to
-    equation i before symmetrization.
+    data is the decoded JSON value, not its text; anything but an object is
+    rejected.  Format: {"n": int, "L": [[...]], "quadratic": [[i, j, k,
+    value], ...], "cubic": [[i, j, k, l, value], ...], "F": [...]} with
+    0-based indices.  Coefficients are contributions of monomial U_j U_k
+    (resp. U_j U_k U_l) to equation i before symmetrization.
     """
-    if isinstance(source, (str, bytes)):
-        data = json.loads(source)
-    else:
-        data = source
     if not isinstance(data, dict):
         raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
     try:
@@ -266,22 +261,3 @@ def _is_entry(entry, width):
         return np.asarray(entry, dtype=float).shape == (width,)
     except (TypeError, ValueError):
         return False
-
-
-def _sparse_entries(t):
-    """[i, j, ..., value] for every nonzero of t, in row-major order."""
-    index = np.nonzero(t)
-    return [list(row) for row in zip(*(ix.tolist() for ix in index), t[index].tolist())]
-
-
-def dump_system_json(s):
-    """Serialize a PolySystem to the sparse-coefficient JSON format."""
-    return json.dumps(
-        {
-            "n": s.n,
-            "L": s.L.tolist(),
-            "quadratic": _sparse_entries(s.quad),
-            "cubic": _sparse_entries(s.cubic),
-            "F": s.const.tolist(),
-        }
-    )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from polyjac import PolySystem, load_system_json
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
-from polyjac.system import dump_system_json
 
 from conftest import count_calls
 
@@ -14,7 +14,13 @@ from conftest import count_calls
 @pytest.fixture
 def system_file(tmp_path):
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(dump_system_json(circle_cubic_system())))
+    path.write_text(json.dumps({
+        "n": 2,
+        "L": [[0.0, 0.0], [0.0, -1.0]],
+        "quadratic": [[0, 0, 0, 1.0], [0, 1, 1, 1.0]],
+        "cubic": [[1, 0, 0, 0, 0.75]],
+        "F": [-1.0, 0.9],
+    }))
     return str(path)
 
 
@@ -49,12 +55,32 @@ class TestExitCodes:
 
     def test_singular_jacobian_is_two(self, tmp_path):
         # f(U) = U^2 - 1 has a singular Jacobian at U0 = 0
-        s = PolySystem(L=np.zeros((1, 1)), quad=np.ones((1, 1, 1)),
-                       cubic=np.zeros((1, 1, 1, 1)), const=-np.ones(1))
         path, out = tmp_path / "system.json", tmp_path / "t.json"
-        path.write_text(json.dumps(dump_system_json(s)))
+        path.write_text(json.dumps({"n": 1, "L": [[0.0]], "quadratic": [[0, 0, 0, 1.0]], "F": [-1.0]}))
         assert main(["--out", str(out), "solve", str(path), "--x0", "0", "--method", "newton"]) == 2
         assert read_json(str(out))["status"] == "singular_jacobian"
+
+    @pytest.mark.parametrize(
+        "method", ["newton", "classic-rank1", "modified-rank1", "jacobi", "gauss-seidel", "sor"]
+    )
+    def test_overflow_prints_no_warning(self, tmp_path, capsys, method):
+        # the first residual is finite; the first step overflows to inf and NaN
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n": 1, "L": [[1.0]], "F": [-1e132], "cubic": [[0, 0, 0, 0, -0.25]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path / "t.json"), "solve", str(path), "--method", method])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        assert caught == []
+
+    def test_out_of_memory_is_one(self, monkeypatch, capsys):
+        def exhausted(self):
+            raise MemoryError
+
+        monkeypatch.setattr(PolySystem, "__post_init__", exhausted)
+        assert main(["stability", "circle-cubic"]) == 1
+        assert capsys.readouterr().err == "error: input too large for memory\n"
 
     def test_integrate_divergence_is_two(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -141,6 +167,33 @@ class TestMalformedInput:
         assert err.startswith("error: bad ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "integrate"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                json.dumps({"n": 1, "L": [[-1.0]], "F": [1.0]}),
+                "error: bad system input: system JSON must be an object, got str\n",
+            ),
+            (
+                {"n": 1, "rhs": json.dumps({"op": "state"})},
+                "error: bad expression input: expression node must be a JSON object, got str\n",
+            ),
+            (
+                {"n": 1, "rhs": {"op": "sum", "children": [json.dumps({"op": "state"})]}},
+                "error: bad expression input: expression node must be a JSON object, got str\n",
+            ),
+        ],
+        ids=["system-string", "rhs-string", "sum-child-string"],
+    )
+    def test_json_string_document_exits_one(self, tmp_path, capsys, command, doc, message):
+        # a document is a JSON object; JSON text wrapped in a string is not read a second time
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--h", "0.1", "--steps", "2"] if command == "integrate" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestSolve:
@@ -262,6 +315,16 @@ class TestStability:
         assert d["negdef_certificate"] is True
         assert d["euler_bound_linf"] == pytest.approx(2.0 / 3.0)
         assert d["pseudo_jacobian_bound_relaxed"] <= d["pseudo_jacobian_bound_tight"] * (1 + 1e-12)
+
+    def test_zero_matrix_has_no_step_restriction(self, tmp_path):
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps({"n": 1, "L": [[0.0]], "F": [1.0]}))
+        out = tmp_path / "s.json"
+        assert main(["--out", str(out), "stability", str(sys_file)]) == 0
+        d = read_json(str(out))
+        bounds = [key for key in d if "_bound" in key]
+        assert len(bounds) == 6
+        assert all(d[key] == float("inf") for key in bounds)
 
 
 class TestIntegrate:

@@ -1,6 +1,8 @@
 """CLI loader fuzz: generated system and expression documents, well-formed and
 malformed, run through every command.  Whatever the document, each command
-ends in a documented exit code (0, 1 or 2) and no exception escapes.
+ends in a documented exit code (0, 1 or 2) with at most one line on stderr,
+no warning is issued and no exception escapes.  The same document wrapped in
+a JSON string is not a document, so every command exits 1 on it.
 
 Documents stay at n <= 6: a dense cubic costs n^4 floats, so the loader is
 exercised here, not the memory ceiling.
@@ -11,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import given, settings, strategies as st
 
@@ -121,11 +124,17 @@ COMMANDS = (
 @given(st.one_of(tree_documents(), system_documents()))
 def test_every_command_ends_in_an_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "in.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        for command in COMMANDS:
-            argv = [command[0], path] + command[1:]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-            assert code in (0, 1, 2), (argv, code)
+        for content, exits in ((doc, (0, 1, 2)), (json.dumps(doc), (1,))):
+            path = os.path.join(tmp, "in.json")
+            with open(path, "w") as fh:
+                json.dump(content, fh)
+            for command in COMMANDS:
+                argv = [command[0], path] + command[1:]
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                assert code in exits, (argv, code)
+                assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+                assert caught == [], (argv, [str(w.message) for w in caught])

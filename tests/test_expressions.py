@@ -151,7 +151,7 @@ class TestBurgers:
 class TestLowering:
     def test_pure_linear_map(self, rng):
         A = rng.standard_normal((3, 3))
-        s = lower_to_poly(LinearMap(A))
+        s = lower_to_poly(LinearMap(A), 3)
         np.testing.assert_allclose(s.L, A, rtol=1e-15)
         assert not np.any(s.quad) and not np.any(s.cubic) and not np.any(s.const)
 
@@ -198,9 +198,9 @@ class TestLowering:
 
     def test_non_polynomial_rejected(self):
         with pytest.raises(ValueError, match="non-polynomial"):
-            lower_to_poly(ElementwiseFunction("sin", LinearMap(np.eye(3))))
+            lower_to_poly(ElementwiseFunction("sin", LinearMap(np.eye(3))), 3)
         with pytest.raises(ValueError, match="non-polynomial"):
-            lower_to_poly(HadamardPower(LinearMap(np.eye(3)), 0.5))
+            lower_to_poly(HadamardPower(LinearMap(np.eye(3)), 0.5), 3)
 
     def test_degree_overflow_rejected(self, rng):
         A = rng.standard_normal((3, 3))
@@ -208,7 +208,7 @@ class TestLowering:
             HadamardPower(LinearMap(A), 2.0), HadamardPower(LinearMap(A), 2.0)
         )
         with pytest.raises(ValueError, match="degree"):
-            lower_to_poly(quartic)
+            lower_to_poly(quartic, 3)
 
 
 class TestJsonLoader:

@@ -1,5 +1,6 @@
-"""Property tests: the contraction path against the einsum reference, the JSON
-round trip, lowering, and the triangular relaxation sweep against the row loop.
+"""Property tests: the contraction path against the einsum reference, lowering,
+the triangular relaxation sweep against the row loop, and the invariants of the
+rank-one updates.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently zero or nonzero, so the path that skips an all-zero cubic is
@@ -11,7 +12,8 @@ the terms whose rounding is compared.
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polyjac import (
     DiagScale,
@@ -19,14 +21,18 @@ from polyjac import (
     HadamardProduct,
     LinearMap,
     PolySystem,
+    GuardTripError,
     State,
     Sum,
+    classic_inverse_update,
+    classic_update,
     h_eval,
     jacobian_action,
     lower_to_poly,
+    modified_inverse_update,
+    modified_update,
     sweep_once,
 )
-from polyjac.system import dump_system_json, load_system_json
 
 from conftest import reference_linear_sweep, reference_values
 
@@ -84,18 +90,6 @@ def test_linear_form_reproduces_residual(case):
     s, U, _ = case
     scale = _abs_reference(s, U)["eval"]
     assert _close(s.linearized_matrix(U).A @ U + s.const, s.eval(U), scale)
-
-
-@given(systems_and_states())
-def test_json_round_trip(case):
-    s, _, _ = case
-    s2 = load_system_json(dump_system_json(s))
-    assert np.array_equal(s2.L, s.L) and np.array_equal(s2.const, s.const)
-    # Symmetrizing again re-averages entries that agree only to rounding (the six
-    # cubic permutations are summed in different orders), so each entry may move
-    # by a few ulps of the largest coefficient.
-    for got, want in ((s2.quad, s.quad), (s2.cubic, s.cubic)):
-        assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
 
 
 triangular_methods = st.sampled_from(("gauss_seidel", "sor"))
@@ -205,3 +199,63 @@ def test_product_lowering_keeps_every_term(n, degrees, seed):
 def test_degree_two_tree_lowers_to_zero_cubic(case):
     n, (tree, _) = case
     assert not np.any(lower_to_poly(tree, n).cubic)
+
+
+@st.composite
+def update_cases(draw):
+    """A well-conditioned J = 3I + E with |E_ij| <= 0.3, and bounded q, y, U_prev and a probe p.
+
+    Row sums of |E| stay below 1.8 for n <= 6, so J is strictly diagonally dominant.
+    """
+    n = draw(st.integers(2, 6))
+    entries = st.floats(-1.0, 1.0)
+    J = 3.0 * np.eye(n) + 0.3 * draw(arrays(float, (n, n), elements=entries))
+    q, y, U_prev, p = draw(arrays(float, (4, n), elements=entries))
+    return J, q, y, U_prev, p
+
+
+def _update(J, q, y, U_prev, modified):
+    """(J_new, Jinv_new) from the forward and inverse update; skips draws where a guard trips."""
+    try:
+        if modified:
+            U_cur = U_prev + q
+            return (modified_update(J, U_prev, U_cur, y),
+                    modified_inverse_update(np.linalg.inv(J), J, U_prev, U_cur, y))
+        return classic_update(J, q, y), classic_inverse_update(np.linalg.inv(J), q, y)
+    except GuardTripError:
+        assume(False)
+
+
+@given(update_cases())
+def test_classic_update_meets_secant(case):
+    J, q, y, U_prev, _ = case
+    J_c, _ = _update(J, q, y, U_prev, modified=False)
+    assert np.linalg.norm(J_c @ q - y) <= 1e-12 * (1.0 + np.linalg.norm(y) + np.linalg.norm(J @ q))
+
+
+@given(update_cases())
+def test_modified_update_meets_exact_relation(case):
+    J, q, y, U_prev, _ = case
+    J_m, _ = _update(J, q, y, U_prev, modified=True)
+    U_cur = U_prev + q
+    norm = np.linalg.norm
+    scale = 1.0 + norm(y) + norm(J_m, 2) * norm(U_cur) + norm(J, 2) * norm(U_prev)
+    assert np.linalg.norm(J_m @ U_cur - J @ U_prev - y) <= 1e-10 * scale
+
+
+@given(update_cases(), st.booleans())
+def test_update_leaves_orthogonal_directions_unchanged(case, modified):
+    J, q, y, U_prev, p = case
+    J_new, _ = _update(J, q, y, U_prev, modified)
+    p = p - (p @ q) / (q @ q) * q
+    # p is orthogonal to q only to rounding, which the rank-one change ||J_new - J||_2 amplifies
+    base = 1.0 + np.linalg.norm(J @ p) + np.linalg.norm(J_new - J, 2) * np.linalg.norm(p)
+    assert np.linalg.norm((J_new - J) @ p) <= 1e-12 * base
+
+
+@given(update_cases(), st.booleans())
+def test_inverse_update_pairs_with_forward_update(case, modified):
+    J, q, y, U_prev, _ = case
+    J_new, Jinv_new = _update(J, q, y, U_prev, modified)
+    cond = np.linalg.norm(J_new, np.inf) * np.linalg.norm(Jinv_new, np.inf)
+    assert np.linalg.norm(Jinv_new @ J_new - np.eye(q.size), np.inf) <= 1e-8 * cond

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, from_kronecker, jacobian_deviation, load_system_json, dump_system_json
+from polyjac import PolySystem, from_kronecker, jacobian_deviation, load_system_json
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 from polyjac.system import diverged
 
@@ -238,14 +238,6 @@ class TestJacobianDeviation:
 
 
 class TestJsonFormat:
-    def test_round_trip(self, rng):
-        s = random_poly_system(rng, 3)
-        s2 = load_system_json(dump_system_json(s))
-        np.testing.assert_allclose(s2.L, s.L, rtol=1e-15)
-        np.testing.assert_allclose(s2.quad, s.quad, rtol=1e-15)
-        np.testing.assert_allclose(s2.cubic, s.cubic, rtol=1e-15)
-        np.testing.assert_allclose(s2.const, s.const, rtol=1e-15)
-
     def test_sparse_entries_symmetrized(self):
         data = {
             "n": 2,
