@@ -139,7 +139,7 @@ class Sum(HExpr):
 
 
 def h_eval(e, U):
-    """Evaluate an expression tree at state U."""
+    """Evaluate an expression tree at state U; the shape rule of _length is checked elsewhere."""
     U = np.asarray(U, dtype=float).ravel()
     return _eval(e, U)
 
@@ -211,12 +211,44 @@ def _jac(e, U):
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
+def _length(e, n):
+    """Length of the tree's value over R^n, by the one shape rule: no operand is broadcast."""
+    if isinstance(e, State):
+        return n
+    if isinstance(e, LinearMap):
+        m = _length(e.child, n)
+        if e.A.shape[1] != m:
+            raise ValueError(f"linear map of shape {e.A.shape} applied to length {m}")
+        return e.A.shape[0]
+    if isinstance(e, DiagScale):
+        m = _length(e.child, n)
+        if e.c.size != m:
+            raise ValueError(f"diagonal scale of length {e.c.size} applied to length {m}")
+        return m
+    if isinstance(e, (Sum, HadamardProduct)):
+        lengths = [_length(c, n) for c in e.children]
+        if len(set(lengths)) != 1:
+            raise ValueError(f"{type(e).__name__} children have lengths {lengths}")
+        return lengths[0]
+    if isinstance(e, (HadamardPower, ElementwiseFunction)):
+        return _length(e.child, n)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _check_length(e, n):
+    """Apply the shape rule of _length and require a value of length n."""
+    if (m := _length(e, n)) != n:
+        raise ValueError(f"tree evaluates to length {m}, expected {n}")
+
+
 @dataclass(frozen=True)
 class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
-    The optional matrix fields are populated by discretizers whose a-priori
-    step-size bounds need them (see burgers_discretize).
+    Construction checks n >= 1 and applies the shape rule of _length, so
+    h_eval and h_jacobian need not.  The optional matrix fields are populated
+    by discretizers whose a-priori step-size bounds need them (see
+    burgers_discretize).
     """
 
     n: int
@@ -225,22 +257,10 @@ class SemiDiscreteIVP:
     second_diff: np.ndarray = None
     reynolds: float = None
 
-
-def _periodic_first_diff(n, dx):
-    A = np.zeros((n, n))
-    for i in range(n):
-        A[i, (i + 1) % n] = 1.0 / (2.0 * dx)
-        A[i, (i - 1) % n] = -1.0 / (2.0 * dx)
-    return A
-
-
-def _periodic_second_diff(n, dx):
-    B = np.zeros((n, n))
-    for i in range(n):
-        B[i, i] = -2.0 / dx**2
-        B[i, (i + 1) % n] = 1.0 / dx**2
-        B[i, (i - 1) % n] = 1.0 / dx**2
-    return B
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"'n' is {self.n}, needs at least 1")
+        _check_length(self.rhs, self.n)
 
 
 def burgers_discretize(n, Re):
@@ -256,8 +276,10 @@ def burgers_discretize(n, Re):
     if not Re > 0:
         raise ValueError(f"Reynolds number must be positive, got {Re}")
     dx = 1.0 / n
-    A = _periodic_first_diff(n, dx)
-    B = _periodic_second_diff(n, dx)
+    right = np.eye(n, k=1) + np.eye(n, k=1 - n)  # ones at (i, i+1 mod n)
+    left = right.T  # ones at (i, i-1 mod n)
+    A = (right - left) / (2.0 * dx)
+    B = (right + left - 2.0 * np.eye(n)) / dx**2
     rhs = Sum(
         children=(
             LinearMap(B / Re),
@@ -342,33 +364,17 @@ def _lower(e, n):
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _infer_dim(e):
-    if isinstance(e, LinearMap):
-        return e.A.shape[1] if isinstance(e.child, State) else _infer_dim(e.child) or e.A.shape[1]
-    if isinstance(e, DiagScale):
-        return _infer_dim(e.child) or e.c.size
-    if isinstance(e, (HadamardProduct, Sum)):
-        for c in e.children:
-            d = _infer_dim(c)
-            if d is not None:
-                return d
-        return None
-    if isinstance(e, (HadamardPower, ElementwiseFunction)):
-        return _infer_dim(e.child)
-    return None
-
-
 def lower_to_poly(e, n):
     """Lower a polynomial expression tree (degree <= 3) over R^n to a PolySystem.
 
-    The tree must evaluate to a length-n vector.  Raises on non-polynomial
-    nodes (elementwise functions, fractional or negative powers) and on total
-    degree above 3.  An order the tree lacks reaches PolySystem as a zero
-    tensor, which it neither symmetrizes nor contracts.
+    The tree must pass the shape rule of _length with a value of length n.
+    Raises on non-polynomial nodes (elementwise functions, fractional or
+    negative powers) and on total degree above 3.  An order the tree lacks
+    reaches PolySystem as a zero tensor, which it neither symmetrizes nor
+    contracts.
     """
+    _check_length(e, n)
     c0, lin, quad, cubic = _lower(e, n)
-    if c0.size != n:
-        raise ValueError(f"tree evaluates to length {c0.size}, expected {n}")
     quad = np.zeros((n, n, n)) if quad is None else quad
     cubic = np.zeros((n, n, n, n)) if cubic is None else cubic
     return PolySystem(L=lin, quad=quad, cubic=cubic, const=c0)

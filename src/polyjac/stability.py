@@ -259,11 +259,13 @@ def integrate(ivp, method, h, steps, report=False):
 def scan_blowup_threshold(ivp, method, h_lo, h_hi, horizon):
     """Bisect for the largest stable step over a fixed time horizon.
 
-    Requires a valid bracket: completing at h_lo and failing at h_hi.
-    Resolves to 2% relative width.
+    Requires a finite horizon > 0 and a valid bracket: completing at h_lo and
+    failing at h_hi.  Resolves to 2% relative width.
     """
-    if not h_lo < h_hi:
-        raise ValueError(f"need h_lo < h_hi, got {h_lo} >= {h_hi}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 0.0 < h_lo < h_hi < math.inf:
+        raise ValueError(f"need 0 < h_lo < h_hi < inf, got h_lo={h_lo}, h_hi={h_hi}")
 
     def stable(h):
         steps = max(1, int(math.ceil(horizon / h)))

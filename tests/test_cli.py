@@ -29,6 +29,25 @@ def read_json(path):
         return json.load(fh)
 
 
+def write_doc(tmp_path, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Operands of unequal length: a length-1 operand is not broadcast to length n.
+ROW = {"op": "linear", "matrix": [[1, 1, 1]]}
+BROADCAST = {
+    "sum-length-1-child": {"n": 3, "rhs": {"op": "sum", "children": [{"op": "state"}, ROW]}},
+    "product-length-1-child": {"n": 3, "rhs": {"op": "hproduct", "children": [{"op": "state"}, ROW]}},
+    "diagscale-length-1": {"n": 3, "rhs": {"op": "diagscale", "scale": [2.0], "child": {"op": "state"}}},
+    "diagscale-length-1-of-linear": {
+        "n": 3,
+        "rhs": {"op": "diagscale", "scale": [2.0], "child": {"op": "linear", "matrix": np.eye(3).tolist()}},
+    },
+}
+
+
 class TestExitCodes:
     def test_solve_converged_is_zero(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -140,6 +159,7 @@ class TestMalformedInput:
             {"n": float("inf"), "rhs": {"op": "state"}},
             {"n": float("inf"), "L": [[1.0]], "F": [1.0]},
             {"n": 2, "rhs": {"op": "hpower", "child": {"op": "state"}, "exponent": float("inf")}},
+            *BROADCAST.values(),
         ],
         ids=[
             "top-level-list",
@@ -157,16 +177,28 @@ class TestMalformedInput:
             "infinite-n-tree",
             "infinite-n-system",
             "infinite-exponent",
+            *BROADCAST,
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, doc):
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(doc))
-        assert main(["integrate", str(path), "--h", "0.1", "--steps", "2"]) == 1
+        assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["stability"], ["integrate", "--scan", "--h-lo", "0.01", "--h-hi", "0.3"]],
+        ids=["solve", "stability", "scan"],
+    )
+    @pytest.mark.parametrize("doc", BROADCAST.values(), ids=BROADCAST)
+    def test_unequal_operand_lengths_exit_one(self, tmp_path, capsys, command, doc):
+        # plain integrate runs these documents in test_exits_one_with_one_line
+        assert main([command[0], write_doc(tmp_path, doc), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad expression input: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "integrate"])
     @pytest.mark.parametrize(
@@ -285,6 +317,17 @@ class TestCheckJacobian:
         ) == 0
         assert read_json(str(out))["max_deviation"] < 1e-12
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--random-states", "0"], ["--random-states=-1"], ["--fd-step", "0"], ["--fd-step=-1e-6"],
+         ["--fd-step", "nan"], ["--fd-step", "inf"]],
+    )
+    def test_option_outside_domain_is_usage_error(self, capsys, args):
+        assert main(["check-jacobian", "circle-cubic", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {args[0].split('=')[0]} must be ")
+        assert err.count("\n") == 1
+
     def test_wrong_shape_jacobian_is_usage_error(self, tmp_path, capsys):
         jac_file = tmp_path / "J.json"
         jac_file.write_text("[[1.0]]")
@@ -360,6 +403,38 @@ class TestIntegrate:
         ) == 0
         d = read_json(str(out))
         assert d["blowup_threshold"] == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
+    def test_scan_horizon_outside_domain_is_usage_error(self, capsys, horizon):
+        argv = ["integrate", "burgers", "--n", "8", "--scan", "--h-lo", "0.01", "--h-hi", "0.3"]
+        assert main(argv + [f"--horizon={horizon}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon must be positive and finite, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bracket",
+        [["--h-lo", "0.01", "--h-hi", "inf"], ["--h-lo", "0", "--h-hi", "0.3"], ["--h-lo", "nan", "--h-hi", "0.3"]],
+        ids=["inf-hi", "zero-lo", "nan-lo"],
+    )
+    def test_scan_bracket_outside_domain_is_usage_error(self, capsys, bracket):
+        # an infinite h_hi bisects forever: every midpoint is inf
+        assert main(["integrate", "burgers", "--n", "8", "--scan", *bracket]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 < h_lo < h_hi < inf, got ")
+        assert err.count("\n") == 1
+
+    def test_domain_error_is_judged_at_the_start_state(self, tmp_path, capsys):
+        # sqrt of (-U0, U1): defined from U0 = (-1, 1), not from the default start (1, 1)
+        doc = {"n": 2, "rhs": {"op": "hpower", "exponent": 0.5,
+                               "child": {"op": "linear", "matrix": [[-1, 0], [0, 1]]}}}
+        out = tmp_path / "t.json"
+        argv = ["--out", str(out), "integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]
+        assert main(argv + ["--x0=-1,1"]) == 0
+        assert read_json(str(out))["status"] == "completed"
+        assert capsys.readouterr().err == ""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "numerical error: fractional power 0.5 of negative entry\n"
 
     def test_scan_without_bracket_is_usage_error(self, capsys):
         assert main(["integrate", "circle-cubic", "--scan"]) == 1

@@ -1,6 +1,6 @@
 """Property tests: the contraction path against the einsum reference, lowering,
-the triangular relaxation sweep against the row loop, and the invariants of the
-rank-one updates.
+the shape rule of expression trees, the triangular relaxation sweep against
+the row loop, and the invariants of the rank-one updates.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently zero or nonzero, so the path that skips an all-zero cubic is
@@ -9,9 +9,11 @@ quantity evaluated with absolute coefficients at |U|, which bounds the size of
 the terms whose rounding is compared.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +24,7 @@ from polyjac import (
     LinearMap,
     PolySystem,
     GuardTripError,
+    SemiDiscreteIVP,
     State,
     Sum,
     classic_inverse_update,
@@ -199,6 +202,57 @@ def test_product_lowering_keeps_every_term(n, degrees, seed):
 def test_degree_two_tree_lowers_to_zero_cubic(case):
     n, (tree, _) = case
     assert not np.any(lower_to_poly(tree, n).cubic)
+
+
+def _nodes(e):
+    """The tree's nodes, parents before children."""
+    kids = e.children if isinstance(e, (Sum, HadamardProduct)) else () if isinstance(e, State) else (e.child,)
+    return [e] + [x for k in kids for x in _nodes(k)]
+
+
+def _replace(e, target, new):
+    """The tree with node `target` (by identity) replaced by `new`."""
+    if e is target:
+        return new
+    if isinstance(e, Sum):
+        return Sum(children=tuple(_replace(c, target, new) for c in e.children), weights=e.weights)
+    if isinstance(e, HadamardProduct):
+        return HadamardProduct(*[_replace(c, target, new) for c in e.children])
+    if isinstance(e, State):
+        return e
+    return dataclasses.replace(e, child=_replace(e.child, target, new))
+
+
+def _spoiled(node, n):
+    """The node one entry too long, or with a child of another length than its siblings'.
+
+    Every Sum and product of a tree from `trees` has length n; a node of
+    another kind gets a new Sum parent holding that sibling.
+    """
+    if isinstance(node, LinearMap):
+        return LinearMap(np.vstack([node.A, node.A[:1]]), node.child)
+    if isinstance(node, DiagScale):
+        return DiagScale(np.append(node.c, 1.0), node.child)
+    sibling = LinearMap(np.ones((1 if n > 1 else 2, n)))  # length 1, the broadcasting case, unless n is 1
+    if isinstance(node, HadamardProduct):
+        return HadamardProduct(*node.children, sibling)
+    if isinstance(node, Sum):
+        return Sum(children=node.children + (sibling,), weights=node.weights + (1.0,))
+    return Sum(children=(node, sibling))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3))), st.data())
+def test_shape_rule_accepts_trees_and_rejects_one_spoiled_node(case, data):
+    n, (tree, _) = case
+    sd = SemiDiscreteIVP(n=n, rhs=tree)
+    assert h_eval(sd.rhs, np.ones(n)).shape == (n,)
+    shaped = [e for e in _nodes(tree) if isinstance(e, (LinearMap, DiagScale, Sum, HadamardProduct))]
+    node = data.draw(st.sampled_from(shaped or [tree]))
+    bad = _replace(tree, node, _spoiled(node, n))
+    with pytest.raises(ValueError):
+        SemiDiscreteIVP(n=n, rhs=bad)
+    with pytest.raises(ValueError):
+        lower_to_poly(bad, n)
 
 
 @st.composite
