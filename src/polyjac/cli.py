@@ -26,7 +26,7 @@ from .stability import (
     step_bound_explicit_euler,
     step_bound_rk4,
 )
-from .system import jacobian_deviation, load_system_json
+from .system import load_system_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,14 +145,15 @@ def _cmd_check_jacobian(args):
 
     rows = []
     for U in states:
-        J = system.jacobian(U)
+        st = system.at(U)
+        J = st.J
         J_fd = _central_difference_jacobian(system.eval, U, args.fd_step)
         scale = 1.0 + np.abs(J).max()
         fd_err = float(np.abs(J - J_fd).max() / scale)
-        r2, r3 = system.euler_residuals(U)
+        r2, r3 = st.euler_residuals()
         J_hat = J_hat_fixed if J_hat_fixed is not None else J_fd
         try:
-            dev = jacobian_deviation(system, U, J_hat)
+            dev = st.deviation(J_hat)
         except ValueError:
             dev = None
         rows.append(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .system import PolySystem, diverged
-from .expressions import SemiDiscreteIVP, h_eval, lower_to_poly
+from .expressions import SemiDiscreteIVP, h_eval
 
 __all__ = [
     "IVP",
@@ -131,15 +131,12 @@ class Trajectory:
 
 
 def _polynomial(source):
-    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered, or None if not polynomial."""
+    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered (once), or None if not polynomial."""
     if isinstance(source, PolySystem):
         return source
     if not isinstance(source, SemiDiscreteIVP):
         raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-    try:
-        return lower_to_poly(source.rhs, source.n)
-    except (ValueError, TypeError):
-        return None
+    return source.poly
 
 
 class IVP:
@@ -148,7 +145,8 @@ class IVP:
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
     the state-dependent matrix A(U), which implicit stepping requires; a
-    polynomial expression tree is lowered automatically.
+    polynomial expression tree is lowered automatically, once per tree, so
+    IVPs of one SemiDiscreteIVP share its PolySystem.
     """
 
     def __init__(self, source, U0):
@@ -195,7 +193,9 @@ def _step(ivp, method, U, h):
     eye = np.eye(ivp.n)
     try:
         if method == "semi_implicit_euler":
-            return U + h * np.linalg.solve(eye - h * ivp.poly.jacobian(U), ivp.rhs(U))
+            st = ivp.poly.at(U)
+            f = st.f if ivp.semidiscrete is None else ivp.rhs(U)
+            return U + h * np.linalg.solve(eye - h * st.J, f)
         # implicit Euler by Picard iteration: freeze A at the current guess, solve, repeat
         V = U
         rhs_vec = U + h * ivp.poly.const

@@ -12,8 +12,14 @@ the coefficients: M2 = quad . U (the (n^2, n) view times U) and
 M3 = cubic . U . U (the (n^2, n^2) view times vec(U U^T)).  With J2 = 2 M2 and
 J3 = 3 M3, the record's f, J(U) = L + 2 M2 + 3 M3, A(U) = L + M2 + M3 and
 fbar = J(U) U are computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.  An all-zero cubic (Burgers) is detected once at
-construction, never symmetrized and never contracted: M3 is zero.
+rest are one-liners over it.
+
+A nonlinear order is absent when the input gives None for it or an all-zero
+tensor (Burgers has no cubic, a linear system neither).  An absent order is
+never allocated, symmetrized or contracted: its M2 or M3 is a zero matrix, and
+its .quad or .cubic reads as a read-only zero-stride view of full shape, so a
+quadratic system costs no n^4 memory.  Present orders keep the arithmetic
+above unchanged.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
@@ -51,9 +57,19 @@ def _sym_last3(t):
     return sum(np.transpose(t, p) for p in perms) / 6.0
 
 
+def _order(t, shape, sym):
+    """A coefficient order as (stored tensor, present); absent (None or all zero) is a zero view."""
+    if t is None or not np.any(t):
+        return np.broadcast_to(0.0, shape), False
+    return sym(t), True
+
+
 @dataclass(frozen=True)
 class PolySystem:
-    """Cubic-capped polynomial system over R^n, immutable after construction."""
+    """Cubic-capped polynomial system over R^n, immutable after construction.
+
+    quad and cubic may be None for an absent order.
+    """
 
     L: np.ndarray
     quad: np.ndarray
@@ -63,42 +79,44 @@ class PolySystem:
     def __post_init__(self):
         # Copies, so freezing the stored arrays never freezes the caller's.
         L = np.array(self.L, dtype=float)
-        quad = np.asarray(self.quad, dtype=float)
-        cubic = np.asarray(self.cubic, dtype=float)
+        quad = None if self.quad is None else np.asarray(self.quad, dtype=float)
+        cubic = None if self.cubic is None else np.asarray(self.cubic, dtype=float)
         const = np.array(self.const, dtype=float).ravel()
         n = L.shape[0]
         if L.shape != (n, n):
             raise ValueError(f"L must be square, got {L.shape}")
-        if quad.shape != (n, n, n):
+        if quad is not None and quad.shape != (n, n, n):
             raise ValueError(f"quad must be ({n},{n},{n}), got {quad.shape}")
-        if cubic.shape != (n, n, n, n):
+        if cubic is not None and cubic.shape != (n, n, n, n):
             raise ValueError(f"cubic must be ({n},)*4, got {cubic.shape}")
         if const.shape != (n,):
             raise ValueError(f"const must have length {n}, got {const.shape}")
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
-            if not np.all(np.isfinite(arr)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        # An all-zero cubic (Burgers) is neither symmetrized nor contracted.
-        has_cubic = bool(np.any(cubic))
-        quad = _sym_last2(quad)
-        cubic = _sym_last3(cubic) if has_cubic else np.zeros((n, n, n, n))
+        quad, has_quad = _order(quad, (n, n, n), _sym_last2)
+        cubic, has_cubic = _order(cubic, (n, n, n, n), _sym_last3)
         for name, val in (("L", L), ("quad", quad), ("cubic", cubic), ("const", const)):
             object.__setattr__(self, name, val)
             val.setflags(write=False)
-        object.__setattr__(self, "_has_cubic", has_cubic)
+        object.__setattr__(self, "_present", (has_quad, has_cubic))
 
     @property
     def n(self):
         return self.L.shape[0]
 
     def at(self, U):
-        """The system at state U: checks U and contracts the coefficients once."""
+        """The system at state U: checks U and contracts each present order once."""
         U = np.asarray(U, dtype=float).ravel()
         n = self.n
         if U.shape != (n,):
             raise ValueError(f"state length {U.size} != system dimension {n}")
-        M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
-        if self._has_cubic:
+        has_quad, has_cubic = self._present
+        if has_quad:
+            M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
+        else:
+            M2 = np.zeros((n, n))
+        if has_cubic:
             M3 = (self.cubic.reshape(n * n, n * n) @ (U[:, None] * U).ravel()).reshape(n, n)
         else:
             M3 = np.zeros((n, n))
@@ -118,18 +136,8 @@ class PolySystem:
         return self.at(U).J
 
     def euler_residuals(self, U):
-        """Residuals of the homogeneous-function identity, per nonlinear order.
-
-        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf).  Vacuous:
-        with symmetric storage J2 = 2 M2 and J3 = 3 M3 by construction, so the
-        first is exactly 0 and the second a few ulps on every input.  The
-        independent Jacobian check is central differences, reported as
-        fd_max_rel_error by `polyjac check-jacobian`.
-        """
-        st = self.at(U)
-        r2 = np.linalg.norm(2.0 * (st.M2 @ st.U) - (2.0 * st.M2) @ st.U, np.inf)
-        r3 = np.linalg.norm(3.0 * (st.M3 @ st.U) - (3.0 * st.M3) @ st.U, np.inf)
-        return r2, r3
+        """Residuals of the homogeneous-function identity at U; see PolyState.euler_residuals."""
+        return self.at(U).euler_residuals()
 
     def linearized_matrix(self, U):
         """The state record at U; its A = L + M2 + M3 satisfies A U + F = eval(U)."""
@@ -165,6 +173,32 @@ class PolyState:
         """fbar(U) = J(U) U without forming J: L U + 2 M2 U + 3 M3 U."""
         return self.s.L @ self.U + 2.0 * (self.M2 @ self.U) + 3.0 * (self.M3 @ self.U)
 
+    def euler_residuals(self):
+        """Residuals of the homogeneous-function identity, per nonlinear order.
+
+        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf).  Vacuous:
+        with symmetric storage J2 = 2 M2 and J3 = 3 M3 by construction, so the
+        first is exactly 0 and the second a few ulps on every input.  The
+        independent Jacobian check is central differences, reported as
+        fd_max_rel_error by `polyjac check-jacobian`.
+        """
+        r2 = np.linalg.norm(2.0 * (self.M2 @ self.U) - (2.0 * self.M2) @ self.U, np.inf)
+        r3 = np.linalg.norm(3.0 * (self.M3 @ self.U) - (3.0 * self.M3) @ self.U, np.inf)
+        return r2, r3
+
+    def deviation(self, J_hat):
+        """Relative deviation ||fbar - J_hat U||_2 / ||fbar||_2 of an approximate Jacobian.
+
+        Uses the identity J(U) U = L U + 2 N2(U) + 3 N3(U) =: fbar(U), so it
+        needs no exact Jacobian.  Raises at states where fbar(U) = 0 (metric
+        undefined).
+        """
+        fbar = self.fbar
+        denom = np.linalg.norm(fbar)
+        if denom == 0.0:
+            raise ValueError("fbar(U) = 0: deviation undefined at this state")
+        return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float) @ self.U) / denom)
+
 
 def from_kronecker(K, G, R, F):
     """Build a PolySystem from flattened coefficient matrices.
@@ -194,18 +228,11 @@ def from_kronecker(K, G, R, F):
 
 
 def jacobian_deviation(s, U, J_hat):
-    """Relative deviation of an approximate Jacobian from the exact one.
+    """Relative deviation of an approximate Jacobian J_hat from the exact one at U.
 
-    Uses the identity J(U) U = L U + 2 N2(U) + 3 N3(U) =: fbar(U), so the
-    metric ||fbar(U) - J_hat U||_2 / ||fbar(U)||_2 needs no exact Jacobian.
-    Raises at states where fbar(U) = 0 (metric undefined).
+    See PolyState.deviation; raises where fbar(U) = 0.
     """
-    st = s.at(U)
-    fbar = st.fbar
-    denom = np.linalg.norm(fbar)
-    if denom == 0.0:
-        raise ValueError("fbar(U) = 0: deviation undefined at this state")
-    return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float) @ st.U) / denom)
+    return s.at(U).deviation(J_hat)
 
 
 def load_system_json(data):
@@ -215,7 +242,8 @@ def load_system_json(data):
     rejected.  Format: {"n": int, "L": [[...]], "quadratic": [[i, j, k,
     value], ...], "cubic": [[i, j, k, l, value], ...], "F": [...]} with
     0-based indices.  Coefficients are contributions of monomial U_j U_k
-    (resp. U_j U_k U_l) to equation i before symmetrization.
+    (resp. U_j U_k U_l) to equation i before symmetrization.  A missing or
+    empty "quadratic" or "cubic" field is an absent order.
     """
     if not isinstance(data, dict):
         raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
@@ -235,11 +263,13 @@ def load_system_json(data):
 
 
 def _read_coefficients(data, field, n, ndim):
-    """Sum the [i, j, ..., value] entries of `field` into a dense (n,)*ndim tensor."""
+    """Sum the [i, j, ..., value] entries of `field` into a dense (n,)*ndim tensor.
+
+    A missing or empty field is an absent order: None, and nothing allocated.
+    """
     entries = data.get(field, [])
-    out = np.zeros((n,) * ndim)
     if len(entries) == 0:
-        return out
+        return None
     try:
         table = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):
@@ -252,6 +282,7 @@ def _read_coefficients(data, field, n, ndim):
     outside = ~np.all((index > -1) & (index < n), axis=1)
     if outside.any():
         raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmax(outside))]!r}")
+    out = np.zeros((n,) * ndim)
     np.add.at(out, tuple(index.astype(np.intp).T), table[:, -1])
     return out
 

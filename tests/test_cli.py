@@ -289,6 +289,13 @@ class TestCheckJacobian:
             assert r["identity_residual_quadratic"] < 1e-10
             assert r["identity_residual_cubic"] < 1e-10
 
+    def test_one_contraction_per_checked_state(self, monkeypatch, capsys):
+        # one record per state for J, the identity residuals and the deviation,
+        # plus the 2n residual evaluations of the central differences
+        at = count_calls(monkeypatch, PolySystem, "at")
+        assert main(["check-jacobian", "circle-cubic", "--random-states", "3"]) == 0
+        assert len(at) == 3 * (1 + 2 * 2)
+
     def test_seeded_runs_bit_identical(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -3,8 +3,8 @@ the shape rule of expression trees, the triangular relaxation sweep against
 the row loop, and the invariants of the rank-one updates.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
-independently zero or nonzero, so the path that skips an all-zero cubic is
-covered.  Every comparison of two evaluations allows 1e-12 * (1 + scale), where scale is the same
+independently nonzero, given as an all-zero tensor, or absent (None), so the
+path that skips an absent order is covered.  Every comparison of two evaluations allows 1e-12 * (1 + scale), where scale is the same
 quantity evaluated with absolute coefficients at |U|, which bounds the size of
 the terms whose rounding is compared.
 """
@@ -43,15 +43,21 @@ TOL = 1e-12
 METHODS = ("eval", "nonlinear_parts", "jacobian", "linearized_matrix", "euler_residuals")
 
 
+ORDER_KINDS = ("random", "zeros", "absent")
+
+
 @st.composite
 def systems_and_states(draw):
+    """(system, state, raw coefficients); raw holds zeros where an order is absent."""
     n = draw(st.integers(1, 6))
-    has_quad, has_cubic = draw(st.booleans()), draw(st.booleans())
+    quad_kind, cubic_kind = draw(st.sampled_from(ORDER_KINDS)), draw(st.sampled_from(ORDER_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    quad = rng.standard_normal((n, n, n)) if has_quad else np.zeros((n, n, n))
-    cubic = rng.standard_normal((n, n, n, n)) if has_cubic else np.zeros((n, n, n, n))
+    quad = rng.standard_normal((n, n, n)) if quad_kind == "random" else np.zeros((n, n, n))
+    cubic = rng.standard_normal((n, n, n, n)) if cubic_kind == "random" else np.zeros((n, n, n, n))
     raw = SimpleNamespace(L=rng.standard_normal((n, n)), quad=quad, cubic=cubic, const=rng.standard_normal(n))
-    return PolySystem(**vars(raw)), rng.standard_normal(n), raw
+    given_quad = None if quad_kind == "absent" else quad
+    given_cubic = None if cubic_kind == "absent" else cubic
+    return PolySystem(raw.L, given_quad, given_cubic, raw.const), rng.standard_normal(n), raw
 
 
 def _abs_reference(s, U):
@@ -81,9 +87,25 @@ def test_contraction_matches_einsum_reference(case):
         assert _close(got, ref[key], scale[key]), key
 
 
+@given(systems_and_states(), st.sampled_from(("quad", "cubic", "both")))
+def test_absent_order_equals_explicit_zeros(case, absent):
+    # The same system with one order (or both) given as None and as zeros.
+    _, U, raw = case
+    names = ("quad", "cubic") if absent == "both" else (absent,)
+    without = PolySystem(**dict(vars(raw), **{k: None for k in names}))
+    zeros = PolySystem(**dict(vars(raw), **{k: np.zeros_like(getattr(raw, k)) for k in names}))
+    a, b = without.at(U), zeros.at(U)
+    for field in ("f", "J", "A", "fbar", "M2", "M3"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for k in ("quad", "cubic"):
+        ta, tb = getattr(without, k), getattr(zeros, k)
+        assert ta.shape == tb.shape == np.shape(getattr(raw, k)) and np.array_equal(ta, tb), k
+        assert not ta.flags.writeable and not tb.flags.writeable, k
+
+
 @given(systems_and_states())
 def test_residual_matches_unsymmetrized_input(case):
-    # Symmetrizing, or skipping an all-zero cubic, must not change f.
+    # Symmetrizing, or skipping an absent order, must not change f.
     s, U, raw = case
     assert _close(s.eval(U), reference_values(raw, U)["eval"], _abs_reference(s, U)["eval"])
 

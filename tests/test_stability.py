@@ -8,15 +8,17 @@ from polyjac import (
     PolySystem,
     burgers_discretize,
     burgers_step_bound,
+    h_eval,
     integrate,
     is_negative_definite,
     scan_blowup_threshold,
     step_bound_explicit_euler,
     step_bound_rk4,
 )
+from polyjac import stability
 from polyjac.presets import burgers_initial_state
 
-from conftest import random_poly_system
+from conftest import count_calls, random_poly_system
 
 
 def linear_system(A):
@@ -165,6 +167,18 @@ class TestIntegrate:
         traj = integrate(IVP(s, np.ones(2)), "semi_implicit_euler", 1.0, 50)
         assert traj.status == "completed"
         assert np.linalg.norm(traj.states[-1], np.inf) < 1e-6
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
+    def test_semi_implicit_contracts_once_per_step(self, monkeypatch, tree):
+        # J and, for a PolySystem source, the rhs come from one state record;
+        # a tree source keeps h_eval for its rhs
+        source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        ivp = IVP(source, 0.1 * burgers_initial_state(8))
+        at = count_calls(monkeypatch, PolySystem, "at")
+        calls = []
+        monkeypatch.setattr(stability, "h_eval", lambda e, U: calls.append(U) or h_eval(e, U))
+        assert integrate(ivp, "semi_implicit_euler", 1e-3, 5).status == "completed"
+        assert len(at) == 5 and len(calls) == (5 if tree else 0)
 
     def test_explicit_reports_attached(self):
         s = linear_system(-np.diag([1.0, 2.0, 4.0]))

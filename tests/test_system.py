@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, from_kronecker, jacobian_deviation, load_system_json
+from polyjac import PolySystem, burgers_discretize, from_kronecker, jacobian_deviation, load_system_json, lower_to_poly
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 from polyjac.system import diverged
 
@@ -80,6 +81,49 @@ class TestCallerArrays:
         assert K.flags.writeable and F.flags.writeable
         K[0, 0], F[0] = 5.0, 5.0
         assert s.L[0, 0] == 1.0 and s.const[0] == 1.0
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAbsentOrders:
+    def test_absent_orders_read_as_read_only_zeros(self):
+        s = PolySystem(np.eye(3), None, None, np.ones(3))
+        assert s.quad.shape == (3, 3, 3) and s.cubic.shape == (3, 3, 3, 3)
+        assert not np.any(s.quad) and not np.any(s.cubic)
+        assert not s.quad.flags.writeable and not s.cubic.flags.writeable
+        np.testing.assert_array_equal(s.eval(np.arange(3.0)), np.arange(3.0) + 1.0)
+
+    def test_state_matrices_stay_writable(self, rng):
+        st = PolySystem(np.eye(2), None, None, np.zeros(2)).at(rng.standard_normal(2))
+        for M in (st.A, st.J):
+            M[0, 0] = 7.0
+
+    def test_missing_and_empty_fields_are_absent(self):
+        doc = {"n": 2, "L": [[1.0, 0.0], [0.0, 1.0]], "quadratic": [], "F": [0.0, 1.0]}
+        s = load_system_json(doc)
+        # zero-stride views: nothing of size n^3 or n^4 is stored
+        assert s.quad.strides == (0,) * 3 and s.cubic.strides == (0,) * 4
+        assert s.quad.shape == (2, 2, 2) and s.cubic.shape == (2, 2, 2, 2)
+
+    # One dense 64^4 float tensor is 134 MB; an absent cubic must cost none of it.
+    @pytest.mark.parametrize("source", ["burgers-tree", "system-json"])
+    def test_no_n4_allocation_without_a_cubic(self, source):
+        n = 64
+        if source == "burgers-tree":
+            rhs = burgers_discretize(n, 100.0).rhs
+            build = lambda: lower_to_poly(rhs, n)  # noqa: E731
+        else:
+            doc = {"n": n, "L": np.eye(n).tolist(), "F": [0.0] * n,
+                   "quadratic": [[i, i, (i + 1) % n, 1.0] for i in range(n)]}
+            build = lambda: load_system_json(doc)  # noqa: E731
+        assert _peak_bytes(build) < 16e6
 
 
 class TestEval:
