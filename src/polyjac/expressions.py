@@ -15,14 +15,8 @@ and a weighted sum act on each order, and products and powers share one
 product of per-row polynomials truncated at degree 3, whose degree-d part
 sums the per-row outer products of the parts of degrees i and d - i.  An
 order still None at the root reaches PolySystem as None, an absent order, so
-a quadratic tree such as Burgers never allocates an n^4 cubic.
-
-A SemiDiscreteIVP lowers its tree at most once, on first use (see
-SemiDiscreteIVP.poly), and keeps the result.  That cache cannot go stale
-because every array of a tree is a private read-only copy: LinearMap.A,
-DiagScale.c and a SemiDiscreteIVP's difference matrices are copied at
-construction and frozen, so neither the caller's later writes nor a write
-through the tree can change what the tree evaluates to.
+a quadratic tree such as Burgers never allocates an n^4 cubic, and lowering
+it is cheap enough to repeat for each IVP built from the tree.
 """
 
 from dataclasses import dataclass, field
@@ -55,13 +49,6 @@ class HExpr:
     """Base class for expression-tree nodes."""
 
 
-def _frozen(a):
-    """A read-only float copy of a, so a tree never shares an array with its caller."""
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class State(HExpr):
     """The state vector U itself."""
@@ -75,7 +62,7 @@ class LinearMap(HExpr):
     child: HExpr = field(default_factory=State)
 
     def __post_init__(self):
-        A = _frozen(self.A)
+        A = np.asarray(self.A, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"linear map matrix must be 2-D, got shape {A.shape}")
         object.__setattr__(self, "A", A)
@@ -132,7 +119,7 @@ class DiagScale(HExpr):
     child: HExpr
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _frozen(np.ravel(self.c)))
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
 
 
 @dataclass(frozen=True)
@@ -262,9 +249,9 @@ class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
     Construction checks n >= 1 and applies the shape rule of _length, so
-    h_eval and h_jacobian need not; it does not lower the tree.  The optional
-    matrix fields are populated, as read-only copies, by discretizers whose
-    a-priori step-size bounds need them (see burgers_discretize).
+    h_eval and h_jacobian need not.  The optional matrix fields are populated
+    by discretizers whose a-priori step-size bounds need them (see
+    burgers_discretize).
     """
 
     n: int
@@ -277,17 +264,6 @@ class SemiDiscreteIVP:
         if self.n < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
         _check_length(self.rhs, self.n)
-        for name in ("first_diff", "second_diff"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    @functools.cached_property
-    def poly(self):
-        """The tree lowered to a PolySystem on first read, or None if it is not polynomial."""
-        try:
-            return lower_to_poly(self.rhs, self.n)
-        except (ValueError, TypeError):
-            return None
 
 
 def burgers_discretize(n, Re):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .system import PolySystem, diverged
-from .expressions import SemiDiscreteIVP, h_eval
+from .expressions import SemiDiscreteIVP, h_eval, lower_to_poly
 
 __all__ = [
     "IVP",
@@ -131,12 +131,15 @@ class Trajectory:
 
 
 def _polynomial(source):
-    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered (once), or None if not polynomial."""
+    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered, or None if not polynomial."""
     if isinstance(source, PolySystem):
         return source
     if not isinstance(source, SemiDiscreteIVP):
         raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-    return source.poly
+    try:
+        return lower_to_poly(source.rhs, source.n)
+    except (ValueError, TypeError):
+        return None
 
 
 class IVP:
@@ -145,8 +148,7 @@ class IVP:
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
     the state-dependent matrix A(U), which implicit stepping requires; a
-    polynomial expression tree is lowered automatically, once per tree, so
-    IVPs of one SemiDiscreteIVP share its PolySystem.
+    polynomial expression tree is lowered automatically.
     """
 
     def __init__(self, source, U0):
@@ -161,6 +163,12 @@ class IVP:
         if self.semidiscrete is not None:
             return h_eval(self.semidiscrete.rhs, U)
         return self.poly.eval(U)
+
+    def rhs_at(self, st):
+        """rhs at st.U, given st = self.poly.at(U): st.f, or h_eval for a tree source."""
+        if self.semidiscrete is not None:
+            return h_eval(self.semidiscrete.rhs, st.U)
+        return st.f
 
     def linear_form(self, U):
         if self.poly is None:
@@ -194,8 +202,7 @@ def _step(ivp, method, U, h):
     try:
         if method == "semi_implicit_euler":
             st = ivp.poly.at(U)
-            f = st.f if ivp.semidiscrete is None else ivp.rhs(U)
-            return U + h * np.linalg.solve(eye - h * st.J, f)
+            return U + h * np.linalg.solve(eye - h * st.J, ivp.rhs_at(st))
         # implicit Euler by Picard iteration: freeze A at the current guess, solve, repeat
         V = U
         rhs_vec = U + h * ivp.poly.const

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from polyjac import (
-    IVP,
     DiagScale,
     ElementwiseFunction,
     HadamardPower,
     HadamardProduct,
     LinearMap,
-    SemiDiscreteIVP,
     State,
     Sum,
     burgers_discretize,
@@ -20,7 +18,6 @@ from polyjac import (
     col_scale,
 )
 
-from polyjac import expressions
 from conftest import fd_jacobian
 
 
@@ -212,43 +209,6 @@ class TestLowering:
         )
         with pytest.raises(ValueError, match="degree"):
             lower_to_poly(quartic, 3)
-
-
-class TestLowerOnce:
-    @pytest.fixture
-    def lowered(self, monkeypatch):
-        """Log of lower_to_poly calls (their dimensions)."""
-        calls, orig = [], expressions.lower_to_poly
-        monkeypatch.setattr(expressions, "lower_to_poly", lambda e, n: calls.append(n) or orig(e, n))
-        return calls
-
-    def test_ivps_of_one_tree_share_one_lowering(self, lowered):
-        sd = burgers_discretize(8, 100.0)
-        assert lowered == []  # construction does not lower
-        a, b = IVP(sd, np.ones(8)), IVP(sd, np.zeros(8))
-        assert lowered == [8] and a.poly is b.poly is sd.poly
-
-    def test_non_polynomial_tree_tried_once(self, lowered):
-        sd = SemiDiscreteIVP(n=3, rhs=ElementwiseFunction("sin", State()))
-        assert IVP(sd, np.ones(3)).poly is None and IVP(sd, np.ones(3)).poly is None
-        assert lowered == [3]
-
-
-class TestTreeArraysAreCopies:
-    def test_caller_writes_do_not_reach_the_tree(self, rng):
-        A, c, U = rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(3)
-        sd = SemiDiscreteIVP(n=3, rhs=Sum((LinearMap(A), DiagScale(c, State()))))
-        f, L = h_eval(sd.rhs, U), sd.poly.L.copy()
-        A[:], c[:] = 1.0, 1.0
-        np.testing.assert_array_equal(h_eval(sd.rhs, U), f)
-        np.testing.assert_array_equal(sd.poly.L, L)
-
-    def test_writing_into_a_tree_array_raises(self, rng):
-        sd = burgers_discretize(8, 100.0)
-        scale = DiagScale(rng.standard_normal(3), State())
-        for arr in (sd.first_diff, sd.second_diff, sd.rhs.children[0].A, scale.c):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
 
 
 class TestJsonLoader:

@@ -1,9 +1,10 @@
 """Print one sha256 per benchmark workload and seed, over every output its jobs produce.
 
-    python3 tools/fingerprint.py [CHECKOUT] [--seeds 1 7]
+    python3 tools/fingerprint.py [CHECKOUT]
 
-Runs the jobs of ``perfbench/workloads.py`` on the polyjac sources of CHECKOUT
-(default: the checkout holding this file) and hashes what they return:
+Runs the jobs of every ``perfbench/workloads.py`` workload, on seeds 1 and 7,
+on the polyjac sources of CHECKOUT (default: the checkout holding this file)
+and hashes what they return:
 
 - burgers-march: the lowered L, quad, cubic and const, the start state, the
   bounds, and each trajectory's times, states, status and per-step reports;
@@ -36,6 +37,7 @@ from pathlib import Path
 
 # Jobs hashed per workload and seed; a workload's inputs depend on the count.
 JOBS = {"burgers-march": 24, "dense-solve": 48, "cli-batch": 24}
+SEEDS = (1, 7)
 
 
 def _feed(h, x):
@@ -107,9 +109,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent,
                         type=Path, help="polyjac checkout to run (default: this one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--workload", choices=sorted(RUNNERS), action="append",
-                        help="workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
 
     root = args.checkout.resolve()
@@ -119,8 +118,8 @@ def main(argv=None):
 
     if Path(polyjac.__file__).resolve().parent != root / "src" / "polyjac":
         sys.exit(f"fingerprint: imported polyjac from {polyjac.__file__}, not {root / 'src'}")
-    for name in args.workload or RUNNERS:
-        for seed in args.seeds:
+    for name in RUNNERS:
+        for seed in SEEDS:
             h = hashlib.sha256()
             RUNNERS[name](workloads.WORKLOADS[name](seed), h, JOBS[name])
             print(f"{name} seed={seed} jobs={JOBS[name]} {h.hexdigest()}")
