@@ -242,6 +242,10 @@ def _cmd_integrate(args):
 
     if args.h is None:
         raise CliError("--h is required unless --scan is given")
+    if not 0.0 < args.h < np.inf:
+        raise CliError(f"--h must be finite and positive, got {args.h}")
+    if args.steps < 0:
+        raise CliError(f"--steps must be at least 0, got {args.steps}")
     traj = integrate(ivp, method, args.h, args.steps, report=args.report)
     _emit(traj.to_json() if args.format == "json" else traj.to_csv(), args.out)
     if traj.status != "completed":

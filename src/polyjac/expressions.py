@@ -170,8 +170,30 @@ def _eval(e, U):
     if isinstance(e, DiagScale):
         return e.c * _eval(e.child, U)
     if isinstance(e, Sum):
-        return sum(w * _eval(c, U) for w, c in zip(e.weights, e.children))
+        return _weighted_sum(e, _eval, U)
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _weighted_sum(e, value, U):
+    """Sum e's weighted children value(c, U), a left fold from the first term.
+
+    A weight of 1 adds the child's value and -1 subtracts it; any other
+    weight multiplies it first.  Each entry has the bits of the plain sum of
+    w * v from 0, except that a -0.0 first term keeps its sign.  A lone child
+    of weight 1 is returned as is, so the result may be U itself.
+    """
+    out = None
+    for w, c in zip(e.weights, e.children):
+        v = value(c, U)
+        if out is None:
+            out = v if w == 1.0 else w * v
+        elif w == 1.0:
+            out = out + v
+        elif w == -1.0:
+            out = out - v
+        else:
+            out = out + w * v
+    return out
 
 
 def h_jacobian(e, U):
@@ -210,7 +232,7 @@ def _jac(e, U):
     if isinstance(e, DiagScale):
         return row_scale(_jac(e.child, U), e.c)
     if isinstance(e, Sum):
-        return sum(w * _jac(c, U) for w, c in zip(e.weights, e.children))
+        return _weighted_sum(e, _jac, U)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -31,13 +31,17 @@ __all__ = [
 METHODS = ("explicit_euler", "rk4", "implicit_euler", "semi_implicit_euler")
 RK4_REAL_AXIS = 2.785
 
-_NORM_ORD = {"l1": 1, "linf": np.inf}
+_NORM_AXIS = {"l1": 0, "linf": 1}
 
 
 def _matrix_norm(A, norm_kind):
-    if norm_kind not in _NORM_ORD:
+    """The induced l1 norm (largest column sum of |A|) or linf norm (largest row sum).
+
+    This is np.linalg.norm's own formula for ord 1 and inf, without its dispatch.
+    """
+    if norm_kind not in _NORM_AXIS:
         raise ValueError(f"norm_kind must be 'l1' or 'linf', got {norm_kind!r}")
-    return np.linalg.norm(A, _NORM_ORD[norm_kind])
+    return np.abs(A).sum(axis=_NORM_AXIS[norm_kind]).max()
 
 
 def _limit(c, nrm):
@@ -188,8 +192,11 @@ def _report(method, A):
     return StabilityReport(negdef_certificate=is_negative_definite(A)[0])
 
 
-def _step(ivp, method, U, h):
-    """The state one step of size h after U, or None when an implicit solve fails."""
+def _step(ivp, method, U, h, eye):
+    """The state one step of size h after U, or None when an implicit solve fails.
+
+    eye is the n x n identity, built once per integration.
+    """
     if method == "explicit_euler":
         return U + h * ivp.rhs(U)
     if method == "rk4":
@@ -198,7 +205,6 @@ def _step(ivp, method, U, h):
         k3 = ivp.rhs(U + 0.5 * h * k2)
         k4 = ivp.rhs(U + h * k3)
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    eye = np.eye(ivp.n)
     try:
         if method == "semi_implicit_euler":
             st = ivp.poly.at(U)
@@ -208,10 +214,11 @@ def _step(ivp, method, U, h):
         rhs_vec = U + h * ivp.poly.const
         for _ in range(PICARD_MAX_ITER):
             V_new = np.linalg.solve(eye - h * ivp.linear_form(V).A, rhs_vec)
-            if not np.all(np.isfinite(V_new)):
+            if not np.isfinite(V_new).all():
                 return None
-            tol = PICARD_TOL * (1.0 + np.linalg.norm(V_new, np.inf))
-            if np.linalg.norm(V_new - V, np.inf) <= tol:
+            # np.abs(x).max() is np.linalg.norm(x, inf) for a vector
+            tol = PICARD_TOL * (1.0 + np.abs(V_new).max())
+            if np.abs(V_new - V).max() <= tol:
                 return V_new
             V = V_new
     except np.linalg.LinAlgError:
@@ -220,7 +227,7 @@ def _step(ivp, method, U, h):
 
 
 def integrate(ivp, method, h, steps, report=False):
-    """Advance an IVP with a fixed step; returns a Trajectory.
+    """Advance an IVP with steps >= 0 fixed steps of size 0 < h < inf; returns a Trajectory.
 
     explicit_euler steps U + h rhs(U), which for polynomial structure equals
     the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
@@ -233,16 +240,21 @@ def integrate(ivp, method, h, steps, report=False):
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
         raise ValueError(f"{method} requires polynomial structure")
 
+    # every step returns a new array and reads U only, so each state is stored
+    # as made; the copy keeps the first one apart from ivp.U0
     U = ivp.U0.copy()
     t = 0.0
-    traj = Trajectory(times=[t], states=[U.copy()])
+    traj = Trajectory(times=[t], states=[U])
+    eye = np.eye(ivp.n)
     for k in range(steps):
-        U_next = _step(ivp, method, U, h)
+        U_next = _step(ivp, method, U, h, eye)
         if U_next is None:
             traj.status = "solver_failed"
             traj.failure_step = k
@@ -253,7 +265,7 @@ def integrate(ivp, method, h, steps, report=False):
         t += h
         U = U_next
         traj.times.append(t)
-        traj.states.append(U.copy())
+        traj.states.append(U)
         if diverged(U):
             traj.status = "diverged"
             traj.failure_step = k

@@ -443,6 +443,19 @@ class TestIntegrate:
         assert main(argv) == 2
         assert capsys.readouterr().err == "numerical error: fractional power 0.5 of negative entry\n"
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--h", "nan"], "--h must be finite and positive, got nan"),
+         (["--h", "inf"], "--h must be finite and positive, got inf"),
+         (["--h", "0"], "--h must be finite and positive, got 0.0"),
+         (["--h", "0.001", "--steps", "-1"], "--steps must be at least 0, got -1")],
+        ids=["nan-h", "inf-h", "zero-h", "negative-steps"],
+    )
+    def test_step_outside_domain_is_usage_error(self, capsys, option, message):
+        assert main(["integrate", "burgers", "--n", "8", *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_scan_without_bracket_is_usage_error(self, capsys):
         assert main(["integrate", "circle-cubic", "--scan"]) == 1
 

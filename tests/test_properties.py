@@ -1,6 +1,7 @@
 """Property tests: the contraction path against the einsum reference, lowering,
-the shape rule of expression trees, the triangular relaxation sweep against
-the row loop, and the invariants of the rank-one updates.
+the tree sum fold against the plain sum it replaces (bit for bit), the shape
+rule of expression trees, the triangular relaxation sweep against the row
+loop, and the invariants of the rank-one updates.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently nonzero, given as an all-zero tensor, or absent (None), so the
@@ -11,6 +12,7 @@ the terms whose rounding is compared.
 
 import dataclasses
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from polyjac import (
     Sum,
     classic_inverse_update,
     classic_update,
+    expressions,
     h_eval,
+    h_jacobian,
     jacobian_action,
     lower_to_poly,
     modified_inverse_update,
@@ -144,15 +148,18 @@ def test_nonlinear_sweep_matches_row_loop(case, method, omega):
 
 
 @st.composite
-def trees(draw, n, max_degree, depth=3):
-    """A polynomial expression tree over R^n of degree <= max_degree, with its degree."""
+def trees(draw, n, max_degree, depth=3, weights=None):
+    """A polynomial expression tree over R^n of degree <= max_degree, with its degree.
+
+    Sum weights are standard normal, or drawn from the strategy `weights`.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = ["state"] if depth == 0 else ["state", "linear", "diag", "rect", "sum", "product", "power"]
     kind = draw(st.sampled_from(kinds))
     if kind == "state":
         return State(), 1
     if kind in ("linear", "diag", "rect"):
-        child, deg = draw(trees(n, max_degree, depth - 1))
+        child, deg = draw(trees(n, max_degree, depth - 1, weights))
         if kind == "rect":
             # B (n x m) @ (A (m x n) @ child): lowering passes through m rows
             m = draw(st.integers(1, 6))
@@ -161,16 +168,19 @@ def trees(draw, n, max_degree, depth=3):
             return LinearMap(rng.standard_normal((n, n)), child), deg
         return DiagScale(rng.standard_normal(n), child), deg
     if kind == "sum":
-        parts = draw(st.lists(trees(n, max_degree, depth - 1), min_size=1, max_size=3))
-        weights = tuple(rng.standard_normal(len(parts)))
-        return Sum(children=tuple(t for t, _ in parts), weights=weights), max(d for _, d in parts)
+        parts = draw(st.lists(trees(n, max_degree, depth - 1, weights), min_size=1, max_size=3))
+        if weights is None:
+            w = tuple(rng.standard_normal(len(parts)))
+        else:
+            w = tuple(draw(st.lists(weights, min_size=len(parts), max_size=len(parts))))
+        return Sum(children=tuple(t for t, _ in parts), weights=w), max(d for _, d in parts)
     if kind == "product":
-        left, d1 = draw(trees(n, max_degree - 1, depth - 1)) if max_degree > 1 else (State(), 1)
+        left, d1 = draw(trees(n, max_degree - 1, depth - 1, weights)) if max_degree > 1 else (State(), 1)
         if d1 >= max_degree:
             return left, d1
-        right, d2 = draw(trees(n, max_degree - d1, depth - 1))
+        right, d2 = draw(trees(n, max_degree - d1, depth - 1, weights))
         return HadamardProduct(left, right), d1 + d2
-    child, deg = draw(trees(n, max_degree, depth - 1))
+    child, deg = draw(trees(n, max_degree, depth - 1, weights))
     q = draw(st.integers(0, max_degree // deg if deg else 3))
     return HadamardPower(child, float(q)), deg * q
 
@@ -196,6 +206,32 @@ def test_lowering_matches_tree_evaluation(case):
     for U in np.random.default_rng(seed).standard_normal((3, n)):
         scale = np.linalg.norm(h_eval(_abs_tree(tree), np.abs(U)), np.inf)
         assert _close(s.eval(U), h_eval(tree, U), scale)
+
+
+fold_weights = st.sampled_from([1.0, -1.0, 0.0, 0.5, -2.5])
+
+
+def _reference_fold(e, value, U):
+    """The sum fold that expressions._weighted_sum replaces: int 0 plus each w * v."""
+    return sum(w * value(c, U) for w, c in zip(e.weights, e.children))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(trees(n, 3, weights=fold_weights), min_size=1, max_size=4))
+    ),
+    st.lists(fold_weights, min_size=4, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_sum_fold_matches_reference_fold(case, root_weights, seed):
+    # a root Sum over drawn trees, so that first terms of every weight occur, State() among them
+    n, parts = case
+    tree = Sum(children=tuple(t for t, _ in parts), weights=root_weights[: len(parts)])
+    for U in np.random.default_rng(seed).standard_normal((3, n)):
+        f, J = h_eval(tree, U), h_jacobian(tree, U)
+        with mock.patch.object(expressions, "_weighted_sum", _reference_fold):
+            assert np.array_equal(f, h_eval(tree, U))
+            assert np.array_equal(J, h_jacobian(tree, U))
 
 
 def _every_order(rng, n, degree):

@@ -6,6 +6,8 @@ import pytest
 from polyjac import (
     IVP,
     PolySystem,
+    SemiDiscreteIVP,
+    State,
     burgers_discretize,
     burgers_step_bound,
     h_eval,
@@ -56,6 +58,22 @@ class TestExplicitBounds:
     def test_bad_norm_kind(self):
         with pytest.raises(ValueError, match="norm_kind"):
             step_bound_explicit_euler(np.eye(2), "l2")
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "nan"])
+    def test_bounds_equal_numpy_norm_bits(self, rng, kind):
+        # the bounds divide by the column/row-sum formula that np.linalg.norm uses for ord 1 and inf
+        for n in range(1, 7):
+            for _ in range(5):
+                A = rng.standard_normal((n, n)) if kind == "random" else np.zeros((n, n))
+                if kind == "nan":
+                    A[rng.integers(n), rng.integers(n)] = np.nan
+                for norm_kind, ord_ in (("l1", 1), ("linf", np.inf)):
+                    with np.errstate(divide="ignore"):
+                        want = [2.0 / np.linalg.norm(A, ord_), 2.785 / np.linalg.norm(A, ord_)]
+                    got = [step_bound_explicit_euler(A, norm_kind), step_bound_rk4(A, norm_kind)]
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+                    if kind == "zero":
+                        assert got == [math.inf, math.inf]
 
 
 class TestBurgersBound:
@@ -198,6 +216,38 @@ class TestIntegrate:
         s = linear_system(-np.eye(2))
         with pytest.raises(ValueError, match="method"):
             integrate(IVP(s, np.ones(2)), "leapfrog", 0.1, 5)
+
+    @pytest.mark.parametrize(
+        "h, steps, match",
+        [(math.nan, 5, "step h"), (math.inf, 5, "step h"), (0.0, 5, "step h"), (-0.1, 5, "step h"),
+         (0.1, -1, "steps")],
+        ids=["nan-h", "inf-h", "zero-h", "negative-h", "negative-steps"],
+    )
+    def test_out_of_domain_step_is_rejected(self, h, steps, match):
+        s = linear_system(-np.eye(2))
+        with pytest.raises(ValueError, match=match):
+            integrate(IVP(s, np.ones(2)), "explicit_euler", h, steps)
+
+    def test_zero_steps_keeps_the_start_state(self):
+        traj = integrate(IVP(linear_system(-np.eye(2)), np.ones(2)), "rk4", 0.1, 0)
+        assert traj.status == "completed" and traj.times == [0.0]
+        assert np.array_equal(traj.states[0], np.ones(2))
+
+    @pytest.mark.parametrize("method", stability.METHODS)
+    @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "state-tree"])
+    def test_each_state_is_its_own_array(self, method, tree):
+        # with rhs = State() alone, h_eval returns the very array it is given
+        source = SemiDiscreteIVP(n=3, rhs=State()) if tree else linear_system(-np.diag([1.0, 2.0, 4.0]))
+        ivp = IVP(source, np.ones(3))
+        U0 = ivp.U0.copy()
+        traj = integrate(ivp, method, 0.1, 4)
+        assert traj.status == "completed" and len(traj.states) == 5
+        for k in range(len(traj.states)):
+            before = [s.copy() for s in traj.states]
+            traj.states[k] += 1.0
+            assert np.array_equal(ivp.U0, U0)
+            for j, (s, b) in enumerate(zip(traj.states, before)):
+                assert np.array_equal(s, b) == (j != k)
 
     def test_csv_export_shape(self):
         s = linear_system(-np.eye(2))
