@@ -7,6 +7,7 @@ out-of-memory error, 2 numerical failure (non-convergence, divergence, singular 
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -71,6 +72,8 @@ def _parse_state(text, n):
         raise CliError(f"bad state {text!r}: {exc}") from exc
     if len(vals) != n:
         raise CliError(f"state has {len(vals)} entries, system dimension is {n}")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"bad state {text!r}: entries must be finite")
     return np.array(vals)
 
 
@@ -106,14 +109,17 @@ def _cmd_solve(args):
     n = system.n
     U0 = _parse_state(args.x0, n) if args.x0 else np.ones(n)
     method = args.method.replace("-", "_")
-    if method in ("newton", "classic_rank1", "modified_rank1"):
-        opts = QNOptions(variant=method, tol=args.tol, max_iter=args.max_iter)
-        trace = qn_solve(system, U0, opts)
-    else:
-        opts = IterativeOptions(
-            method=method, omega=args.omega, tol=args.tol, max_iter=args.max_iter
-        )
-        trace = iterative_solve(system, U0, opts)
+    quasi_newton = method in ("newton", "classic_rank1", "modified_rank1")
+    try:
+        if quasi_newton:
+            opts = QNOptions(variant=method, tol=args.tol, max_iter=args.max_iter)
+        else:
+            opts = IterativeOptions(
+                method=method, omega=args.omega, tol=args.tol, max_iter=args.max_iter
+            )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    trace = (qn_solve if quasi_newton else iterative_solve)(system, U0, opts)
     _emit(trace.to_csv() if args.format == "csv" else trace.to_json(), args.out)
     return EXIT_OK if trace.status == "converged" else EXIT_NUMERICAL
 

@@ -148,8 +148,9 @@ def h_eval(e, U):
 
 
 def _eval(e, U):
-    if isinstance(e, State):
-        return U
+    # the Burgers tree's own node types first: a Sum root fails no test
+    if isinstance(e, Sum):
+        return _weighted_sum(e, _eval, U)
     if isinstance(e, LinearMap):
         return e.A @ _eval(e.child, U)
     if isinstance(e, HadamardProduct):
@@ -157,6 +158,8 @@ def _eval(e, U):
         for c in e.children[1:]:
             out = out * _eval(c, U)
         return out
+    if isinstance(e, State):
+        return U
     if isinstance(e, HadamardPower):
         v = _eval(e.child, U)
         q = e.q
@@ -169,8 +172,6 @@ def _eval(e, U):
         return _FUNCS[e.name][0](_eval(e.child, U))
     if isinstance(e, DiagScale):
         return e.c * _eval(e.child, U)
-    if isinstance(e, Sum):
-        return _weighted_sum(e, _eval, U)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -204,8 +205,8 @@ def h_jacobian(e, U):
 
 def _jac(e, U):
     n = U.size
-    if isinstance(e, State):
-        return np.eye(n)
+    if isinstance(e, Sum):
+        return _weighted_sum(e, _jac, U)
     if isinstance(e, LinearMap):
         return e.A @ _jac(e.child, U)
     if isinstance(e, HadamardProduct):
@@ -219,6 +220,8 @@ def _jac(e, U):
                     others = others * v
             total += row_scale(jacs[i], others)
         return total
+    if isinstance(e, State):
+        return np.eye(n)
     if isinstance(e, HadamardPower):
         v = _eval(e.child, U)
         q = e.q
@@ -231,8 +234,6 @@ def _jac(e, U):
         return row_scale(_jac(e.child, U), _FUNCS[e.name][1](v))
     if isinstance(e, DiagScale):
         return row_scale(_jac(e.child, U), e.c)
-    if isinstance(e, Sum):
-        return _weighted_sum(e, _jac, U)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -11,6 +11,7 @@ to the step.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -60,18 +61,73 @@ class QNOptions:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
 
 
-def _guard(q):
-    """Smallest usable rank-one denominator for step q: 1e-12 (1 + ||q||^2)."""
-    return 1e-12 * (1.0 + float(q @ q))
+def _guard(qq):
+    """Smallest usable rank-one denominator for a step q with q^T q = qq: 1e-12 (1 + qq)."""
+    return 1e-12 * (1.0 + qq)
+
+
+def _vector(x):
+    return np.asarray(x, dtype=float).ravel()
+
+
+def _outer(a, b):
+    """np.outer(a, b) of two 1-D float arrays, without its ravel and dispatch."""
+    return a[:, None] * b
 
 
 def jacobian_action(s, U):
     """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
     return s.at(U).fbar
+
+
+# The update kernels below take trusted 1-D float arrays and qq = q^T q; the
+# public functions after them convert their arguments and call them, and
+# _rank_one_update calls them directly, sharing q, qq and r between J and J^-1.
+
+
+def _classic(J_prev, q, delta_f, qq):
+    if qq <= _guard(qq):
+        raise GuardTripError("q^T q", qq)
+    return J_prev - _outer(J_prev @ q - delta_f, q) / qq
+
+
+def _classic_inverse(Jinv_prev, q, delta_f, qq):
+    z = Jinv_prev @ delta_f
+    denom = float(q @ z)
+    if abs(denom) <= _guard(qq):
+        raise GuardTripError("q^T (Jinv delta_f)", denom)
+    return Jinv_prev - _outer(z - q, q @ Jinv_prev) / denom
+
+
+def _modified_correction(J_prev, U_prev, q, y, qq):
+    """The rank-one correction vector r with J = J_prev + r q^T."""
+    g = _guard(qq)
+    if qq <= g:
+        raise GuardTripError("q^T q", qq)
+    t = float(q @ U_prev)
+    if abs(qq + t) <= g:
+        raise GuardTripError("q^T q + q^T U_prev", qq + t)
+    JU = J_prev @ U_prev
+    w = J_prev @ q - JU - y
+    return -JU / (qq + t) - w / qq + w * (t / ((qq + t) * qq))
+
+
+def _modified(J_prev, q, r):
+    return J_prev + _outer(r, q)
+
+
+def _modified_inverse(Jinv_prev, q, r, qq):
+    z = Jinv_prev @ r
+    denom = 1.0 + float(q @ z)
+    if abs(denom) <= _guard(qq):
+        raise GuardTripError("1 + q^T (Jinv r)", denom)
+    return Jinv_prev - _outer(z, q @ Jinv_prev) / denom
 
 
 def classic_update(J_prev, q, delta_f):
@@ -80,40 +136,22 @@ def classic_update(J_prev, q, delta_f):
     The result satisfies J q = delta_f exactly and leaves the action on any
     direction orthogonal to q unchanged.
     """
-    J_prev = np.asarray(J_prev, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    delta_f = np.asarray(delta_f, dtype=float).ravel()
-    s = float(q @ q)
-    if s <= _guard(q):
-        raise GuardTripError("q^T q", s)
-    return J_prev - np.outer(J_prev @ q - delta_f, q) / s
+    q = _vector(q)
+    return _classic(np.asarray(J_prev, dtype=float), q, _vector(delta_f), float(q @ q))
 
 
 def classic_inverse_update(Jinv_prev, q, delta_f):
     """Sherman-Morrison counterpart of classic_update on the inverse."""
-    Jinv_prev = np.asarray(Jinv_prev, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    delta_f = np.asarray(delta_f, dtype=float).ravel()
-    z = Jinv_prev @ delta_f
-    denom = float(q @ z)
-    if abs(denom) <= _guard(q):
-        raise GuardTripError("q^T (Jinv delta_f)", denom)
-    return Jinv_prev - np.outer(z - q, q @ Jinv_prev) / denom
+    q = _vector(q)
+    return _classic_inverse(np.asarray(Jinv_prev, dtype=float), q, _vector(delta_f), float(q @ q))
 
 
-def _modified_correction(J_prev, U_prev, q, y):
-    """The rank-one correction vector r with J = J_prev + r q^T."""
-    s = float(q @ q)
-    g = _guard(q)
-    if s <= g:
-        raise GuardTripError("q^T q", s)
-    t = float(q @ U_prev)
-    if abs(s + t) <= g:
-        raise GuardTripError("q^T q + q^T U_prev", s + t)
-    JU = J_prev @ U_prev
-    w = J_prev @ q - JU - y
-    r = -JU / (s + t) - w / s + w * (t / ((s + t) * s))
-    return r
+def _modified_step(J_prev, U_prev, U_cur, y):
+    """(J_prev, q, q^T q, r) of a modified update, from its public arguments."""
+    J_prev, U_prev = np.asarray(J_prev, dtype=float), _vector(U_prev)
+    q = _vector(U_cur) - U_prev
+    qq = float(q @ q)
+    return J_prev, q, qq, _modified_correction(J_prev, U_prev, q, _vector(y), qq)
 
 
 def modified_update(J_prev, U_prev, U_cur, y):
@@ -123,46 +161,37 @@ def modified_update(J_prev, U_prev, U_cur, y):
     Resolved in closed form via Sherman-Morrison on the implicit equation, so
     no linear solve is needed.
     """
-    J_prev = np.asarray(J_prev, dtype=float)
-    U_prev = np.asarray(U_prev, dtype=float).ravel()
-    U_cur = np.asarray(U_cur, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    q = U_cur - U_prev
-    r = _modified_correction(J_prev, U_prev, q, y)
-    return J_prev + np.outer(r, q)
+    J_prev, q, _, r = _modified_step(J_prev, U_prev, U_cur, y)
+    return _modified(J_prev, q, r)
 
 
 def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
     """Sherman-Morrison inverse of modified_update's result."""
-    Jinv_prev = np.asarray(Jinv_prev, dtype=float)
-    J_prev = np.asarray(J_prev, dtype=float)
-    U_prev = np.asarray(U_prev, dtype=float).ravel()
-    U_cur = np.asarray(U_cur, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    q = U_cur - U_prev
-    r = _modified_correction(J_prev, U_prev, q, y)
-    z = Jinv_prev @ r
-    denom = 1.0 + float(q @ z)
-    if abs(denom) <= _guard(q):
-        raise GuardTripError("1 + q^T (Jinv r)", denom)
-    return Jinv_prev - np.outer(z, q @ Jinv_prev) / denom
+    _, q, qq, r = _modified_step(J_prev, U_prev, U_cur, y)
+    return _modified_inverse(np.asarray(Jinv_prev, dtype=float), q, r, qq)
 
 
-def _rank_one_update(J, J_inv, U, U_new, y, modified):
+def _pairing(Jinv, J, eye):
+    """||Jinv J - I||_inf by np.linalg.norm's own formula, without its dispatch."""
+    return float(np.abs(Jinv @ J - eye).sum(axis=1).max())
+
+
+def _rank_one_update(J, J_inv, U, U_new, y, modified, eye):
     """Both halves of one rank-one update, checked against each other.
 
     y is fbar(U_new) - fbar(U) for the modified variant and
-    f(U_new) - f(U) for the classic one.
+    f(U_new) - f(U) for the classic one; eye is the identity of U's size.
+    The step q, q^T q and the modified correction r are computed once.
     """
+    q = U_new - U
+    qq = float(q @ q)
     if modified:
-        J_new = modified_update(J, U, U_new, y)
-        Jinv_new = modified_inverse_update(J_inv, J, U, U_new, y)
+        r = _modified_correction(J, U, q, y, qq)
+        J_new, Jinv_new = _modified(J, q, r), _modified_inverse(J_inv, q, r, qq)
     else:
-        q = U_new - U
-        J_new = classic_update(J, q, y)
-        Jinv_new = classic_inverse_update(J_inv, q, y)
-    pairing = np.linalg.norm(Jinv_new @ J_new - np.eye(U.size), np.inf)
-    if not np.isfinite(pairing) or pairing > PAIRING_TOL:
+        J_new, Jinv_new = _classic(J, q, y, qq), _classic_inverse(J_inv, q, y, qq)
+    pairing = _pairing(Jinv_new, J_new, eye)
+    if not math.isfinite(pairing) or pairing > PAIRING_TOL:
         raise GuardTripError("inverse pairing", pairing)
     return J_new, Jinv_new
 
@@ -189,6 +218,7 @@ def qn_solve(s, U0, opts=None):
     f, J, J_inv = st.f, st.J, None
     fbar = st.fbar if modified else None
     res = trace.record(U, f, J)
+    eye = None if newton else np.eye(U.size)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
@@ -210,13 +240,13 @@ def qn_solve(s, U0, opts=None):
             fbar_new = st.fbar if modified else None
             y = fbar_new - fbar if modified else f_new - f
             try:
-                J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified)
+                J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified, eye)
             except GuardTripError:
                 J, J_inv = st.J, None
             fbar = fbar_new
         U, f = U_new, f_new
         res = trace.record(U, f, J)
-        if not np.isfinite(res) or diverged(U):
+        if not math.isfinite(res) or diverged(U):
             return trace.end("diverged", k)
     return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")
 

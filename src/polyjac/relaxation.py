@@ -7,6 +7,8 @@ and SOR are one lower-triangular solve (D + omega L) U_new = omega (b - U_up U)
 + (1 - omega) D U, with L and U_up the strict lower and upper parts of a."""
 
 from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 
@@ -34,12 +36,18 @@ class IterativeOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.omega <= 2.0:
-            raise ValueError(f"omega must lie in (0, 2], got {self.omega}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_sweep(self.method, self.omega)
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+
+
+def _check_sweep(method, omega):
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if not 0.0 < omega <= 2.0:
+        raise ValueError(f"omega must lie in (0, 2], got {omega}")
 
 
 class SingularPivotError(ValueError):
@@ -81,18 +89,28 @@ def _pivot(a, b):
     return perm
 
 
+@functools.cache
+def _strict_lower(n):
+    """Read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _sweep(st, method, omega):
     """One sweep of A(U) U = -F from the state record st; returns (U_new, permutation)."""
     a, b, U = st.A, -st.s.const, st.U  # a and b are fresh arrays, changed in place
     perm = _pivot(a, b)
-    d = np.diagonal(a).copy()
-    np.fill_diagonal(a, 0.0)
+    n = U.size
+    d = a.diagonal().copy()
+    a.flat[:: n + 1] = 0.0
     if method == "jacobi":
         return (b - a @ U) / d, perm
     w = 1.0 if method == "gauss_seidel" else omega
-    up = np.triu(a, 1)
+    up = np.where(_strict_lower(n), 0.0, a)  # the strict upper part: a's diagonal is zero
     rhs = w * (b - up @ U) + (1.0 - w) * d * U
-    m = (a - up) * w + np.diag(d)
+    m = (a - up) * w + 0.0  # the + 0.0 of D + omega L: a -0.0 off the diagonal becomes +0.0
+    m.flat[:: n + 1] += d
     try:  # reversed, m is upper triangular: LAPACK swaps no rows and back-substitutes
         return np.linalg.solve(m[::-1, ::-1], rhs[::-1])[::-1], perm
     except np.linalg.LinAlgError:
@@ -104,10 +122,10 @@ def sweep_once(s, U, method="gauss_seidel", omega=1.0):
 
     Equations whose diagonal entry of A(U) is at or below PIVOT_TOL are
     row-interchanged first; the permutation lists the row order used.
-    Raises SingularPivotError if no interchange fixes a diagonal.
+    Raises SingularPivotError if no interchange fixes a diagonal, and
+    ValueError for a method outside METHODS or an omega outside (0, 2].
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_sweep(method, omega)
     return _sweep(s.at(U), method, omega)
 
 
@@ -127,6 +145,6 @@ def iterative_solve(s, U0, opts=None):
             return trace.end("singular_pivot", exc.row)
         st = s.at(U)
         res = trace.record(U, st.f)
-        if not np.isfinite(res) or diverged(U):
+        if not math.isfinite(res) or diverged(U):
             return trace.end("diverged", k)
     return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")

@@ -63,6 +63,26 @@ class TestExitCodes:
     def test_bad_state_length_is_one(self, capsys):
         assert main(["solve", "circle-cubic", "--x0", "1.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["solve", "circle-cubic", "--tol", "0"], "tol must be positive, got 0.0"),
+         (["solve", "circle-cubic", "--tol", "nan"], "tol must be positive, got nan"),
+         (["solve", "circle-cubic", "--max-iter=-1"], "max_iter must be at least 0, got -1"),
+         (["solve", "circle-cubic", "--method", "sor", "--omega", "3"],
+          "omega must lie in (0, 2], got 3.0"),
+         (["solve", "circle-cubic", "--x0", "nan,1"], "bad state 'nan,1': entries must be finite"),
+         (["stability", "circle-cubic", "--state", "inf,1"],
+          "bad state 'inf,1': entries must be finite"),
+         (["check-jacobian", "circle-cubic", "--state", "nan,1"],
+          "bad state 'nan,1': entries must be finite")],
+        ids=["zero-tol", "nan-tol", "negative-max-iter", "omega-3", "nan-x0", "inf-state",
+             "nan-checked-state"],
+    )
+    def test_option_outside_domain_is_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_numerical_failure_is_two(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code = main(

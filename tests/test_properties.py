@@ -1,7 +1,9 @@
 """Property tests: the contraction path against the einsum reference, lowering,
 the tree sum fold against the plain sum it replaces (bit for bit), the shape
 rule of expression trees, the triangular relaxation sweep against the row
-loop, and the invariants of the rank-one updates.
+loop, and the invariants of the rank-one updates.  The solvers' fast paths
+(the shared rank-one kernels, the pairing norm and the masked sweep) must
+match, bit for bit, the code they replaced.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently nonzero, given as an all-zero tensor, or absent (None), so the
@@ -40,6 +42,8 @@ from polyjac import (
     modified_update,
     sweep_once,
 )
+from polyjac.quasi_newton import PAIRING_TOL, _pairing, _rank_one_update
+from polyjac.relaxation import SingularPivotError, _pivot, _sweep
 
 from conftest import reference_linear_sweep, reference_values
 
@@ -371,3 +375,180 @@ def test_inverse_update_pairs_with_forward_update(case, modified):
     J_new, Jinv_new = _update(J, q, y, U_prev, modified)
     cond = np.linalg.norm(J_new, np.inf) * np.linalg.norm(Jinv_new, np.inf)
     assert np.linalg.norm(Jinv_new @ J_new - np.eye(q.size), np.inf) <= 1e-8 * cond
+
+
+def _same_bits(got, want):
+    """Bit-for-bit equality: np.array_equal on the int64 views, so -0.0 != 0.0 and NaN == NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _public_rank_one_update(J, J_inv, U, U_new, y, modified):
+    """The update as the public function pair computes it, checked by np.linalg.norm."""
+    if modified:
+        J_new = modified_update(J, U, U_new, y)
+        Jinv_new = modified_inverse_update(J_inv, J, U, U_new, y)
+    else:
+        q = U_new - U
+        J_new, Jinv_new = classic_update(J, q, y), classic_inverse_update(J_inv, q, y)
+    pairing = np.linalg.norm(Jinv_new @ J_new - np.eye(U.size), np.inf)
+    if not np.isfinite(pairing) or pairing > PAIRING_TOL:
+        raise GuardTripError("inverse pairing", pairing)
+    return J_new, Jinv_new
+
+
+def _outcome(update, *args):
+    try:
+        return update(*args)
+    except GuardTripError as exc:
+        return exc.name
+
+
+@given(update_cases(), st.booleans(), st.booleans())
+def test_rank_one_kernels_match_public_pair(case, modified, exact_inverse):
+    # the same matrices, or the same tripped guard, as the public functions give
+    J, q, y, U, _ = case
+    J_inv = np.linalg.inv(J) if exact_inverse else np.linalg.inv(J + 0.1 * np.outer(q, y))
+    U_new = U + q
+    want = _outcome(_public_rank_one_update, J, J_inv, U, U_new, y, modified)
+    got = _outcome(_rank_one_update, J, J_inv, U, U_new, y, modified, np.eye(U.size))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@given(st.integers(1, 6).flatmap(lambda n: arrays(float, (2, n, n), elements=st.floats(width=64))))
+def test_pairing_norm_matches_linalg_norm(pair):
+    Jinv, J = pair
+    eye = np.eye(J.shape[0])
+    with np.errstate(all="ignore"):
+        assert _same_bits(_pairing(Jinv, J, eye), np.linalg.norm(Jinv @ J - eye, np.inf))
+
+
+def _guarded(name, value, g):
+    if abs(value) <= g:
+        raise GuardTripError(name, value)
+
+
+def _formula_updates(J, J_inv, U, U_new, y):
+    """The four updates written out with their guards, one expression each, as before the kernels.
+
+    Returns {name of the public function: result or the name of its tripped guard}.
+    """
+    q = U_new - U
+    s = float(q @ q)
+    g = 1e-12 * (1.0 + float(q @ q))
+
+    def classic():
+        _guarded("q^T q", s, g)
+        return J - np.outer(J @ q - y, q) / s
+
+    def classic_inverse():
+        z = J_inv @ y
+        denom = float(q @ z)
+        _guarded("q^T (Jinv delta_f)", denom, g)
+        return J_inv - np.outer(z - q, q @ J_inv) / denom
+
+    def correction():
+        _guarded("q^T q", s, g)
+        t = float(q @ U)
+        _guarded("q^T q + q^T U_prev", s + t, g)
+        JU = J @ U
+        w = J @ q - JU - y
+        return -JU / (s + t) - w / s + w * (t / ((s + t) * s))
+
+    def modified():
+        return J + np.outer(correction(), q)
+
+    def modified_inverse():
+        z = J_inv @ correction()
+        denom = 1.0 + float(q @ z)
+        _guarded("1 + q^T (Jinv r)", denom, g)
+        return J_inv - np.outer(z, q @ J_inv) / denom
+
+    return {f.__name__: _outcome(f) for f in (classic, classic_inverse, modified, modified_inverse)}
+
+
+@given(update_cases())
+def test_public_updates_match_written_out_formulas(case):
+    J, q, y, U, _ = case
+    J_inv, U_new = np.linalg.inv(J), U + q
+    q = U_new - U
+    got = {
+        "classic": _outcome(classic_update, J, q, y),
+        "classic_inverse": _outcome(classic_inverse_update, J_inv, q, y),
+        "modified": _outcome(modified_update, J, U, U_new, y),
+        "modified_inverse": _outcome(modified_inverse_update, J_inv, J, U, U_new, y),
+    }
+    for name, want in _formula_updates(J, J_inv, U, U_new, y).items():
+        assert isinstance(got[name], str) == isinstance(want, str), name
+        assert got[name] == want if isinstance(want, str) else _same_bits(got[name], want), name
+
+
+def _triu_sweep(st, method, omega):
+    """The sweep as np.fill_diagonal, np.triu and np.diag built it: the reference for _sweep."""
+    a, b, U = st.A, -st.s.const, st.U
+    perm = _pivot(a, b)
+    d = np.diagonal(a).copy()
+    np.fill_diagonal(a, 0.0)
+    if method == "jacobi":
+        return (b - a @ U) / d, perm
+    w = 1.0 if method == "gauss_seidel" else omega
+    up = np.triu(a, 1)
+    rhs = w * (b - up @ U) + (1.0 - w) * d * U
+    m = (a - up) * w + np.diag(d)
+    try:
+        return np.linalg.solve(m[::-1, ::-1], rhs[::-1])[::-1], perm
+    except np.linalg.LinAlgError:
+        raise SingularPivotError(int(np.argmin(np.abs(d)))) from None
+
+
+def _sweep_outcome(sweep, st, method, omega):
+    try:
+        with np.errstate(all="ignore"):
+            return sweep(st, method, omega)
+    except SingularPivotError as exc:
+        return exc.row
+
+
+@given(systems_and_states(), st.sampled_from(("jacobi", "gauss_seidel", "sor")), omegas, st.data())
+def test_sweep_matches_triu_sweep(case, method, omega, data):
+    # Drawn diagonals of A(U) drop to PIVOT_TOL or below, so rows are interchanged.  Drawn
+    # entries of A(U), U and F become signed zeros: a -0.0 off the diagonal, which np.diag's
+    # + 0.0 made +0.0, can set the sign of a zero entry of the result.
+    s, U, _ = case
+    n = s.n
+    A, F = s.at(U).A, s.const.copy()
+    rows = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    signed_zero = st.sampled_from((0.0, -0.0))
+    for i in data.draw(rows):
+        A[i, i] = data.draw(st.sampled_from((0.0, -0.0, 1e-13)))
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        A[i, j] = -0.0
+    for i in data.draw(rows):
+        U[i], F[i] = data.draw(signed_zero), data.draw(signed_zero)
+
+    def state():
+        return SimpleNamespace(A=A.copy(), s=SimpleNamespace(const=F), U=U)
+
+    want = _sweep_outcome(_triu_sweep, state(), method, omega)
+    got = _sweep_outcome(_sweep, state(), method, omega)
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert not isinstance(got, int), got
+        assert _same_bits(got[0], want[0]) and got[1] == want[1]
+
+
+def test_sweep_keeps_the_sign_of_a_zero_result():
+    # a -0.0 below the diagonal: U_new[1] is -0.0 only if the sweep matrix adds np.diag's + 0.0 there
+    A, F, U = np.array([[1.0, 2.0], [-0.0, 1.0]]), np.array([-1.0, 0.0]), np.array([0.0, -0.0])
+
+    def state():
+        return SimpleNamespace(A=A.copy(), s=SimpleNamespace(const=F), U=U)
+
+    want, _ = _triu_sweep(state(), "gauss_seidel", 1.0)
+    assert _same_bits(want, [1.0, -0.0])
+    assert _same_bits(_sweep(state(), "gauss_seidel", 1.0)[0], want)

@@ -16,6 +16,7 @@ from polyjac import (
     modified_update,
     qn_solve,
 )
+from polyjac import quasi_newton
 from polyjac.quasi_newton import GuardTripError  # noqa: F811 (re-export check)
 from polyjac.presets import (
     circle_cubic_system,
@@ -259,6 +260,27 @@ class TestSolve:
         assert tr.failure_index == 0
         assert tr.iterations == 1
         np.testing.assert_array_equal(tr.solution, [0.0])
+
+    def test_modified_update_corrects_once(self, monkeypatch):
+        # J and its inverse share one correction vector r per rank-one update
+        calls = []
+        correction = quasi_newton._modified_correction
+        monkeypatch.setattr(
+            quasi_newton, "_modified_correction", lambda *a: calls.append(a) or correction(*a)
+        )
+        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant="modified_rank1"))
+        assert tr.status == "converged"
+        assert len(calls) == tr.iterations - 1
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [({"tol": 0.0}, "tol must be positive"), ({"tol": float("nan")}, "tol must be positive"),
+         ({"max_iter": -1}, "max_iter must be at least 0")],
+        ids=["zero-tol", "nan-tol", "negative-max-iter"],
+    )
+    def test_options_outside_domain_rejected(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            QNOptions(**option)
 
     def test_reinit_policy_decides_guard_trip(self):
         # a seeded system on which a classic rank-one update trips a guard

@@ -106,6 +106,11 @@ class TestSweepOnce:
         with pytest.raises(ValueError, match="method"):
             sweep_once(circle_cubic_system(), np.ones(2), "sgs")
 
+    @pytest.mark.parametrize("omega", [3.0, float("nan"), 0.0, -1.0])
+    def test_bad_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must lie in"):
+            sweep_once(circle_cubic_system(), np.ones(2), "sor", omega)
+
 
 class TestIterativeSolve:
     def test_linear_agrees_with_direct_solve(self, rng):
@@ -186,6 +191,15 @@ class TestIterativeSolve:
     def test_omega_validation(self):
         with pytest.raises(ValueError, match="omega"):
             IterativeOptions(method="sor", omega=2.5)
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [({"tol": float("nan")}, "tol must be positive"), ({"max_iter": -1}, "max_iter must be at least 0")],
+        ids=["nan-tol", "negative-max-iter"],
+    )
+    def test_options_outside_domain_rejected(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            IterativeOptions(**option)
 
     def test_trace_serialization(self):
         s = coupled_quadratic_system()
