@@ -232,6 +232,8 @@ def _cmd_integrate(args):
     U0 = _initial_state(args.x0, source)
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
+    if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
+        raise CliError(f"{args.method} requires a polynomial (lowerable) input")
 
     if args.scan:
         if args.h_lo is None or args.h_hi is None:
@@ -260,13 +262,23 @@ def _cmd_integrate(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """argparse type of --seed: an integer >= 0, as numpy's default_rng takes."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 @functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="polyjac",
         description="Solvers and stability analysis for polynomial-only nonlinear systems.",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized commands")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     sub = p.add_subparsers(dest="command", required=True)

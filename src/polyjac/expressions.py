@@ -17,6 +17,12 @@ sums the per-row outer products of the parts of degrees i and d - i.  An
 order still None at the root reaches PolySystem as None, an absent order, so
 a quadratic tree such as Burgers never allocates an n^4 cubic, and lowering
 it is cheap enough to repeat for each IVP built from the tree.
+
+A tree is evaluated by compiling it once into nested closures, one per node,
+so a call makes only the node's numpy calls; h_eval compiles and calls, and
+an IVP compiles its tree once and calls the result at every rhs evaluation.
+Lowering refuses a dense tensor over system.DENSE_LIMIT_BYTES before
+allocating it.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +31,7 @@ import functools
 import numpy as np
 
 from .hadamard import row_scale
-from .system import PolySystem
+from .system import PolySystem, check_dense
 
 __all__ = [
     "HExpr",
@@ -143,58 +149,90 @@ class Sum(HExpr):
 
 def h_eval(e, U):
     """Evaluate an expression tree at state U; the shape rule of _length is checked elsewhere."""
-    U = np.asarray(U, dtype=float).ravel()
-    return _eval(e, U)
+    return _compile(e)(np.asarray(U, dtype=float).ravel())
 
 
-def _eval(e, U):
-    # the Burgers tree's own node types first: a Sum root fails no test
+def _identity(U):
+    return U
+
+
+def _compile(e):
+    """The tree as one evaluator U -> value: a closure per node, built once.
+
+    Each closure makes its node's numpy calls and nothing else; the node
+    types are dispatched here, not per call.  A linear map of the state is
+    A's own matmul, and a Sum is _fold of its children.  Every node takes its
+    children's values left to right, so a domain error of HadamardPower comes
+    from the same node as in a recursive walk.
+    """
     if isinstance(e, Sum):
-        return _weighted_sum(e, _eval, U)
+        return _fold(e.weights, [_compile(c) for c in e.children])
     if isinstance(e, LinearMap):
-        return e.A @ _eval(e.child, U)
+        A = e.A
+        if isinstance(e.child, State):
+            return A.__matmul__
+        child = _compile(e.child)
+        return lambda U: A @ child(U)
     if isinstance(e, HadamardProduct):
-        out = _eval(e.children[0], U)
-        for c in e.children[1:]:
-            out = out * _eval(c, U)
+        out, *rest = map(_compile, e.children)
+        for f in rest:
+            out = _multiplied(out, f)
         return out
     if isinstance(e, State):
-        return U
+        return _identity
     if isinstance(e, HadamardPower):
-        v = _eval(e.child, U)
-        q = e.q
+        return _power(_compile(e.child), e.q)
+    if isinstance(e, ElementwiseFunction):
+        fn, child = _FUNCS[e.name][0], _compile(e.child)
+        return lambda U: fn(child(U))
+    if isinstance(e, DiagScale):
+        c, child = e.c, _compile(e.child)
+        return lambda U: c * child(U)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _fold(weights, terms):
+    """The weighted sum of the terms' values term(U) as one closure, a left fold from the first term.
+
+    A weight of 1 adds the term's value and -1 subtracts it; any other
+    weight multiplies it first.  Each entry has the bits of the plain sum of
+    w * v from 0, except that a -0.0 first term keeps its sign.  A lone term
+    of weight 1 is returned as is, so the value may be U itself.
+    """
+    (w, first), *rest = zip(weights, terms)
+    out = first if w == 1.0 else _scaled(w, first)
+    for w, f in rest:
+        out = _folded(out, w, f)
+    return out
+
+
+def _scaled(w, f):
+    return lambda U: w * f(U)
+
+
+def _folded(acc, w, f):
+    """The fold so far plus w times f's value: one term of _fold."""
+    if w == 1.0:
+        return lambda U: acc(U) + f(U)
+    if w == -1.0:
+        return lambda U: acc(U) - f(U)
+    return lambda U: acc(U) + w * f(U)
+
+
+def _multiplied(acc, f):
+    return lambda U: acc(U) * f(U)
+
+
+def _power(child, q):
+    def power(U):
+        v = child(U)
         if q != int(q) and np.any(v < 0):
             raise ValueError(f"fractional power {q} of negative entry")
         if q < 0 and np.any(v == 0):
             raise ValueError(f"negative power {q} of zero entry")
         return np.ones_like(v) if q == 0 else np.power(v, q)
-    if isinstance(e, ElementwiseFunction):
-        return _FUNCS[e.name][0](_eval(e.child, U))
-    if isinstance(e, DiagScale):
-        return e.c * _eval(e.child, U)
-    raise TypeError(f"unknown node {type(e).__name__}")
 
-
-def _weighted_sum(e, value, U):
-    """Sum e's weighted children value(c, U), a left fold from the first term.
-
-    A weight of 1 adds the child's value and -1 subtracts it; any other
-    weight multiplies it first.  Each entry has the bits of the plain sum of
-    w * v from 0, except that a -0.0 first term keeps its sign.  A lone child
-    of weight 1 is returned as is, so the result may be U itself.
-    """
-    out = None
-    for w, c in zip(e.weights, e.children):
-        v = value(c, U)
-        if out is None:
-            out = v if w == 1.0 else w * v
-        elif w == 1.0:
-            out = out + v
-        elif w == -1.0:
-            out = out - v
-        else:
-            out = out + w * v
-    return out
+    return power
 
 
 def h_jacobian(e, U):
@@ -206,11 +244,11 @@ def h_jacobian(e, U):
 def _jac(e, U):
     n = U.size
     if isinstance(e, Sum):
-        return _weighted_sum(e, _jac, U)
+        return _fold(e.weights, [functools.partial(_jac, c) for c in e.children])(U)
     if isinstance(e, LinearMap):
         return e.A @ _jac(e.child, U)
     if isinstance(e, HadamardProduct):
-        vals = [_eval(c, U) for c in e.children]
+        vals = [_compile(c)(U) for c in e.children]
         jacs = [_jac(c, U) for c in e.children]
         total = np.zeros((vals[0].size, n))
         for i in range(len(vals)):
@@ -223,14 +261,14 @@ def _jac(e, U):
     if isinstance(e, State):
         return np.eye(n)
     if isinstance(e, HadamardPower):
-        v = _eval(e.child, U)
+        v = _compile(e.child)(U)
         q = e.q
         if q == 0:
             return np.zeros((v.size, n))
         deriv = q * np.power(v, q - 1)
         return row_scale(_jac(e.child, U), deriv)
     if isinstance(e, ElementwiseFunction):
-        v = _eval(e.child, U)
+        v = _compile(e.child)(U)
         return row_scale(_jac(e.child, U), _FUNCS[e.name][1](v))
     if isinstance(e, DiagScale):
         return row_scale(_jac(e.child, U), e.c)
@@ -337,6 +375,7 @@ def _cross(a, b):
     """Per-row outer product out[i, j.., k..] = a[i, j..] * b[i, k..]; None if either is."""
     if a is None or b is None:
         return None
+    check_dense(a.shape + b.shape[1:], "lowered coefficient tensor")
     rows_a = a.reshape(a.shape + (1,) * (b.ndim - 1))
     return rows_a * b.reshape(b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:])
 
@@ -357,15 +396,19 @@ def _product(a, b):
     ]
 
 
+def _map_rows(A, t):
+    """A applied to the rows of a per-row coefficient tensor: one matmul on its flattened trailing axes."""
+    shape = A.shape[:1] + t.shape[1:]
+    check_dense(shape, "lowered coefficient tensor")
+    return (A @ t.reshape(t.shape[0], -1)).reshape(shape)
+
+
 def _lower(e, n):
     """The tree's per-row polynomial [c0 (m,), lin (m, n), quad or None, cub or None]."""
     if isinstance(e, State):
         return [np.zeros(n), np.eye(n), None, None]
     if isinstance(e, LinearMap):
-        return [
-            None if t is None else (e.A @ t.reshape(t.shape[0], -1)).reshape(e.A.shape[:1] + t.shape[1:])
-            for t in _lower(e.child, n)
-        ]
+        return [None if t is None else _map_rows(e.A, t) for t in _lower(e.child, n)]
     if isinstance(e, DiagScale):
         return [_cross(e.c, t) for t in _lower(e.child, n)]
     if isinstance(e, Sum):
@@ -399,6 +442,7 @@ def lower_to_poly(e, n):
     reaches PolySystem as None, an absent order, and is never allocated.
     """
     _check_length(e, n)
+    check_dense((n, n), "linear part")
     c0, lin, quad, cubic = _lower(e, n)
     return PolySystem(L=lin, quad=quad, cubic=cubic, const=c0)
 

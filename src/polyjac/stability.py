@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .system import PolySystem, diverged
-from .expressions import SemiDiscreteIVP, h_eval, lower_to_poly
+from .expressions import SemiDiscreteIVP, _compile, lower_to_poly
 
 __all__ = [
     "IVP",
@@ -152,26 +152,27 @@ class IVP:
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
     the state-dependent matrix A(U), which implicit stepping requires; a
-    polynomial expression tree is lowered automatically.
+    polynomial expression tree is lowered automatically.  A tree is compiled
+    once here, and every rhs evaluation calls the result.
     """
 
     def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
         self.poly = _polynomial(source)
-        self.semidiscrete = source if isinstance(source, SemiDiscreteIVP) else None
+        self._tree = _compile(source.rhs) if isinstance(source, SemiDiscreteIVP) else None
         self.n = source.n
         if self.U0.size != self.n:
             raise ValueError(f"U0 length {self.U0.size} != dimension {self.n}")
 
     def rhs(self, U):
-        if self.semidiscrete is not None:
-            return h_eval(self.semidiscrete.rhs, U)
+        if self._tree is not None:
+            return self._tree(np.asarray(U, dtype=float).ravel())
         return self.poly.eval(U)
 
     def rhs_at(self, st):
-        """rhs at st.U, given st = self.poly.at(U): st.f, or h_eval for a tree source."""
-        if self.semidiscrete is not None:
-            return h_eval(self.semidiscrete.rhs, st.U)
+        """rhs at st.U, given st = self.poly.at(U): st.f, or the compiled tree for a tree source."""
+        if self._tree is not None:
+            return self._tree(st.U)
         return st.f
 
     def linear_form(self, U):
@@ -214,11 +215,11 @@ def _step(ivp, method, U, h, eye):
         rhs_vec = U + h * ivp.poly.const
         for _ in range(PICARD_MAX_ITER):
             V_new = np.linalg.solve(eye - h * ivp.linear_form(V).A, rhs_vec)
-            if not np.isfinite(V_new).all():
+            # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
+            m = np.abs(V_new).max()
+            if not math.isfinite(m):
                 return None
-            # np.abs(x).max() is np.linalg.norm(x, inf) for a vector
-            tol = PICARD_TOL * (1.0 + np.abs(V_new).max())
-            if np.abs(V_new - V).max() <= tol:
+            if np.abs(V_new - V).max() <= PICARD_TOL * (1.0 + m):
                 return V_new
             V = V_new
     except np.linalg.LinAlgError:

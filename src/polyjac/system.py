@@ -16,16 +16,17 @@ rest are one-liners over it.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  An absent order is
-never allocated, symmetrized or contracted: its M2 or M3 is a zero matrix, and
-its .quad or .cubic reads as a read-only zero-stride view of full shape, so a
-quadratic system costs no n^4 memory.  Present orders keep the arithmetic
-above unchanged.
+never allocated, symmetrized or contracted, and f, J, A and fbar skip its
+term; its M2 or M3 reads as a zero matrix, and its .quad or .cubic as a
+read-only zero-stride view of full shape, so a quadratic system costs no n^4
+memory.  Present orders keep the arithmetic above unchanged.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -40,6 +41,22 @@ __all__ = [
 
 # Divergence rule shared by every solver and integrator.
 DIVERGENCE_LIMIT = 1e8
+
+# Largest dense coefficient tensor an input may ask for, in bytes (1 GiB): a
+# cubic up to n = 107 (n^4 floats), a quadratic up to n = 512 (n^3 floats).
+# Reading a system document and lowering a tree check each dense tensor they
+# build against it before allocating; symmetrizing one briefly holds a few
+# such tensors.
+DENSE_LIMIT_BYTES = 2**30
+
+
+def check_dense(shape, what):
+    """Raise ValueError if a float tensor of this shape exceeds DENSE_LIMIT_BYTES."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > DENSE_LIMIT_BYTES:
+        raise ValueError(
+            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, over the {DENSE_LIMIT_BYTES}-byte limit"
+        )
 
 
 def diverged(U):
@@ -112,14 +129,11 @@ class PolySystem:
         if U.shape != (n,):
             raise ValueError(f"state length {U.size} != system dimension {n}")
         has_quad, has_cubic = self._present
+        M2 = M3 = None
         if has_quad:
             M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
-        else:
-            M2 = np.zeros((n, n))
         if has_cubic:
             M3 = (self.cubic.reshape(n * n, n * n) @ (U[:, None] * U).ravel()).reshape(n, n)
-        else:
-            M3 = np.zeros((n, n))
         return PolyState(self, U, M2, M3)
 
     def eval(self, U):
@@ -146,32 +160,67 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class PolyState:
-    """A PolySystem at one state U; the properties compute from M2, M3 when read."""
+    """A PolySystem at one state U; the properties compute from M2, M3 when read.
+
+    An absent order's contraction is stored as None, and f, J, A and fbar
+    skip its term; the terms of present orders are added in the order the
+    formulas show.  M2 and M3 read as zero matrices for an absent order.
+    """
 
     s: PolySystem
     U: np.ndarray
-    M2: np.ndarray
-    M3: np.ndarray
+    _m2: np.ndarray
+    _m3: np.ndarray
+
+    @property
+    def M2(self):
+        """quad . U, the quadratic part of A(U)."""
+        return np.zeros((self.s.n,) * 2) if self._m2 is None else self._m2
+
+    @property
+    def M3(self):
+        """cubic . U . U, the cubic part of A(U)."""
+        return np.zeros((self.s.n,) * 2) if self._m3 is None else self._m3
 
     @property
     def f(self):
         """Residual f(U) = L U + M2 U + M3 U + F."""
-        return self.s.L @ self.U + self.M2 @ self.U + self.M3 @ self.U + self.s.const
+        U, f = self.U, self.s.L @ self.U
+        if self._m2 is not None:
+            f = f + self._m2 @ U
+        if self._m3 is not None:
+            f = f + self._m3 @ U
+        return f + self.s.const
 
     @property
     def J(self):
-        """Exact Jacobian J(U) = L + 2 M2 + 3 M3."""
-        return self.s.L + 2.0 * self.M2 + 3.0 * self.M3
+        """Exact Jacobian J(U) = L + 2 M2 + 3 M3, a new array."""
+        J = self.s.L
+        if self._m2 is not None:
+            J = J + 2.0 * self._m2
+        if self._m3 is not None:
+            J = J + 3.0 * self._m3
+        return J.copy() if J is self.s.L else J
 
     @property
     def A(self):
-        """Linear form A(U) = L + J2/2 + J3/3 = L + M2 + M3, with A U + F = f."""
-        return self.s.L + self.M2 + self.M3
+        """Linear form A(U) = L + J2/2 + J3/3 = L + M2 + M3, with A U + F = f; a new array."""
+        A = self.s.L
+        if self._m2 is not None:
+            A = A + self._m2
+        if self._m3 is not None:
+            A = A + self._m3
+        return A.copy() if A is self.s.L else A
 
     @property
     def fbar(self):
         """fbar(U) = J(U) U without forming J: L U + 2 M2 U + 3 M3 U."""
-        return self.s.L @ self.U + 2.0 * (self.M2 @ self.U) + 3.0 * (self.M3 @ self.U)
+        U, fbar = self.U, self.s.L @ self.U
+        if self._m2 is not None:
+            fbar = fbar + 2.0 * (self._m2 @ U)
+        if self._m3 is not None:
+            fbar = fbar + 3.0 * (self._m3 @ U)
+        return fbar
 
     def euler_residuals(self):
         """Residuals of the homogeneous-function identity, per nonlinear order.
@@ -282,6 +331,7 @@ def _read_coefficients(data, field, n, ndim):
     outside = ~np.all((index > -1) & (index < n), axis=1)
     if outside.any():
         raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmax(outside))]!r}")
+    check_dense((n,) * ndim, f"field {field!r}")
     out = np.zeros((n,) * ndim)
     np.add.at(out, tuple(index.astype(np.intp).T), table[:, -1])
     return out

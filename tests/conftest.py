@@ -2,13 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from polyjac import PolySystem
+from polyjac import PolySystem, system
 from polyjac.cli import _central_difference_jacobian as fd_jacobian  # noqa: F401 (imported by the tests)
 
 # Property tests draw the same examples on every run and have no time limit,
 # so a slow or busy host cannot make them flaky.
 settings.register_profile("polyjac", derandomize=True, deadline=None, database=None)
 settings.load_profile("polyjac")
+
+
+@pytest.fixture
+def no_dense_over_limit(monkeypatch):
+    """Fail, rather than allocate, an np.zeros request over polyjac's dense limit."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        assert 8 * np.prod(shape) <= system.DENSE_LIMIT_BYTES, f"allocates {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
 
 
 @pytest.fixture

@@ -146,6 +146,32 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("method", ["implicit-euler", "semi-implicit-euler"])
+    @pytest.mark.parametrize(
+        "steps",
+        [["--h", "0.1", "--steps", "2"], ["--scan", "--h-lo", "0.01", "--h-hi", "1"]],
+        ids=["march", "scan"],
+    )
+    def test_implicit_method_on_a_non_polynomial_tree_is_one(self, tmp_path, capsys, method, steps):
+        doc = {"n": 3, "rhs": {"op": "hfunction", "name": "sin", "child": {"op": "state"}}}
+        assert main(["integrate", write_doc(tmp_path, doc), "--method", method, *steps]) == 1
+        assert capsys.readouterr().err == f"error: {method} requires a polynomial (lowerable) input\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_one(self, capsys, seed):
+        assert main(["--seed", seed, "check-jacobian", "circle-cubic"]) == 1
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+
+    def test_cubic_over_the_dense_limit_is_one(self, tmp_path, capsys, no_dense_over_limit):
+        n = 200
+        doc = {"n": n, "L": np.zeros((n, n)).tolist(), "F": [0.0] * n, "cubic": [[0, 0, 0, 0, 1.0]]}
+        assert main(["check-jacobian", write_doc(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad system input: field 'cubic' of shape (200, 200, 200, 200)")
+        assert err.count("\n") == 1
+
+
 class TestParserReuse:
     def test_usage_error_leaves_parser_intact(self, capsys):
         argv = ["--seed", "3", "check-jacobian", "circle-cubic", "--random-states", "2"]

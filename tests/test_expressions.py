@@ -16,6 +16,7 @@ from polyjac import (
     lower_to_poly,
     row_scale,
     col_scale,
+    system,
 )
 
 from conftest import fd_jacobian
@@ -195,6 +196,18 @@ class TestLowering:
         for _ in range(10):
             U = rng.standard_normal(4)
             np.testing.assert_allclose(s.eval(U), h_eval(tree, U), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["crossing", "map-of-crossing"])
+    def test_dense_limit_rejects_a_cubic(self, monkeypatch, rows):
+        # the limit sits one float below a (rows, 4, 4, 4) tensor: the cubic
+        # crossing, or the map of a one-row crossing to three rows, is refused
+        monkeypatch.setattr(system, "DENSE_LIMIT_BYTES", 8 * rows * 4**3 - 8)
+        cubic = HadamardProduct(*[LinearMap(np.ones((1, 4)))] * 3)
+        tree = LinearMap(np.ones((4, rows)), cubic if rows == 1 else LinearMap(np.ones((rows, 1)), cubic))
+        with pytest.raises(ValueError, match=rf"shape \({rows}, 4, 4, 4\).*limit"):
+            lower_to_poly(tree, 4)
+        monkeypatch.setattr(system, "DENSE_LIMIT_BYTES", 8 * 4**4)
+        assert lower_to_poly(tree, 4).cubic.shape == (4, 4, 4, 4)
 
     def test_non_polynomial_rejected(self):
         with pytest.raises(ValueError, match="non-polynomial"):

@@ -1,6 +1,7 @@
 """Property tests: the contraction path against the einsum reference, lowering,
-the tree sum fold against the plain sum it replaces (bit for bit), the shape
-rule of expression trees, the triangular relaxation sweep against the row
+the tree sum fold against the plain sum it replaces (bit for bit), the
+compiled tree evaluator against the recursive walk it replaced (bit for bit,
+or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, and the invariants of the rank-one updates.  The solvers' fast paths
 (the shared rank-one kernels, the pairing norm and the masked sweep) must
 match, bit for bit, the code they replaced.
@@ -13,6 +14,7 @@ the terms whose rounding is compared.
 """
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 from unittest import mock
 
@@ -23,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from polyjac import (
     DiagScale,
+    ElementwiseFunction,
     HadamardPower,
     HadamardProduct,
     LinearMap,
@@ -151,19 +154,30 @@ def test_nonlinear_sweep_matches_row_loop(case, method, omega):
     assert np.abs(U_new - want).max() <= TOL * (1.0 + np.abs(U_new).max())
 
 
+ANY_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
 @st.composite
-def trees(draw, n, max_degree, depth=3, weights=None):
+def trees(draw, n, max_degree, depth=3, weights=None, functions=False):
     """A polynomial expression tree over R^n of degree <= max_degree, with its degree.
 
     Sum weights are standard normal, or drawn from the strategy `weights`.
+    With `functions`, sin, cos and exp nodes occur too, and powers take
+    negative and fractional exponents; the returned degree then only bounds
+    the products drawn.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = ["state"] if depth == 0 else ["state", "linear", "diag", "rect", "sum", "product", "power"]
+    if functions and depth:
+        kinds.append("function")
     kind = draw(st.sampled_from(kinds))
+    sub = functools.partial(trees, depth=depth - 1, weights=weights, functions=functions)
     if kind == "state":
         return State(), 1
-    if kind in ("linear", "diag", "rect"):
-        child, deg = draw(trees(n, max_degree, depth - 1, weights))
+    if kind in ("linear", "diag", "rect", "function"):
+        child, deg = draw(sub(n, max_degree))
+        if kind == "function":
+            return ElementwiseFunction(draw(st.sampled_from(("sin", "cos", "exp"))), child), deg
         if kind == "rect":
             # B (n x m) @ (A (m x n) @ child): lowering passes through m rows
             m = draw(st.integers(1, 6))
@@ -172,19 +186,21 @@ def trees(draw, n, max_degree, depth=3, weights=None):
             return LinearMap(rng.standard_normal((n, n)), child), deg
         return DiagScale(rng.standard_normal(n), child), deg
     if kind == "sum":
-        parts = draw(st.lists(trees(n, max_degree, depth - 1, weights), min_size=1, max_size=3))
+        parts = draw(st.lists(sub(n, max_degree), min_size=1, max_size=3))
         if weights is None:
             w = tuple(rng.standard_normal(len(parts)))
         else:
             w = tuple(draw(st.lists(weights, min_size=len(parts), max_size=len(parts))))
         return Sum(children=tuple(t for t, _ in parts), weights=w), max(d for _, d in parts)
     if kind == "product":
-        left, d1 = draw(trees(n, max_degree - 1, depth - 1, weights)) if max_degree > 1 else (State(), 1)
+        left, d1 = draw(sub(n, max_degree - 1)) if max_degree > 1 else (State(), 1)
         if d1 >= max_degree:
             return left, d1
-        right, d2 = draw(trees(n, max_degree - d1, depth - 1, weights))
+        right, d2 = draw(sub(n, max_degree - d1))
         return HadamardProduct(left, right), d1 + d2
-    child, deg = draw(trees(n, max_degree, depth - 1, weights))
+    child, deg = draw(sub(n, max_degree))
+    if functions:
+        return HadamardPower(child, draw(st.sampled_from(ANY_EXPONENTS))), deg
     q = draw(st.integers(0, max_degree // deg if deg else 3))
     return HadamardPower(child, float(q)), deg * q
 
@@ -215,9 +231,9 @@ def test_lowering_matches_tree_evaluation(case):
 fold_weights = st.sampled_from([1.0, -1.0, 0.0, 0.5, -2.5])
 
 
-def _reference_fold(e, value, U):
-    """The sum fold that expressions._weighted_sum replaces: int 0 plus each w * v."""
-    return sum(w * value(c, U) for w, c in zip(e.weights, e.children))
+def _reference_fold(weights, terms):
+    """The sum fold that expressions._fold replaces: int 0 plus each w * v."""
+    return lambda U: sum(w * term(U) for w, term in zip(weights, terms))
 
 
 @given(
@@ -233,9 +249,81 @@ def test_sum_fold_matches_reference_fold(case, root_weights, seed):
     tree = Sum(children=tuple(t for t, _ in parts), weights=root_weights[: len(parts)])
     for U in np.random.default_rng(seed).standard_normal((3, n)):
         f, J = h_eval(tree, U), h_jacobian(tree, U)
-        with mock.patch.object(expressions, "_weighted_sum", _reference_fold):
+        with mock.patch.object(expressions, "_fold", _reference_fold):
             assert np.array_equal(f, h_eval(tree, U))
             assert np.array_equal(J, h_jacobian(tree, U))
+
+
+def _recursive_eval(e, U):
+    """The recursive tree walk that expressions._compile replaced, with the fold of expressions._fold."""
+    if isinstance(e, Sum):
+        out = None
+        for w, c in zip(e.weights, e.children):
+            v = _recursive_eval(c, U)
+            if out is None:
+                out = v if w == 1.0 else w * v
+            elif w == 1.0:
+                out = out + v
+            elif w == -1.0:
+                out = out - v
+            else:
+                out = out + w * v
+        return out
+    if isinstance(e, LinearMap):
+        return e.A @ _recursive_eval(e.child, U)
+    if isinstance(e, HadamardProduct):
+        out = _recursive_eval(e.children[0], U)
+        for c in e.children[1:]:
+            out = out * _recursive_eval(c, U)
+        return out
+    if isinstance(e, State):
+        return U
+    if isinstance(e, HadamardPower):
+        v = _recursive_eval(e.child, U)
+        q = e.q
+        if q != int(q) and np.any(v < 0):
+            raise ValueError(f"fractional power {q} of negative entry")
+        if q < 0 and np.any(v == 0):
+            raise ValueError(f"negative power {q} of zero entry")
+        return np.ones_like(v) if q == 0 else np.power(v, q)
+    if isinstance(e, ElementwiseFunction):
+        return {"sin": np.sin, "cos": np.cos, "exp": np.exp}[e.name](_recursive_eval(e.child, U))
+    if isinstance(e, DiagScale):
+        return e.c * _recursive_eval(e.child, U)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(trees(n, 3, weights=fold_weights, functions=True), min_size=1, max_size=3)
+        )
+    ),
+    st.lists(fold_weights, min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_compiled_tree_matches_recursive_walk(case, root_weights, seed):
+    # the same bits, or the same domain error, under a root Sum as in the fold test;
+    # zero entries of either sign meet negative powers and make signed-zero terms
+    n, parts = case
+    tree = Sum(children=tuple(t for t, _ in parts), weights=root_weights[: len(parts)])
+    rng = np.random.default_rng(seed)
+    zeros = np.copysign(0.0, rng.standard_normal(n))
+    for U in (rng.standard_normal(n), np.where(rng.random(n) < 0.5, zeros, rng.standard_normal(n))):
+        with np.errstate(all="ignore"):
+            want, got = _value_or_error(_recursive_eval, tree, U), _value_or_error(h_eval, tree, U)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert _same_bits(got, want)
 
 
 def _every_order(rng, n, degree):

@@ -10,7 +10,6 @@ from polyjac import (
     State,
     burgers_discretize,
     burgers_step_bound,
-    h_eval,
     integrate,
     is_negative_definite,
     scan_blowup_threshold,
@@ -18,6 +17,7 @@ from polyjac import (
     step_bound_rk4,
 )
 from polyjac import stability
+from polyjac.expressions import _compile as compile_tree
 from polyjac.presets import burgers_initial_state
 
 from conftest import count_calls, random_poly_system
@@ -189,14 +189,21 @@ class TestIntegrate:
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_semi_implicit_contracts_once_per_step(self, monkeypatch, tree):
         # J and, for a PolySystem source, the rhs come from one state record;
-        # a tree source keeps h_eval for its rhs
+        # a tree source compiles its tree once per IVP and calls the result for its rhs
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        compiles, calls = [], []
+
+        def counting_compile(e):
+            compiles.append(e)
+            f = compile_tree(e)
+            return lambda U: calls.append(U) or f(U)
+
+        monkeypatch.setattr(stability, "_compile", counting_compile)
         ivp = IVP(source, 0.1 * burgers_initial_state(8))
         at = count_calls(monkeypatch, PolySystem, "at")
-        calls = []
-        monkeypatch.setattr(stability, "h_eval", lambda e, U: calls.append(U) or h_eval(e, U))
         assert integrate(ivp, "semi_implicit_euler", 1e-3, 5).status == "completed"
         assert len(at) == 5 and len(calls) == (5 if tree else 0)
+        assert compiles == ([source.rhs] if tree else [])
 
     def test_explicit_reports_attached(self):
         s = linear_system(-np.diag([1.0, 2.0, 4.0]))
@@ -236,7 +243,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", stability.METHODS)
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "state-tree"])
     def test_each_state_is_its_own_array(self, method, tree):
-        # with rhs = State() alone, h_eval returns the very array it is given
+        # with rhs = State() alone, the compiled tree returns the very array it is given
         source = SemiDiscreteIVP(n=3, rhs=State()) if tree else linear_system(-np.diag([1.0, 2.0, 4.0]))
         ivp = IVP(source, np.ones(3))
         U0 = ivp.U0.copy()

@@ -319,6 +319,16 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match=message):
             load_system_json(data)
 
+    def test_dense_limit_rejects_before_allocating(self, no_dense_over_limit):
+        # one cubic entry at n=200 asks for a dense 12.8 GB tensor
+        n = 200
+        doc = {"n": n, "L": np.zeros((n, n)).tolist(), "F": [0.0] * n, "cubic": [[0, 1, 2, 3, 1.0]]}
+        with pytest.raises(ValueError, match=r"field 'cubic' of shape \(200, 200, 200, 200\) needs 12800000000 "):
+            load_system_json(doc)
+        del doc["cubic"]
+        doc["quadratic"] = [[0, 1, 2, 1.0]]
+        assert load_system_json(doc).quad[0, 1, 2] == 0.5  # n^3 floats, 64 MB, are within the limit
+
     def test_repeated_entries_add(self):
         data = {"n": 2, "L": [[0, 0], [0, 0]], "F": [0, 0],
                 "cubic": [[1, 0, 0, 0, 1.5], [1, 0, 0, 0, 0.25], [0, 1, 1, 1, 2.0]]}
