@@ -12,14 +12,13 @@ import sys
 
 import numpy as np
 
-from . import presets
-from .expressions import SemiDiscreteIVP, burgers_discretize, load_hexpr_json
-from .quasi_newton import QNOptions, qn_solve
+from . import presets, relaxation, stability
+from .expressions import SemiDiscreteIVP, burgers_discretize, load_hexpr_json, lower_to_poly
+from .quasi_newton import VARIANTS, QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
 from .stability import (
     IVP,
-    _polynomial,
     burgers_step_bound,
     integrate,
     is_negative_definite,
@@ -27,7 +26,7 @@ from .stability import (
     step_bound_explicit_euler,
     step_bound_rk4,
 )
-from .system import load_system_json
+from .system import PolySystem, load_system_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +35,13 @@ EXIT_NUMERICAL = 2
 
 class CliError(Exception):
     """Usage or IO failure; maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one CliError line, not a usage banner."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _load_input(path, n=None, Re=None):
@@ -77,6 +83,16 @@ def _parse_state(text, n):
     return np.array(vals)
 
 
+def _lowered(source, command):
+    """A system input itself, or a tree input lowered; CliError names why a tree does not lower."""
+    if isinstance(source, PolySystem):
+        return source
+    try:
+        return lower_to_poly(source.rhs, source.n)
+    except ValueError as exc:
+        raise CliError(f"{command} needs a polynomial system; the tree does not lower: {exc}") from exc
+
+
 def _is_burgers(source):
     """True for a Burgers input, whose difference matrices give an a-priori step bound."""
     return isinstance(source, SemiDiscreteIVP) and source.reynolds is not None
@@ -103,13 +119,11 @@ def _emit(text, out):
 
 
 def _cmd_solve(args):
-    system = _polynomial(_load_input(args.input, args.n, args.re))
-    if system is None:
-        raise CliError("solve requires a polynomial system input")
+    system = _lowered(_load_input(args.input, args.n, args.re), "solve")
     n = system.n
     U0 = _parse_state(args.x0, n) if args.x0 else np.ones(n)
     method = args.method.replace("-", "_")
-    quasi_newton = method in ("newton", "classic_rank1", "modified_rank1")
+    quasi_newton = method in VARIANTS
     try:
         if quasi_newton:
             opts = QNOptions(variant=method, tol=args.tol, max_iter=args.max_iter)
@@ -129,9 +143,7 @@ def _cmd_check_jacobian(args):
         raise CliError(f"--fd-step must be finite and positive, got {args.fd_step}")
     if not args.state and args.random_states < 1:
         raise CliError(f"--random-states must be at least 1, got {args.random_states}")
-    system = _polynomial(_load_input(args.input, args.n, args.re))
-    if system is None:
-        raise CliError("check-jacobian requires a polynomial system input")
+    system = _lowered(_load_input(args.input, args.n, args.re), "check-jacobian")
     n = system.n
     rng = np.random.default_rng(args.seed)
     if args.state:
@@ -198,9 +210,7 @@ def _central_difference_jacobian(f, U, step=1e-6):
 
 def _cmd_stability(args):
     source = _load_input(args.input, args.n, args.re)
-    system = _polynomial(source)
-    if system is None:
-        raise CliError("stability requires a polynomial (or lowerable) input")
+    system = _lowered(source, "stability")
     n = system.n
     U = _initial_state(args.state, source)
     A = system.at(U).A
@@ -233,7 +243,7 @@ def _cmd_integrate(args):
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
     if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
-        raise CliError(f"{args.method} requires a polynomial (lowerable) input")
+        _lowered(source, args.method)  # raises: the tree does not lower
 
     if args.scan:
         if args.h_lo is None or args.h_hi is None:
@@ -274,7 +284,7 @@ def _seed(text):
 
 @functools.cache
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="polyjac",
         description="Solvers and stability analysis for polynomial-only nonlinear systems.",
     )
@@ -293,7 +303,7 @@ def build_parser():
     sp.add_argument(
         "--method",
         default="newton",
-        choices=("newton", "classic-rank1", "modified-rank1", "jacobi", "gauss-seidel", "sor"),
+        choices=[m.replace("_", "-") for m in VARIANTS + relaxation.METHODS],
     )
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -319,7 +329,7 @@ def build_parser():
     sp.add_argument(
         "--method",
         default="explicit-euler",
-        choices=("explicit-euler", "rk4", "implicit-euler", "semi-implicit-euler"),
+        choices=[m.replace("_", "-") for m in stability.METHODS],
     )
     sp.add_argument("--h", type=float, default=None)
     sp.add_argument("--steps", type=int, default=100)
@@ -334,15 +344,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         # Overflow and NaN are judged by the solvers' statuses, not printed as warnings.
         with np.errstate(all="ignore"):
             return args.func(args)
+    except SystemExit:  # --help printed its text; a usage error raises CliError instead
+        return EXIT_OK
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

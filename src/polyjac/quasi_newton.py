@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .system import diverged, jacobian_deviation
+from .system import diverged
 from .trace import SolverTrace, start_state
 
 __all__ = [
@@ -262,7 +262,7 @@ def deviation_report(s, trace):
     out = []
     for U, J in zip(trace.iterates, trace.jacobians):
         try:
-            out.append(jacobian_deviation(s, U, J))
+            out.append(s.at(U).deviation(J))
         except ValueError:
             out.append(None)
     return out

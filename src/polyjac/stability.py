@@ -169,12 +169,6 @@ class IVP:
             return self._tree(np.asarray(U, dtype=float).ravel())
         return self.poly.eval(U)
 
-    def rhs_at(self, st):
-        """rhs at st.U, given st = self.poly.at(U): st.f, or the compiled tree for a tree source."""
-        if self._tree is not None:
-            return self._tree(st.U)
-        return st.f
-
     def linear_form(self, U):
         if self.poly is None:
             raise ValueError("no polynomial structure; linear form unavailable")
@@ -209,7 +203,8 @@ def _step(ivp, method, U, h, eye):
     try:
         if method == "semi_implicit_euler":
             st = ivp.poly.at(U)
-            return U + h * np.linalg.solve(eye - h * st.J, ivp.rhs_at(st))
+            f = st.f if ivp._tree is None else ivp._tree(U)
+            return U + h * np.linalg.solve(eye - h * st.J, f)
         # implicit Euler by Picard iteration: freeze A at the current guess, solve, repeat
         V = U
         rhs_vec = U + h * ivp.poly.const

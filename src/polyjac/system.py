@@ -34,7 +34,6 @@ __all__ = [
     "PolySystem",
     "PolyState",
     "from_kronecker",
-    "jacobian_deviation",
     "load_system_json",
 ]
 
@@ -274,14 +273,6 @@ def from_kronecker(K, G, R, F):
     quad = G.reshape(n, n, n)
     cubic = R.reshape(n, n, n, n)
     return PolySystem(L=K, quad=quad, cubic=cubic, const=F)
-
-
-def jacobian_deviation(s, U, J_hat):
-    """Relative deviation of an approximate Jacobian J_hat from the exact one at U.
-
-    See PolyState.deviation; raises where fbar(U) = 0.
-    """
-    return s.at(U).deviation(J_hat)
 
 
 def load_system_json(data):

@@ -156,12 +156,15 @@ class TestUsageErrors:
     def test_implicit_method_on_a_non_polynomial_tree_is_one(self, tmp_path, capsys, method, steps):
         doc = {"n": 3, "rhs": {"op": "hfunction", "name": "sin", "child": {"op": "state"}}}
         assert main(["integrate", write_doc(tmp_path, doc), "--method", method, *steps]) == 1
-        assert capsys.readouterr().err == f"error: {method} requires a polynomial (lowerable) input\n"
+        assert capsys.readouterr().err == (
+            f"error: {method} needs a polynomial system; the tree does not lower: "
+            "non-polynomial node: elementwise sin\n"
+        )
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_bad_seed_is_one(self, capsys, seed):
         assert main(["--seed", seed, "check-jacobian", "circle-cubic"]) == 1
-        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: argument --seed: must be a non-negative integer, got '{seed}'\n"
 
     def test_cubic_over_the_dense_limit_is_one(self, tmp_path, capsys, no_dense_over_limit):
         n = 200
@@ -170,6 +173,56 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: bad system input: field 'cubic' of shape (200, 200, 200, 200)")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [("solve", ["solve"]), ("check-jacobian", ["check-jacobian"]), ("stability", ["stability"]),
+         ("implicit-euler", ["integrate", "--method", "implicit-euler", "--h", "0.1", "--steps", "2"])],
+        ids=["solve", "check-jacobian", "stability", "implicit-euler"],
+    )
+    def test_tree_over_the_dense_limit_names_the_tensor(self, tmp_path, capsys, no_dense_over_limit, name, command):
+        # a polynomial tree whose cubic would take 200^4 floats is refused for its size, not its form
+        doc = {"n": 200, "rhs": {"op": "hproduct", "children": [{"op": "state"}] * 3}}
+        assert main([command[0], write_doc(tmp_path, doc), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} needs a polynomial system; the tree does not lower: lowered coefficient "
+            "tensor of shape (200, 200, 200, 200) needs 12800000000 bytes, over the 1073741824-byte limit\n"
+        )
+
+    def test_explicit_integrate_of_a_tree_over_the_dense_limit_completes(self, tmp_path, no_dense_over_limit):
+        doc = {"n": 200, "rhs": {"op": "hproduct", "children": [{"op": "state"}] * 3}}
+        out = tmp_path / "t.json"
+        assert main(["--out", str(out), "integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 0
+        assert read_json(str(out))["status"] == "completed"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "circle-cubic", "--bogus"], ["solve", "circle-cubic", "--tol", "x"], ["frobnicate"], []],
+        ids=["unknown-option", "bad-float", "bad-subcommand", "no-subcommand"],
+    )
+    def test_argument_error_writes_one_line(self, capsys, argv):
+        # no usage banner: argparse's errors are one line, as every other error is
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, choices",
+        [("solve", "'newton', 'classic-rank1', 'modified-rank1', 'jacobi', 'gauss-seidel', 'sor'"),
+         ("integrate", "'explicit-euler', 'rk4', 'implicit-euler', 'semi-implicit-euler'")],
+        ids=["solve", "integrate"],
+    )
+    def test_invalid_method_lists_the_choices(self, capsys, command, choices):
+        assert main([command, "circle-cubic", "--method", "bogus"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --method: invalid choice: 'bogus' (choose from {choices})\n"
+        )
+
+    def test_help_is_zero(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: polyjac solve")
 
 
 class TestParserReuse:

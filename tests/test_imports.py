@@ -8,8 +8,11 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import types
 
 import pytest
+
+import polyjac
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyjac"
 # __init__.py is exempt: it imports names only to re-export them.
@@ -56,11 +59,16 @@ def test_no_dead_private_helpers(path):
 def test_package_reexports_each_module_all():
     # the package surface is declared once, in each module's __all__
     tree = ast.parse((SRC / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"polyjac.{node.module}")
-            names = sorted(a.name for a in node.names)
-            assert names == sorted(module.__all__), f"polyjac re-exports of {node.module}"
+    modules = [importlib.import_module(f"polyjac.{n.module}") for n in tree.body if isinstance(n, ast.ImportFrom)]
+    declared = {name: m for m in modules for name in m.__all__}
+    public = {
+        name
+        for name, value in vars(polyjac).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(declared)
+    for name, module in declared.items():
+        assert getattr(polyjac, name) is getattr(module, name), name
 
 
 def test_cli_solve_does_not_import_scipy(tmp_path):

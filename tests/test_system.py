@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, burgers_discretize, from_kronecker, jacobian_deviation, load_system_json, lower_to_poly
+from polyjac import PolySystem, burgers_discretize, from_kronecker, load_system_json, lower_to_poly
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 from polyjac.system import diverged
 
@@ -245,17 +245,18 @@ class TestLinearizedMatrix:
 
 
 class TestJacobianDeviation:
+    # PolyState.deviation, the paper's ||fbar - J_hat U|| / ||fbar|| formula
     def test_exact_jacobian_deviates_zero(self, rng):
         s = random_poly_system(rng, 4)
         U = rng.standard_normal(4)
-        assert jacobian_deviation(s, U, s.jacobian(U)) < 1e-12
+        assert s.at(U).deviation(s.jacobian(U)) < 1e-12
 
     def test_rank_one_noise_scales_linearly(self, rng):
         s = random_poly_system(rng, 4)
         U = rng.standard_normal(4)
         w, v = rng.standard_normal((2, 4))
         J = s.jacobian(U)
-        devs = [jacobian_deviation(s, U, J + eps * np.outer(w, v)) for eps in (1e-4, 1e-3, 1e-2)]
+        devs = [s.at(U).deviation(J + eps * np.outer(w, v)) for eps in (1e-4, 1e-3, 1e-2)]
         np.testing.assert_allclose(devs[1] / devs[0], 10.0, rtol=1e-6)
         np.testing.assert_allclose(devs[2] / devs[1], 10.0, rtol=1e-6)
 
@@ -271,14 +272,14 @@ class TestJacobianDeviation:
                 ],
                 axis=-1,
             )
-            devs.append(jacobian_deviation(s, U, J_fwd))
+            devs.append(s.at(U).deviation(J_fwd))
         assert 0.0 < devs[0] < 1e-1
         assert devs[1] < devs[0]
 
     def test_degenerate_point_raises(self):
         s = circle_cubic_system()
         with pytest.raises(ValueError, match="deviation undefined"):
-            jacobian_deviation(s, np.zeros(2), np.zeros((2, 2)))
+            s.at(np.zeros(2)).deviation(np.zeros((2, 2)))
 
 
 class TestJsonFormat:
