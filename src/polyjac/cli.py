@@ -13,12 +13,13 @@ import sys
 import numpy as np
 
 from . import presets, relaxation, stability
-from .expressions import SemiDiscreteIVP, burgers_discretize, load_hexpr_json, lower_to_poly
+from .expressions import SemiDiscreteIVP, burgers_discretize, load_hexpr_json
 from .quasi_newton import VARIANTS, QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
 from .stability import (
     IVP,
+    _polynomial,
     burgers_step_bound,
     integrate,
     is_negative_definite,
@@ -26,7 +27,7 @@ from .stability import (
     step_bound_explicit_euler,
     step_bound_rk4,
 )
-from .system import PolySystem, load_system_json
+from .system import load_system_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,14 +84,16 @@ def _parse_state(text, n):
     return np.array(vals)
 
 
+def _not_lowered(command, reason):
+    return CliError(f"{command} needs a polynomial system; the tree does not lower: {reason}")
+
+
 def _lowered(source, command):
     """A system input itself, or a tree input lowered; CliError names why a tree does not lower."""
-    if isinstance(source, PolySystem):
-        return source
     try:
-        return lower_to_poly(source.rhs, source.n)
+        return _polynomial(source)
     except ValueError as exc:
-        raise CliError(f"{command} needs a polynomial system; the tree does not lower: {exc}") from exc
+        raise _not_lowered(command, exc) from exc
 
 
 def _is_burgers(source):
@@ -243,7 +246,7 @@ def _cmd_integrate(args):
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
     if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
-        _lowered(source, args.method)  # raises: the tree does not lower
+        raise _not_lowered(args.method, ivp._lowering_error)
 
     if args.scan:
         if args.h_lo is None or args.h_hi is None:

@@ -135,15 +135,12 @@ class Trajectory:
 
 
 def _polynomial(source):
-    """A PolySystem source itself, a SemiDiscreteIVP's tree lowered, or None if not polynomial."""
+    """A PolySystem source itself, or a SemiDiscreteIVP's tree lowered; ValueError says why a tree does not lower."""
     if isinstance(source, PolySystem):
         return source
     if not isinstance(source, SemiDiscreteIVP):
         raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-    try:
-        return lower_to_poly(source.rhs, source.n)
-    except (ValueError, TypeError):
-        return None
+    return lower_to_poly(source.rhs, source.n)
 
 
 class IVP:
@@ -158,7 +155,10 @@ class IVP:
 
     def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
-        self.poly = _polynomial(source)
+        try:
+            self.poly, self._lowering_error = _polynomial(source), None
+        except ValueError as exc:
+            self.poly, self._lowering_error = None, exc
         self._tree = _compile(source.rhs) if isinstance(source, SemiDiscreteIVP) else None
         self.n = source.n
         if self.U0.size != self.n:

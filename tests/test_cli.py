@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -210,15 +211,18 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command, choices",
-        [("solve", "'newton', 'classic-rank1', 'modified-rank1', 'jacobi', 'gauss-seidel', 'sor'"),
-         ("integrate", "'explicit-euler', 'rk4', 'implicit-euler', 'semi-implicit-euler'")],
+        [("solve", ["newton", "classic-rank1", "modified-rank1", "jacobi", "gauss-seidel", "sor"]),
+         ("integrate", ["explicit-euler", "rk4", "implicit-euler", "semi-implicit-euler"])],
         ids=["solve", "integrate"],
     )
     def test_invalid_method_lists_the_choices(self, capsys, command, choices):
         assert main([command, "circle-cubic", "--method", "bogus"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: argument --method: invalid choice: 'bogus' (choose from {choices})\n"
-        )
+        # older argparse releases quote each choice, newer ones do not
+        listed = ", ".join(f"'?{re.escape(c)}'?" for c in choices)
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: argument --method: invalid choice: 'bogus' \(choose from {listed}\)\n", err
+        ), err
 
     def test_help_is_zero(self, capsys):
         assert main(["solve", "--help"]) == 0
