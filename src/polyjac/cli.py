@@ -1,7 +1,8 @@
 """Command-line front end: solve, check-jacobian, stability, integrate.
 
-Exit codes are a stable scripting contract: 0 success, 1 usage, IO or
-out-of-memory error, 2 numerical failure (non-convergence, divergence, singular solve).
+Exit codes are a stable scripting contract, decided in main by the error's
+type: 0 success; 2 numerical failure (a status other than converged or
+completed, a singular solve, or a DomainError); 1 every other error.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import presets, relaxation, stability
-from .expressions import SemiDiscreteIVP, burgers_discretize, load_hexpr_json
+from .expressions import DomainError, SemiDiscreteIVP, burgers_discretize, load_hexpr_json
 from .quasi_newton import VARIANTS, QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
@@ -34,15 +35,11 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
 
-class CliError(Exception):
-    """Usage or IO failure; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one CliError line, not a usage banner."""
+    """An argument parser whose usage errors are one ValueError line, not a usage banner."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _load_input(path, n=None, Re=None):
@@ -53,47 +50,35 @@ def _load_input(path, n=None, Re=None):
         try:
             return burgers_discretize(32 if n is None else n, 100.0 if Re is None else Re)
         except ValueError as exc:
-            raise CliError(f"bad preset argument: {exc}") from exc
+            raise ValueError(f"bad preset argument: {exc}") from exc
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read input: {exc}") from exc
+        raise ValueError(f"cannot read input: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if isinstance(data, dict) and "rhs" in data:
         try:
             return SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise CliError(f"bad expression input: {exc}") from exc
+            raise ValueError(f"bad expression input: {exc}") from exc
     try:
         return load_system_json(data)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise CliError(f"bad system input: {exc}") from exc
+        raise ValueError(f"bad system input: {exc}") from exc
 
 
 def _parse_state(text, n):
     try:
         vals = [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad state {text!r}: {exc}") from exc
+        raise ValueError(f"bad state {text!r}: {exc}") from exc
     if len(vals) != n:
-        raise CliError(f"state has {len(vals)} entries, system dimension is {n}")
+        raise ValueError(f"state has {len(vals)} entries, system dimension is {n}")
     if not all(map(math.isfinite, vals)):
-        raise CliError(f"bad state {text!r}: entries must be finite")
+        raise ValueError(f"bad state {text!r}: entries must be finite")
     return np.array(vals)
-
-
-def _not_lowered(command, reason):
-    return CliError(f"{command} needs a polynomial system; the tree does not lower: {reason}")
-
-
-def _lowered(source, command):
-    """A system input itself, or a tree input lowered; CliError names why a tree does not lower."""
-    try:
-        return _polynomial(source)
-    except ValueError as exc:
-        raise _not_lowered(command, exc) from exc
 
 
 def _is_burgers(source):
@@ -116,37 +101,31 @@ def _emit(text, out):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write output: {exc}") from exc
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _cmd_solve(args):
-    system = _lowered(_load_input(args.input, args.n, args.re), "solve")
+    system = _polynomial(_load_input(args.input, args.n, args.re), "solve")
     n = system.n
     U0 = _parse_state(args.x0, n) if args.x0 else np.ones(n)
     method = args.method.replace("-", "_")
-    quasi_newton = method in VARIANTS
-    try:
-        if quasi_newton:
-            opts = QNOptions(variant=method, tol=args.tol, max_iter=args.max_iter)
-        else:
-            opts = IterativeOptions(
-                method=method, omega=args.omega, tol=args.tol, max_iter=args.max_iter
-            )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    trace = (qn_solve if quasi_newton else iterative_solve)(system, U0, opts)
+    if method in VARIANTS:
+        trace = qn_solve(system, U0, QNOptions(variant=method, tol=args.tol, max_iter=args.max_iter))
+    else:
+        opts = IterativeOptions(method=method, omega=args.omega, tol=args.tol, max_iter=args.max_iter)
+        trace = iterative_solve(system, U0, opts)
     _emit(trace.to_csv() if args.format == "csv" else trace.to_json(), args.out)
     return EXIT_OK if trace.status == "converged" else EXIT_NUMERICAL
 
 
 def _cmd_check_jacobian(args):
     if not 0.0 < args.fd_step < np.inf:
-        raise CliError(f"--fd-step must be finite and positive, got {args.fd_step}")
+        raise ValueError(f"--fd-step must be finite and positive, got {args.fd_step}")
     if not args.state and args.random_states < 1:
-        raise CliError(f"--random-states must be at least 1, got {args.random_states}")
-    system = _lowered(_load_input(args.input, args.n, args.re), "check-jacobian")
+        raise ValueError(f"--random-states must be at least 1, got {args.random_states}")
+    system = _polynomial(_load_input(args.input, args.n, args.re), "check-jacobian")
     n = system.n
     rng = np.random.default_rng(args.seed)
     if args.state:
@@ -159,10 +138,10 @@ def _cmd_check_jacobian(args):
         try:
             with open(args.jacobian) as fh:
                 J_hat_fixed = np.asarray(json.load(fh), dtype=float)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise CliError(f"cannot read jacobian matrix: {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValueError(f"cannot read jacobian matrix: {exc}") from exc
         if J_hat_fixed.shape != (n, n):
-            raise CliError(f"jacobian matrix must be {n}x{n}, got {J_hat_fixed.shape}")
+            raise ValueError(f"jacobian matrix must be {n}x{n}, got {J_hat_fixed.shape}")
 
     rows = []
     for U in states:
@@ -213,7 +192,7 @@ def _central_difference_jacobian(f, U, step=1e-6):
 
 def _cmd_stability(args):
     source = _load_input(args.input, args.n, args.re)
-    system = _lowered(source, "stability")
+    system = _polynomial(source, "stability")
     n = system.n
     U = _initial_state(args.state, source)
     A = system.at(U).A
@@ -245,16 +224,11 @@ def _cmd_integrate(args):
     U0 = _initial_state(args.x0, source)
     ivp = IVP(source, U0)
     method = args.method.replace("-", "_")
-    if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
-        raise _not_lowered(args.method, ivp._lowering_error)
 
     if args.scan:
         if args.h_lo is None or args.h_hi is None:
-            raise CliError("--scan requires --h-lo and --h-hi")
-        try:
-            threshold = scan_blowup_threshold(ivp, method, args.h_lo, args.h_hi, args.horizon)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+            raise ValueError("--scan requires --h-lo and --h-hi")
+        threshold = scan_blowup_threshold(ivp, method, args.h_lo, args.h_hi, args.horizon)
         report = {"method": method, "blowup_threshold": threshold, "horizon": args.horizon}
         if _is_burgers(source):
             report["a_priori_bound"] = burgers_step_bound(source, U0, norm_kind="linf")
@@ -262,11 +236,7 @@ def _cmd_integrate(args):
         return EXIT_OK
 
     if args.h is None:
-        raise CliError("--h is required unless --scan is given")
-    if not 0.0 < args.h < np.inf:
-        raise CliError(f"--h must be finite and positive, got {args.h}")
-    if args.steps < 0:
-        raise CliError(f"--steps must be at least 0, got {args.steps}")
+        raise ValueError("--h is required unless --scan is given")
     traj = integrate(ivp, method, args.h, args.steps, report=args.report)
     _emit(traj.to_json() if args.format == "json" else traj.to_csv(), args.out)
     if traj.status != "completed":
@@ -352,17 +322,17 @@ def main(argv=None):
         # Overflow and NaN are judged by the solvers' statuses, not printed as warnings.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except SystemExit:  # --help printed its text; a usage error raises CliError instead
+    except SystemExit:  # --help printed its text; a usage error raises ValueError instead
         return EXIT_OK
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except MemoryError:
         sys.stderr.write("error: input too large for memory\n")
         return EXIT_USAGE
-    except ValueError as exc:
+    except (DomainError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

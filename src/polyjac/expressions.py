@@ -43,6 +43,7 @@ __all__ = [
     "DiagScale",
     "Sum",
     "SemiDiscreteIVP",
+    "DomainError",
     "h_eval",
     "h_jacobian",
     "burgers_discretize",
@@ -53,6 +54,10 @@ __all__ = [
 
 class HExpr:
     """Base class for expression-tree nodes."""
+
+
+class DomainError(ValueError):
+    """A tree evaluated outside its domain: a fractional power of a negative entry or a negative power of zero."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class Sum(HExpr):
 
 
 def h_eval(e, U):
-    """Evaluate an expression tree at state U; the shape rule of _length is checked elsewhere."""
+    """Evaluate an expression tree at state U, DomainError outside its domain; the shape rule is checked elsewhere."""
     return _compile(e)(np.asarray(U, dtype=float).ravel())
 
 
@@ -227,9 +232,9 @@ def _power(child, q):
     def power(U):
         v = child(U)
         if q != int(q) and np.any(v < 0):
-            raise ValueError(f"fractional power {q} of negative entry")
+            raise DomainError(f"fractional power {q} of negative entry")
         if q < 0 and np.any(v == 0):
-            raise ValueError(f"negative power {q} of zero entry")
+            raise DomainError(f"negative power {q} of zero entry")
         return np.ones_like(v) if q == 0 else np.power(v, q)
 
     return power

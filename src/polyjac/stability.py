@@ -8,6 +8,7 @@ part of A(U).
 """
 
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 
@@ -134,13 +135,16 @@ class Trajectory:
         )
 
 
-def _polynomial(source):
-    """A PolySystem source itself, or a SemiDiscreteIVP's tree lowered; ValueError says why a tree does not lower."""
+def _polynomial(source, user):
+    """A PolySystem source itself, or a tree source lowered; the ValueError names the user and why it does not lower."""
     if isinstance(source, PolySystem):
         return source
     if not isinstance(source, SemiDiscreteIVP):
         raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
-    return lower_to_poly(source.rhs, source.n)
+    try:
+        return lower_to_poly(source.rhs, source.n)
+    except ValueError as exc:
+        raise ValueError(f"{user} needs a polynomial system; the tree does not lower: {exc}") from exc
 
 
 class IVP:
@@ -149,20 +153,26 @@ class IVP:
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
     the state-dependent matrix A(U), which implicit stepping requires; a
-    polynomial expression tree is lowered automatically.  A tree is compiled
-    once here, and every rhs evaluation calls the result.
+    polynomial expression tree is lowered when poly is first read.  A tree is
+    compiled once here, and every rhs evaluation calls the result.
     """
 
     def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
-        try:
-            self.poly, self._lowering_error = _polynomial(source), None
-        except ValueError as exc:
-            self.poly, self._lowering_error = None, exc
+        self._source = source
         self._tree = _compile(source.rhs) if isinstance(source, SemiDiscreteIVP) else None
         self.n = source.n
         if self.U0.size != self.n:
             raise ValueError(f"U0 length {self.U0.size} != dimension {self.n}")
+
+    @functools.cached_property
+    def poly(self):
+        """The PolySystem, lowered on first use; None, with the reason in _lowering_error, if the tree does not lower."""
+        try:
+            return _polynomial(self._source, "implicit stepping")
+        except ValueError as exc:
+            self._lowering_error = str(exc)
+            return None
 
     def rhs(self, U):
         if self._tree is not None:
@@ -232,7 +242,8 @@ def integrate(ivp, method, h, steps, report=False):
     step; a failed solve ends the run as solver_failed.  Divergence (a
     non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
     each step of a polynomial IVP records a StabilityReport from A(U) at the
-    step's start (at its end for implicit_euler).
+    step's start (at its end for implicit_euler).  A tree evaluated outside
+    its domain raises DomainError.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -241,7 +252,7 @@ def integrate(ivp, method, h, steps, report=False):
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
-        raise ValueError(f"{method} requires polynomial structure")
+        raise ValueError(ivp._lowering_error)
 
     # every step returns a new array and reads U only, so each state is stored
     # as made; the copy keeps the first one apart from ivp.U0
@@ -274,13 +285,15 @@ def integrate(ivp, method, h, steps, report=False):
 def scan_blowup_threshold(ivp, method, h_lo, h_hi, horizon):
     """Bisect for the largest stable step over a fixed time horizon.
 
-    Requires a finite horizon > 0 and a valid bracket: completing at h_lo and
-    failing at h_hi.  Resolves to 2% relative width.
+    Requires finite horizon > 0 and horizon / h_lo and a valid bracket:
+    completing at h_lo and failing at h_hi.  Resolves to 2% relative width.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0.0 < h_lo < h_hi < math.inf:
         raise ValueError(f"need 0 < h_lo < h_hi < inf, got h_lo={h_lo}, h_hi={h_hi}")
+    if not math.isfinite(horizon / h_lo):
+        raise ValueError(f"horizon / h_lo must be finite, got {horizon} / {h_lo}")
 
     def stable(h):
         steps = max(1, int(math.ceil(horizon / h)))

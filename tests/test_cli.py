@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, load_system_json
+from polyjac import PolySystem, load_system_json, lower_to_poly, stability
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 
@@ -157,8 +157,9 @@ class TestUsageErrors:
     def test_implicit_method_on_a_non_polynomial_tree_is_one(self, tmp_path, capsys, method, steps):
         doc = {"n": 3, "rhs": {"op": "hfunction", "name": "sin", "child": {"op": "state"}}}
         assert main(["integrate", write_doc(tmp_path, doc), "--method", method, *steps]) == 1
+        # integrate's own message, as the library gives it
         assert capsys.readouterr().err == (
-            f"error: {method} needs a polynomial system; the tree does not lower: "
+            "error: implicit stepping needs a polynomial system; the tree does not lower: "
             "non-polynomial node: elementwise sin\n"
         )
 
@@ -179,7 +180,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "name, command",
         [("solve", ["solve"]), ("check-jacobian", ["check-jacobian"]), ("stability", ["stability"]),
-         ("implicit-euler", ["integrate", "--method", "implicit-euler", "--h", "0.1", "--steps", "2"])],
+         ("implicit stepping", ["integrate", "--method", "implicit-euler", "--h", "0.1", "--steps", "2"])],
         ids=["solve", "check-jacobian", "stability", "implicit-euler"],
     )
     def test_tree_over_the_dense_limit_names_the_tensor(self, tmp_path, capsys, no_dense_over_limit, name, command):
@@ -438,6 +439,14 @@ class TestCheckJacobian:
         assert err.startswith(f"error: {args[0].split('=')[0]} must be ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', '[[1, "x"], [0, 1]]', "[[1, 0]"], ids=["object", "text", "malformed"])
+    def test_unreadable_jacobian_is_usage_error(self, tmp_path, capsys, content):
+        jac_file = tmp_path / "J.json"
+        jac_file.write_text(content)
+        assert main(["check-jacobian", "circle-cubic", "--jacobian", str(jac_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read jacobian matrix: ") and err.count("\n") == 1
+
     def test_wrong_shape_jacobian_is_usage_error(self, tmp_path, capsys):
         jac_file = tmp_path / "J.json"
         jac_file.write_text("[[1.0]]")
@@ -548,16 +557,33 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "option, message",
-        [(["--h", "nan"], "--h must be finite and positive, got nan"),
-         (["--h", "inf"], "--h must be finite and positive, got inf"),
-         (["--h", "0"], "--h must be finite and positive, got 0.0"),
-         (["--h", "0.001", "--steps", "-1"], "--steps must be at least 0, got -1")],
+        [(["--h", "nan"], "step h must be positive and finite, got nan"),
+         (["--h", "inf"], "step h must be positive and finite, got inf"),
+         (["--h", "0"], "step h must be positive and finite, got 0.0"),
+         (["--h", "0.001", "--steps", "-1"], "steps must be at least 0, got -1")],
         ids=["nan-h", "inf-h", "zero-h", "negative-steps"],
     )
     def test_step_outside_domain_is_usage_error(self, capsys, option, message):
         assert main(["integrate", "burgers", "--n", "8", *option]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_scan_step_count_overflowing_is_usage_error(self, capsys):
+        argv = ["integrate", "burgers", "--n", "8", "--scan", "--h-lo", "1e-320", "--h-hi", "1", "--horizon", "1e10"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: horizon / h_lo must be finite, got 10000000000.0 / 1e-320\n"
+
+    def test_domain_error_in_a_scan_is_numerical(self, tmp_path, capsys):
+        # sqrt(U) - 10 U: a step of 0.5 from (1, 1) reaches negative entries, march and scan alike
+        doc = {"n": 2, "rhs": {"op": "sum", "children": [
+            {"op": "hpower", "exponent": 0.5, "child": {"op": "state"}},
+            {"op": "linear", "matrix": [[-10, 0], [0, -10]]}]}}
+        argv = ["integrate", write_doc(tmp_path, doc), "--x0", "1,1"]
+        for steps in (["--h", "0.5", "--steps", "5"], ["--scan", "--h-lo", "0.001", "--h-hi", "0.5"]):
+            assert main(argv + steps) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "numerical error: fractional power 0.5 of negative entry\n"
+            assert captured.out == ""
 
     def test_scan_without_bracket_is_usage_error(self, capsys):
         assert main(["integrate", "circle-cubic", "--scan"]) == 1
@@ -578,9 +604,19 @@ class TestEachInputLoweredOnce:
         ids=["integrate", "scan", "stability"],
     )
     def test_builds_one_poly_system(self, monkeypatch, capsys, argv):
+        # at most once: explicit integrate without --report never reads the lowered system
         built = count_calls(monkeypatch, PolySystem, "__post_init__")
         assert main(argv) == 0
-        assert len(built) == 1
+        assert len(built) <= 1
+
+    def test_explicit_integrate_never_lowers(self, tmp_path, monkeypatch, capsys):
+        # the n = 200 cubic tree: explicit steps evaluate the tree and never read the lowered system
+        doc = {"n": 200, "rhs": {"op": "hproduct", "children": [{"op": "state"}] * 3}}
+        built = count_calls(monkeypatch, PolySystem, "__post_init__")
+        lowered = []
+        monkeypatch.setattr(stability, "lower_to_poly", lambda *a: lowered.append(a) or lower_to_poly(*a))
+        assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 0
+        assert built == [] and lowered == []
 
 
 class TestRoundTrip:

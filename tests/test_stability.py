@@ -5,6 +5,7 @@ import pytest
 
 from polyjac import (
     IVP,
+    ElementwiseFunction,
     PolySystem,
     SemiDiscreteIVP,
     State,
@@ -235,6 +236,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=match):
             integrate(IVP(s, np.ones(2)), "explicit_euler", h, steps)
 
+    def test_tree_is_lowered_on_first_read_of_poly(self, monkeypatch):
+        built = count_calls(monkeypatch, PolySystem, "__post_init__")
+        ivp = IVP(burgers_discretize(8, 100.0), burgers_initial_state(8))
+        assert integrate(ivp, "rk4", 1e-3, 3).status == "completed" and built == []
+        assert ivp.poly is ivp.poly and len(built) == 1
+
+    def test_tree_that_does_not_lower_keeps_the_reason(self):
+        ivp = IVP(SemiDiscreteIVP(n=2, rhs=ElementwiseFunction("sin", State())), np.ones(2))
+        assert integrate(ivp, "explicit_euler", 0.1, 2).status == "completed"
+        assert ivp.poly is None
+        with pytest.raises(ValueError, match="^implicit stepping needs a polynomial system; the tree does not "
+                                             "lower: non-polynomial node: elementwise sin$"):
+            integrate(ivp, "implicit_euler", 0.1, 2)
+
     def test_zero_steps_keeps_the_start_state(self):
         traj = integrate(IVP(linear_system(-np.eye(2)), np.ones(2)), "rk4", 0.1, 0)
         assert traj.status == "completed" and traj.times == [0.0]
@@ -286,3 +301,9 @@ class TestScan:
         s = linear_system(np.array([[-1.0]]))
         with pytest.raises(ValueError, match="bracket"):
             scan_blowup_threshold(IVP(s, [1.0]), "explicit_euler", 0.1, 0.5, 50.0)
+
+    def test_step_count_overflowing_is_rejected(self):
+        # horizon / h_lo = 1e330 is inf: no step count to integrate at h_lo
+        s = linear_system(np.array([[-1.0]]))
+        with pytest.raises(ValueError, match="horizon / h_lo must be finite"):
+            scan_blowup_threshold(IVP(s, [1.0]), "explicit_euler", 1e-320, 1.0, 1e10)
