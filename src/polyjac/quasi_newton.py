@@ -255,7 +255,9 @@ def deviation_report(s, trace):
     """Relative Jacobian deviation at every recorded iterate.
 
     Requires a trace built with keep_jacobians=True.  Entries are None where
-    fbar(U) = 0 (metric undefined).
+    fbar(U) = 0 (metric undefined).  For modified_rank1 every entry is about
+    0 by construction, since the update enforces J_i U_i = fbar(U_i) from an
+    exact Jacobian on and after every reinitialisation: it cannot see stalls.
     """
     if trace.jacobians is None:
         raise ValueError("trace has no recorded Jacobian approximations")

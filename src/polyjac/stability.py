@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, diverged
+from .system import PolySystem, check_dense, diverged
 from .expressions import SemiDiscreteIVP, _compile, lower_to_poly
 
 __all__ = [
@@ -243,7 +243,8 @@ def integrate(ivp, method, h, steps, report=False):
     non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
     each step of a polynomial IVP records a StabilityReport from A(U) at the
     step's start (at its end for implicit_euler).  A tree evaluated outside
-    its domain raises DomainError.
+    its domain raises DomainError.  A trajectory (steps + 1 states of n
+    floats) over system.DENSE_LIMIT_BYTES raises ValueError before any step.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -251,6 +252,7 @@ def integrate(ivp, method, h, steps, report=False):
         raise ValueError(f"step h must be positive and finite, got {h}")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    check_dense((steps + 1, ivp.n), "trajectory")
     if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
         raise ValueError(ivp._lowering_error)
 
@@ -287,6 +289,7 @@ def scan_blowup_threshold(ivp, method, h_lo, h_hi, horizon):
 
     Requires finite horizon > 0 and horizon / h_lo and a valid bracket:
     completing at h_lo and failing at h_hi.  Resolves to 2% relative width.
+    The run at h_lo takes the most steps, so integrate refuses a too long scan.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")

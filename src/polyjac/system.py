@@ -3,28 +3,28 @@
 Coefficients are stored as fully symmetrized tensors: quad[i, j, k] multiplies
 U_j U_k in equation i (symmetric in j, k), cubic[i, j, k, l] multiplies
 U_j U_k U_l (symmetric in j, k, l).  Symmetrizing at ingestion makes the Euler
-identity m * N(U) = J_m(U) U hold to rounding, which the rest of the library
+identity m * N_m(U) = J_m(U) U hold to rounding, which the rest of the library
 leans on.
 
 Everything at a state U comes from one record, PolySystem.at(U) -> PolyState,
-which checks U and runs two BLAS matrix-vector products on reshaped views of
-the coefficients: M2 = quad . U (the (n^2, n) view times U) and
-M3 = cubic . U . U (the (n^2, n^2) view times vec(U U^T)).  With J2 = 2 M2 and
-J3 = 3 M3, the record's f, J(U) = L + 2 M2 + 3 M3, A(U) = L + M2 + M3 and
-fbar = J(U) U are computed when read; eval, jacobian, linearized_matrix and the
+which checks U and contracts each order m the system has once: M2 = quad . U
+and M3 = cubic . U . U, one BLAS matrix-vector product each on reshaped views.
+As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
+J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
+those orders, computed when read; eval, jacobian, linearized_matrix and the
 rest are one-liners over it.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
-tensor (Burgers has no cubic, a linear system neither).  An absent order is
-never allocated, symmetrized or contracted, and f, J, A and fbar skip its
-term; its M2 or M3 reads as a zero matrix, and its .quad or .cubic as a
-read-only zero-stride view of full shape, so a quadratic system costs no n^4
-memory.  Present orders keep the arithmetic above unchanged.
+tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
+it is never allocated, symmetrized or contracted; its M2 or M3 reads as a zero
+matrix, and its .quad or .cubic as a read-only zero-stride view of full shape,
+so a quadratic system costs no n^4 memory.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
 
+import itertools
 from dataclasses import dataclass
 import math
 
@@ -63,21 +63,14 @@ def diverged(U):
     return not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 
 
-def _sym_last2(t):
-    return 0.5 * (t + np.swapaxes(t, -1, -2))
+def _symmetrized(t):
+    """The average of t over every permutation of its trailing axes.
 
-
-def _sym_last3(t):
-    # average over the 6 permutations of the last three axes
-    perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
-    return sum(np.transpose(t, p) for p in perms) / 6.0
-
-
-def _order(t, shape, sym):
-    """A coefficient order as (stored tensor, present); absent (None or all zero) is a zero view."""
-    if t is None or not np.any(t):
-        return np.broadcast_to(0.0, shape), False
-    return sym(t), True
+    The sum starts from t itself, not from 0, so an entry that is -0.0 under
+    every permutation stays -0.0.
+    """
+    perms = list(itertools.permutations(range(1, t.ndim)))
+    return sum((np.transpose(t, (0, *p)) for p in perms[1:]), t) / len(perms)
 
 
 @dataclass(frozen=True)
@@ -107,33 +100,35 @@ class PolySystem:
             raise ValueError(f"cubic must be ({n},)*4, got {cubic.shape}")
         if const.shape != (n,):
             raise ValueError(f"const must have length {n}, got {const.shape}")
+        # on the inputs: a stored zero-stride view would allocate its full shape
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        quad, has_quad = _order(quad, (n, n, n), _sym_last2)
-        cubic, has_cubic = _order(cubic, (n, n, n, n), _sym_last3)
-        for name, val in (("L", L), ("quad", quad), ("cubic", cubic), ("const", const)):
+        orders = []  # (m, the coefficients viewed as (n^2, n^(m-1))) per order the system has
+        for m, name, t in ((2, "quad", quad), (3, "cubic", cubic)):
+            present = t is not None and np.any(t)
+            t = _symmetrized(t) if present else np.broadcast_to(0.0, (n,) * (m + 1))
+            t.setflags(write=False)
+            object.__setattr__(self, name, t)
+            if present:
+                orders.append((m, t.reshape(n * n, n ** (m - 1))))
+        for name, val in (("L", L), ("const", const), ("_orders", tuple(orders))):
             object.__setattr__(self, name, val)
-            val.setflags(write=False)
-        object.__setattr__(self, "_present", (has_quad, has_cubic))
+        L.setflags(write=False)
+        const.setflags(write=False)
 
     @property
     def n(self):
         return self.L.shape[0]
 
     def at(self, U):
-        """The system at state U: checks U and contracts each present order once."""
+        """The system at state U: checks U and contracts each order it has once."""
         U = np.asarray(U, dtype=float).ravel()
         n = self.n
         if U.shape != (n,):
             raise ValueError(f"state length {U.size} != system dimension {n}")
-        has_quad, has_cubic = self._present
-        M2 = M3 = None
-        if has_quad:
-            M2 = (self.quad.reshape(n * n, n) @ U).reshape(n, n)
-        if has_cubic:
-            M3 = (self.cubic.reshape(n * n, n * n) @ (U[:, None] * U).ravel()).reshape(n, n)
-        return PolyState(self, U, M2, M3)
+        terms = [(m, (C @ (U if m == 2 else (U[:, None] * U).ravel())).reshape(n, n)) for m, C in self._orders]
+        return PolyState(self, U, tuple(terms))
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""
@@ -159,80 +154,77 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class PolyState:
-    """A PolySystem at one state U; the properties compute from M2, M3 when read.
+    """A PolySystem at one state U; the properties are sums over its orders, computed when read.
 
-    An absent order's contraction is stored as None, and f, J, A and fbar
-    skip its term; the terms of present orders are added in the order the
-    formulas show.  M2 and M3 read as zero matrices for an absent order.
+    _terms holds (m, M_m) for each order m the system has, quadratic first;
+    f, J, A and fbar add the L term and then one term per order.
     """
 
     s: PolySystem
     U: np.ndarray
-    _m2: np.ndarray
-    _m3: np.ndarray
+    _terms: tuple
+
+    def _matrix(self, order):
+        for m, M in self._terms:
+            if m == order:
+                return M
+        return np.zeros((self.s.n,) * 2)
 
     @property
     def M2(self):
         """quad . U, the quadratic part of A(U)."""
-        return np.zeros((self.s.n,) * 2) if self._m2 is None else self._m2
+        return self._matrix(2)
 
     @property
     def M3(self):
         """cubic . U . U, the cubic part of A(U)."""
-        return np.zeros((self.s.n,) * 2) if self._m3 is None else self._m3
+        return self._matrix(3)
 
     @property
     def f(self):
-        """Residual f(U) = L U + M2 U + M3 U + F."""
-        U, f = self.U, self.s.L @ self.U
-        if self._m2 is not None:
-            f = f + self._m2 @ U
-        if self._m3 is not None:
-            f = f + self._m3 @ U
+        """Residual f(U) = L U + sum M_m U + F."""
+        f = self.s.L @ self.U
+        for _, M in self._terms:
+            f = f + M @ self.U
         return f + self.s.const
 
     @property
     def J(self):
-        """Exact Jacobian J(U) = L + 2 M2 + 3 M3, a new array."""
+        """Exact Jacobian J(U) = L + sum m M_m, a new array."""
         J = self.s.L
-        if self._m2 is not None:
-            J = J + 2.0 * self._m2
-        if self._m3 is not None:
-            J = J + 3.0 * self._m3
+        for m, M in self._terms:
+            J = J + m * M
         return J.copy() if J is self.s.L else J
 
     @property
     def A(self):
-        """Linear form A(U) = L + J2/2 + J3/3 = L + M2 + M3, with A U + F = f; a new array."""
+        """Linear form A(U) = L + sum J_m/m = L + sum M_m, with A U + F = f; a new array."""
         A = self.s.L
-        if self._m2 is not None:
-            A = A + self._m2
-        if self._m3 is not None:
-            A = A + self._m3
+        for _, M in self._terms:
+            A = A + M
         return A.copy() if A is self.s.L else A
 
     @property
     def fbar(self):
-        """fbar(U) = J(U) U without forming J: L U + 2 M2 U + 3 M3 U."""
-        U, fbar = self.U, self.s.L @ self.U
-        if self._m2 is not None:
-            fbar = fbar + 2.0 * (self._m2 @ U)
-        if self._m3 is not None:
-            fbar = fbar + 3.0 * (self._m3 @ U)
+        """fbar(U) = J(U) U without forming J: L U + sum m M_m U."""
+        fbar = self.s.L @ self.U
+        for m, M in self._terms:
+            fbar = fbar + m * (M @ self.U)
         return fbar
 
     def euler_residuals(self):
         """Residuals of the homogeneous-function identity, per nonlinear order.
 
-        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf).  Vacuous:
-        with symmetric storage J2 = 2 M2 and J3 = 3 M3 by construction, so the
-        first is exactly 0 and the second a few ulps on every input.  The
-        independent Jacobian check is central differences, reported as
-        fd_max_rel_error by `polyjac check-jacobian`.
+        Returns (||2 N2(U) - J2(U) U||_inf, ||3 N3(U) - J3(U) U||_inf), 0.0
+        for an absent order.  Vacuous: with symmetric storage J_m = m M_m by
+        construction, so the first is exactly 0 and the second a few ulps on
+        every input.  The independent Jacobian check is central differences,
+        reported as fd_max_rel_error by `polyjac check-jacobian`.
         """
-        r2 = np.linalg.norm(2.0 * (self.M2 @ self.U) - (2.0 * self.M2) @ self.U, np.inf)
-        r3 = np.linalg.norm(3.0 * (self.M3 @ self.U) - (3.0 * self.M3) @ self.U, np.inf)
-        return r2, r3
+        r = [0.0, 0.0]
+        for m, M in self._terms:
+            r[m - 2] = np.linalg.norm(m * (M @ self.U) - (m * M) @ self.U, np.inf)
+        return tuple(r)
 
     def deviation(self, J_hat):
         """Relative deviation ||fbar - J_hat U||_2 / ||fbar||_2 of an approximate Jacobian.

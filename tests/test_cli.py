@@ -573,6 +573,20 @@ class TestIntegrate:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: horizon / h_lo must be finite, got 10000000000.0 / 1e-320\n"
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--h", "1e-9", "--steps", "1000000000000"],
+         ["--scan", "--h-lo", "0.01", "--h-hi", "0.5", "--horizon", "1e300"]],
+        ids=["steps", "scan"],
+    )
+    def test_trajectory_over_the_dense_limit_is_usage_error(self, capsys, option):
+        # refused before the first step; otherwise the run would not end
+        assert main(["integrate", "burgers", "--n", "8", *option]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: trajectory of shape \(\d+, 8\) needs \d+ bytes, over the 1073741824-byte limit\n",
+                            captured.err)
+        assert captured.out == ""
+
     def test_domain_error_in_a_scan_is_numerical(self, tmp_path, capsys):
         # sqrt(U) - 10 U: a step of 0.5 from (1, 1) reaches negative entries, march and scan alike
         doc = {"n": 2, "rhs": {"op": "sum", "children": [

@@ -3,10 +3,11 @@ from zero, negative, NaN, infinite, huge and valid.  Each run ends in exit 0,
 1 or 2 with at most one stderr line and no traceback, and a run in which some
 value lies outside its option's domain exits 1.
 
-Runs stay bounded: --n <= 8, --steps <= 50, --max-iter <= 50,
---random-states <= 5, and horizon / h_lo <= 1e3 whenever both are finite.  A
-finite but huge step count is inside the domain and runs without bound, as a
-huge --steps does, so it is not drawn.
+Runs stay bounded: --n <= 8, --max-iter <= 50 and --random-states <= 5.
+--steps is at most 50 or huge, and horizon / h_lo is at most 1e3 or so large
+that its step count is: a trajectory of more than DENSE_LIMIT_BYTES is
+refused before the first step, so such a run lies outside the domain.  The
+finite ratios between 1e3 and that bound are not drawn, since they run long.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from polyjac.cli import main
+from polyjac.system import DENSE_LIMIT_BYTES
 
 KINDS = ("zero", "negative", "nan", "inf", "huge", "valid")
 BOUNDED = ("zero", "negative", "nan", "inf", "valid")  # an integer option that sets the run's length
@@ -26,6 +28,11 @@ def values(draw, valid, huge="1e300", kinds=KINDS):
     """The text of one option value: valid three times in four, else of a drawn kind."""
     kind = draw(st.sampled_from(kinds)) if draw(st.integers(0, 3)) == 0 else "valid"
     return {"zero": "0", "negative": "-1", "nan": "nan", "inf": "inf", "huge": huge, "valid": valid}[kind]
+
+
+def too_long(steps, n):
+    """Whether a trajectory of steps + 1 states of n floats exceeds DENSE_LIMIT_BYTES."""
+    return 8 * (steps + 1) * n > DENSE_LIMIT_BYTES
 
 
 def as_int(text):
@@ -90,13 +97,16 @@ def argvs(draw):
         if draw(st.booleans()):
             h_lo, h_hi, horizon = draw(values("0.01")), draw(values("0.5")), draw(values("1"))
             lo, hi, t = float(h_lo), float(h_hi), float(horizon)
-            assume(not (math.isfinite(lo) and math.isfinite(t) and lo != 0 and t / lo > 1e3))
+            ratio = t / lo if math.isfinite(lo) and math.isfinite(t) and lo != 0 else 0.0
+            too_many = math.isfinite(ratio) and too_long(math.ceil(ratio), n)
+            assume(not (1e3 < ratio < math.inf and not too_many))
             argv += ["--scan", f"--h-lo={h_lo}", f"--h-hi={h_hi}", f"--horizon={horizon}"]
-            bad = bad or not (0 < t < math.inf and 0 < lo < hi < math.inf and math.isfinite(t / lo))
+            bad = bad or too_many or not (0 < t < math.inf and 0 < lo < hi < math.inf and math.isfinite(t / lo))
         else:
-            h, steps = draw(values("0.01")), draw(values("10", kinds=BOUNDED))
+            h, steps = draw(values("0.01")), draw(values("10", huge="1000000000000"))
             argv += [f"--h={h}", f"--steps={steps}"] + (["--report"] if draw(st.booleans()) else [])
-            bad = bad or not 0 < float(h) < math.inf or as_int(steps) is None or as_int(steps) < 0
+            bad = (bad or not 0 < float(h) < math.inf or as_int(steps) is None or as_int(steps) < 0
+                   or too_long(as_int(steps), n))
     return argv, bad
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -90,6 +91,31 @@ def _peak_bytes(build):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestSymmetrization:
+    def test_quad_keeps_the_signed_zeros_of_the_pairwise_average(self, rng):
+        quad = rng.choice([-0.0, 0.0, 1.5], size=(4, 4, 4))
+        quad[0, 0, 1] = 1.0  # present, whatever the draw
+        s = PolySystem(np.eye(4), quad, None, np.zeros(4))
+        want = 0.5 * (quad + np.swapaxes(quad, -1, -2))
+        assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
+        np.testing.assert_array_equal(np.signbit(s.quad), np.signbit(want))
+
+    def test_cubic_entry_negative_zero_under_every_permutation_stays_negative_zero(self):
+        # The average sums from the identity permutation, so -0.0 + ... + -0.0 stays -0.0;
+        # a sum started from 0 would give +0.0, equal in value only.
+        cubic = np.full((3, 3, 3, 3), -0.0)
+        cubic[1, 0, 1, 2] = 6.0
+        cubic[2, 2, 2, 0] = 0.0
+        s = PolySystem(np.eye(3), None, cubic, np.zeros(3))
+        mixed = np.zeros(cubic.shape, dtype=bool)  # an orbit holding something other than -0.0
+        for i, p in ((1, (0, 1, 2)), (2, (2, 2, 0))):
+            for q in itertools.permutations(p):
+                mixed[(i, *q)] = True
+        np.testing.assert_array_equal(s.cubic[1][mixed[1]], 1.0)
+        np.testing.assert_array_equal(np.signbit(s.cubic[2][mixed[2]]), False)
+        assert np.all(s.cubic[2][mixed[2]] == 0.0) and np.all(np.signbit(s.cubic[~mixed]))
 
 
 class TestAbsentOrders:
