@@ -7,7 +7,8 @@ gives an exact counterpart: with fbar(U) = J(U) U = L U + 2 N2(U) + 3 N3(U),
 any exact Jacobians satisfy J_i U_i - J_{i-1} U_{i-1} = fbar(U_i) -
 fbar(U_{i-1}) identically.  The modified update enforces that exact relation
 instead; both keep the rank-one no-change property on directions orthogonal
-to the step.
+to the step.  The exact relation alone lets the modified approximation drift
+off the step direction, so the solver also holds it to the secant condition.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
 
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
 PAIRING_TOL = 1e-6
+SECANT_TOL = 1.0
 
 
 class GuardTripError(ValueError):
@@ -49,8 +51,9 @@ class QNOptions:
 
     keep_jacobians records each iterate's Jacobian or approximation in
     trace.jacobians, as deviation_report needs.  Every rank-one denominator
-    is guarded by _guard(q); a tripped guard reinitialises with the exact
-    Jacobian at the new iterate.
+    is guarded by _guard(q), and a modified update must also meet the secant
+    condition to within SECANT_TOL; a tripped guard or a failed secant check
+    reinitialises with the exact Jacobian at the new iterate.
     """
 
     variant: str = "newton"
@@ -196,15 +199,25 @@ def _rank_one_update(J, J_inv, U, U_new, y, modified, eye):
     return J_new, Jinv_new
 
 
+def _secant_holds(J, q, delta_f):
+    """Whether the secant residual ||J q - delta_f||_inf / ||delta_f||_inf is at most SECANT_TOL.
+
+    A residual that is not finite, as with delta_f = 0, does not hold.
+    """
+    scale = float(np.abs(delta_f).max())
+    return 0.0 < scale < math.inf and float(np.abs(J @ q - delta_f).max()) <= SECANT_TOL * scale
+
+
 def qn_solve(s, U0, opts=None):
     """Root-find f(U) = 0 by Newton or a rank-one quasi-Newton variant.
 
     Every variant starts from the exact Jacobian at U0.  Newton solves with
     the exact Jacobian at each iterate; the rank-one variants invert it once
-    and then update the inverse.  A rank-one update that trips a guard or
-    fails the inverse-pairing check is replaced by the exact Jacobian at the
-    new iterate.  A diverging iterate or residual ends the solve "diverged"
-    with failure_index at the iteration that produced it; a singular exact
+    and then update the inverse.  A rank-one update that trips a guard,
+    fails the inverse-pairing check or, for modified_rank1, fails
+    _secant_holds is replaced by the exact Jacobian at the new iterate.  A
+    diverging iterate or residual ends the solve "diverged" with
+    failure_index at the iteration that produced it; a singular exact
     Jacobian ends it "singular_jacobian" at the iterate where it was
     assembled.
     """
@@ -241,6 +254,8 @@ def qn_solve(s, U0, opts=None):
             y = fbar_new - fbar if modified else f_new - f
             try:
                 J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified, eye)
+                if modified and not _secant_holds(J, U_new - U, f_new - f):
+                    J, J_inv = st.J, None
             except GuardTripError:
                 J, J_inv = st.J, None
             fbar = fbar_new
@@ -258,6 +273,7 @@ def deviation_report(s, trace):
     fbar(U) = 0 (metric undefined).  For modified_rank1 every entry is about
     0 by construction, since the update enforces J_i U_i = fbar(U_i) from an
     exact Jacobian on and after every reinitialisation: it cannot see stalls.
+    qn_solve's secant guard (_secant_holds) is what catches them.
     """
     if trace.jacobians is None:
         raise ValueError("trace has no recorded Jacobian approximations")

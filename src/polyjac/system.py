@@ -49,12 +49,27 @@ DIVERGENCE_LIMIT = 1e8
 DENSE_LIMIT_BYTES = 2**30
 
 
+def _count(count):
+    """An integer in full below 10**15, else rounded to 3 digits (1.7e+308).
+
+    Rounded from its decimal digits: a count past float range has no float.
+    """
+    digits = str(count)
+    if len(digits) <= 15:
+        return digits
+    lead, exp = (int(digits[:4]) + 5) // 10, len(digits) - 1  # 3 digits, half up
+    if lead == 1000:
+        lead, exp = 100, exp + 1
+    return f"{lead // 100}.{lead % 100:02d}".rstrip("0").rstrip(".") + f"e+{exp}"
+
+
 def check_dense(shape, what):
     """Raise ValueError if a float tensor of this shape exceeds DENSE_LIMIT_BYTES."""
     nbytes = 8 * math.prod(shape)
     if nbytes > DENSE_LIMIT_BYTES:
+        dims = ", ".join(map(_count, shape)) + ("," if len(shape) == 1 else "")
         raise ValueError(
-            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, over the {DENSE_LIMIT_BYTES}-byte limit"
+            f"{what} of shape ({dims}) needs {_count(nbytes)} bytes, over the {DENSE_LIMIT_BYTES}-byte limit"
         )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from polyjac import (
     classic_inverse_update,
     classic_update,
     deviation_report,
+    from_kronecker,
     iterative_solve,
     jacobian_action,
     modified_inverse_update,
@@ -296,6 +299,80 @@ class TestSolve:
             if np.array_equal(tr.jacobians[k], s.jacobian(tr.iterates[k]))
         ]
         assert exact[0] == 11
+
+
+def random_cubic_system(seed, tag, k, n):
+    """The benchmark's dense random cubic: draw k of workload tag on seed."""
+    rng = np.random.default_rng([seed, tag, k])
+    K = 4.0 * np.eye(n) + rng.standard_normal((n, n)) / math.sqrt(n)
+    G = 0.5 * rng.standard_normal((n, n * n)) / n
+    R = 0.5 * rng.standard_normal((n, n**3)) / n**1.5
+    F = rng.standard_normal(n)
+    return from_kronecker(K, G, R, F)
+
+
+def secant_residuals(s, trace):
+    """||J_k q - delta_f||_inf / ||delta_f||_inf of the Jacobian recorded after each step."""
+    out = []
+    for k in range(1, trace.iterations):
+        q = trace.iterates[k] - trace.iterates[k - 1]
+        delta_f = s.eval(trace.iterates[k]) - s.eval(trace.iterates[k - 1])
+        out.append(np.abs(trace.jacobians[k] @ q - delta_f).max() / np.abs(delta_f).max())
+    return out
+
+
+class TestSecantGuard:
+    """modified_rank1 restarts from the exact Jacobian when the secant residual exceeds 1.
+
+    Without that restart the modified update drifts off the step direction
+    and these systems crawl to max_iter, while Newton converges in a few
+    iterations.
+    """
+
+    def stalled_cli_batch_system(self):
+        # seed 1, system 6 of the CLI batch benchmark: n = 8, solved from U0 = 1
+        return random_cubic_system(1, 3, 6, 8), np.ones(8)
+
+    def test_stalled_cli_batch_system_converges(self):
+        s, U0 = self.stalled_cli_batch_system()
+        opts = QNOptions(variant="modified_rank1", max_iter=200)
+        tr = qn_solve(s, U0, opts)
+        assert tr.status == "converged"
+        assert tr.iterations - 1 <= 20
+        assert np.linalg.norm(s.eval(tr.solution), np.inf) <= opts.tol
+
+    def test_stalled_dense_solve_system_converges(self):
+        # seed 7, system 5 of the dense solve benchmark: n = 20, solved from U0 = 0
+        s = random_cubic_system(7, 2, 5, 20)
+        opts = QNOptions(variant="modified_rank1")
+        tr = qn_solve(s, np.zeros(20), opts)
+        assert tr.status == "converged"
+        assert np.linalg.norm(s.eval(tr.solution), np.inf) <= opts.tol
+
+    def test_deviation_formula_cannot_see_the_restart(self):
+        s, U0 = self.stalled_cli_batch_system()
+        tr = qn_solve(s, U0, QNOptions(variant="modified_rank1", max_iter=200, keep_jacobians=True))
+        assert all(d is not None and d <= 1e-10 for d in deviation_report(s, tr))
+        assert any(
+            np.array_equal(J, s.at(U).J) for U, J in zip(tr.iterates[1:], tr.jacobians[1:])
+        )
+
+    def test_unguarded_update_fails_the_secant_condition_unseen(self, monkeypatch):
+        # with the guard off, the deviation formula stays near 0 while the
+        # kept Jacobian misses the secant condition along some step
+        monkeypatch.setattr(quasi_newton, "SECANT_TOL", math.inf)
+        s, U0 = self.stalled_cli_batch_system()
+        tr = qn_solve(s, U0, QNOptions(variant="modified_rank1", max_iter=200, keep_jacobians=True))
+        assert all(d is not None and d <= 1e-10 for d in deviation_report(s, tr))
+        assert max(secant_residuals(s, tr)) > 1.0
+
+    @pytest.mark.parametrize("variant", ["newton", "classic_rank1"])
+    def test_other_variants_never_check(self, variant, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quasi_newton, "_secant_holds", lambda *a: calls.append(a))
+        s, U0 = self.stalled_cli_batch_system()
+        assert qn_solve(s, U0, QNOptions(variant=variant, max_iter=200)).status == "converged"
+        assert calls == []
 
 
 def runaway_cubic_system():

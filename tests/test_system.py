@@ -7,7 +7,7 @@ import pytest
 
 from polyjac import PolySystem, burgers_discretize, from_kronecker, load_system_json, lower_to_poly
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
-from polyjac.system import diverged
+from polyjac.system import check_dense, diverged
 
 from conftest import random_poly_system, fd_jacobian
 
@@ -355,6 +355,18 @@ class TestJsonFormat:
         del doc["cubic"]
         doc["quadratic"] = [[0, 1, 2, 1.0]]
         assert load_system_json(doc).quad[0, 1, 2] == 0.5  # n^3 floats, 64 MB, are within the limit
+
+    @pytest.mark.parametrize(
+        "shape, text",
+        [((124999999999999, 1), "shape (124999999999999, 1) needs 999999999999992 bytes"),
+         ((10**15,), "shape (1e+15,) needs 8e+15 bytes"),
+         ((2, 10**400), "shape (2, 1e+400) needs 1.6e+401 bytes")],
+        ids=["below-rounding", "one-axis", "past-float-range"],
+    )
+    def test_dense_limit_rounds_counts_of_ten_to_the_fifteen(self, shape, text):
+        with pytest.raises(ValueError) as err:
+            check_dense(shape, "tensor")
+        assert str(err.value) == f"tensor of {text}, over the 1073741824-byte limit"
 
     def test_repeated_entries_add(self):
         data = {"n": 2, "L": [[0, 0], [0, 0]], "F": [0, 0],
