@@ -4,7 +4,8 @@ Explicit methods carry a-priori bounds h < 2/||A|| (Euler) and
 h < 2.785/||A|| (classic RK4, real-axis stability interval), with the matrix
 norm (l1 or linf) standing in for the spectral radius.  Implicit methods are
 judged a posteriori by a negative-definiteness certificate on the symmetric
-part of A(U).
+part of A(U).  Implicit Euler is Newton with the exact Jacobian J(V) from
+the same record as A(V); semi-implicit Euler stops at its first iterate.
 """
 
 from dataclasses import dataclass, field
@@ -152,7 +153,7 @@ class IVP:
 
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
-    the state-dependent matrix A(U), which implicit stepping requires; a
+    the exact Jacobian J(U), which implicit stepping requires, and A(U); a
     polynomial expression tree is lowered when poly is first read.  A tree is
     compiled once here, and every rhs evaluation calls the result.
     """
@@ -185,8 +186,8 @@ class IVP:
         return self.poly.at(U)
 
 
-PICARD_TOL = 1e-12
-PICARD_MAX_ITER = 50
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 def _report(method, A):
@@ -211,25 +212,24 @@ def _step(ivp, method, U, h, eye):
         k4 = ivp.rhs(U + h * k3)
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
+        st = ivp.poly.at(U)
+        f = st.f if ivp._tree is None else ivp._tree(U)
+        V = U + h * np.linalg.solve(eye - h * st.J, f)
         if method == "semi_implicit_euler":
-            st = ivp.poly.at(U)
-            f = st.f if ivp._tree is None else ivp._tree(U)
-            return U + h * np.linalg.solve(eye - h * st.J, f)
-        # implicit Euler by Picard iteration: freeze A at the current guess, solve, repeat
-        V = U
-        rhs_vec = U + h * ivp.poly.const
-        for _ in range(PICARD_MAX_ITER):
-            V_new = np.linalg.solve(eye - h * ivp.linear_form(V).A, rhs_vec)
+            return V
+        # implicit Euler: Newton on V - U - h f(V) = 0, J(V) and f(V) from one record per iterate
+        for _ in range(NEWTON_MAX_ITER):
+            st = ivp.poly.at(V)
+            dV = np.linalg.solve(eye - h * st.J, U + h * st.f - V)
+            V = V + dV
             # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
-            m = np.abs(V_new).max()
-            if not math.isfinite(m):
+            if not math.isfinite(m := np.abs(V).max()):
                 return None
-            if np.abs(V_new - V).max() <= PICARD_TOL * (1.0 + m):
-                return V_new
-            V = V_new
+            if np.abs(dV).max() <= NEWTON_TOL * (1.0 + m):
+                return V
     except np.linalg.LinAlgError:
         return None
-    return None  # Picard iteration did not converge
+    return None  # Newton iteration did not converge
 
 
 def integrate(ivp, method, h, steps, report=False):
@@ -237,9 +237,9 @@ def integrate(ivp, method, h, steps, report=False):
 
     explicit_euler steps U + h rhs(U), which for polynomial structure equals
     the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
-    solves the step equation by Picard iteration on the frozen linear form;
-    semi_implicit_euler does one linear solve with the exact Jacobian per
-    step; a failed solve ends the run as solver_failed.  Divergence (a
+    solves the step equation by Newton with the exact Jacobian from the same
+    record as f; semi_implicit_euler takes only its first iterate, one solve
+    per step.  A failed solve ends the run as solver_failed.  Divergence (a
     non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
     each step of a polynomial IVP records a StabilityReport from A(U) at the
     step's start (at its end for implicit_euler).  A tree evaluated outside
@@ -269,7 +269,7 @@ def integrate(ivp, method, h, steps, report=False):
             traj.failure_step = k
             return traj
         if report and ivp.poly is not None:
-            A = ivp.linear_form(U_next if method == "implicit_euler" else U).A
+            A = ivp.poly.at(U_next if method == "implicit_euler" else U).A
             traj.per_step_reports.append(_report(method, A))
         t += h
         U = U_next

@@ -523,6 +523,14 @@ class TestIntegrate:
         d = read_json(str(out))
         assert d["blowup_threshold"] == pytest.approx(2.0, rel=0.02)
 
+    def test_implicit_scan_finds_no_blowup_on_burgers(self, capsys):
+        # implicit Euler completes the horizon at h_hi = 2, so there is no blow-up to bracket
+        argv = ["integrate", "burgers", "--n", "24", "--re", "100", "--method", "implicit-euler",
+                "--scan", "--h-lo", "0.01", "--h-hi", "2", "--horizon", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bracket invalid: stable at h_hi=2.0\n" and captured.out == ""
+
     @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
     def test_scan_horizon_outside_domain_is_usage_error(self, capsys, horizon):
         argv = ["integrate", "burgers", "--n", "8", "--scan", "--h-lo", "0.01", "--h-hi", "0.3"]

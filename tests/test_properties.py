@@ -2,7 +2,8 @@
 the tree sum fold against the plain sum it replaces (bit for bit), the
 compiled tree evaluator against the recursive walk it replaced (bit for bit,
 or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
-loop, and the invariants of the rank-one updates.  The solvers' fast paths
+loop, the invariants of the rank-one updates, and the step equation an
+implicit Euler step solves.  The solvers' fast paths
 (the shared rank-one kernels, the pairing norm and the masked sweep) must
 match, bit for bit, the code they replaced.
 
@@ -28,6 +29,7 @@ from polyjac import (
     ElementwiseFunction,
     HadamardPower,
     HadamardProduct,
+    IVP,
     LinearMap,
     PolySystem,
     GuardTripError,
@@ -39,6 +41,7 @@ from polyjac import (
     expressions,
     h_eval,
     h_jacobian,
+    integrate,
     jacobian_action,
     lower_to_poly,
     modified_inverse_update,
@@ -126,6 +129,17 @@ def test_linear_form_reproduces_residual(case):
     s, U, _ = case
     scale = _abs_reference(s, U)["eval"]
     assert _close(s.linearized_matrix(U).A @ U + s.const, s.eval(U), scale)
+
+
+@given(systems_and_states(), st.floats(1e-3, 1.0))
+def test_implicit_euler_step_solves_the_step_equation_or_fails(case, h):
+    # Newton either reports solver_failed or returns V = U + h f(V) to 1e-10 (1 + ||V||)
+    s, U, _ = case
+    with np.errstate(all="ignore"):
+        traj = integrate(IVP(s, U), "implicit_euler", h, 1)
+    if traj.status != "solver_failed":
+        V = traj.states[1]
+        assert np.abs(V - U - h * s.eval(V)).max() <= 1e-10 * (1.0 + np.abs(V).max())
 
 
 triangular_methods = st.sampled_from(("gauss_seidel", "sor"))

@@ -206,6 +206,38 @@ class TestIntegrate:
         assert len(at) == 5 and len(calls) == (5 if tree else 0)
         assert compiles == ([source.rhs] if tree else [])
 
+    @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
+    def test_implicit_euler_starts_from_the_semi_implicit_step(self, monkeypatch, tree):
+        # semi-implicit Euler is U + h solve(I - h J(U), f(U)) bit for bit, with f
+        # from the record or the compiled tree; implicit Euler's Newton iteration
+        # reads its second record at that very state
+        source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        U0, h = 0.1 * burgers_initial_state(8), 0.05
+        ivp = IVP(source, U0)
+        st = ivp.poly.at(U0)
+        f = compile_tree(source.rhs)(U0) if tree else st.f
+        first = U0 + h * np.linalg.solve(np.eye(8) - h * st.J, f)
+        assert np.array_equal(integrate(ivp, "semi_implicit_euler", h, 1).states[1], first)
+        at = count_calls(monkeypatch, PolySystem, "at")
+        assert integrate(ivp, "implicit_euler", h, 1).status == "completed"
+        assert np.array_equal(at[0][0], U0) and np.array_equal(at[1][0], first)
+
+    def test_implicit_euler_contracts_once_per_newton_iterate(self, monkeypatch):
+        # one record for the semi-implicit first iterate and one per Newton correction: 4 a step here
+        ivp = IVP(burgers_discretize(24, 100.0), burgers_initial_state(24))
+        at = count_calls(monkeypatch, PolySystem, "at")
+        assert integrate(ivp, "implicit_euler", 0.005, 10).status == "completed"
+        assert len(at) <= 40
+
+    def test_implicit_euler_solves_the_step_equation_at_a_large_step(self):
+        # h = 0.5 is about 12 times the a-priori explicit-Euler bound at the start state
+        ivp = IVP(burgers_discretize(24, 100.0), burgers_initial_state(24))
+        traj = integrate(ivp, "implicit_euler", 0.5, 10)
+        assert traj.status == "completed"
+        for U, V in zip(traj.states, traj.states[1:]):
+            residual = np.linalg.norm(V - U - 0.5 * ivp.rhs(V), np.inf)
+            assert residual <= 1e-10 * (1.0 + np.linalg.norm(V, np.inf))
+
     def test_explicit_reports_attached(self):
         s = linear_system(-np.diag([1.0, 2.0, 4.0]))
         traj = integrate(IVP(s, np.ones(3)), "explicit_euler", 0.1, 5, report=True)
