@@ -1,14 +1,14 @@
 """Dense polynomial systems f(U) = L U + N2(U) + N3(U) + F and their calculus.
 
-Coefficients are stored as fully symmetrized tensors: quad[i, j, k] multiplies
+Coefficients are fully symmetrized at ingestion: quad[i, j, k] multiplies
 U_j U_k in equation i (symmetric in j, k), cubic[i, j, k, l] multiplies
-U_j U_k U_l (symmetric in j, k, l).  Symmetrizing at ingestion makes the Euler
-identity m * N_m(U) = J_m(U) U hold to rounding, which the rest of the library
-leans on.
+U_j U_k U_l (symmetric in j, k, l), so the Euler identity m N_m(U) = J_m(U) U
+holds to rounding.  The cubic is kept packed: P[i, j, p] = w cubic[i, j, k, l]
+for the p-th pair k <= l of np.triu_indices(n), w = 1 if k == l else 2 (exact).
 
 Everything at a state U comes from one record, PolySystem.at(U) -> PolyState,
-which checks U and contracts each order m the system has once: M2 = quad . U
-and M3 = cubic . U . U, one BLAS matrix-vector product each on reshaped views.
+which checks U and contracts each order m the system has once, one BLAS
+matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
 those orders, computed when read; eval, jacobian, linearized_matrix and the
@@ -24,6 +24,7 @@ Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 import math
@@ -44,8 +45,8 @@ DIVERGENCE_LIMIT = 1e8
 # Largest dense coefficient tensor an input may ask for, in bytes (1 GiB): a
 # cubic up to n = 107 (n^4 floats), a quadratic up to n = 512 (n^3 floats).
 # Reading a system document and lowering a tree check each dense tensor they
-# build against it before allocating; symmetrizing one briefly holds a few
-# such tensors.
+# build against it before allocating.  A cubic is built dense before it is
+# packed, so the limit is unchanged; packing briefly holds a few half its size.
 DENSE_LIMIT_BYTES = 2**30
 
 
@@ -78,21 +79,28 @@ def diverged(U):
     return not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 
 
-def _symmetrized(t):
-    """The average of t over every permutation of its trailing axes.
+def _symmetrized(t, *index):
+    """The average of t over every permutation of its trailing axes, at t[index] only.
 
     The sum starts from t itself, not from 0, so an entry that is -0.0 under
     every permutation stays -0.0.
     """
     perms = list(itertools.permutations(range(1, t.ndim)))
-    return sum((np.transpose(t, (0, *p)) for p in perms[1:]), t) / len(perms)
+    return sum((np.transpose(t, (0, *p))[index] for p in perms[1:]), t[index]) / len(perms)
+
+
+@functools.cache
+def _pairs(n):  # read-only rows k, l of the pairs k <= l, in np.triu_indices(n) order: P's columns
+    pairs = np.array(np.triu_indices(n))
+    pairs.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
 class PolySystem:
     """Cubic-capped polynomial system over R^n, immutable after construction.
 
-    quad and cubic may be None for an absent order.
+    quad and cubic may be None for an absent order; a present cubic is stored only as P, in ._packed.
     """
 
     L: np.ndarray
@@ -119,18 +127,30 @@ class PolySystem:
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        orders = []  # (m, the coefficients viewed as (n^2, n^(m-1))) per order the system has
+        orders = []  # (m, the coefficients as an (n^2, .) matrix) per order the system has
         for m, name, t in ((2, "quad", quad), (3, "cubic", cubic)):
             present = t is not None and np.any(t)
-            t = _symmetrized(t) if present else np.broadcast_to(0.0, (n,) * (m + 1))
+            if present and m == 3:  # symmetrized straight into P; __getattr__ rebuilds .cubic
+                r, c = _pairs(n)
+                name, t = "_packed", np.multiply(_symmetrized(t, ..., r, c), 2 - (r == c), order="C")
+                object.__delattr__(self, "cubic")
+            else:
+                t = _symmetrized(t) if present else np.broadcast_to(0.0, (n,) * (m + 1))
             t.setflags(write=False)
             object.__setattr__(self, name, t)
             if present:
-                orders.append((m, t.reshape(n * n, n ** (m - 1))))
+                orders.append((m, t.reshape(n * n, -1)))
         for name, val in (("L", L), ("const", const), ("_orders", tuple(orders))):
             object.__setattr__(self, name, val)
         L.setflags(write=False)
         const.setflags(write=False)
+
+    def __getattr__(self, name):  # .cubic once packed: the full read-only tensor, rebuilt from P
+        if name != "cubic":
+            raise AttributeError(name)
+        (r, c), t = _pairs(self.n), np.empty((self.n,) * 4)
+        t[..., r, c] = t[..., c, r] = self._packed / (2 - (r == c))
+        return np.broadcast_to(t, t.shape)  # a read-only view, as for an absent order
 
     @property
     def n(self):
@@ -142,7 +162,7 @@ class PolySystem:
         n = self.n
         if U.shape != (n,):
             raise ValueError(f"state length {U.size} != system dimension {n}")
-        terms = [(m, (C @ (U if m == 2 else (U[:, None] * U).ravel())).reshape(n, n)) for m, C in self._orders]
+        terms = [(m, (C @ (U if m == 2 else np.multiply(*U[_pairs(n)]))).reshape(n, n)) for m, C in self._orders]
         return PolyState(self, U, tuple(terms))
 
     def eval(self, U):
@@ -192,7 +212,7 @@ class PolyState:
 
     @property
     def M3(self):
-        """cubic . U . U, the cubic part of A(U)."""
+        """cubic . U . U, the cubic part of A(U), formed as P . (U_k U_l)_{k<=l}."""
         return self._matrix(3)
 
     @property

@@ -1,7 +1,7 @@
-"""Property tests: the contraction path against the einsum reference, lowering,
-the tree sum fold against the plain sum it replaces (bit for bit), the
-compiled tree evaluator against the recursive walk it replaced (bit for bit,
-or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
+"""Property tests: the contraction path against the einsum reference and
+against einsum over the raw, unsymmetrized input, lowering, the tree sum fold
+against the plain sum it replaces (bit for bit), the compiled tree evaluator
+against the recursive walk it replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, the invariants of the rank-one updates, and the step equation an
 implicit Euler step solves.  The solvers' fast paths
 (the shared rank-one kernels, the pairing norm and the masked sweep) must
@@ -99,6 +99,32 @@ def test_contraction_matches_einsum_reference(case):
               (st.fbar, "jacobian_action"), (2 * st.M2, "J2"), (3 * st.M3, "J3"))
     for got, key in fields:
         assert _close(got, ref[key], scale[key]), key
+
+
+def _raw_reference(raw, U):
+    """f, J, fbar and M3 at U from einsum over the unsymmetrized input alone.
+
+    Each derivative sums the input over every slot U_j takes in a monomial, so
+    it reads nothing the system stores, .quad and .cubic included.
+    """
+    q, c = raw.quad, raw.cubic
+    J2 = np.einsum("ijk,k->ij", q, U) + np.einsum("ikj,k->ij", q, U)
+    J3 = sum(np.einsum(f"{sub}->ij", c, U, U) for sub in ("ijkl,k,l", "ikjl,k,l", "iklj,k,l"))
+    J = raw.L + J2 + J3
+    f = raw.L @ U + np.einsum("ijk,j,k->i", q, U, U) + np.einsum("ijkl,j,k,l->i", c, U, U, U) + raw.const
+    return {"f": f, "J": J, "fbar": J @ U, "M3": J3 / 3.0}
+
+
+@given(systems_and_states())
+def test_state_matches_einsum_over_the_raw_input(case):
+    # .cubic is rebuilt from the packed cubic, so a packing that weighs the pairs
+    # k < l wrongly passes a reference read from it; this one never reads it.
+    s, U, raw = case
+    absolute = SimpleNamespace(**{k: np.abs(v) for k, v in vars(raw).items()})
+    want, scale = _raw_reference(raw, U), _raw_reference(absolute, np.abs(U))
+    st = s.at(U)
+    for key in ("f", "J", "fbar", "M3"):
+        assert _close(getattr(st, key), want[key], scale[key]), key
 
 
 @given(systems_and_states(), st.sampled_from(("quad", "cubic", "both")))

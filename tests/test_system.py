@@ -152,6 +152,41 @@ class TestAbsentOrders:
         assert _peak_bytes(build) < 16e6
 
 
+def _stored_floats(s):
+    """Floats in the distinct buffers of every array a system holds, in attributes or tuples."""
+    buffers, todo = {}, list(vars(s).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, tuple):
+            todo.extend(v)
+        elif isinstance(v, np.ndarray):
+            while v.base is not None:
+                v = v.base
+            buffers[id(v)] = v.size
+    return sum(buffers.values())
+
+
+class TestPackedCubic:
+    def test_dense_system_stores_the_cubic_once_per_symmetric_pair(self, rng):
+        n = 20
+        s = from_kronecker(*random_kron_coeffs(rng, n))
+        # the packed cubic, the quad, L and const; a full cubic alone would be n^4 = 160000
+        assert _stored_floats(s) <= n * n * n * (n + 1) // 2 + n**3 + n**2 + n
+
+    def test_cubic_reads_as_an_equal_read_only_symmetric_tensor_on_every_read(self, rng):
+        n = 5
+        K, G, R, F = random_kron_coeffs(rng, n)
+        s = from_kronecker(K, G, R, F)
+        raw = R.reshape((n,) * 4)
+        want = sum(np.transpose(raw, (0, *p)) for p in itertools.permutations((1, 2, 3))) / 6
+        first, second = s.cubic, s.cubic
+        for t in (first, second):
+            assert t.shape == (n,) * 4 and not t.flags.writeable
+            np.testing.assert_array_equal(t, np.swapaxes(t, 2, 3))
+            np.testing.assert_allclose(t, want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(first, second)
+
+
 class TestEval:
     def test_at_zero_returns_constant(self, rng):
         s = random_poly_system(rng, 4)
