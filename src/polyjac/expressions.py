@@ -18,9 +18,11 @@ order still None at the root reaches PolySystem as None, an absent order, so
 a quadratic tree such as Burgers never allocates an n^4 cubic, and lowering
 it is cheap enough to repeat for each IVP built from the tree.
 
-A tree is evaluated by compiling it once into nested closures, one per node,
-so a call makes only the node's numpy calls; h_eval compiles and calls, and
-an IVP compiles its tree once and calls the result at every rhs evaluation.
+One walk, _compile, gives a tree its meaning: at each node it checks the
+shape rule (no operand is broadcast) and builds two closures, the node's
+value and its Jacobian, so a call makes only the node's numpy calls.
+h_eval and h_jacobian compile, which applies the shape rule, and call; an
+IVP compiles its tree once and calls the value at every rhs evaluation.
 Lowering refuses a dense tensor over system.DENSE_LIMIT_BYTES before
 allocating it.
 """
@@ -103,11 +105,7 @@ class HadamardPower(HExpr):
             raise ValueError(f"exponent must be finite, got {self.q}")
 
 
-_FUNCS = {
-    "sin": (np.sin, lambda x: np.cos(x)),
-    "cos": (np.cos, lambda x: -np.sin(x)),
-    "exp": (np.exp, np.exp),
-}
+_FUNCS = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda x: -np.sin(x)), "exp": (np.exp, np.exp)}  # (f, f')
 
 
 @dataclass(frozen=True)
@@ -153,46 +151,61 @@ class Sum(HExpr):
 
 
 def h_eval(e, U):
-    """Evaluate an expression tree at state U, DomainError outside its domain; the shape rule is checked elsewhere."""
-    return _compile(e)(np.asarray(U, dtype=float).ravel())
+    """Evaluate a tree at state U; ValueError if it breaks the shape rule, DomainError outside its domain."""
+    U = np.asarray(U, dtype=float).ravel()
+    return _check_length(e, U.size)[0](U)
 
 
-def _identity(U):
-    return U
+def h_jacobian(e, U):
+    """Exact Jacobian of h_eval(e, .) at U, via chain rules with row scaling."""
+    U = np.asarray(U, dtype=float).ravel()
+    return _check_length(e, U.size)[1](U)
 
 
-def _compile(e):
-    """The tree as one evaluator U -> value: a closure per node, built once.
+def _check_length(e, n):
+    """The tree compiled over R^n as (value, jacobian), once its value is required to have length n."""
+    m, value, jacobian = _compile(e, n)
+    if m != n:
+        raise ValueError(f"tree evaluates to length {m}, expected {n}")
+    return value, jacobian
 
-    Each closure makes its node's numpy calls and nothing else; the node
-    types are dispatched here, not per call.  A linear map of the state is
-    A's own matmul, and a Sum is _fold of its children.  Every node takes its
-    children's values left to right, so a domain error of HadamardPower comes
-    from the same node as in a recursive walk.
+
+def _compile(e, n):
+    """The tree over R^n as (length, value, jacobian): the one walk that gives a tree its meaning.
+
+    At each node, children first, it checks the shape rule, under which no
+    operand is broadcast, and builds two closures of U, the node's value and
+    its Jacobian, so a call makes only the node's numpy calls.  A linear map
+    of the state is A's own matmul, and a Sum is _fold of its children.
+    Every closure takes its children's values left to right, so a domain
+    error of HadamardPower comes from the same node as in a recursive walk.
     """
-    if isinstance(e, Sum):
-        return _fold(e.weights, [_compile(c) for c in e.children])
+    if isinstance(e, (Sum, HadamardProduct)):
+        lengths, values, jacobians = zip(*(_compile(c, n) for c in e.children))
+        if len(set(lengths)) != 1:
+            raise ValueError(f"{type(e).__name__} children have lengths {list(lengths)}")
+        if isinstance(e, Sum):
+            return lengths[0], _fold(e.weights, values), _fold(e.weights, jacobians)
+        return lengths[0], functools.reduce(_multiplied, values), _product_rule(values, jacobians, n)
     if isinstance(e, LinearMap):
-        A = e.A
-        if isinstance(e.child, State):
-            return A.__matmul__
-        child = _compile(e.child)
-        return lambda U: A @ child(U)
-    if isinstance(e, HadamardProduct):
-        out, *rest = map(_compile, e.children)
-        for f in rest:
-            out = _multiplied(out, f)
-        return out
+        A, (m, child, jacobian) = e.A, _compile(e.child, n)
+        if A.shape[1] != m:
+            raise ValueError(f"linear map of shape {A.shape} applied to length {m}")
+        value = A.__matmul__ if isinstance(e.child, State) else lambda U: A @ child(U)
+        return A.shape[0], value, lambda U: A @ jacobian(U)
     if isinstance(e, State):
-        return _identity
+        return n, lambda U: U, lambda U: np.eye(n)
     if isinstance(e, HadamardPower):
-        return _power(_compile(e.child), e.q)
+        m, child, jacobian = _compile(e.child, n)
+        return (m, *_power(child, jacobian, e.q, n))
     if isinstance(e, ElementwiseFunction):
-        fn, child = _FUNCS[e.name][0], _compile(e.child)
-        return lambda U: fn(child(U))
+        (fn, deriv), (m, child, jacobian) = _FUNCS[e.name], _compile(e.child, n)
+        return m, lambda U: fn(child(U)), _chain(child, jacobian, deriv)
     if isinstance(e, DiagScale):
-        c, child = e.c, _compile(e.child)
-        return lambda U: c * child(U)
+        c, (m, child, jacobian) = e.c, _compile(e.child, n)
+        if c.size != m:
+            raise ValueError(f"diagonal scale of length {c.size} applied to length {m}")
+        return m, lambda U: c * child(U), lambda U: row_scale(jacobian(U), c)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -228,7 +241,9 @@ def _multiplied(acc, f):
     return lambda U: acc(U) * f(U)
 
 
-def _power(child, q):
+def _power(child, jacobian, q, n):
+    """The value and the Jacobian of child**q, the value raising DomainError outside its domain."""
+
     def power(U):
         v = child(U)
         if q != int(q) and np.any(v < 0):
@@ -237,87 +252,43 @@ def _power(child, q):
             raise DomainError(f"negative power {q} of zero entry")
         return np.ones_like(v) if q == 0 else np.power(v, q)
 
-    return power
+    if q == 0:
+        return power, lambda U: np.zeros((child(U).size, n))
+    return power, _chain(child, jacobian, lambda v: q * np.power(v, q - 1))
 
 
-def h_jacobian(e, U):
-    """Exact Jacobian of h_eval(e, .) at U, via chain rules with row scaling."""
-    U = np.asarray(U, dtype=float).ravel()
-    return _jac(e, U)
+def _chain(child, jacobian, deriv):
+    """The chain rule of an elementwise node: the child's Jacobian, rows scaled by deriv of the child's value."""
+
+    def chain(U):
+        d = deriv(child(U))
+        return row_scale(jacobian(U), d)
+
+    return chain
 
 
-def _jac(e, U):
-    n = U.size
-    if isinstance(e, Sum):
-        return _fold(e.weights, [functools.partial(_jac, c) for c in e.children])(U)
-    if isinstance(e, LinearMap):
-        return e.A @ _jac(e.child, U)
-    if isinstance(e, HadamardProduct):
-        vals = [_compile(c)(U) for c in e.children]
-        jacs = [_jac(c, U) for c in e.children]
+def _product_rule(values, jacobians, n):
+    """The product rule: the sum over i of child i's Jacobian, rows scaled by the product of the other values."""
+
+    def product_rule(U):
+        vals = [f(U) for f in values]
+        jacs = [g(U) for g in jacobians]
         total = np.zeros((vals[0].size, n))
-        for i in range(len(vals)):
-            others = np.ones_like(vals[0])
-            for j, v in enumerate(vals):
-                if j != i:
-                    others = others * v
-            total += row_scale(jacs[i], others)
+        for i, jac in enumerate(jacs):
+            others = functools.reduce(np.multiply, vals[:i] + vals[i + 1 :], np.ones_like(vals[0]))
+            total += row_scale(jac, others)
         return total
-    if isinstance(e, State):
-        return np.eye(n)
-    if isinstance(e, HadamardPower):
-        v = _compile(e.child)(U)
-        q = e.q
-        if q == 0:
-            return np.zeros((v.size, n))
-        deriv = q * np.power(v, q - 1)
-        return row_scale(_jac(e.child, U), deriv)
-    if isinstance(e, ElementwiseFunction):
-        v = _compile(e.child)(U)
-        return row_scale(_jac(e.child, U), _FUNCS[e.name][1](v))
-    if isinstance(e, DiagScale):
-        return row_scale(_jac(e.child, U), e.c)
-    raise TypeError(f"unknown node {type(e).__name__}")
 
-
-def _length(e, n):
-    """Length of the tree's value over R^n, by the one shape rule: no operand is broadcast."""
-    if isinstance(e, State):
-        return n
-    if isinstance(e, LinearMap):
-        m = _length(e.child, n)
-        if e.A.shape[1] != m:
-            raise ValueError(f"linear map of shape {e.A.shape} applied to length {m}")
-        return e.A.shape[0]
-    if isinstance(e, DiagScale):
-        m = _length(e.child, n)
-        if e.c.size != m:
-            raise ValueError(f"diagonal scale of length {e.c.size} applied to length {m}")
-        return m
-    if isinstance(e, (Sum, HadamardProduct)):
-        lengths = [_length(c, n) for c in e.children]
-        if len(set(lengths)) != 1:
-            raise ValueError(f"{type(e).__name__} children have lengths {lengths}")
-        return lengths[0]
-    if isinstance(e, (HadamardPower, ElementwiseFunction)):
-        return _length(e.child, n)
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def _check_length(e, n):
-    """Apply the shape rule of _length and require a value of length n."""
-    if (m := _length(e, n)) != n:
-        raise ValueError(f"tree evaluates to length {m}, expected {n}")
+    return product_rule
 
 
 @dataclass(frozen=True)
 class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
-    Construction checks n >= 1 and applies the shape rule of _length, so
-    h_eval and h_jacobian need not.  The optional matrix fields are populated
-    by discretizers whose a-priori step-size bounds need them (see
-    burgers_discretize).
+    Construction checks n >= 1 and the shape rule of _compile with a value of
+    length n.  The optional matrix fields are populated by discretizers whose
+    a-priori step-size bounds need them (see burgers_discretize).
     """
 
     n: int
@@ -441,7 +412,7 @@ def _lower(e, n):
 def lower_to_poly(e, n):
     """Lower a polynomial expression tree (degree <= 3) over R^n to a PolySystem.
 
-    The tree must pass the shape rule of _length with a value of length n.
+    The tree must pass the shape rule of _compile with a value of length n.
     Raises on non-polynomial nodes (elementwise functions, fractional or
     negative powers) and on total degree above 3.  An order the tree lacks
     reaches PolySystem as None, an absent order, and is never allocated.

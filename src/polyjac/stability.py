@@ -161,7 +161,7 @@ class IVP:
     def __init__(self, source, U0):
         self.U0 = np.asarray(U0, dtype=float).ravel()
         self._source = source
-        self._tree = _compile(source.rhs) if isinstance(source, SemiDiscreteIVP) else None
+        self._tree = _compile(source.rhs, source.n)[1] if isinstance(source, SemiDiscreteIVP) else None
         self.n = source.n
         if self.U0.size != self.n:
             raise ValueError(f"U0 length {self.U0.size} != dimension {self.n}")

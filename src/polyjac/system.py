@@ -16,9 +16,9 @@ rest are one-liners over it.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
-it is never allocated, symmetrized or contracted; its M2 or M3 reads as a zero
-matrix, and its .quad or .cubic as a read-only zero-stride view of full shape,
-so a quadratic system costs no n^4 memory.
+it is never stored, allocated, symmetrized or contracted; its M2 or M3 reads
+as a zero matrix, and its .quad or .cubic as a read-only zero-stride view of
+full shape, made when read, so a quadratic system costs no n^4 memory.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
@@ -100,7 +100,7 @@ def _pairs(n):  # read-only rows k, l of the pairs k <= l, in np.triu_indices(n)
 class PolySystem:
     """Cubic-capped polynomial system over R^n, immutable after construction.
 
-    quad and cubic may be None for an absent order; a present cubic is stored only as P, in ._packed.
+    quad or cubic may be None, an absent order, which stores nothing; a present cubic is stored as P in ._packed.
     """
 
     L: np.ndarray
@@ -123,34 +123,36 @@ class PolySystem:
             raise ValueError(f"cubic must be ({n},)*4, got {cubic.shape}")
         if const.shape != (n,):
             raise ValueError(f"const must have length {n}, got {const.shape}")
-        # on the inputs: a stored zero-stride view would allocate its full shape
+        # on the inputs, before an order is symmetrized, packed or found absent
         for arr, name in ((L, "L"), (quad, "quad"), (cubic, "cubic"), (const, "const")):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         orders = []  # (m, the coefficients as an (n^2, .) matrix) per order the system has
         for m, name, t in ((2, "quad", quad), (3, "cubic", cubic)):
-            present = t is not None and np.any(t)
-            if present and m == 3:  # symmetrized straight into P; __getattr__ rebuilds .cubic
+            object.__delattr__(self, name)  # __getattr__ reads an absent order and the packed cubic
+            if t is None or not np.any(t):
+                continue
+            if m == 3:  # symmetrized straight into P
                 r, c = _pairs(n)
                 name, t = "_packed", np.multiply(_symmetrized(t, ..., r, c), 2 - (r == c), order="C")
-                object.__delattr__(self, "cubic")
             else:
-                t = _symmetrized(t) if present else np.broadcast_to(0.0, (n,) * (m + 1))
+                t = _symmetrized(t)
             t.setflags(write=False)
             object.__setattr__(self, name, t)
-            if present:
-                orders.append((m, t.reshape(n * n, -1)))
+            orders.append((m, t.reshape(n * n, -1)))
         for name, val in (("L", L), ("const", const), ("_orders", tuple(orders))):
             object.__setattr__(self, name, val)
         L.setflags(write=False)
         const.setflags(write=False)
 
-    def __getattr__(self, name):  # .cubic once packed: the full read-only tensor, rebuilt from P
-        if name != "cubic":
+    def __getattr__(self, name):  # .quad or .cubic not stored: read-only zeros, or the cubic rebuilt from P
+        if name not in ("quad", "cubic"):
             raise AttributeError(name)
-        (r, c), t = _pairs(self.n), np.empty((self.n,) * 4)
-        t[..., r, c] = t[..., c, r] = self._packed / (2 - (r == c))
-        return np.broadcast_to(t, t.shape)  # a read-only view, as for an absent order
+        t = np.broadcast_to(0.0, (self.n,) * (3 if name == "quad" else 4))
+        if name == "cubic" and "_packed" in vars(self):
+            (r, c), t = _pairs(self.n), np.empty(t.shape)
+            t[..., r, c] = t[..., c, r] = self._packed / (2 - (r == c))
+        return np.broadcast_to(t, t.shape)
 
     @property
     def n(self):

@@ -1,7 +1,7 @@
 """Property tests: the contraction path against the einsum reference and
 against einsum over the raw, unsymmetrized input, lowering, the tree sum fold
-against the plain sum it replaces (bit for bit), the compiled tree evaluator
-against the recursive walk it replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
+against the plain sum it replaces (bit for bit), the compiled tree value and
+Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, the invariants of the rank-one updates, and the step equation an
 implicit Euler step solves.  The solvers' fast paths
 (the shared rank-one kernels, the pairing norm and the masked sweep) must
@@ -46,6 +46,7 @@ from polyjac import (
     lower_to_poly,
     modified_inverse_update,
     modified_update,
+    row_scale,
     sweep_once,
 )
 from polyjac.quasi_newton import PAIRING_TOL, _pairing, _rank_one_update
@@ -294,21 +295,25 @@ def test_sum_fold_matches_reference_fold(case, root_weights, seed):
             assert np.array_equal(J, h_jacobian(tree, U))
 
 
+def _recursive_fold(weights, vals):
+    """The left fold of expressions._fold over values already computed."""
+    out = None
+    for w, v in zip(weights, vals):
+        if out is None:
+            out = v if w == 1.0 else w * v
+        elif w == 1.0:
+            out = out + v
+        elif w == -1.0:
+            out = out - v
+        else:
+            out = out + w * v
+    return out
+
+
 def _recursive_eval(e, U):
     """The recursive tree walk that expressions._compile replaced, with the fold of expressions._fold."""
     if isinstance(e, Sum):
-        out = None
-        for w, c in zip(e.weights, e.children):
-            v = _recursive_eval(c, U)
-            if out is None:
-                out = v if w == 1.0 else w * v
-            elif w == 1.0:
-                out = out + v
-            elif w == -1.0:
-                out = out - v
-            else:
-                out = out + w * v
-        return out
+        return _recursive_fold(e.weights, [_recursive_eval(c, U) for c in e.children])
     if isinstance(e, LinearMap):
         return e.A @ _recursive_eval(e.child, U)
     if isinstance(e, HadamardProduct):
@@ -333,6 +338,42 @@ def _recursive_eval(e, U):
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
+def _recursive_jacobian(e, U):
+    """The recursive chain-rule walk that expressions._compile replaced: each node's values come from _recursive_eval."""
+    n = U.size
+    if isinstance(e, Sum):
+        return _recursive_fold(e.weights, [_recursive_jacobian(c, U) for c in e.children])
+    if isinstance(e, LinearMap):
+        return e.A @ _recursive_jacobian(e.child, U)
+    if isinstance(e, HadamardProduct):
+        vals = [_recursive_eval(c, U) for c in e.children]
+        jacs = [_recursive_jacobian(c, U) for c in e.children]
+        total = np.zeros((vals[0].size, n))
+        for i in range(len(vals)):
+            others = np.ones_like(vals[0])
+            for j, v in enumerate(vals):
+                if j != i:
+                    others = others * v
+            total += row_scale(jacs[i], others)
+        return total
+    if isinstance(e, State):
+        return np.eye(n)
+    if isinstance(e, HadamardPower):
+        v = _recursive_eval(e.child, U)
+        q = e.q
+        if q == 0:
+            return np.zeros((v.size, n))
+        deriv = q * np.power(v, q - 1)
+        return row_scale(_recursive_jacobian(e.child, U), deriv)
+    if isinstance(e, ElementwiseFunction):
+        v = _recursive_eval(e.child, U)
+        deriv = {"sin": np.cos, "cos": lambda x: -np.sin(x), "exp": np.exp}[e.name]
+        return row_scale(_recursive_jacobian(e.child, U), deriv(v))
+    if isinstance(e, DiagScale):
+        return row_scale(_recursive_jacobian(e.child, U), e.c)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
 def _value_or_error(f, *args):
     try:
         return f(*args)
@@ -350,20 +391,22 @@ def _value_or_error(f, *args):
     st.integers(0, 2**32 - 1),
 )
 def test_compiled_tree_matches_recursive_walk(case, root_weights, seed):
-    # the same bits, or the same domain error, under a root Sum as in the fold test;
-    # zero entries of either sign meet negative powers and make signed-zero terms
+    # the same bits, or the same domain error, under a root Sum as in the fold test, for the
+    # value and for the Jacobian; zero entries of either sign meet negative powers and make
+    # signed-zero terms
     n, parts = case
     tree = Sum(children=tuple(t for t, _ in parts), weights=root_weights[: len(parts)])
     rng = np.random.default_rng(seed)
     zeros = np.copysign(0.0, rng.standard_normal(n))
     for U in (rng.standard_normal(n), np.where(rng.random(n) < 0.5, zeros, rng.standard_normal(n))):
-        with np.errstate(all="ignore"):
-            want, got = _value_or_error(_recursive_eval, tree, U), _value_or_error(h_eval, tree, U)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert not isinstance(got, str), got
-            assert _same_bits(got, want)
+        for reference, compiled in ((_recursive_eval, h_eval), (_recursive_jacobian, h_jacobian)):
+            with np.errstate(all="ignore"):
+                want, got = _value_or_error(reference, tree, U), _value_or_error(compiled, tree, U)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert not isinstance(got, str), got
+                assert _same_bits(got, want)
 
 
 def _every_order(rng, n, degree):
@@ -443,6 +486,10 @@ def test_shape_rule_accepts_trees_and_rejects_one_spoiled_node(case, data):
         SemiDiscreteIVP(n=n, rhs=bad)
     with pytest.raises(ValueError):
         lower_to_poly(bad, n)
+    with pytest.raises(ValueError):
+        h_eval(bad, np.ones(n))
+    with pytest.raises(ValueError):
+        h_jacobian(bad, np.ones(n))
 
 
 @st.composite

@@ -194,10 +194,10 @@ class TestIntegrate:
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
         compiles, calls = [], []
 
-        def counting_compile(e):
+        def counting_compile(e, n):
             compiles.append(e)
-            f = compile_tree(e)
-            return lambda U: calls.append(U) or f(U)
+            m, f, jacobian = compile_tree(e, n)
+            return m, (lambda U: calls.append(U) or f(U)), jacobian
 
         monkeypatch.setattr(stability, "_compile", counting_compile)
         ivp = IVP(source, 0.1 * burgers_initial_state(8))
@@ -215,7 +215,7 @@ class TestIntegrate:
         U0, h = 0.1 * burgers_initial_state(8), 0.05
         ivp = IVP(source, U0)
         st = ivp.poly.at(U0)
-        f = compile_tree(source.rhs)(U0) if tree else st.f
+        f = compile_tree(source.rhs, 8)[1](U0) if tree else st.f
         first = U0 + h * np.linalg.solve(np.eye(8) - h * st.J, f)
         assert np.array_equal(integrate(ivp, "semi_implicit_euler", h, 1).states[1], first)
         at = count_calls(monkeypatch, PolySystem, "at")
@@ -237,6 +237,21 @@ class TestIntegrate:
         for U, V in zip(traj.states, traj.states[1:]):
             residual = np.linalg.norm(V - U - 0.5 * ivp.rhs(V), np.inf)
             assert residual <= 1e-10 * (1.0 + np.linalg.norm(V, np.inf))
+
+    @pytest.mark.parametrize("method", ["semi_implicit_euler", "implicit_euler"])
+    def test_singular_step_matrix_fails_the_solve_at_step_zero(self, method):
+        # L = I / h makes I - h J(U) the zero matrix
+        traj = integrate(IVP(linear_system(2.0 * np.eye(2)), np.ones(2)), method, 0.5, 3)
+        assert traj.status == "solver_failed" and traj.failure_step == 0
+        assert len(traj.states) == 1
+
+    def test_non_finite_newton_iterate_fails_the_solve_at_step_zero(self):
+        # U' = U^3 from 1e110: f overflows, so the first Newton correction is not finite
+        s = PolySystem(np.zeros((1, 1)), None, np.ones((1, 1, 1, 1)), np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(IVP(s, [1e110]), "implicit_euler", 1.0, 3)
+        assert traj.status == "solver_failed" and traj.failure_step == 0
+        assert len(traj.states) == 1
 
     def test_explicit_reports_attached(self):
         s = linear_system(-np.diag([1.0, 2.0, 4.0]))

@@ -76,6 +76,24 @@ class TestCallerArrays:
         assert s.L[0, 0] == 1.0 and s.const[0] == 1.0
         assert not s.L.flags.writeable and not s.const.flags.writeable
 
+    @pytest.mark.parametrize(
+        "L, quad, cubic, const, message",
+        [
+            (np.ones((2, 3)), None, None, np.zeros(2), "L must be square"),
+            (np.eye(2), np.zeros((2, 2)), None, np.zeros(2), "quad must be"),
+            (np.eye(2), None, np.zeros((2, 2, 2)), np.zeros(2), "cubic must be"),
+            (np.eye(2), None, None, np.zeros(3), "const must have length 2"),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), None, None, np.zeros(2), "L contains non-finite"),
+            (np.eye(2), np.full((2, 2, 2), np.nan), None, np.zeros(2), "quad contains non-finite"),
+            (np.eye(2), None, None, [0.0, -np.inf], "const contains non-finite"),
+        ],
+        ids=["L-not-square", "quad-shape", "cubic-shape", "const-shape", "L-inf", "quad-nan", "const-inf"],
+    )
+    def test_constructor_rejects_bad_coefficients(self, L, quad, cubic, const, message):
+        # from_kronecker and load_system_json check their inputs first, so only a direct build reaches these
+        with pytest.raises(ValueError, match=message):
+            PolySystem(L, quad, cubic, const)
+
     def test_from_kronecker_copies_caller_arrays(self):
         K, F = np.eye(2), np.ones(2)
         s = from_kronecker(K, np.zeros((2, 4)), np.zeros((2, 8)), F)
