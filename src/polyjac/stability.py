@@ -17,6 +17,7 @@ import numpy as np
 
 from .system import PolySystem, check_dense, diverged
 from .expressions import SemiDiscreteIVP, _compile, lower_to_poly
+from .trace import _csv_row
 
 __all__ = [
     "IVP",
@@ -121,8 +122,7 @@ class Trajectory:
             rep = self.per_step_reports[k] if k < len(self.per_step_reports) else None
             hb = "" if rep is None or rep.h_bound is None else f"{rep.h_bound:.17g}"
             nd = "" if rep is None or rep.negdef_certificate is None else str(rep.negdef_certificate).lower()
-            row = ",".join(f"{x:.17g}" for x in np.asarray(u).ravel())
-            lines.append(f"{t:.17g},{row},{hb},{nd}")
+            lines.append(_csv_row([t, *np.asarray(u).ravel().tolist()]) + f",{hb},{nd}")
         return "\n".join(lines) + "\n"
 
     def to_json(self):

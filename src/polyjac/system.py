@@ -311,15 +311,15 @@ def load_system_json(data):
     rejected.  Format: {"n": int, "L": [[...]], "quadratic": [[i, j, k,
     value], ...], "cubic": [[i, j, k, l, value], ...], "F": [...]} with
     0-based indices.  Coefficients are contributions of monomial U_j U_k
-    (resp. U_j U_k U_l) to equation i before symmetrization.  A missing or
-    empty "quadratic" or "cubic" field is an absent order.
+    (resp. U_j U_k U_l) to equation i before symmetrization.  Each entry is a
+    JSON array; repeated entries add, and a null in an entry makes it a bad
+    entry.  A missing or empty "quadratic" or "cubic" field is an absent order.
     """
     if not isinstance(data, dict):
         raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
     try:
         n = int(data["n"])
-        L = np.asarray(data["L"], dtype=float)
-        F = np.asarray(data["F"], dtype=float)
+        L, F = (_read_dense(data[name], name) for name in ("L", "F"))
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r} in system JSON") from exc
     if L.shape != (n, n):
@@ -331,6 +331,13 @@ def load_system_json(data):
     return PolySystem(L=L, quad=quad, cubic=cubic, const=F)
 
 
+def _read_dense(value, field):  # a dense field as a float array; a ValueError names the field
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
+
+
 def _read_coefficients(data, field, n, ndim):
     """Sum the [i, j, ..., value] entries of `field` into a dense (n,)*ndim tensor.
 
@@ -339,26 +346,28 @@ def _read_coefficients(data, field, n, ndim):
     entries = data.get(field, [])
     if len(entries) == 0:
         return None
-    try:
-        table = np.asarray(entries, dtype=float)
+    width = ndim + 1
+    try:  # _is_entry over every entry at once
+        if set(map(type, entries)) != {list} or set(map(len, entries)) != {width}:
+            raise ValueError
+        table = np.fromiter(itertools.chain.from_iterable(entries), float, len(entries) * width).reshape(-1, width)
+        if np.isnan(table).any() and any(None in e for e in entries):  # fromiter reads a null as nan
+            raise ValueError
     except (TypeError, ValueError):
-        table = None
-    if table is None or table.shape != (len(entries), ndim + 1):
-        bad = next(e for e in entries if not _is_entry(e, ndim + 1))
-        raise ValueError(f"field {field!r}: bad entry {bad!r}")
+        bad = next(e for e in entries if not _is_entry(e, width))
+        raise ValueError(f"field {field!r}: bad entry {bad!r}") from None
     index = table[:, :-1]
     # An index is valid when int() of it, which truncates toward zero, is in [0, n).
-    outside = ~np.all((index > -1) & (index < n), axis=1)
-    if outside.any():
-        raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmax(outside))]!r}")
+    inside = (index > -1) & (index < n)
+    if not inside.all():
+        raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmin(inside.all(axis=1)))]!r}")
     check_dense((n,) * ndim, f"field {field!r}")
-    out = np.zeros((n,) * ndim)
-    np.add.at(out, tuple(index.astype(np.intp).T), table[:, -1])
-    return out
+    flat = np.ravel_multi_index(tuple(index.astype(np.intp).T), (n,) * ndim)
+    return np.bincount(flat, weights=table[:, -1], minlength=n**ndim).reshape((n,) * ndim)  # repeats add in order, from 0.0
 
 
-def _is_entry(entry, width):
+def _is_entry(entry, width):  # a list of width items, no null among them, each of which numpy reads as a float
     try:
-        return np.asarray(entry, dtype=float).shape == (width,)
+        return np.asarray(entry, dtype=float).shape == (width,) and type(entry) is list and None not in entry
     except (TypeError, ValueError):
         return False

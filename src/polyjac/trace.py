@@ -18,6 +18,10 @@ def start_state(U0, n):
     return U
 
 
+def _csv_row(values):  # numbers joined by commas, each as %.17g (the bytes of f"{x:.17g}"), in one format operation
+    return ",".join(["%.17g"] * len(values)) % tuple(values)
+
+
 @dataclass
 class SolverTrace:
     """Iterate history, residual norms and termination status of one solve.
@@ -76,11 +80,8 @@ class SolverTrace:
         )
 
     def to_csv(self):
-        lines = []
-        n = len(np.asarray(self.iterates[0]).ravel()) if self.iterates else 0
-        header = "iter," + ",".join(f"U{i}" for i in range(n)) + ",residual"
-        lines.append(header)
+        n = np.asarray(self.iterates[0]).size if self.iterates else 0
+        lines = ["iter," + ",".join(f"U{i}" for i in range(n)) + ",residual"]
         for k, (u, r) in enumerate(zip(self.iterates, self.residual_norms)):
-            row = ",".join(f"{x:.17g}" for x in np.asarray(u).ravel())
-            lines.append(f"{k},{row},{r:.17g}")
+            lines.append(f"{k}," + _csv_row([*np.asarray(u).ravel().tolist(), r]))
         return "\n".join(lines) + "\n"

@@ -13,14 +13,19 @@ settings.load_profile("polyjac")
 
 @pytest.fixture
 def no_dense_over_limit(monkeypatch):
-    """Fail, rather than allocate, an np.zeros request over polyjac's dense limit."""
-    zeros = np.zeros
+    """Fail, rather than allocate, an np.zeros or np.bincount request over polyjac's dense limit."""
+    zeros, bincount = np.zeros, np.bincount
 
     def guarded(shape, *args, **kwargs):
         assert 8 * np.prod(shape) <= system.DENSE_LIMIT_BYTES, f"allocates {shape}"
         return zeros(shape, *args, **kwargs)
 
+    def guarded_bincount(x, weights=None, minlength=0):
+        assert 8 * minlength <= system.DENSE_LIMIT_BYTES, f"allocates {minlength} bins"
+        return bincount(x, weights=weights, minlength=minlength)
+
     monkeypatch.setattr(np, "zeros", guarded)
+    monkeypatch.setattr(np, "bincount", guarded_bincount)
 
 
 @pytest.fixture

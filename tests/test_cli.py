@@ -291,6 +291,25 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["solve"], ["check-jacobian"], ["integrate", "--h", "0.1", "--steps", "2"]],
+                             ids=["solve", "check-jacobian", "integrate"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"L": [[1, 0], [0]]}, "field 'L': setting an array element with a sequence."),
+            ({"F": [0, [0]]}, "field 'F': setting an array element with a sequence."),
+            ({"quadratic": [[0, 0, None, 1.0]]}, "field 'quadratic': bad entry [0, 0, None, 1.0]\n"),
+            ({"cubic": [[0, 0, 1, 1, None]]}, "field 'cubic': bad entry [0, 0, 1, 1, None]\n"),
+        ],
+        ids=["ragged-L", "ragged-F", "null-index", "null-value"],
+    )
+    def test_bad_system_field_is_named(self, tmp_path, capsys, command, fields, message):
+        doc = {"n": 2, "L": [[-1.0, 0.0], [0.0, -1.0]], "F": [0.0, 0.0], **fields}
+        assert main([command[0], write_doc(tmp_path, doc), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad system input: " + message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command",
         [["solve"], ["stability"], ["integrate", "--scan", "--h-lo", "0.01", "--h-hi", "0.3"]],

@@ -4,8 +4,9 @@ against the plain sum it replaces (bit for bit), the compiled tree value and
 Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, the invariants of the rank-one updates, and the step equation an
 implicit Euler step solves.  The solvers' fast paths
-(the shared rank-one kernels, the pairing norm and the masked sweep) must
-match, bit for bit, the code they replaced.
+(the shared rank-one kernels, the pairing norm and the masked sweep), the
+one-pass reader of a system document's entries and the one-format CSV rows
+must match, bit for bit, the code they replaced.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently nonzero, given as an all-zero tensor, or absent (None), so the
@@ -16,12 +17,13 @@ the terms whose rounding is compared.
 
 import dataclasses
 import functools
+import json
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polyjac import (
@@ -34,15 +36,20 @@ from polyjac import (
     PolySystem,
     GuardTripError,
     SemiDiscreteIVP,
+    SolverTrace,
+    StabilityReport,
     State,
     Sum,
+    Trajectory,
     classic_inverse_update,
     classic_update,
     expressions,
+    from_kronecker,
     h_eval,
     h_jacobian,
     integrate,
     jacobian_action,
+    load_system_json,
     lower_to_poly,
     modified_inverse_update,
     modified_update,
@@ -51,6 +58,7 @@ from polyjac import (
 )
 from polyjac.quasi_newton import PAIRING_TOL, _pairing, _rank_one_update
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
+from polyjac.system import _read_coefficients, check_dense
 
 from conftest import reference_linear_sweep, reference_values
 
@@ -727,3 +735,199 @@ def test_sweep_keeps_the_sign_of_a_zero_result():
     want, _ = _triu_sweep(state(), "gauss_seidel", 1.0)
     assert _same_bits(want, [1.0, -0.0])
     assert _same_bits(_sweep(state(), "gauss_seidel", 1.0)[0], want)
+
+
+def _reference_read_coefficients(data, field, n, ndim):
+    """The entry reader that system._read_coefficients replaced: np.asarray over the table, then np.add.at."""
+    entries = data.get(field, [])
+    if len(entries) == 0:
+        return None
+    try:
+        table = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.shape != (len(entries), ndim + 1):
+        bad = next(e for e in entries if not _reference_is_entry(e, ndim + 1))
+        raise ValueError(f"field {field!r}: bad entry {bad!r}")
+    index = table[:, :-1]
+    outside = ~np.all((index > -1) & (index < n), axis=1)
+    if outside.any():
+        raise ValueError(f"field {field!r}: index out of range in {entries[int(np.argmax(outside))]!r}")
+    check_dense((n,) * ndim, f"field {field!r}")
+    out = np.zeros((n,) * ndim)
+    np.add.at(out, tuple(index.astype(np.intp).T), table[:, -1])
+    return out
+
+
+def _reference_is_entry(entry, width):
+    try:
+        return np.asarray(entry, dtype=float).shape == (width,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _read_outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # TypeError and OverflowError included: the type and the text must repeat
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _index_items(n, out_of_range):
+    # ints, floats that truncate into range, bools and numeric strings; out of range ones when asked
+    inside = st.one_of(st.integers(0, n - 1), st.sampled_from([-0.5, 0.5, n - 0.5, True, False, "0", " 0 ", "-0.5"]))
+    outside = st.sampled_from([-1, n, -1.0, float(n), 2.9 if n < 3 else n + 0.5, "nan", "1e400", 2**63])
+    return st.one_of(inside, outside) if out_of_range else inside
+
+
+VALUE_ITEMS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 1, -2, True, False, "1", "2.5", "inf", "-0", "nan", "1e400", "1_0"]),
+)
+JUNK_ITEMS = st.sampled_from([None, "x", "", "0x1", [], [1.0], {}, {"a": 1}])
+JUNK_ENTRIES = st.sampled_from([None, "x", "1234", "12345", 3, 2.5, True, {}, {"a": 1}, [], [[0, 0, 0, 0, 1.0]]])
+JUNK_FIELDS = st.sampled_from(["", "abcd", [], {}, {"abcd": 1}])
+
+
+@st.composite
+def entry_tables(draw):
+    """(field, n, ndim, entries): entries drawn from a pool, so repeats are common, with up to two bad ones put in.
+
+    A bad entry is short, long, nested (one item wrapped in a list), holds a null or another junk item, or
+    is junk itself.  A third of the tables may hold indices out of range; one in ten fields is junk.
+    """
+    n, (field, ndim) = draw(st.integers(1, 3)), draw(st.sampled_from([("quadratic", 3), ("cubic", 4)]))
+    width = ndim + 1
+    good = st.tuples(*[_index_items(n, draw(st.integers(0, 2)) == 0)] * ndim, VALUE_ITEMS).map(list)
+    at = st.integers(0, width - 1)
+
+    def replaced(item):
+        return st.tuples(good, at, item).map(lambda c: [c[2] if k == c[1] else x for k, x in enumerate(c[0])])
+
+    bad = st.one_of(
+        good.map(lambda e: e[:-1]),
+        good.map(lambda e: e + [0]),
+        st.tuples(good, at).map(lambda c: [[x] if k == c[1] else x for k, x in enumerate(c[0])]),
+        replaced(st.none()),
+        replaced(JUNK_ITEMS),
+        JUNK_ENTRIES,
+    )
+    if draw(st.integers(0, 9)) == 0:
+        return field, n, ndim, draw(JUNK_FIELDS)
+    pool = draw(st.lists(good, min_size=1, max_size=5))
+    entries = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))]
+    for k, entry in draw(st.lists(st.tuples(st.integers(0, 10), bad), max_size=2)):
+        entries.insert(k, entry)
+    return field, n, ndim, entries
+
+
+@settings(max_examples=200)
+@given(entry_tables())
+def test_reader_matches_reference_reader(case):
+    # the same bits, or the same error and text; the one difference: a list entry holding a null is a bad
+    # entry, so the first entry the reference refuses or that holds a null is the one named
+    field, n, ndim, entries = case
+    data = {field: entries}
+    got = _read_outcome(_read_coefficients, data, field, n, ndim)
+    if isinstance(entries, list) and any(type(e) is list and None in e for e in entries):
+        first = next(e for e in entries if not _reference_is_entry(e, ndim + 1) or type(e) is list and None in e)
+        assert got == f"ValueError: field {field!r}: bad entry {first!r}"
+        return
+    want = _read_outcome(_reference_read_coefficients, data, field, n, ndim)
+    if want is None or isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert _same_bits(got, want)
+
+
+def test_reader_overflow_on_a_well_shaped_table_matches_reference():
+    # an integer past float range converts as in np.asarray: OverflowError, with the same text
+    data = {"quadratic": [[0, 0, 0, 1.0], [0, 0, 0, 10**400]]}
+    want = _read_outcome(_reference_read_coefficients, data, "quadratic", 2, 3)
+    assert want == "OverflowError: int too large to convert to float"
+    assert _read_outcome(_read_coefficients, data, "quadratic", 2, 3) == want
+
+
+def test_reader_names_a_bad_entry_before_converting_a_table_of_the_wrong_width():
+    # The one other difference from the reference: when every entry has the same wrong width, the
+    # reference converted the whole table before checking its shape, so an integer past float range
+    # raised OverflowError; the reader checks each entry's width first and names the first entry.
+    data = {"quadratic": [[0, 0, 0, 0, 1.0], [0, 0, 0, 0, 10**400]]}
+    assert _read_outcome(_reference_read_coefficients, data, "quadratic", 2, 3).startswith("OverflowError")
+    assert _read_outcome(_read_coefficients, data, "quadratic", 2, 3) == "ValueError: field 'quadratic': bad entry [0, 0, 0, 0, 1.0]"
+
+
+@given(st.integers(1, 6), st.sampled_from(["random", "sparse", "zeros"]), st.sampled_from(["random", "sparse", "zeros"]),
+       st.integers(0, 2**32 - 1))
+def test_dense_document_matches_from_kronecker(n, quad_kind, cubic_kind, seed):
+    # every coefficient written as an entry once, none -0.0 (an entry sum starts from +0.0): the stored
+    # L, quadratic, packed cubic and constant are the bits from_kronecker stores
+    rng = np.random.default_rng(seed)
+
+    def coefficients(shape, kind):
+        x = rng.standard_normal(shape)
+        return np.zeros(shape) if kind == "zeros" else np.where(rng.random(shape) < 0.5, x, 0.0) if kind == "sparse" else x
+
+    K, G, R, F = rng.standard_normal((n, n)), coefficients((n, n * n), quad_kind), coefficients((n, n**3), cubic_kind), rng.standard_normal(n)
+    doc = {
+        "n": n,
+        "L": K.tolist(),
+        "quadratic": [[*ijk, v] for ijk, v in zip(np.ndindex(n, n, n), G.ravel().tolist())],
+        "cubic": [[*ijkl, v] for ijkl, v in zip(np.ndindex(n, n, n, n), R.ravel().tolist())],
+        "F": F.tolist(),
+    }
+    got, want = load_system_json(json.loads(json.dumps(doc))), from_kronecker(K, G, R, F)
+    for name in ("L", "quad", "_packed", "const"):
+        g, w = vars(got).get(name), vars(want).get(name)
+        assert (g is None) == (w is None), name
+        assert g is None or _same_bits(g, w), name
+
+
+def _reference_trace_csv(tr):
+    """SolverTrace.to_csv as it was: one f-string per value."""
+    lines = []
+    n = len(np.asarray(tr.iterates[0]).ravel()) if tr.iterates else 0
+    lines.append("iter," + ",".join(f"U{i}" for i in range(n)) + ",residual")
+    for k, (u, r) in enumerate(zip(tr.iterates, tr.residual_norms)):
+        row = ",".join(f"{x:.17g}" for x in np.asarray(u).ravel())
+        lines.append(f"{k},{row},{r:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trajectory_csv(traj):
+    """Trajectory.to_csv as it was: one f-string per value."""
+    n = np.asarray(traj.states[0]).size
+    lines = ["t," + ",".join(f"U{i}" for i in range(n)) + ",h_bound,negdef"]
+    for k, (t, u) in enumerate(zip(traj.times, traj.states)):
+        rep = traj.per_step_reports[k] if k < len(traj.per_step_reports) else None
+        hb = "" if rep is None or rep.h_bound is None else f"{rep.h_bound:.17g}"
+        nd = "" if rep is None or rep.negdef_certificate is None else str(rep.negdef_certificate).lower()
+        row = ",".join(f"{x:.17g}" for x in np.asarray(u).ravel())
+        lines.append(f"{t:.17g},{row},{hb},{nd}")
+    return "\n".join(lines) + "\n"
+
+
+CSV_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+REPORTS = st.sampled_from([
+    None,
+    StabilityReport(h_bound=np.inf, negdef_certificate=True),
+    StabilityReport(h_bound=None, negdef_certificate=False),
+    StabilityReport(h_bound=5e-324, negdef_certificate=None),
+    StabilityReport(h_bound=0.1, negdef_certificate=True),
+])
+
+
+@given(st.integers(1, 5).flatmap(lambda n: arrays(float, st.tuples(st.integers(0, 4), st.just(n)), elements=st.floats(width=64))),
+       st.data())
+def test_csv_rows_match_one_f_string_per_value(states, data):
+    # the specials in every column, then random floats of any kind; a trajectory has fewer reports than
+    # states, so its last rows have none
+    n = states.shape[1]
+    states = np.vstack([np.resize(np.roll(CSV_SPECIALS, k), n) for k in range(len(CSV_SPECIALS))] + [states])
+    scalars = data.draw(st.lists(st.one_of(st.sampled_from(CSV_SPECIALS), st.floats(width=64)), min_size=len(states), max_size=len(states)))
+    tr = SolverTrace(iterates=list(states), residual_norms=scalars)
+    assert tr.to_csv() == _reference_trace_csv(tr)
+    reports = data.draw(st.lists(REPORTS, max_size=len(states)))
+    traj = Trajectory(times=scalars, states=list(states), per_step_reports=reports)
+    assert traj.to_csv() == _reference_trajectory_csv(traj)

@@ -391,13 +391,30 @@ class TestJsonFormat:
             ("cubic", [[0, 0, 0, 0, 1.0], [1, 1, "x", 1, 2.0]], r"field 'cubic': bad entry \[1, 1, 'x', 1, 2.0\]"),
             ("quadratic", [[0, 0, 0, 1.0], [0, 0, 5, 1.0]], r"index out of range in \[0, 0, 5, 1.0\]"),
             ("cubic", [[0, 0, 0, -1, 1.0]], r"field 'cubic': index out of range in \[0, 0, 0, -1, 1.0\]"),
+            # a null is a bad entry, named before a later bad entry
+            ("quadratic", [[0, 0, None, 1.0], [1, 1, 1, "x"]], r"field 'quadratic': bad entry \[0, 0, None, 1.0\]"),
+            ("quadratic", [[0, 0, 0, 1.0], [0, 0, 1, None]], r"field 'quadratic': bad entry \[0, 0, 1, None\]"),
         ],
-        ids=["short-entry", "non-numeric-entry", "index-too-large", "negative-index"],
+        ids=["short-entry", "non-numeric-entry", "index-too-large", "negative-index", "null-index", "null-value"],
     )
     def test_bad_entry_quoted(self, field, entries, message):
         data = {"n": 2, "L": [[0, 0], [0, 0]], field: entries, "F": [0, 0]}
         with pytest.raises(ValueError, match=message):
             load_system_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("L", [[1, 0], [0]]), ("L", {"a": 1}), ("F", [0, [0, 1]]), ("F", "x")],
+        ids=["L-ragged", "L-object", "F-ragged", "F-string"],
+    )
+    def test_bad_dense_field_named(self, field, value):
+        data = {"n": 2, "L": [[0, 0], [0, 0]], "F": [0, 0], field: value}
+        with pytest.raises(ValueError, match=rf"^field '{field}': "):
+            load_system_json(data)
+
+    def test_bad_l_is_named_before_a_missing_f(self):
+        with pytest.raises(ValueError, match=r"^field 'L': setting an array element with a sequence"):
+            load_system_json({"n": 2, "L": [[1, 0], [0]]})
 
     def test_dense_limit_rejects_before_allocating(self, no_dense_over_limit):
         # one cubic entry at n=200 asks for a dense 12.8 GB tensor
