@@ -1,14 +1,14 @@
 """Newton and rank-one secant root finders for polynomial systems.
 
-The classic rank-one update enforces the secant condition
-J q = f(U_i) - f(U_{i-1}).  That condition only holds approximately for the
-true Jacobian.  For polynomial systems the homogeneous-function identity
-gives an exact counterpart: with fbar(U) = J(U) U = L U + 2 N2(U) + 3 N3(U),
-any exact Jacobians satisfy J_i U_i - J_{i-1} U_{i-1} = fbar(U_i) -
-fbar(U_{i-1}) identically.  The modified update enforces that exact relation
-instead; both keep the rank-one no-change property on directions orthogonal
-to the step.  The exact relation alone lets the modified approximation drift
-off the step direction, so the solver also holds it to the secant condition.
+Both rank-one variants update J = J_prev - (J_prev q - y) q^T / (q^T q + t)
+for the step q = U_i - U_{i-1}, and its inverse by Sherman-Morrison from
+J_prev^-1 alone.  The classic update (y = f(U_i) - f(U_{i-1}), t = 0) enforces
+the secant condition J q = y, which the true Jacobian meets only
+approximately.  For polynomial systems, with fbar(U) = J(U) U = L U + 2 N2(U)
++ 3 N3(U), exact Jacobians satisfy J_i U_i - J_{i-1} U_{i-1} = fbar(U_i) -
+fbar(U_{i-1}); the modified update (y that fbar difference, t = q^T U_{i-1})
+enforces this exact relation instead, and the solver also holds it to the
+secant condition, as the exact relation alone lets it drift off the step.
 """
 
 from dataclasses import dataclass
@@ -89,48 +89,29 @@ def jacobian_action(s, U):
     return s.at(U).fbar
 
 
-# The update kernels below take trusted 1-D float arrays and qq = q^T q; the
-# public functions after them convert their arguments and call them, and
-# _rank_one_update calls them directly, sharing q, qq and r between J and J^-1.
+# The two update kernels below take trusted 1-D float arrays, qq = q^T q and
+# the shift t: t = 0 is the classic secant update and t = q^T U_prev the
+# modified one.  The public functions after them convert their arguments and
+# call them; _rank_one_update calls them directly, sharing q, qq and t.
 
 
-def _classic(J_prev, q, delta_f, qq):
-    if qq <= _guard(qq):
-        raise GuardTripError("q^T q", qq)
-    return J_prev - _outer(J_prev @ q - delta_f, q) / qq
-
-
-def _classic_inverse(Jinv_prev, q, delta_f, qq):
-    z = Jinv_prev @ delta_f
-    denom = float(q @ z)
-    if abs(denom) <= _guard(qq):
-        raise GuardTripError("q^T (Jinv delta_f)", denom)
-    return Jinv_prev - _outer(z - q, q @ Jinv_prev) / denom
-
-
-def _modified_correction(J_prev, U_prev, q, y, qq):
-    """The rank-one correction vector r with J = J_prev + r q^T."""
+def _update(J_prev, q, y, qq, t):
+    """J = J_prev - (J_prev q - y) q^T / (q^T q + t)."""
     g = _guard(qq)
     if qq <= g:
         raise GuardTripError("q^T q", qq)
-    t = float(q @ U_prev)
     if abs(qq + t) <= g:
         raise GuardTripError("q^T q + q^T U_prev", qq + t)
-    JU = J_prev @ U_prev
-    w = J_prev @ q - JU - y
-    return -JU / (qq + t) - w / qq + w * (t / ((qq + t) * qq))
+    return J_prev - _outer(J_prev @ q - y, q) / (qq + t)
 
 
-def _modified(J_prev, q, r):
-    return J_prev + _outer(r, q)
-
-
-def _modified_inverse(Jinv_prev, q, r, qq):
-    z = Jinv_prev @ r
-    denom = 1.0 + float(q @ z)
+def _inverse_update(Jinv_prev, q, y, qq, t):
+    """Sherman-Morrison inverse of _update's result, from J_prev^-1 alone."""
+    z = Jinv_prev @ y
+    denom = float(q @ z) + t
     if abs(denom) <= _guard(qq):
-        raise GuardTripError("1 + q^T (Jinv r)", denom)
-    return Jinv_prev - _outer(z, q @ Jinv_prev) / denom
+        raise GuardTripError("q^T (Jinv y) + t", denom)
+    return Jinv_prev - _outer(z - q, q @ Jinv_prev) / denom
 
 
 def classic_update(J_prev, q, delta_f):
@@ -140,38 +121,40 @@ def classic_update(J_prev, q, delta_f):
     direction orthogonal to q unchanged.
     """
     q = _vector(q)
-    return _classic(np.asarray(J_prev, dtype=float), q, _vector(delta_f), float(q @ q))
+    return _update(np.asarray(J_prev, dtype=float), q, _vector(delta_f), float(q @ q), 0.0)
 
 
 def classic_inverse_update(Jinv_prev, q, delta_f):
     """Sherman-Morrison counterpart of classic_update on the inverse."""
     q = _vector(q)
-    return _classic_inverse(np.asarray(Jinv_prev, dtype=float), q, _vector(delta_f), float(q @ q))
+    return _inverse_update(np.asarray(Jinv_prev, dtype=float), q, _vector(delta_f), float(q @ q), 0.0)
 
 
-def _modified_step(J_prev, U_prev, U_cur, y):
-    """(J_prev, q, q^T q, r) of a modified update, from its public arguments."""
-    J_prev, U_prev = np.asarray(J_prev, dtype=float), _vector(U_prev)
+def _modified_step(U_prev, U_cur):
+    """(q, q^T q, t = q^T U_prev) of a modified update, from its public arguments."""
+    U_prev = _vector(U_prev)
     q = _vector(U_cur) - U_prev
-    qq = float(q @ q)
-    return J_prev, q, qq, _modified_correction(J_prev, U_prev, q, _vector(y), qq)
+    return q, float(q @ q), float(q @ U_prev)
 
 
 def modified_update(J_prev, U_prev, U_cur, y):
     """Rank-one update enforcing the exact relation J U_cur - J_prev U_prev = y.
 
     y is the difference of jacobian_action values between the two iterates.
-    Resolved in closed form via Sherman-Morrison on the implicit equation, so
-    no linear solve is needed.
+    Solved for J = J_prev + r q^T, the relation gives r = (y - J_prev q) /
+    (q^T U_cur): the secant update with q^T q + q^T U_prev as denominator.
     """
-    J_prev, q, _, r = _modified_step(J_prev, U_prev, U_cur, y)
-    return _modified(J_prev, q, r)
+    q, qq, t = _modified_step(U_prev, U_cur)
+    return _update(np.asarray(J_prev, dtype=float), q, _vector(y), qq, t)
 
 
 def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
-    """Sherman-Morrison inverse of modified_update's result."""
-    _, q, qq, r = _modified_step(J_prev, U_prev, U_cur, y)
-    return _modified_inverse(np.asarray(Jinv_prev, dtype=float), q, r, qq)
+    """Sherman-Morrison inverse of modified_update's result.
+
+    J_prev is not read: the inverse update needs only Jinv_prev.
+    """
+    q, qq, t = _modified_step(U_prev, U_cur)
+    return _inverse_update(np.asarray(Jinv_prev, dtype=float), q, _vector(y), qq, t)
 
 
 def _pairing(Jinv, J, eye):
@@ -184,15 +167,12 @@ def _rank_one_update(J, J_inv, U, U_new, y, modified, eye):
 
     y is fbar(U_new) - fbar(U) for the modified variant and
     f(U_new) - f(U) for the classic one; eye is the identity of U's size.
-    The step q, q^T q and the modified correction r are computed once.
+    The step q, q^T q and the shift t are computed once.
     """
     q = U_new - U
     qq = float(q @ q)
-    if modified:
-        r = _modified_correction(J, U, q, y, qq)
-        J_new, Jinv_new = _modified(J, q, r), _modified_inverse(J_inv, q, r, qq)
-    else:
-        J_new, Jinv_new = _classic(J, q, y, qq), _classic_inverse(J_inv, q, y, qq)
+    t = float(q @ U) if modified else 0.0
+    J_new, Jinv_new = _update(J, q, y, qq, t), _inverse_update(J_inv, q, y, qq, t)
     pairing = _pairing(Jinv_new, J_new, eye)
     if not math.isfinite(pairing) or pairing > PAIRING_TOL:
         raise GuardTripError("inverse pairing", pairing)

@@ -77,6 +77,8 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
     if ivp.first_diff is None or ivp.second_diff is None:
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
     U = np.asarray(U, dtype=float).ravel()
+    if U.shape != (ivp.n,):
+        raise ValueError(f"state length {U.size} != system dimension {ivp.n}")
     denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds + _matrix_norm(
         ivp.first_diff, norm_kind
     ) * np.linalg.norm(U, np.inf)

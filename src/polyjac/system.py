@@ -353,7 +353,7 @@ def _read_coefficients(data, field, n, ndim):
         table = np.fromiter(itertools.chain.from_iterable(entries), float, len(entries) * width).reshape(-1, width)
         if np.isnan(table).any() and any(None in e for e in entries):  # fromiter reads a null as nan
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         bad = next(e for e in entries if not _is_entry(e, width))
         raise ValueError(f"field {field!r}: bad entry {bad!r}") from None
     index = table[:, :-1]
@@ -369,5 +369,5 @@ def _read_coefficients(data, field, n, ndim):
 def _is_entry(entry, width):  # a list of width items, no null among them, each of which numpy reads as a float
     try:
         return np.asarray(entry, dtype=float).shape == (width,) and type(entry) is list and None not in entry
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False

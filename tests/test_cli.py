@@ -300,8 +300,9 @@ class TestMalformedInput:
             ({"F": [0, [0]]}, "field 'F': setting an array element with a sequence."),
             ({"quadratic": [[0, 0, None, 1.0]]}, "field 'quadratic': bad entry [0, 0, None, 1.0]\n"),
             ({"cubic": [[0, 0, 1, 1, None]]}, "field 'cubic': bad entry [0, 0, 1, 1, None]\n"),
+            ({"quadratic": [[0, 0, 0, 1.0], [0, 0, 0, 10**400]]}, f"field 'quadratic': bad entry {[0, 0, 0, 10**400]!r}\n"),
         ],
-        ids=["ragged-L", "ragged-F", "null-index", "null-value"],
+        ids=["ragged-L", "ragged-F", "null-index", "null-value", "value-past-float-range"],
     )
     def test_bad_system_field_is_named(self, tmp_path, capsys, command, fields, message):
         doc = {"n": 2, "L": [[-1.0, 0.0], [0.0, -1.0]], "F": [0.0, 0.0], **fields}

@@ -2,7 +2,8 @@
 against einsum over the raw, unsymmetrized input, lowering, the tree sum fold
 against the plain sum it replaces (bit for bit), the compiled tree value and
 Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
-loop, the invariants of the rank-one updates, and the step equation an
+loop, the invariants of the rank-one updates, the one-formula modified updates
+against the three-term form they replaced (to rounding), and the step equation an
 implicit Euler step solves.  The solvers' fast paths
 (the shared rank-one kernels, the pairing norm and the masked sweep), the
 one-pass reader of a system document's entries and the one-format CSV rows
@@ -18,6 +19,7 @@ the terms whose rounding is compared.
 import dataclasses
 import functools
 import json
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -616,13 +618,14 @@ def _guarded(name, value, g):
 
 
 def _formula_updates(J, J_inv, U, U_new, y):
-    """The four updates written out with their guards, one expression each, as before the kernels.
+    """The four updates written out with their guards, one expression each.
 
     Returns {name of the public function: result or the name of its tripped guard}.
     """
     q = U_new - U
     s = float(q @ q)
     g = 1e-12 * (1.0 + float(q @ q))
+    t = float(q @ U)
 
     def classic():
         _guarded("q^T q", s, g)
@@ -631,8 +634,33 @@ def _formula_updates(J, J_inv, U, U_new, y):
     def classic_inverse():
         z = J_inv @ y
         denom = float(q @ z)
-        _guarded("q^T (Jinv delta_f)", denom, g)
+        _guarded("q^T (Jinv y) + t", denom, g)
         return J_inv - np.outer(z - q, q @ J_inv) / denom
+
+    def modified():
+        _guarded("q^T q", s, g)
+        _guarded("q^T q + q^T U_prev", s + t, g)
+        return J - np.outer(J @ q - y, q) / (s + t)
+
+    def modified_inverse():
+        z = J_inv @ y
+        denom = float(q @ z) + t
+        _guarded("q^T (Jinv y) + t", denom, g)
+        return J_inv - np.outer(z - q, q @ J_inv) / denom
+
+    return {f.__name__: _outcome(f) for f in (classic, classic_inverse, modified, modified_inverse)}
+
+
+def _three_term_modified(J, J_inv, U, U_new, y):
+    """The modified pair as first written, through the correction r with J = J_prev + r q^T.
+
+    r = -JU/(s+t) - w/s + w t/((s+t) s) with w = J q - J U - y, the same vector as (y - J q)/(s+t);
+    the inverse is Sherman-Morrison on r and reads J.  Returns {"modified": ..., "modified_inverse": ...}
+    as _formula_updates does.
+    """
+    q = U_new - U
+    s = float(q @ q)
+    g = 1e-12 * (1.0 + float(q @ q))
 
     def correction():
         _guarded("q^T q", s, g)
@@ -651,7 +679,7 @@ def _formula_updates(J, J_inv, U, U_new, y):
         _guarded("1 + q^T (Jinv r)", denom, g)
         return J_inv - np.outer(z, q @ J_inv) / denom
 
-    return {f.__name__: _outcome(f) for f in (classic, classic_inverse, modified, modified_inverse)}
+    return {f.__name__: _outcome(f) for f in (modified, modified_inverse)}
 
 
 @given(update_cases())
@@ -668,6 +696,37 @@ def test_public_updates_match_written_out_formulas(case):
     for name, want in _formula_updates(J, J_inv, U, U_new, y).items():
         assert isinstance(got[name], str) == isinstance(want, str), name
         assert got[name] == want if isinstance(want, str) else _same_bits(got[name], want), name
+
+
+def _cancellation(total, *terms):
+    """max of sum |terms| over max |total|: how far the rounding of a sum can exceed the sum."""
+    size, total = np.max(sum(np.abs(t) for t in terms)), np.max(np.abs(total))
+    return 1.0 if size == total else math.inf if total == 0.0 else float(size / total)
+
+
+@given(update_cases())
+def test_modified_updates_match_three_term_reference(case):
+    # one formula, the same matrices to rounding: where neither side trips a guard, J and J^-1 agree
+    # to 1e-12 (1 + ||.||_inf) of the reference, times the cancellation in the sums either form
+    # takes (the three terms of r, q^T q + t, 1 + q^T Jinv r, q^T z + t and z - q), and the
+    # forward update trips the same guard
+    J, q, y, U, _ = case
+    J_inv, U_new = np.linalg.inv(J), U + q
+    new = _formula_updates(J, J_inv, U, U_new, y)
+    old = _three_term_modified(J, J_inv, U, U_new, y)
+    if isinstance(old["modified"], str) or isinstance(new["modified"], str):
+        assert new["modified"] == old["modified"]
+        return
+    q = U_new - U
+    s, t, JU, z = q @ q, q @ U, J @ U, J_inv @ y
+    r, w = (y - J @ q) / (s + t), J @ q - JU - y
+    forward = _cancellation(r, JU / (s + t), w / s, w * t / ((s + t) * s)) * _cancellation(s + t, s, t)
+    x = q @ J_inv @ r
+    inverse = forward * _cancellation(1 + x, 1, x) * _cancellation(q @ z + t, q @ z, t) * _cancellation(z - q, z, q)
+    for name, kappa in (("modified", forward), ("modified_inverse", inverse)):
+        got, want = new[name], old[name]
+        if not isinstance(got, str) and not isinstance(want, str):
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max()) * kappa, name
 
 
 def _triu_sweep(st, method, omega):
@@ -824,8 +883,8 @@ def entry_tables(draw):
 @settings(max_examples=200)
 @given(entry_tables())
 def test_reader_matches_reference_reader(case):
-    # the same bits, or the same error and text; the one difference: a list entry holding a null is a bad
-    # entry, so the first entry the reference refuses or that holds a null is the one named
+    # the same bits, or the same error and text; the one difference these tables show: a list entry holding a
+    # null is a bad entry, so the first entry the reference refuses or that holds a null is the one named
     field, n, ndim, entries = case
     data = {field: entries}
     got = _read_outcome(_read_coefficients, data, field, n, ndim)
@@ -841,16 +900,17 @@ def test_reader_matches_reference_reader(case):
         assert _same_bits(got, want)
 
 
-def test_reader_overflow_on_a_well_shaped_table_matches_reference():
-    # an integer past float range converts as in np.asarray: OverflowError, with the same text
+def test_reader_names_an_entry_past_float_range():
+    # A second difference from the reference, as for a null: an integer past float range made the
+    # reference raise numpy's OverflowError, which names neither field nor entry; the reader names both.
     data = {"quadratic": [[0, 0, 0, 1.0], [0, 0, 0, 10**400]]}
     want = _read_outcome(_reference_read_coefficients, data, "quadratic", 2, 3)
     assert want == "OverflowError: int too large to convert to float"
-    assert _read_outcome(_read_coefficients, data, "quadratic", 2, 3) == want
+    assert _read_outcome(_read_coefficients, data, "quadratic", 2, 3) == f"ValueError: field 'quadratic': bad entry {data['quadratic'][1]!r}"
 
 
 def test_reader_names_a_bad_entry_before_converting_a_table_of_the_wrong_width():
-    # The one other difference from the reference: when every entry has the same wrong width, the
+    # A third difference from the reference: when every entry has the same wrong width, the
     # reference converted the whole table before checking its shape, so an integer past float range
     # raised OverflowError; the reader checks each entry's width first and names the first entry.
     data = {"quadratic": [[0, 0, 0, 0, 1.0], [0, 0, 0, 0, 10**400]]}

@@ -30,6 +30,11 @@ from polyjac.presets import (
 from conftest import count_calls, random_poly_system
 
 
+def same_bits(a, b):
+    """Bit-for-bit equality of two float arrays, so -0.0 != 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def orthogonal_complement_samples(rng, q, count=5):
     out = []
     for _ in range(count):
@@ -143,12 +148,12 @@ class TestModifiedUpdate:
             assert np.linalg.norm((J_new - J) @ p) <= 1e-12 * (1.0 + np.linalg.norm(J @ p))
 
     def test_zero_previous_state_reduces_to_classic(self, rng):
-        n = 4
-        J = rng.standard_normal((n, n))
-        q, y = rng.standard_normal((2, n))
-        J_mod = modified_update(J, np.zeros(n), q, y)
-        J_cls = classic_update(J, q, y)
-        assert np.abs(J_mod - J_cls).max() <= 1e-13 * (1.0 + np.abs(J_cls).max())
+        # U_prev = 0 makes the shift q^T U_prev zero: the same formula, bit for bit
+        for _ in range(50):
+            n = 4
+            J = rng.standard_normal((n, n))
+            q, y = rng.standard_normal((2, n))
+            assert same_bits(modified_update(J, np.zeros(n), q, y), classic_update(J, q, y))
 
 
 class TestModifiedInverseUpdate:
@@ -165,13 +170,22 @@ class TestModifiedInverseUpdate:
             assert np.linalg.norm(Jinv_new @ J_new - np.eye(n), np.inf) <= 1e-8
 
     def test_zero_previous_state_reduces_to_classic(self, rng):
+        for _ in range(50):
+            n = 4
+            J = rng.standard_normal((n, n)) + 4 * np.eye(n)
+            Jinv = np.linalg.inv(J)
+            q, y = rng.standard_normal((2, n))
+            a = modified_inverse_update(Jinv, J, np.zeros(n), q, y)
+            assert same_bits(a, classic_inverse_update(Jinv, q, y))
+
+    def test_previous_jacobian_is_not_read(self, rng):
+        # the inverse update needs only Jinv_prev: a NaN J_prev gives the same bits
         n = 4
         J = rng.standard_normal((n, n)) + 4 * np.eye(n)
         Jinv = np.linalg.inv(J)
-        q, y = rng.standard_normal((2, n))
-        a = modified_inverse_update(Jinv, J, np.zeros(n), q, y)
-        b = classic_inverse_update(Jinv, q, y)
-        assert np.abs(a - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+        U_prev, q, y = rng.standard_normal((3, n))
+        a = modified_inverse_update(Jinv, np.full((n, n), np.nan), U_prev, U_prev + q, y)
+        assert same_bits(a, modified_inverse_update(Jinv, J, U_prev, U_prev + q, y))
 
     def test_guard_trip_on_constructed_singularity(self, rng):
         # U_prev = -q makes q^T q + q^T U_prev vanish
@@ -264,16 +278,26 @@ class TestSolve:
         assert tr.iterations == 1
         np.testing.assert_array_equal(tr.solution, [0.0])
 
-    def test_modified_update_corrects_once(self, monkeypatch):
-        # J and its inverse share one correction vector r per rank-one update
-        calls = []
-        correction = quasi_newton._modified_correction
-        monkeypatch.setattr(
-            quasi_newton, "_modified_correction", lambda *a: calls.append(a) or correction(*a)
-        )
-        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant="modified_rank1"))
+    @pytest.mark.parametrize("variant", ["classic_rank1", "modified_rank1"])
+    def test_rank_one_update_calls_each_kernel_once(self, variant, monkeypatch):
+        # each update after the first iterate calls the forward kernel once and, unless that
+        # trips a guard, the inverse kernel once
+        calls = {"_update": [], "_inverse_update": []}
+
+        def logged(kernel, log):
+            def call(*args):
+                log.append(None)  # stays None when the kernel raises
+                log[-1] = kernel(*args)
+                return log[-1]
+            return call
+
+        for name, log in calls.items():
+            monkeypatch.setattr(quasi_newton, name, logged(getattr(quasi_newton, name), log))
+        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant=variant))
         assert tr.status == "converged"
-        assert len(calls) == tr.iterations - 1
+        forward = calls["_update"]
+        assert len(forward) == tr.iterations - 1
+        assert len(calls["_inverse_update"]) == sum(J is not None for J in forward) > 0
 
     @pytest.mark.parametrize(
         "option, message",

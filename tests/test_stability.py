@@ -105,6 +105,10 @@ class TestBurgersBound:
         with pytest.raises(ValueError, match="difference matrices"):
             burgers_step_bound(sd, np.zeros(4))
 
+    def test_state_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="state length 3 != system dimension 8"):
+            burgers_step_bound(burgers_discretize(8, 100.0), np.ones(3))
+
 
 class TestNegativeDefinite:
     def test_negative_identity(self):
