@@ -7,8 +7,9 @@ the secant condition J q = y, which the true Jacobian meets only
 approximately.  For polynomial systems, with fbar(U) = J(U) U = L U + 2 N2(U)
 + 3 N3(U), exact Jacobians satisfy J_i U_i - J_{i-1} U_{i-1} = fbar(U_i) -
 fbar(U_{i-1}); the modified update (y that fbar difference, t = q^T U_{i-1})
-enforces this exact relation instead, and the solver also holds it to the
-secant condition, as the exact relation alone lets it drift off the step.
+enforces this exact relation instead.  The solver carries J^-1 alone, and
+holds a modified update to the secant condition too, with a residual read from
+f, y and q, as the exact relation alone lets J drift off the step.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
-PAIRING_TOL = 1e-6
 SECANT_TOL = 1.0
 
 
@@ -50,10 +50,11 @@ class QNOptions:
     """Settings of one qn_solve run; variant is one of VARIANTS.
 
     keep_jacobians records each iterate's Jacobian or approximation in
-    trace.jacobians, as deviation_report needs.  Every rank-one denominator
-    is guarded by _guard(q), and a modified update must also meet the secant
-    condition to within SECANT_TOL; a tripped guard or a failed secant check
-    reinitialises with the exact Jacobian at the new iterate.
+    trace.jacobians, as deviation_report needs; a rank-one solve forms J only
+    for it.  Every rank-one denominator is guarded by _guard(q), and a
+    modified update must also meet the secant condition to within SECANT_TOL;
+    a tripped guard or a failed secant check reinitialises with the exact
+    Jacobian at the new iterate.
     """
 
     variant: str = "newton"
@@ -89,19 +90,24 @@ def jacobian_action(s, U):
     return s.at(U).fbar
 
 
-# The two update kernels below take trusted 1-D float arrays, qq = q^T q and
-# the shift t: t = 0 is the classic secant update and t = q^T U_prev the
-# modified one.  The public functions after them convert their arguments and
-# call them; _rank_one_update calls them directly, sharing q, qq and t.
+# The step check and the two update kernels below take trusted 1-D float
+# arrays, qq = q^T q and the shift t (0 for the classic update, q^T U_prev for
+# the modified one).  The public functions after them convert their arguments
+# and call them; qn_solve calls them directly, and _update only to keep J.
 
 
-def _update(J_prev, q, y, qq, t):
-    """J = J_prev - (J_prev q - y) q^T / (q^T q + t)."""
+def _check_step(qq, t):
+    """Raise GuardTripError unless q^T q and q^T q + t both clear _guard(qq)."""
     g = _guard(qq)
     if qq <= g:
         raise GuardTripError("q^T q", qq)
     if abs(qq + t) <= g:
         raise GuardTripError("q^T q + q^T U_prev", qq + t)
+
+
+def _update(J_prev, q, y, qq, t):
+    """J = J_prev - (J_prev q - y) q^T / (q^T q + t)."""
+    _check_step(qq, t)
     return J_prev - _outer(J_prev @ q - y, q) / (qq + t)
 
 
@@ -157,35 +163,21 @@ def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
     return _inverse_update(np.asarray(Jinv_prev, dtype=float), q, _vector(y), qq, t)
 
 
-def _pairing(Jinv, J, eye):
-    """||Jinv J - I||_inf by np.linalg.norm's own formula, without its dispatch."""
-    return float(np.abs(Jinv @ J - eye).sum(axis=1).max())
+def _updated_action(f, y, qq, t):
+    """J q of _update's result for the step q = -J_prev^-1 f: (q^T q y - t f) / (q^T q + t).
 
-
-def _rank_one_update(J, J_inv, U, U_new, y, modified, eye):
-    """Both halves of one rank-one update, checked against each other.
-
-    y is fbar(U_new) - fbar(U) for the modified variant and
-    f(U_new) - f(U) for the classic one; eye is the identity of U's size.
-    The step q, q^T q and the shift t are computed once.
+    The steps use J_prev = (J_prev^-1)^-1, so J_prev q = -f and J is not needed.
     """
-    q = U_new - U
-    qq = float(q @ q)
-    t = float(q @ U) if modified else 0.0
-    J_new, Jinv_new = _update(J, q, y, qq, t), _inverse_update(J_inv, q, y, qq, t)
-    pairing = _pairing(Jinv_new, J_new, eye)
-    if not math.isfinite(pairing) or pairing > PAIRING_TOL:
-        raise GuardTripError("inverse pairing", pairing)
-    return J_new, Jinv_new
+    return (qq * y - t * f) / (qq + t)
 
 
-def _secant_holds(J, q, delta_f):
-    """Whether the secant residual ||J q - delta_f||_inf / ||delta_f||_inf is at most SECANT_TOL.
+def _secant_holds(Jq, delta_f):
+    """Whether the secant residual ||Jq - delta_f||_inf / ||delta_f||_inf is at most SECANT_TOL.
 
     A residual that is not finite, as with delta_f = 0, does not hold.
     """
     scale = float(np.abs(delta_f).max())
-    return 0.0 < scale < math.inf and float(np.abs(J @ q - delta_f).max()) <= SECANT_TOL * scale
+    return 0.0 < scale < math.inf and float(np.abs(Jq - delta_f).max()) <= SECANT_TOL * scale
 
 
 def qn_solve(s, U0, opts=None):
@@ -193,8 +185,8 @@ def qn_solve(s, U0, opts=None):
 
     Every variant starts from the exact Jacobian at U0.  Newton solves with
     the exact Jacobian at each iterate; the rank-one variants invert it once
-    and then update the inverse.  A rank-one update that trips a guard,
-    fails the inverse-pairing check or, for modified_rank1, fails
+    and then update the inverse alone, forming J only for keep_jacobians.  A
+    rank-one update that trips a guard or, for modified_rank1, fails
     _secant_holds is replaced by the exact Jacobian at the new iterate.  A
     diverging iterate or residual ends the solve "diverged" with
     failure_index at the iteration that produced it; a singular exact
@@ -211,7 +203,6 @@ def qn_solve(s, U0, opts=None):
     f, J, J_inv = st.f, st.J, None
     fbar = st.fbar if modified else None
     res = trace.record(U, f, J)
-    eye = None if newton else np.eye(U.size)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
@@ -232,12 +223,19 @@ def qn_solve(s, U0, opts=None):
         else:
             fbar_new = st.fbar if modified else None
             y = fbar_new - fbar if modified else f_new - f
+            q = U_new - U
+            qq = float(q @ q)
+            t = float(q @ U) if modified else 0.0
             try:
-                J, J_inv = _rank_one_update(J, J_inv, U, U_new, y, modified, eye)
-                if modified and not _secant_holds(J, U_new - U, f_new - f):
-                    J, J_inv = st.J, None
+                _check_step(qq, t)
+                J_inv = _inverse_update(J_inv, q, y, qq, t)
+                restart = modified and not _secant_holds(_updated_action(f, y, qq, t), f_new - f)
             except GuardTripError:
+                restart = True
+            if restart:
                 J, J_inv = st.J, None
+            else:
+                J = _update(J, q, y, qq, t) if opts.keep_jacobians else None
             fbar = fbar_new
         U, f = U_new, f_new
         res = trace.record(U, f, J)
@@ -253,7 +251,7 @@ def deviation_report(s, trace):
     fbar(U) = 0 (metric undefined).  For modified_rank1 every entry is about
     0 by construction, since the update enforces J_i U_i = fbar(U_i) from an
     exact Jacobian on and after every reinitialisation: it cannot see stalls.
-    qn_solve's secant guard (_secant_holds) is what catches them.
+    qn_solve's secant check (_secant_holds, on f, y and q) catches them.
     """
     if trace.jacobians is None:
         raise ValueError("trace has no recorded Jacobian approximations")

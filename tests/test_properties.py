@@ -2,10 +2,11 @@
 against einsum over the raw, unsymmetrized input, lowering, the tree sum fold
 against the plain sum it replaces (bit for bit), the compiled tree value and
 Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
-loop, the invariants of the rank-one updates, the one-formula modified updates
+loop, the invariants of the rank-one updates, the secant check's J q read from
+f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), and the step equation an
 implicit Euler step solves.  The solvers' fast paths
-(the shared rank-one kernels, the pairing norm and the masked sweep), the
+(the shared rank-one kernels and the masked sweep), the
 one-pass reader of a system document's entries and the one-format CSV rows
 must match, bit for bit, the code they replaced.
 
@@ -58,7 +59,7 @@ from polyjac import (
     row_scale,
     sweep_once,
 )
-from polyjac.quasi_newton import PAIRING_TOL, _pairing, _rank_one_update
+from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
 from polyjac.system import _read_coefficients, check_dense
 
@@ -562,24 +563,42 @@ def test_inverse_update_pairs_with_forward_update(case, modified):
     assert np.linalg.norm(Jinv_new @ J_new - np.eye(q.size), np.inf) <= 1e-8 * cond
 
 
+@given(update_cases(), st.booleans())
+def test_updated_action_matches_updated_jacobian(case, modified):
+    # with f = -J q, the secant check's (q^T q y - t f) / (q^T q + t) is the updated J times q, to
+    # 1e-12 (1 + ||y|| + ||f||) times the cancellation in q^T q + t, which both sides divide by
+    J, q, y, U_prev, _ = case
+    q = (U_prev + q) - U_prev  # the step the public modified update reads
+    f = -(J @ q)
+    J_new, _ = _update(J, q, y, U_prev, modified)
+    qq, t = float(q @ q), float(q @ U_prev) if modified else 0.0
+    norm = np.linalg.norm
+    scale = (1.0 + norm(y) + norm(f)) * _cancellation(qq + t, qq, t)
+    assert norm(_updated_action(f, y, qq, t) - J_new @ q) <= 1e-12 * scale
+
+
 def _same_bits(got, want):
     """Bit-for-bit equality: np.array_equal on the int64 views, so -0.0 != 0.0 and NaN == NaN."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _public_rank_one_update(J, J_inv, U, U_new, y, modified):
-    """The update as the public function pair computes it, checked by np.linalg.norm."""
+def _public_inverse_update(J, J_inv, U, U_new, y, modified):
+    """The inverse update as the public functions give it, after the forward function's guards."""
+    q = U_new - U
     if modified:
-        J_new = modified_update(J, U, U_new, y)
-        Jinv_new = modified_inverse_update(J_inv, J, U, U_new, y)
-    else:
-        q = U_new - U
-        J_new, Jinv_new = classic_update(J, q, y), classic_inverse_update(J_inv, q, y)
-    pairing = np.linalg.norm(Jinv_new @ J_new - np.eye(U.size), np.inf)
-    if not np.isfinite(pairing) or pairing > PAIRING_TOL:
-        raise GuardTripError("inverse pairing", pairing)
-    return J_new, Jinv_new
+        modified_update(J, U, U_new, y)
+        return modified_inverse_update(J_inv, J, U, U_new, y)
+    classic_update(J, q, y)
+    return classic_inverse_update(J_inv, q, y)
+
+
+def _solver_inverse_update(J_inv, U, U_new, y, modified):
+    """qn_solve's update of J^-1: the step's guards, then the inverse kernel."""
+    q = U_new - U
+    qq, t = float(q @ q), float(q @ U) if modified else 0.0
+    _check_step(qq, t)
+    return _inverse_update(J_inv, q, y, qq, t)
 
 
 def _outcome(update, *args):
@@ -591,25 +610,17 @@ def _outcome(update, *args):
 
 @given(update_cases(), st.booleans(), st.booleans())
 def test_rank_one_kernels_match_public_pair(case, modified, exact_inverse):
-    # the same matrices, or the same tripped guard, as the public functions give
+    # the solver's J^-1, without J: the same bits, or the same tripped guard, as the public functions give
     J, q, y, U, _ = case
     J_inv = np.linalg.inv(J) if exact_inverse else np.linalg.inv(J + 0.1 * np.outer(q, y))
     U_new = U + q
-    want = _outcome(_public_rank_one_update, J, J_inv, U, U_new, y, modified)
-    got = _outcome(_rank_one_update, J, J_inv, U, U_new, y, modified, np.eye(U.size))
+    want = _outcome(_public_inverse_update, J, J_inv, U, U_new, y, modified)
+    got = _outcome(_solver_inverse_update, J_inv, U, U_new, y, modified)
     if isinstance(want, str):
         assert got == want
     else:
         assert not isinstance(got, str), got
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-
-
-@given(st.integers(1, 6).flatmap(lambda n: arrays(float, (2, n, n), elements=st.floats(width=64))))
-def test_pairing_norm_matches_linalg_norm(pair):
-    Jinv, J = pair
-    eye = np.eye(J.shape[0])
-    with np.errstate(all="ignore"):
-        assert _same_bits(_pairing(Jinv, J, eye), np.linalg.norm(Jinv @ J - eye, np.inf))
+        assert _same_bits(got, want)
 
 
 def _guarded(name, value, g):

@@ -280,24 +280,29 @@ class TestSolve:
 
     @pytest.mark.parametrize("variant", ["classic_rank1", "modified_rank1"])
     def test_rank_one_update_calls_each_kernel_once(self, variant, monkeypatch):
-        # each update after the first iterate calls the forward kernel once and, unless that
-        # trips a guard, the inverse kernel once
-        calls = {"_update": [], "_inverse_update": []}
-
+        # each update after the first iterate checks its step once and, unless that trips a
+        # guard, updates the inverse once; the forward kernel, which checks the step again, runs
+        # only with keep_jacobians, once per update kept (no secant check fails from this start)
         def logged(kernel, log):
             def call(*args):
-                log.append(None)  # stays None when the kernel raises
-                log[-1] = kernel(*args)
-                return log[-1]
+                log.append(False)  # stays False when the kernel raises
+                out = kernel(*args)
+                log[-1] = True
+                return out
             return call
 
-        for name, log in calls.items():
-            monkeypatch.setattr(quasi_newton, name, logged(getattr(quasi_newton, name), log))
-        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant=variant))
-        assert tr.status == "converged"
-        forward = calls["_update"]
-        assert len(forward) == tr.iterations - 1
-        assert len(calls["_inverse_update"]) == sum(J is not None for J in forward) > 0
+        kernels = {name: getattr(quasi_newton, name) for name in ("_check_step", "_inverse_update", "_update")}
+        for keep in (False, True):
+            calls = {name: [] for name in kernels}
+            for name, log in calls.items():
+                monkeypatch.setattr(quasi_newton, name, logged(kernels[name], log))
+            opts = QNOptions(variant=variant, keep_jacobians=keep)
+            tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), opts)
+            assert tr.status == "converged"
+            checked, inverse, forward = calls.values()
+            assert forward == ([True] * sum(inverse) if keep else [])
+            assert len(checked) == tr.iterations - 1 + len(forward)
+            assert len(inverse) == sum(checked) - len(forward) > 0
 
     @pytest.mark.parametrize(
         "option, message",
@@ -390,6 +395,16 @@ class TestSecantGuard:
         assert all(d is not None and d <= 1e-10 for d in deviation_report(s, tr))
         assert max(secant_residuals(s, tr)) > 1.0
 
+    @pytest.mark.parametrize(
+        "delta_f, Jq, holds",
+        [([2.0, -1.0], [2.0, 0.8], True), ([2.0, -1.0], [2.0, 2.0], False),
+         ([2.0, -1.0], [math.nan, -1.0], False), ([0.0, 0.0], [0.0, 0.0], False)],
+        ids=["residual-0.9", "residual-1.5", "nan", "zero-delta-f"],
+    )
+    def test_secant_holds_up_to_tolerance_one(self, delta_f, Jq, holds):
+        # the residual ||Jq - delta_f||_inf / ||delta_f||_inf against SECANT_TOL = 1
+        assert quasi_newton._secant_holds(np.array(Jq), np.array(delta_f)) is holds
+
     @pytest.mark.parametrize("variant", ["newton", "classic_rank1"])
     def test_other_variants_never_check(self, variant, monkeypatch):
         calls = []
@@ -397,6 +412,24 @@ class TestSecantGuard:
         s, U0 = self.stalled_cli_batch_system()
         assert qn_solve(s, U0, QNOptions(variant=variant, max_iter=200)).status == "converged"
         assert calls == []
+
+
+@pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
+@pytest.mark.parametrize(
+    "system, U0",
+    [(circle_cubic_system(), np.array([0.5, 1.0])),
+     (random_cubic_system(1, 3, 6, 8), np.ones(8)),
+     (random_cubic_system(7, 2, 5, 20), np.zeros(20))],
+    ids=["circle-cubic", "cli-batch-seed1-system6", "dense-solve-seed7-system5"],
+)
+def test_keep_jacobians_only_observes(variant, system, U0):
+    # forming and recording J leaves the iterates, residuals and outcome bit for bit as they were
+    kept, bare = (qn_solve(system, U0, QNOptions(variant=variant, max_iter=200, keep_jacobians=keep))
+                  for keep in (True, False))
+    assert len(kept.jacobians) == kept.iterations and bare.jacobians is None
+    assert (kept.status, kept.failure_index) == (bare.status, bare.failure_index)
+    assert same_bits(np.array(kept.residual_norms), np.array(bare.residual_norms))
+    assert same_bits(np.array(kept.iterates), np.array(bare.iterates))
 
 
 def runaway_cubic_system():
