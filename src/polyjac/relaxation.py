@@ -1,10 +1,10 @@
 """Direct nonlinear Jacobi, Gauss-Seidel and SOR sweeps on polynomial systems.
 
-A sweep assembles a = A(U) at its start (the linear-form identity, so nothing
-is linearized), row-interchanges a where a pivot collapses and targets
-a U = b = -F.  Jacobi divides by the diagonal D of a; Gauss-Seidel (omega = 1)
-and SOR are one lower-triangular solve (D + omega L) U_new = omega (b - U_up U)
-+ (1 - omega) D U, with L and U_up the strict lower and upper parts of a."""
+A sweep assembles a = A(U) at its start (the linear-form identity: nothing is
+linearized); the residual of a U = -F is then f(U).  It row-interchanges a
+and f where a pivot collapses and returns U - delta: Jacobi takes delta = f / D,
+with D the diagonal of a; Gauss-Seidel (omega = 1) and SOR solve the triangular
+(D + omega L) delta = omega f, with L the strict lower part of a."""
 
 from dataclasses import dataclass
 import functools
@@ -56,12 +56,12 @@ class SingularPivotError(ValueError):
         self.row = row
 
 
-def _pivot(a, b):
+def _pivot(a, f):
     """Row-interchange equations so every diagonal exceeds PIVOT_TOL.
 
     For each deficient diagonal, searches rows below (then above) for the
-    largest usable entry in that column and swaps the equations.  Returns the
-    applied row ordering.
+    largest usable entry in that column and swaps the equations: the rows of
+    a and the entries of the residual f.  Returns the applied row ordering.
     """
     n = a.shape[0]
     perm = list(range(n))
@@ -84,7 +84,7 @@ def _pivot(a, b):
         if best is None:
             raise SingularPivotError(i)
         a[[i, best]] = a[[best, i]]
-        b[[i, best]] = b[[best, i]]
+        f[[i, best]] = f[[best, i]]
         perm[i], perm[best] = perm[best], perm[i]
     return perm
 
@@ -97,22 +97,20 @@ def _strict_lower(n):
     return mask
 
 
-def _sweep(st, method, omega):
-    """One sweep of A(U) U = -F from the state record st; returns (U_new, permutation)."""
-    a, b, U = st.A, -st.s.const, st.U  # a and b are fresh arrays, changed in place
-    perm = _pivot(a, b)
-    n = U.size
-    d = a.diagonal().copy()
-    a.flat[:: n + 1] = 0.0
+def _sweep(st, f, method, omega):
+    """One sweep from the state record st and its residual f (changed in place); returns (U_new, permutation)."""
+    a = st.A  # a fresh array, changed in place
+    perm = _pivot(a, f)
+    d = a.diagonal()
     if method == "jacobi":
-        return (b - a @ U) / d, perm
-    w = 1.0 if method == "gauss_seidel" else omega
-    up = np.where(_strict_lower(n), 0.0, a)  # the strict upper part: a's diagonal is zero
-    rhs = w * (b - up @ U) + (1.0 - w) * d * U
-    m = (a - up) * w + 0.0  # the + 0.0 of D + omega L: a -0.0 off the diagonal becomes +0.0
-    m.flat[:: n + 1] += d
+        return st.U - f / d, perm
+    m = np.where(_strict_lower(d.size), a, 0.0)  # D + omega L, its diagonal set below
+    if method == "sor":
+        m *= omega
+        f *= omega
+    m.flat[:: d.size + 1] = d
     try:  # reversed, m is upper triangular: LAPACK swaps no rows and back-substitutes
-        return np.linalg.solve(m[::-1, ::-1], rhs[::-1])[::-1], perm
+        return st.U - np.linalg.solve(m[::-1, ::-1], f[::-1])[::-1], perm
     except np.linalg.LinAlgError:
         raise SingularPivotError(int(np.argmin(np.abs(d)))) from None
 
@@ -120,31 +118,33 @@ def _sweep(st, method, omega):
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):
     """One full sweep at iterate U; returns (U_new, permutation).
 
+    The step is solved for from f(U), so a root U is returned unchanged.
     Equations whose diagonal entry of A(U) is at or below PIVOT_TOL are
     row-interchanged first; the permutation lists the row order used.
     Raises SingularPivotError if no interchange fixes a diagonal, and
     ValueError for a method outside METHODS or an omega outside (0, 2].
     """
     _check_sweep(method, omega)
-    return _sweep(s.at(U), method, omega)
+    st = s.at(U)
+    return _sweep(st, st.f, method, omega)
 
 
 def iterative_solve(s, U0, opts=None):
-    """Run sweeps until the residual infinity norm drops below opts.tol."""
+    """Run sweeps until ||f(U)||_inf <= opts.tol; each sweep steps from the f it was tested on."""
     opts = opts or IterativeOptions()
     U = start_state(U0, s.n)
     trace = SolverTrace()
     st = s.at(U)  # one record per iterate: its residual and its sweep's A(U)
-    res = trace.record(U, st.f)
+    res = trace.record(U, f := st.f)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
         try:
-            U, trace.permutation = _sweep(st, opts.method, opts.omega)
+            U, trace.permutation = _sweep(st, f, opts.method, opts.omega)
         except SingularPivotError as exc:
             return trace.end("singular_pivot", exc.row)
         st = s.at(U)
-        res = trace.record(U, st.f)
+        res = trace.record(U, f := st.f)
         if not math.isfinite(res) or diverged(U):
             return trace.end("diverged", k)
     return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")

@@ -5,10 +5,11 @@ Jacobian against the recursive walks they replaced (bit for bit, or the same dom
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), and the step equation an
-implicit Euler step solves.  The solvers' fast paths
-(the shared rank-one kernels and the masked sweep), the
+implicit Euler step solves.  The shared rank-one kernels, the
 one-pass reader of a system document's entries and the one-format CSV rows
-must match, bit for bit, the code they replaced.
+must match, bit for bit, the code they replaced; the correction-form sweep
+must match the direct-form sweep it replaced to rounding times a conditioning
+factor, with the same row interchanges.
 
 Systems are random, n in 1..6, with the quadratic and the cubic part each
 independently nonzero, given as an all-zero tensor, or absent (None), so the
@@ -741,7 +742,7 @@ def test_modified_updates_match_three_term_reference(case):
 
 
 def _triu_sweep(st, method, omega):
-    """The sweep as np.fill_diagonal, np.triu and np.diag built it: the reference for _sweep."""
+    """The sweep in direct form, as np.fill_diagonal, np.triu and np.diag built it: the reference for _sweep."""
     a, b, U = st.A, -st.s.const, st.U
     perm = _pivot(a, b)
     d = np.diagonal(a).copy()
@@ -758,19 +759,29 @@ def _triu_sweep(st, method, omega):
         raise SingularPivotError(int(np.argmin(np.abs(d)))) from None
 
 
-def _sweep_outcome(sweep, st, method, omega):
+def _sweep_outcome(sweep, *args):
     try:
         with np.errstate(all="ignore"):
-            return sweep(st, method, omega)
+            return sweep(*args)
     except SingularPivotError as exc:
         return exc.row
 
 
+def _sweep_matrix(a, method, omega):
+    """D + omega L of the row-interchanged a (D alone for Jacobi, omega = 1 for Gauss-Seidel)."""
+    w = 0.0 if method == "jacobi" else 1.0 if method == "gauss_seidel" else omega
+    return np.diag(np.diagonal(a)) + w * np.tril(a, -1)
+
+
 @given(systems_and_states(), st.sampled_from(("jacobi", "gauss_seidel", "sor")), omegas, st.data())
 def test_sweep_matches_triu_sweep(case, method, omega, data):
-    # Drawn diagonals of A(U) drop to PIVOT_TOL or below, so rows are interchanged.  Drawn
-    # entries of A(U), U and F become signed zeros: a -0.0 off the diagonal, which np.diag's
-    # + 0.0 made +0.0, can set the sign of a zero entry of the result.
+    # The correction form U - M^-1 omega f against the direct form M^-1 (omega (b - U_up U) +
+    # (1 - omega) D U), M = D + omega L.  Drawn diagonals of A(U) drop to PIVOT_TOL or below, so
+    # rows are interchanged, and drawn entries of A(U), U and F become signed zeros.  Both forms
+    # interchange the same rows and fail at the same row.  Their results are the same numbers
+    # rounded differently: each solve with M is backward stable, so they agree to TOL times
+    # ||M^-1||_inf (||F||_inf + ||A||_inf (||U||_inf + ||U_new||_inf)), plus TOL (1 + ||U_new||_inf)
+    # for the last subtraction, and are non-finite in the same entries.
     s, U, _ = case
     n = s.n
     A, F = s.at(U).A, s.const.copy()
@@ -787,24 +798,35 @@ def test_sweep_matches_triu_sweep(case, method, omega, data):
         return SimpleNamespace(A=A.copy(), s=SimpleNamespace(const=F), U=U)
 
     want = _sweep_outcome(_triu_sweep, state(), method, omega)
-    got = _sweep_outcome(_sweep, state(), method, omega)
+    got = _sweep_outcome(_sweep, state(), A @ U + F, method, omega)
     if isinstance(want, int):
         assert got == want
-    else:
-        assert not isinstance(got, int), got
-        assert _same_bits(got[0], want[0]) and got[1] == want[1]
+        return
+    assert not isinstance(got, int), got
+    (got, perm), (want, want_perm) = got, want
+    assert perm == want_perm
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.abs(np.linalg.inv(_sweep_matrix(A[perm], method, omega))).sum(axis=1).max()
+        except np.linalg.LinAlgError:
+            inverse = math.inf
+        top = np.abs(want[finite]).max(initial=0.0)
+        size = np.abs(F).max() + np.abs(A).sum(axis=1).max() * (np.abs(U).max() + top)
+        bound = TOL * (1.0 + top + (inverse * size if size else 0.0))  # a singular M times a zero size is 0
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound)
 
 
 def test_sweep_keeps_the_sign_of_a_zero_result():
-    # a -0.0 below the diagonal: U_new[1] is -0.0 only if the sweep matrix adds np.diag's + 0.0 there
+    # U_new = U - delta in IEEE arithmetic: f = A U + F = (-1, +0.0) and delta = (-1, +0.0), so
+    # U_new[1] = -0.0 - (+0.0) keeps U's -0.0 (the direct form reached the same -0.0 through np.diag's
+    # + 0.0 below the diagonal)
     A, F, U = np.array([[1.0, 2.0], [-0.0, 1.0]]), np.array([-1.0, 0.0]), np.array([0.0, -0.0])
-
-    def state():
-        return SimpleNamespace(A=A.copy(), s=SimpleNamespace(const=F), U=U)
-
-    want, _ = _triu_sweep(state(), "gauss_seidel", 1.0)
-    assert _same_bits(want, [1.0, -0.0])
-    assert _same_bits(_sweep(state(), "gauss_seidel", 1.0)[0], want)
+    f = A @ U + F
+    assert _same_bits(f, [-1.0, 0.0])
+    got, perm = _sweep(SimpleNamespace(A=A.copy(), U=U), f, "gauss_seidel", 1.0)
+    assert _same_bits(got, [1.0, -0.0]) and perm == [0, 1]
 
 
 def _reference_read_coefficients(data, field, n, ndim):

@@ -45,6 +45,23 @@ class TestSweepOnce:
             U_new, _ = sweep_once(s, root, method, omega=1.3)
             assert np.abs(U_new - root).max() <= 1e-13
 
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+    def test_root_is_an_exact_fixed_point(self, quadratic):
+        # small integers make f(U) exactly 0, so the step solved for from f is exactly 0 and
+        # every sweep returns U itself
+        L = np.array([[4.0, -1.0, 0.0], [1.0, 5.0, 2.0], [0.0, -2.0, 3.0]])
+        quad = np.zeros((3, 3, 3))
+        if quadratic:
+            quad[0, 0, 1], quad[1, 2, 2], quad[2, 0, 0] = 1.0, -1.0, 2.0
+        U = np.array([1.0, -2.0, 3.0])
+        F = -(L @ U + np.einsum("ijk,j,k->i", quad, U, U))
+        s = PolySystem(L=L, quad=quad, cubic=np.zeros((3,) * 4), const=F)
+        assert np.all(s.eval(U) == 0.0)
+        for method, omega in (("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.3), ("sor", 0.7)):
+            U_new, perm = sweep_once(s, U, method, omega)
+            assert np.array_equal(U_new, U), (method, omega)
+            assert perm == [0, 1, 2]
+
     def test_row_interchange_fixes_zero_diagonal(self):
         # a permuted linear system has zero diagonals that one swap repairs
         s = linear_system(np.array([[0.0, 2.0], [3.0, 0.0]]), [4.0, 9.0])

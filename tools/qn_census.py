@@ -1,12 +1,14 @@
-"""Run the three qn_solve variants over the benchmark's solver pools and count how they end.
+"""Run the qn_solve variants and the relaxation sweeps over the benchmark's solver pools and count how they end.
 
     python3 tools/qn_census.py [CHECKOUT]
 
 For seeds 1 and 7 it solves the 48 dense-solve systems (n=20, from U0 = 0)
 and the systems of cli-batch jobs 0-197 (n=8, from U0 = 1, the CLI's start),
-each by newton, classic_rank1 and modified_rank1 with max_iter 200: 1476
-runs.  The systems are the ones ``perfbench/workloads.py`` draws, built with
-``from_kronecker``.  It prints one line per pool, seed and variant: the
+each by newton, classic_rank1 and modified_rank1 (``qn_solve``, max_iter 200)
+and by jacobi, gauss_seidel and sor with omega 1.1 (``iterative_solve``,
+tol 1e-10, max_iter 200): 2952 runs.  The systems are the ones
+``perfbench/workloads.py`` draws, built with ``from_kronecker``.  It prints
+one line per pool, seed and variant, the quasi-Newton lines first: the
 status counts, then the total, median, p90 and max of the iterations (the
 recorded iterates minus the start; median and p90 by nearest rank).  The
 line reads the same on two checkouts exactly when every run ends in the same
@@ -31,7 +33,9 @@ from pathlib import Path
 
 SEEDS = (1, 7)
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
+SWEEPS = (("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.1))
 MAX_ITER = 200
+SWEEP_TOL = 1e-10  # dense-solve's tolerance
 CLI_SYSTEMS = 198
 
 
@@ -63,19 +67,24 @@ def main(argv=None):
 
     if Path(pj.__file__).resolve().parent != root / "src" / "polyjac":
         sys.exit(f"qn_census: imported polyjac from {pj.__file__}, not {root / 'src'}")
+    families = (
+        [(variant, pj.qn_solve, pj.QNOptions(variant=variant, max_iter=MAX_ITER)) for variant in VARIANTS],
+        [(method, pj.iterative_solve, pj.IterativeOptions(method=method, omega=omega, tol=SWEEP_TOL,
+                                                          max_iter=MAX_ITER)) for method, omega in SWEEPS],
+    )
     failed = 0
-    for seed in SEEDS:
-        for pool, cases in _pools(workloads, seed):
-            systems = [(pj.from_kronecker(*coeffs), U0) for coeffs, U0 in cases]
-            for variant in VARIANTS:
-                opts = pj.QNOptions(variant=variant, max_iter=MAX_ITER)
-                traces = [pj.qn_solve(s, U0, opts) for s, U0 in systems]
-                statuses = collections.Counter(tr.status for tr in traces)
-                iters = sorted(tr.iterations - 1 for tr in traces)
-                failed += len(traces) - statuses["converged"]
-                counts = " ".join(f"{status}={statuses[status]}" for status in sorted(statuses))
-                print(f"{pool} seed={seed} {variant} {counts} total={sum(iters)} "
-                      f"median={_rank(iters, 0.5)} p90={_rank(iters, 0.9)} max={iters[-1]}")
+    for family in families:
+        for seed in SEEDS:
+            for pool, cases in _pools(workloads, seed):
+                systems = [(pj.from_kronecker(*coeffs), U0) for coeffs, U0 in cases]
+                for name, solve, opts in family:
+                    traces = [solve(s, U0, opts) for s, U0 in systems]
+                    statuses = collections.Counter(tr.status for tr in traces)
+                    iters = sorted(tr.iterations - 1 for tr in traces)
+                    failed += len(traces) - statuses["converged"]
+                    counts = " ".join(f"{status}={statuses[status]}" for status in sorted(statuses))
+                    print(f"{pool} seed={seed} {name} {counts} total={sum(iters)} "
+                          f"median={_rank(iters, 0.5)} p90={_rank(iters, 0.9)} max={iters[-1]}")
     return 1 if failed else 0
 
 
