@@ -61,7 +61,8 @@ def _pivot(a, f):
 
     For each deficient diagonal, searches rows below (then above) for the
     largest usable entry in that column and swaps the equations: the rows of
-    a and the entries of the residual f.  Returns the applied row ordering.
+    a and the entries of the residual f.  Returns the applied row ordering;
+    raises SingularPivotError at the first row still deficient after the swaps.
     """
     n = a.shape[0]
     perm = list(range(n))
@@ -86,6 +87,8 @@ def _pivot(a, f):
         a[[i, best]] = a[[best, i]]
         f[[i, best]] = f[[best, i]]
         perm[i], perm[best] = perm[best], perm[i]
+    if bad := [i for i in range(n) if not abs(a[i, i]) > PIVOT_TOL]:  # a later swap can undo an earlier one
+        raise SingularPivotError(bad[0])
     return perm
 
 

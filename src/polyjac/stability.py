@@ -35,6 +35,7 @@ METHODS = ("explicit_euler", "rk4", "implicit_euler", "semi_implicit_euler")
 RK4_REAL_AXIS = 2.785
 
 _NORM_AXIS = {"l1": 0, "linf": 1}
+_REPORT_STACK_BYTES = 2**21  # bytes of one stack of A(U) in integrate's reports: 16 states at n = 128
 
 
 def _matrix_norm(A, norm_kind):
@@ -178,9 +179,7 @@ class IVP:
             return None
 
     def rhs(self, U):
-        if self._tree is not None:
-            return self._tree(np.asarray(U, dtype=float).ravel())
-        return self.poly.eval(U)
+        return (self._tree or self.poly.eval)(np.asarray(U, dtype=float).ravel())
 
     def linear_form(self, U):
         if self.poly is None:
@@ -192,30 +191,37 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
-def _report(method, A):
-    """Report of one step: a linf step bound (explicit) or definiteness certificate (implicit)."""
-    if method in ("explicit_euler", "rk4"):
-        bound = step_bound_explicit_euler if method == "explicit_euler" else step_bound_rk4
-        return StabilityReport(h_bound=bound(A, "linf"))
-    return StabilityReport(negdef_certificate=is_negative_definite(A)[0])
+def _reports(poly, method, states):
+    """Per state, the linf step bound (explicit) or certificate (implicit) of A(U), stacked by _REPORT_STACK_BYTES."""
+    reports, per_stack = [], max(1, _REPORT_STACK_BYTES // (8 * poly.n**2))
+    for i in range(0, len(states), per_stack):
+        A = poly._linear_forms(np.array(states[i : i + per_stack]))
+        if method in ("explicit_euler", "rk4"):
+            c = 2.0 if method == "explicit_euler" else RK4_REAL_AXIS
+            norms = np.abs(A, out=A).sum(axis=-1).max(axis=-1)  # _matrix_norm's linf, |A| in A's array
+            reports += [StabilityReport(h_bound=_limit(c, nrm)) for nrm in norms]
+        else:
+            lam = np.linalg.eigvalsh(0.5 * (A + A.swapaxes(1, 2)))[:, -1]  # is_negative_definite's, stacked
+            reports += [StabilityReport(negdef_certificate=x < 0.0) for x in lam.tolist()]
+    return reports
 
 
-def _step(ivp, method, U, h, eye):
+def _step(ivp, rhs, method, U, h, eye):
     """The state one step of size h after U, or None when an implicit solve fails.
 
-    eye is the n x n identity, built once per integration.
+    rhs is the compiled tree or poly.eval, and eye the n x n identity, both read once per integration.
     """
     if method == "explicit_euler":
-        return U + h * ivp.rhs(U)
+        return U + h * rhs(U)
     if method == "rk4":
-        k1 = ivp.rhs(U)
-        k2 = ivp.rhs(U + 0.5 * h * k1)
-        k3 = ivp.rhs(U + 0.5 * h * k2)
-        k4 = ivp.rhs(U + h * k3)
+        k1 = rhs(U)
+        k2 = rhs(U + 0.5 * h * k1)
+        k3 = rhs(U + 0.5 * h * k2)
+        k4 = rhs(U + h * k3)
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
         st = ivp.poly.at(U)
-        f = st.f if ivp._tree is None else ivp._tree(U)
+        f = st.f if ivp._tree is None else rhs(U)
         V = U + h * np.linalg.solve(eye - h * st.J, f)
         if method == "semi_implicit_euler":
             return V
@@ -243,10 +249,12 @@ def integrate(ivp, method, h, steps, report=False):
     record as f; semi_implicit_euler takes only its first iterate, one solve
     per step.  A failed solve ends the run as solver_failed.  Divergence (a
     non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
-    each step of a polynomial IVP records a StabilityReport from A(U) at the
-    step's start (at its end for implicit_euler).  A tree evaluated outside
-    its domain raises DomainError.  A trajectory (steps + 1 states of n
-    floats) over system.DENSE_LIMIT_BYTES raises ValueError before any step.
+    each step of a polynomial IVP gets a StabilityReport from A(U) at the
+    step's start (at its end for implicit_euler), built after the march from
+    the stored states in stacks of A(U) of at most 2 MiB, with the very values
+    a report made at each step would have.  A tree evaluated outside its
+    domain raises DomainError.  A trajectory (steps + 1 states of n floats)
+    over system.DENSE_LIMIT_BYTES raises ValueError before any step.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -263,26 +271,21 @@ def integrate(ivp, method, h, steps, report=False):
     U = ivp.U0.copy()
     t = 0.0
     traj = Trajectory(times=[t], states=[U])
-    eye = np.eye(ivp.n)
+    rhs, eye = ivp._tree or ivp.poly.eval, np.eye(ivp.n)
     for k in range(steps):
-        U_next = _step(ivp, method, U, h, eye)
-        if U_next is None:
-            traj.status = "solver_failed"
-            traj.failure_step = k
-            return traj
-        if report and ivp.poly is not None:
-            A = ivp.poly.at(U_next if method == "implicit_euler" else U).A
-            traj.per_step_reports.append(_report(method, A))
+        U = _step(ivp, rhs, method, U, h, eye)
+        if U is None:
+            traj.status, traj.failure_step = "solver_failed", k
+            break
         t += h
-        U = U_next
         traj.times.append(t)
         traj.states.append(U)
         if diverged(U):
-            traj.status = "diverged"
-            traj.failure_step = k
-            return traj
-
-    traj.status = "completed"
+            traj.status, traj.failure_step = "diverged", k
+            break
+    if report and len(traj.states) > 1 and ivp.poly is not None:  # one report per step taken
+        states = traj.states[1:] if method == "implicit_euler" else traj.states[:-1]
+        traj.per_step_reports = _reports(ivp.poly, method, states)
     return traj
 
 

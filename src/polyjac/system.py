@@ -12,7 +12,8 @@ matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
 those orders, computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.
+rest are one-liners over it.  A(U) for a stack of states, which integrate's
+reports read, comes from the same products, stacked.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -41,6 +42,7 @@ __all__ = [
 
 # Divergence rule shared by every solver and integrator.
 DIVERGENCE_LIMIT = 1e8
+_DOT_LIMIT = 0.99 * DIVERGENCE_LIMIT**2  # the bound of diverged's one-call test on U . U
 
 # Largest dense coefficient tensor an input may ask for, in bytes (1 GiB): a
 # cubic up to n = 107 (n^4 floats), a quadratic up to n = 512 (n^3 floats).
@@ -75,8 +77,13 @@ def check_dense(shape, what):
 
 
 def diverged(U):
-    """True when U has a non-finite entry or ||U||_inf > DIVERGENCE_LIMIT."""
-    return not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
+    """True when U has a non-finite entry or ||U||_inf > DIVERGENCE_LIMIT.
+
+    One BLAS call decides most calls: U . U <= 0.99 DIVERGENCE_LIMIT**2 gives ||U||_inf <= ||U||_2 <
+    DIVERGENCE_LIMIT, the 0.99 covering the dot product's rounding (relative n * 1.1e-16) for n below
+    about 4e13.  Otherwise, NaN, inf and overflowing squares included, the exact test decides.
+    """
+    return not np.vdot(U, U) <= _DOT_LIMIT and not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 
 
 def _symmetrized(t, *index):
@@ -91,8 +98,8 @@ def _symmetrized(t, *index):
 
 @functools.cache
 def _pairs(n):  # read-only rows k, l of the pairs k <= l, in np.triu_indices(n) order: P's columns
-    pairs = np.array(np.triu_indices(n))
-    pairs.setflags(write=False)
+    for row in (pairs := np.triu_indices(n)):
+        row.setflags(write=False)
     return pairs
 
 
@@ -161,11 +168,28 @@ class PolySystem:
     def at(self, U):
         """The system at state U: checks U and contracts each order it has once."""
         U = np.asarray(U, dtype=float).ravel()
-        n = self.n
-        if U.shape != (n,):
-            raise ValueError(f"state length {U.size} != system dimension {n}")
-        terms = [(m, (C @ (U if m == 2 else np.multiply(*U[_pairs(n)]))).reshape(n, n)) for m, C in self._orders]
-        return PolyState(self, U, tuple(terms))
+        if U.shape != (self.n,):
+            raise ValueError(f"state length {U.size} != system dimension {self.n}")
+        return PolyState(self, U, self._products(U))
+
+    def _products(self, X):
+        """(m, M_m) per order, at a state X (n,) or at each row of a stack X (k, n).
+
+        One matrix-vector product per state and order: quad . U and P . (U_k U_l)_{k<=l}."""
+        shape, terms = (*X.shape, self.L.shape[0]), []
+        for m, C in self._orders:
+            if m == 3:  # cubic last: X becomes the monomials U_k U_l, k <= l
+                r, c = _pairs(shape[-1])
+                X = X.take(r, -1) * X.take(c, -1)
+            terms.append((m, np.matmul(C, X[..., None]).reshape(shape)))
+        return tuple(terms)
+
+    def _linear_forms(self, X):
+        """A(U) = L + sum M_m at each row U of the (k, n) stack X, a new (k, n, n) array: PolyState.A per row."""
+        A = np.broadcast_to(self.L, (*X.shape, self.n))
+        for _, M in self._products(X):
+            A = np.add(A, M, out=M)  # in the product's own array
+        return A if A.flags.writeable else A.copy()
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""

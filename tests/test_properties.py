@@ -4,9 +4,11 @@ against the plain sum it replaces (bit for bit), the compiled tree value and
 Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
-against the three-term form they replaced (to rounding), and the step equation an
-implicit Euler step solves.  The shared rank-one kernels, the
-one-pass reader of a system document's entries and the one-format CSV rows
+against the three-term form they replaced (to rounding), the step equation an
+implicit Euler step solves, the per-step stability reports integrate builds
+from stacks of A(U) against the reports made one state at a time (bit for
+bit), and diverged's one-call test against the exact test near its limit.
+The shared rank-one kernels, the one-pass reader of a system document's entries and the one-format CSV rows
 must match, bit for bit, the code they replaced; the correction-form sweep
 must match the direct-form sweep it replaced to rounding times a conditioning
 factor, with the same row interchanges.
@@ -45,6 +47,8 @@ from polyjac import (
     State,
     Sum,
     Trajectory,
+    burgers_discretize,
+    burgers_step_bound,
     classic_inverse_update,
     classic_update,
     expressions,
@@ -60,9 +64,11 @@ from polyjac import (
     row_scale,
     sweep_once,
 )
+from polyjac import stability
+from polyjac.presets import burgers_initial_state
 from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
-from polyjac.system import _read_coefficients, check_dense
+from polyjac.system import _read_coefficients, check_dense, diverged
 
 from conftest import reference_linear_sweep, reference_values
 
@@ -1024,3 +1030,84 @@ def test_csv_rows_match_one_f_string_per_value(states, data):
     reports = data.draw(st.lists(REPORTS, max_size=len(states)))
     traj = Trajectory(times=scalars, states=list(states), per_step_reports=reports)
     assert traj.to_csv() == _reference_trajectory_csv(traj)
+
+
+def _report_bits(report):
+    """A StabilityReport by the type and exact bits of its bound, and its certificate."""
+    h = report.h_bound
+    return type(h), None if h is None else float(h).hex(), report.negdef_certificate
+
+
+def _per_step_reports(ivp, method, traj):
+    """The reports integrate made inside its step loop: A(U) at each step's start (its end for implicit Euler)."""
+    reports = []
+    for V in traj.states[1:] if method == "implicit_euler" else traj.states[:-1]:
+        A = ivp.poly.at(V).A
+        if method in ("explicit_euler", "rk4"):
+            nrm = np.abs(A).sum(axis=1).max()
+            c = 2.0 if method == "explicit_euler" else 2.785
+            reports.append(StabilityReport(h_bound=math.inf if nrm == 0.0 else c / nrm))
+        else:
+            reports.append(StabilityReport(negdef_certificate=float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]) < 0.0))
+    return reports
+
+
+def _check_stacked_reports(ivp, method, h, steps):
+    with np.errstate(all="ignore"):
+        traj = integrate(ivp, method, h, steps, report=True)
+        want = _per_step_reports(ivp, method, traj)
+    assert len(traj.per_step_reports) == len(traj.states) - 1
+    assert list(map(_report_bits, traj.per_step_reports)) == list(map(_report_bits, want))
+    return traj
+
+
+@st.composite
+def report_ivps(draw):
+    """(IVP, h): Burgers, n in 4..16, at up to 4 times its step bound, or a random quadratic or cubic PolySystem."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 16))
+        sd, U0 = burgers_discretize(n, draw(st.sampled_from([10.0, 100.0]))), burgers_initial_state(n)
+        return IVP(sd, U0), draw(st.floats(0.1, 4.0)) * burgers_step_bound(sd, U0)
+    n = draw(st.integers(1, 6))
+    cubic = rng.standard_normal((n,) * 4) if draw(st.booleans()) else None
+    s = PolySystem(rng.standard_normal((n, n)), rng.standard_normal((n, n, n)), cubic, rng.standard_normal(n))
+    return IVP(s, draw(st.floats(0.1, 2.0)) * rng.standard_normal(n)), draw(st.floats(1e-3, 0.5))
+
+
+@given(report_ivps(), st.sampled_from(stability.METHODS), st.integers(0, 30))
+def test_stacked_reports_equal_the_per_step_reports(case, method, steps):
+    ivp, h = case
+    _check_stacked_reports(ivp, method, h, steps)
+
+
+def _cubic_growth():  # dU/dt = U^3 from U = 1, which blows up at t = 0.5
+    cubic = np.zeros((1, 1, 1, 1))
+    cubic[0, 0, 0, 0] = 1.0
+    return IVP(PolySystem([[0.0]], None, cubic, [0.0]), [1.0])
+
+
+@pytest.mark.parametrize(
+    "method, status", [("explicit_euler", "diverged"), ("rk4", "diverged"), ("implicit_euler", "solver_failed")]
+)
+def test_stacked_reports_of_a_run_that_stops_early(method, status):
+    traj = _check_stacked_reports(_cubic_growth(), method, 0.1, 20)
+    assert traj.status == status and traj.failure_step > 0
+
+
+@pytest.mark.parametrize("method", stability.METHODS)
+def test_stacked_reports_of_zero_steps_and_of_several_stacks(method):
+    sd, U0 = burgers_discretize(16, 100.0), burgers_initial_state(16)
+    assert _check_stacked_reports(IVP(sd, U0), method, 1e-3, 0).per_step_reports == []
+    # 2 MiB stacks hold 1024 states of A(U) at n = 16, so 2100 steps take three stacks
+    traj = _check_stacked_reports(IVP(sd, U0), method, 0.5 * burgers_step_bound(sd, U0), 2100)
+    assert traj.status == "completed" and len(traj.per_step_reports) > 2 * stability._REPORT_STACK_BYTES // (8 * 16**2)
+
+
+@given(st.integers(1, 50).flatmap(lambda n: arrays(float, n, elements=st.floats(1e7, 1e9) | st.floats(-1e9, -1e7))),
+       st.sampled_from([1e7, 1e8, np.nextafter(1e8, np.inf), 1e9]))
+def test_diverged_equals_the_exact_test_near_the_limit(U, edge):
+    # entries of both signs at scales 1e7..1e9, and one entry on or next to the limit
+    assert diverged(U) == (not np.abs(U).max() <= 1e8)
+    U[0] = edge
+    assert diverged(U) == (not np.abs(U).max() <= 1e8)

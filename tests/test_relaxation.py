@@ -119,6 +119,14 @@ class TestSweepOnce:
         assert tr.status == "singular_pivot"
         assert tr.failure_index == 0
 
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor"])
+    def test_swap_that_undoes_an_earlier_swap_reports_singular_pivot(self, method):
+        # row 0 of A = [[0, 0], [1, 1]] is zero, so swapping rows 0 and 1 empties the diagonal of row 1,
+        # and the swap for row 1 puts the zero row back: every method ends at row 0, with no sweep
+        s = PolySystem(L=[[0.0, 0.0], [1.0, 1.0]], quad=None, cubic=None, const=[-1.0, -2.0])
+        tr = iterative_solve(s, np.zeros(2), IterativeOptions(method=method, omega=1.5 if method == "sor" else 1.0))
+        assert (tr.status, tr.failure_index, len(tr.iterates)) == ("singular_pivot", 0, 1)
+
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
             sweep_once(circle_cubic_system(), np.ones(2), "sgs")

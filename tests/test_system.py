@@ -455,8 +455,10 @@ def test_diverged_on_any_non_finite_entry(bad, where):
 
 @pytest.mark.parametrize(
     "U, expected",
-    [([1e8, 0.0], False), ([np.nextafter(1e8, np.inf)], True), ([-2e8], True), ([1e-3, -2.0, 0.0], False)],
-    ids=["at-limit", "just-above-limit", "negative-above-limit", "near-zero"],
+    [([1e8, 0.0], False), ([np.nextafter(1e8, np.inf)], True), ([-2e8], True), ([1e-3, -2.0, 0.0], False),
+     ([1e6] * 10**4, False), ([np.nextafter(1e8, np.inf)] + [1e-3] * 10**3, True), ([1e200] * 3, True)],
+    ids=["at-limit", "just-above-limit", "negative-above-limit", "near-zero",
+         "dot-past-its-bound", "one-above-among-small", "squares-overflow"],
 )
 def test_diverged_limit(U, expected):
     assert diverged(np.array(U)) == expected
