@@ -2,8 +2,8 @@
 
 A tree built from linear maps of the state, elementwise products, powers and
 functions evaluates to a length-n vector.  Its exact Jacobian falls out of the
-scalar chain rule applied with row scaling: d/dU of (A U) o (B U) is
-row_scale(A, B U) + row_scale(B, A U), and so on for powers, sin, cos, exp.
+scalar chain rule: an elementwise node scales row i of its child's Jacobian by
+f'(v_i), so d/dU of (A U) o (B U) is diag(B U) A + diag(A U) B, and so on.
 
 Polynomial trees of total degree <= 3 can be lowered to an equivalent
 PolySystem for cross-checks and for the linear-form machinery.  A lowered
@@ -32,7 +32,6 @@ import functools
 
 import numpy as np
 
-from .hadamard import row_scale
 from .system import PolySystem, check_dense
 
 __all__ = [
@@ -59,7 +58,7 @@ class HExpr:
 
 
 class DomainError(ValueError):
-    """A tree evaluated outside its domain: a fractional power of a negative entry or a negative power of zero."""
+    """A power, or its derivative, outside its domain: a fractional power of a negative entry or a negative power of zero."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def h_eval(e, U):
 
 
 def h_jacobian(e, U):
-    """Exact Jacobian of h_eval(e, .) at U, via chain rules with row scaling."""
+    """Exact Jacobian of h_eval(e, .) at U; DomainError where a power or its derivative is undefined."""
     U = np.asarray(U, dtype=float).ravel()
     return _check_length(e, U.size)[1](U)
 
@@ -176,9 +175,12 @@ def _compile(e, n):
     At each node, children first, it checks the shape rule, under which no
     operand is broadcast, and builds two closures of U, the node's value and
     its Jacobian, so a call makes only the node's numpy calls.  A linear map
-    of the state is A's own matmul, and a Sum is _fold of its children.
-    Every closure takes its children's values left to right, so a domain
-    error of HadamardPower comes from the same node as in a recursive walk.
+    of the state is A's own matmul, and a Sum is _fold of its children.  An
+    elementwise node's Jacobian is one row scaling d[:, None] * J of its
+    child's, with d = f'(v) formed before J; a power's value v**q and
+    derivative q * v**(q - 1) both go through _pow.  Every closure takes its
+    children's values left to right, so a DomainError comes from the same
+    node as in a recursive walk.
     """
     if isinstance(e, (Sum, HadamardProduct)):
         lengths, values, jacobians = zip(*(_compile(c, n) for c in e.children))
@@ -196,16 +198,18 @@ def _compile(e, n):
     if isinstance(e, State):
         return n, lambda U: U, lambda U: np.eye(n)
     if isinstance(e, HadamardPower):
-        m, child, jacobian = _compile(e.child, n)
-        return (m, *_power(child, jacobian, e.q, n))
+        q, (m, child, jacobian) = e.q, _compile(e.child, n)
+        if q == 0:
+            return m, lambda U: _pow(child(U), q), lambda U: np.zeros((child(U).size, n))
+        return m, lambda U: _pow(child(U), q), lambda U: (q * _pow(child(U), q - 1))[:, None] * jacobian(U)
     if isinstance(e, ElementwiseFunction):
         (fn, deriv), (m, child, jacobian) = _FUNCS[e.name], _compile(e.child, n)
-        return m, lambda U: fn(child(U)), _chain(child, jacobian, deriv)
+        return m, lambda U: fn(child(U)), lambda U: deriv(child(U))[:, None] * jacobian(U)
     if isinstance(e, DiagScale):
         c, (m, child, jacobian) = e.c, _compile(e.child, n)
         if c.size != m:
             raise ValueError(f"diagonal scale of length {c.size} applied to length {m}")
-        return m, lambda U: c * child(U), lambda U: row_scale(jacobian(U), c)
+        return m, lambda U: c * child(U), lambda U: c[:, None] * jacobian(U)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -241,30 +245,13 @@ def _multiplied(acc, f):
     return lambda U: acc(U) * f(U)
 
 
-def _power(child, jacobian, q, n):
-    """The value and the Jacobian of child**q, the value raising DomainError outside its domain."""
-
-    def power(U):
-        v = child(U)
-        if q != int(q) and np.any(v < 0):
-            raise DomainError(f"fractional power {q} of negative entry")
-        if q < 0 and np.any(v == 0):
-            raise DomainError(f"negative power {q} of zero entry")
-        return np.ones_like(v) if q == 0 else np.power(v, q)
-
-    if q == 0:
-        return power, lambda U: np.zeros((child(U).size, n))
-    return power, _chain(child, jacobian, lambda v: q * np.power(v, q - 1))
-
-
-def _chain(child, jacobian, deriv):
-    """The chain rule of an elementwise node: the child's Jacobian, rows scaled by deriv of the child's value."""
-
-    def chain(U):
-        d = deriv(child(U))
-        return row_scale(jacobian(U), d)
-
-    return chain
+def _pow(v, q):
+    """v**q elementwise; DomainError where it is undefined, naming the exponent q."""
+    if q != int(q) and np.any(v < 0):
+        raise DomainError(f"fractional power {q} of negative entry")
+    if q < 0 and np.any(v == 0):
+        raise DomainError(f"negative power {q} of zero entry")
+    return np.ones_like(v) if q == 0 else np.power(v, q)
 
 
 def _product_rule(values, jacobians, n):
@@ -276,7 +263,7 @@ def _product_rule(values, jacobians, n):
         total = np.zeros((vals[0].size, n))
         for i, jac in enumerate(jacs):
             others = functools.reduce(np.multiply, vals[:i] + vals[i + 1 :], np.ones_like(vals[0]))
-            total += row_scale(jac, others)
+            total += others[:, None] * jac
         return total
 
     return product_rule

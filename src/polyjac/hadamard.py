@@ -1,10 +1,10 @@
 """Row and column scaling products, diag(u) A and A diag(v).
 
 The Jacobian of an elementwise (Hadamard) expression node is its child's
-Jacobian with scaled rows, so the chain rule in expressions needs only
-row_scale.  Both kernels work on dense ndarrays and never broadcast silently:
-a shape mismatch is an error, since upstream assembly bugs would otherwise be
-masked.
+Jacobian with scaled rows; expressions forms that product inline, on arrays it
+built.  These kernels take arrays from callers: they reject non-finite entries
+and never broadcast silently, since a shape mismatch would mask an upstream
+assembly bug.
 """
 
 import numpy as np

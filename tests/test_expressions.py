@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from polyjac import (
     DiagScale,
+    DomainError,
     ElementwiseFunction,
     HadamardPower,
     HadamardProduct,
@@ -61,9 +64,33 @@ class TestEval:
         U = rng.standard_normal(3)
         np.testing.assert_allclose(h_eval(tree, U), 2.0 * A @ U - U, rtol=1e-14)
 
-    def test_negative_power_of_zero_raises(self):
-        with pytest.raises(ValueError, match="zero entry"):
-            h_eval(HadamardPower(State(), -1.0), [1.0, 0.0])
+    @pytest.mark.parametrize("f", [h_eval, h_jacobian], ids=["h_eval", "h_jacobian"])
+    @pytest.mark.parametrize(
+        "tree, U, messages",
+        [
+            (HadamardPower(State(), -1.0), [1.0, 0.0], ("negative power -1.0 of zero entry", "negative power -2.0 of zero entry")),
+            (HadamardPower(State(), -2.0), [0.0], ("negative power -2.0 of zero entry", "negative power -3.0 of zero entry")),
+            (DiagScale([2.0], HadamardPower(State(), -2.0)), [0.0], ("negative power -2.0 of zero entry", "negative power -3.0 of zero entry")),
+            (HadamardPower(State(), 0.5), [-1.0], ("fractional power 0.5 of negative entry", "fractional power -0.5 of negative entry")),
+            (DiagScale([2.0], HadamardPower(State(), 0.5)), [0.0], (None, "negative power -0.5 of zero entry")),
+        ],
+        ids=["U^-1", "U^-2", "2U^-2", "U^0.5-at-negative", "2U^0.5-at-zero"],
+    )
+    def test_negative_power_of_zero_raises(self, f, tree, U, messages):
+        # the value fails at the exponent q, the Jacobian at q - 1: 2 U**0.5 has a value at 0, but no derivative
+        message = messages[f is h_jacobian]
+        if message is None:
+            assert np.array_equal(f(tree, U), [0.0])
+            return
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            f(tree, U)
+
+    def test_overflow_passes_through_the_jacobian(self):
+        # exp(800) overflows: the Jacobian carries the inf as the value does, under a DiagScale too
+        tree = DiagScale([2.0], ElementwiseFunction("exp", LinearMap([[800.0]])))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(h_eval(tree, [1.0]), [np.inf])
+            assert np.array_equal(h_jacobian(tree, [1.0]), [[np.inf]])
 
 
 class TestJacobian:

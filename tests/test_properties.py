@@ -1,7 +1,8 @@
 """Property tests: the contraction path against the einsum reference and
 against einsum over the raw, unsymmetrized input, lowering, the tree sum fold
 against the plain sum it replaces (bit for bit), the compiled tree value and
-Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the shape rule of expression trees, the triangular relaxation sweep against the row
+Jacobian against the recursive walks they replaced (bit for bit, or the same domain error), the tree
+Jacobian against complex-step columns and its one failure, DomainError, the shape rule of expression trees, the triangular relaxation sweep against the row
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), the step equation an
@@ -34,6 +35,7 @@ from hypothesis.extra.numpy import arrays
 
 from polyjac import (
     DiagScale,
+    DomainError,
     ElementwiseFunction,
     HadamardPower,
     HadamardProduct,
@@ -61,7 +63,6 @@ from polyjac import (
     lower_to_poly,
     modified_inverse_update,
     modified_update,
-    row_scale,
     sweep_once,
 )
 from polyjac import stability
@@ -357,7 +358,10 @@ def _recursive_eval(e, U):
 
 
 def _recursive_jacobian(e, U):
-    """The recursive chain-rule walk that expressions._compile replaced: each node's values come from _recursive_eval."""
+    """The recursive chain-rule walk that expressions._compile replaced: each node's values come from _recursive_eval.
+
+    A power's derivative q * v**(q - 1) is the power q - 1 of _recursive_eval, under the same domain rule.
+    """
     n = U.size
     if isinstance(e, Sum):
         return _recursive_fold(e.weights, [_recursive_jacobian(c, U) for c in e.children])
@@ -372,23 +376,22 @@ def _recursive_jacobian(e, U):
             for j, v in enumerate(vals):
                 if j != i:
                     others = others * v
-            total += row_scale(jacs[i], others)
+            total += others[:, None] * jacs[i]
         return total
     if isinstance(e, State):
         return np.eye(n)
     if isinstance(e, HadamardPower):
-        v = _recursive_eval(e.child, U)
         q = e.q
         if q == 0:
-            return np.zeros((v.size, n))
-        deriv = q * np.power(v, q - 1)
-        return row_scale(_recursive_jacobian(e.child, U), deriv)
+            return np.zeros((_recursive_eval(e.child, U).size, n))
+        deriv = q * _recursive_eval(HadamardPower(e.child, q - 1), U)
+        return deriv[:, None] * _recursive_jacobian(e.child, U)
     if isinstance(e, ElementwiseFunction):
         v = _recursive_eval(e.child, U)
         deriv = {"sin": np.cos, "cos": lambda x: -np.sin(x), "exp": np.exp}[e.name]
-        return row_scale(_recursive_jacobian(e.child, U), deriv(v))
+        return deriv(v)[:, None] * _recursive_jacobian(e.child, U)
     if isinstance(e, DiagScale):
-        return row_scale(_recursive_jacobian(e.child, U), e.c)
+        return e.c[:, None] * _recursive_jacobian(e.child, U)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -425,6 +428,56 @@ def test_compiled_tree_matches_recursive_walk(case, root_weights, seed):
             else:
                 assert not isinstance(got, str), got
                 assert _same_bits(got, want)
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3, functions=True))),
+    st.integers(0, 2**32 - 1),
+)
+def test_tree_jacobian_returns_or_raises_domain_error(case, seed):
+    # at zeros of either sign and at states large enough to overflow exp, every failure is a DomainError
+    n, (tree, _) = case
+    rng = np.random.default_rng(seed)
+    zeros = np.copysign(0.0, rng.standard_normal(n))
+    for U in (zeros, np.where(rng.random(n) < 0.5, zeros, rng.standard_normal(n)), 30.0 * rng.standard_normal(n)):
+        try:
+            with np.errstate(all="ignore"):
+                J = h_jacobian(tree, U)
+        except DomainError:
+            continue
+        assert isinstance(J, np.ndarray) and J.shape == (n, n)
+
+
+def _whole_powers(e):
+    """The tree with each exponent q replaced by |ceil(q)|, a whole power >= 0, so the tree is analytic."""
+    if isinstance(e, HadamardPower):
+        return HadamardPower(_whole_powers(e.child), float(abs(math.ceil(e.q))))
+    if isinstance(e, (LinearMap, DiagScale, ElementwiseFunction)):
+        return dataclasses.replace(e, child=_whole_powers(e.child))
+    if isinstance(e, HadamardProduct):
+        return HadamardProduct(*[_whole_powers(c) for c in e.children])
+    if isinstance(e, Sum):
+        return Sum(children=tuple(_whole_powers(c) for c in e.children), weights=e.weights)
+    return e
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3, functions=True).map(lambda t: t[0]))),
+    st.integers(0, 2**32 - 1),
+)
+def test_tree_jacobian_matches_complex_step(case, seed):
+    # column k of J is Im f(U + i h e_k) / h, exact to rounding for an analytic tree (Squire and
+    # Trapp, SIAM Rev. 40, 1998); the compiled value closure takes the complex state that h_eval
+    # would cast to float
+    n, tree = case
+    tree = _whole_powers(tree)
+    value = expressions._compile(tree, n)[1]
+    U, h = np.random.default_rng(seed).standard_normal(n), 1e-30
+    with np.errstate(all="ignore"):
+        J = h_jacobian(tree, U)
+        J_cs = np.column_stack([value(U + 1j * h * e).imag / h for e in np.eye(n)])
+    assume(np.all(np.isfinite(J)))
+    assert np.abs(J - J_cs).max() <= 1e-12 * max(1.0, np.abs(J).max())
 
 
 def _every_order(rng, n, degree):
