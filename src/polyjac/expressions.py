@@ -274,8 +274,8 @@ class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
     Construction checks n >= 1 and the shape rule of _compile with a value of
-    length n.  The optional matrix fields are populated by discretizers whose
-    a-priori step-size bounds need them (see burgers_discretize).
+    length n, and keeps the compiled (value, jacobian) for every IVP built on
+    it.  The optional matrices serve discretizers' step bounds (burgers_discretize).
     """
 
     n: int
@@ -287,7 +287,7 @@ class SemiDiscreteIVP:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
-        _check_length(self.rhs, self.n)
+        object.__setattr__(self, "_compiled", _check_length(self.rhs, self.n))
 
 
 def burgers_discretize(n, Re):

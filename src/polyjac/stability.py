@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .system import PolySystem, check_dense, diverged
-from .expressions import SemiDiscreteIVP, _compile, lower_to_poly
-from .trace import _csv_row
+from .expressions import SemiDiscreteIVP, lower_to_poly
+from .trace import _csv_row, start_state
 
 __all__ = [
     "IVP",
@@ -157,17 +157,17 @@ class IVP:
     Built from a PolySystem (rhs = its residual, constant term folded in) or a
     SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
     the exact Jacobian J(U), which implicit stepping requires, and A(U); a
-    polynomial expression tree is lowered when poly is first read.  A tree is
-    compiled once here, and every rhs evaluation calls the result.
+    polynomial expression tree is lowered when poly is first read.  Every rhs
+    evaluation of a tree calls the value the SemiDiscreteIVP compiled.  U0 is
+    checked as a solver's start is: a ValueError names a length other than n
+    or a non-finite entry.
     """
 
     def __init__(self, source, U0):
-        self.U0 = np.asarray(U0, dtype=float).ravel()
+        self.U0 = start_state(U0, source.n)
         self._source = source
-        self._tree = _compile(source.rhs, source.n)[1] if isinstance(source, SemiDiscreteIVP) else None
+        self._tree = source._compiled[0] if isinstance(source, SemiDiscreteIVP) else None
         self.n = source.n
-        if self.U0.size != self.n:
-            raise ValueError(f"U0 length {self.U0.size} != dimension {self.n}")
 
     @functools.cached_property
     def poly(self):

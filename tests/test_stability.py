@@ -17,8 +17,8 @@ from polyjac import (
     step_bound_explicit_euler,
     step_bound_rk4,
 )
-from polyjac import stability
-from polyjac.expressions import _compile as compile_tree
+from polyjac import expressions, stability
+from polyjac.expressions import _check_length as check_length, _compile as compile_tree
 from polyjac.presets import burgers_initial_state
 
 from conftest import count_calls, random_poly_system
@@ -193,22 +193,22 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_semi_implicit_contracts_once_per_step(self, monkeypatch, tree):
-        # J and, for a PolySystem source, the rhs come from one state record;
-        # a tree source compiles its tree once per IVP and calls the result for its rhs
-        source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        # J and, for a PolySystem source, the rhs come from one state record; a tree
+        # is compiled once, by its SemiDiscreteIVP, and each step calls the value kept there
         compiles, calls = [], []
-
-        def counting_compile(e, n):
-            compiles.append(e)
-            m, f, jacobian = compile_tree(e, n)
-            return m, (lambda U: calls.append(U) or f(U)), jacobian
-
-        monkeypatch.setattr(stability, "_compile", counting_compile)
+        monkeypatch.setattr(expressions, "_check_length", lambda e, n: compiles.append(e) or check_length(e, n))
+        source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        if tree:
+            value, jacobian = source._compiled
+            object.__setattr__(source, "_compiled", (lambda U: calls.append(U) or value(U), jacobian))
         ivp = IVP(source, 0.1 * burgers_initial_state(8))
+        assert compiles == ([source.rhs] if tree else [])
+        ivp.poly  # lower_to_poly compiles the tree again for its own shape check
+        compiles.clear()
         at = count_calls(monkeypatch, PolySystem, "at")
         assert integrate(ivp, "semi_implicit_euler", 1e-3, 5).status == "completed"
         assert len(at) == 5 and len(calls) == (5 if tree else 0)
-        assert compiles == ([source.rhs] if tree else [])
+        assert compiles == []
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_implicit_euler_starts_from_the_semi_implicit_step(self, monkeypatch, tree):
@@ -305,6 +305,18 @@ class TestIntegrate:
         traj = integrate(IVP(linear_system(-np.eye(2)), np.ones(2)), "rk4", 0.1, 0)
         assert traj.status == "completed" and traj.times == [0.0]
         assert np.array_equal(traj.states[0], np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
+    def test_start_is_checked_as_a_solvers_start(self, bad, tree):
+        # an IVP refuses the start a solver refuses, so no method reads a non-finite state
+        source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
+        U0 = burgers_initial_state(8)
+        U0[3] = bad
+        with pytest.raises(ValueError, match="^U0 contains non-finite entries$"):
+            IVP(source, U0)
+        with pytest.raises(ValueError, match="^U0 length 3 != system dimension 8$"):
+            IVP(source, np.ones(3))
 
     @pytest.mark.parametrize("method", stability.METHODS)
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "state-tree"])
