@@ -20,15 +20,18 @@ it is cheap enough to repeat for each IVP built from the tree.
 
 One walk, _compile, gives a tree its meaning: at each node it checks the
 shape rule (no operand is broadcast) and builds two closures, the node's
-value and its Jacobian, so a call makes only the node's numpy calls.
-h_eval and h_jacobian compile, which applies the shape rule, and call; an
-IVP compiles its tree once and calls the value at every rhs evaluation.
+value and its linearize, which returns (value, Jacobian) from one pass, so
+a call makes only the node's numpy calls.  h_eval and h_jacobian compile,
+which applies the shape rule, and call; an IVP compiles its tree once and
+calls the value at every rhs evaluation.  h_jacobian raises at the first
+node, children first, whose derivative is undefined.
 Lowering refuses a dense tensor over system.DENSE_LIMIT_BYTES before
 allocating it.
 """
 
 from dataclasses import dataclass, field
 import functools
+import operator
 
 import numpy as np
 
@@ -156,60 +159,60 @@ def h_eval(e, U):
 
 
 def h_jacobian(e, U):
-    """Exact Jacobian of h_eval(e, .) at U; DomainError where a power or its derivative is undefined."""
+    """Exact Jacobian of h_eval(e, .) at U; DomainError at the first node, children first, whose derivative is undefined."""
     U = np.asarray(U, dtype=float).ravel()
-    return _check_length(e, U.size)[1](U)
+    return _check_length(e, U.size)[1](U)[1]
 
 
 def _check_length(e, n):
-    """The tree compiled over R^n as (value, jacobian), once its value is required to have length n."""
-    m, value, jacobian = _compile(e, n)
+    """The tree compiled over R^n as (value, linearize), once its value is required to have length n."""
+    m, value, linearize = _compile(e, n)
     if m != n:
         raise ValueError(f"tree evaluates to length {m}, expected {n}")
-    return value, jacobian
+    return value, linearize
 
 
 def _compile(e, n):
-    """The tree over R^n as (length, value, jacobian): the one walk that gives a tree its meaning.
+    """The tree over R^n as (length, value, linearize): the one walk that gives a tree its meaning.
 
     At each node, children first, it checks the shape rule, under which no
     operand is broadcast, and builds two closures of U, the node's value and
-    its Jacobian, so a call makes only the node's numpy calls.  A linear map
-    of the state is A's own matmul, and a Sum is _fold of its children.  An
-    elementwise node's Jacobian is one row scaling d[:, None] * J of its
-    child's, with d = f'(v) formed before J; a power's value v**q and
-    derivative q * v**(q - 1) both go through _pow.  Every closure takes its
-    children's values left to right, so a DomainError comes from the same
-    node as in a recursive walk.
+    its linearize, (value, J) from one call of each child's linearize.  A
+    linear map of the state is A's own matmul, with J a copy of A, and a Sum
+    is _fold of its children's values, and of their J.  An elementwise
+    node's J is one row scaling d[:, None] * J of its child's, d = f'(v); a
+    power forms q * v**(q - 1) before v**q, both through _pow, so linearize
+    raises at the first node, children first and left to right, whose
+    derivative is undefined (a power's value is undefined only where it is).
     """
     if isinstance(e, (Sum, HadamardProduct)):
-        lengths, values, jacobians = zip(*(_compile(c, n) for c in e.children))
+        lengths, values, linearizes = zip(*(_compile(c, n) for c in e.children))
         if len(set(lengths)) != 1:
             raise ValueError(f"{type(e).__name__} children have lengths {list(lengths)}")
-        if isinstance(e, Sum):
-            return lengths[0], _fold(e.weights, values), _fold(e.weights, jacobians)
-        return lengths[0], functools.reduce(_multiplied, values), _product_rule(values, jacobians, n)
+        if isinstance(e, Sum):  # one fold for the values and for the J, term i read from entry i
+            fold = _fold(e.weights, [operator.itemgetter(i) for i in range(len(values))])
+            return lengths[0], _fold(e.weights, values), lambda U: tuple(map(fold, zip(*(f(U) for f in linearizes))))
+        return lengths[0], functools.reduce(_multiplied, values), lambda U: _product_rule(*zip(*(f(U) for f in linearizes)))
     if isinstance(e, LinearMap):
-        A, (m, child, jacobian) = e.A, _compile(e.child, n)
+        A, (m, child, linearize) = e.A, _compile(e.child, n)
         if A.shape[1] != m:
             raise ValueError(f"linear map of shape {A.shape} applied to length {m}")
-        value = A.__matmul__ if isinstance(e.child, State) else lambda U: A @ child(U)
-        return A.shape[0], value, lambda U: A @ jacobian(U)
+        if isinstance(e.child, State):
+            return A.shape[0], A.__matmul__, lambda U: (A @ U, A.copy())
+        return A.shape[0], lambda U: A @ child(U), lambda U: tuple(A @ x for x in linearize(U))
     if isinstance(e, State):
-        return n, lambda U: U, lambda U: np.eye(n)
+        return n, lambda U: U, lambda U: (U, np.eye(n))
     if isinstance(e, HadamardPower):
-        q, (m, child, jacobian) = e.q, _compile(e.child, n)
-        if q == 0:
-            return m, lambda U: _pow(child(U), q), lambda U: np.zeros((child(U).size, n))
-        return m, lambda U: _pow(child(U), q), lambda U: (q * _pow(child(U), q - 1))[:, None] * jacobian(U)
+        q, (m, child, linearize) = e.q, _compile(e.child, n)
+        return m, lambda U: _pow(child(U), q), lambda U: _power_rule(q, *linearize(U))
     if isinstance(e, ElementwiseFunction):
-        (fn, deriv), (m, child, jacobian) = _FUNCS[e.name], _compile(e.child, n)
-        return m, lambda U: fn(child(U)), lambda U: deriv(child(U))[:, None] * jacobian(U)
+        (fn, deriv), (m, child, linearize) = _FUNCS[e.name], _compile(e.child, n)
+        return m, lambda U: fn(child(U)), lambda U: _chain(fn, deriv, *linearize(U))
     if isinstance(e, DiagScale):
-        c, (m, child, jacobian) = e.c, _compile(e.child, n)
+        c, (m, child, linearize) = e.c, _compile(e.child, n)
         if c.size != m:
             raise ValueError(f"diagonal scale of length {c.size} applied to length {m}")
-        return m, lambda U: c * child(U), lambda U: c[:, None] * jacobian(U)
+        return m, lambda U: c * child(U), lambda U: _chain(c.__mul__, lambda v: c, *linearize(U))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -254,19 +257,26 @@ def _pow(v, q):
     return np.ones_like(v) if q == 0 else np.power(v, q)
 
 
-def _product_rule(values, jacobians, n):
-    """The product rule: the sum over i of child i's Jacobian, rows scaled by the product of the other values."""
+def _chain(f, deriv, v, J):
+    """An elementwise node's (f(v), d[:, None] * J), the chain rule with d = deriv(v)."""
+    return f(v), deriv(v)[:, None] * J
 
-    def product_rule(U):
-        vals = [f(U) for f in values]
-        jacs = [g(U) for g in jacobians]
-        total = np.zeros((vals[0].size, n))
-        for i, jac in enumerate(jacs):
-            others = functools.reduce(np.multiply, vals[:i] + vals[i + 1 :], np.ones_like(vals[0]))
-            total += others[:, None] * jac
-        return total
 
-    return product_rule
+def _power_rule(q, v, J):
+    """(v**q, its J); the derivative, which fails wherever the value does, is formed first."""
+    if q == 0:
+        return _pow(v, q), np.zeros_like(J)
+    d = q * _pow(v, q - 1)
+    return _pow(v, q), d[:, None] * J
+
+
+def _product_rule(vals, jacs):
+    """The product's value and, by the product rule, its J: each child's J, rows scaled by the other values' product."""
+    total = np.zeros(jacs[0].shape)
+    for i, jac in enumerate(jacs):
+        others = functools.reduce(np.multiply, vals[:i] + vals[i + 1 :], np.ones_like(vals[0]))
+        total += others[:, None] * jac
+    return functools.reduce(np.multiply, vals), total
 
 
 @dataclass(frozen=True)
@@ -274,7 +284,7 @@ class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
     Construction checks n >= 1 and the shape rule of _compile with a value of
-    length n, and keeps the compiled (value, jacobian) for every IVP built on
+    length n, and keeps the compiled (value, linearize) for every IVP built on
     it.  The optional matrices serve discretizers' step bounds (burgers_discretize).
     """
 

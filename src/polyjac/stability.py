@@ -178,9 +178,6 @@ class IVP:
             self._lowering_error = str(exc)
             return None
 
-    def rhs(self, U):
-        return (self._tree or self.poly.eval)(np.asarray(U, dtype=float).ravel())
-
     def linear_form(self, U):
         if self.poly is None:
             raise ValueError("no polynomial structure; linear form unavailable")

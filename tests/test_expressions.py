@@ -21,6 +21,7 @@ from polyjac import (
     col_scale,
     system,
 )
+from polyjac import expressions
 
 from conftest import fd_jacobian
 
@@ -73,8 +74,10 @@ class TestEval:
             (DiagScale([2.0], HadamardPower(State(), -2.0)), [0.0], ("negative power -2.0 of zero entry", "negative power -3.0 of zero entry")),
             (HadamardPower(State(), 0.5), [-1.0], ("fractional power 0.5 of negative entry", "fractional power -0.5 of negative entry")),
             (DiagScale([2.0], HadamardPower(State(), 0.5)), [0.0], (None, "negative power -0.5 of zero entry")),
+            (HadamardPower(HadamardPower(State(), 0.5), -1.0), [0.0], ("negative power -1.0 of zero entry", "negative power -0.5 of zero entry")),
+            (HadamardPower(HadamardPower(State(), -2.0), -2.0), [0.0], ("negative power -2.0 of zero entry", "negative power -3.0 of zero entry")),
         ],
-        ids=["U^-1", "U^-2", "2U^-2", "U^0.5-at-negative", "2U^0.5-at-zero"],
+        ids=["U^-1", "U^-2", "2U^-2", "U^0.5-at-negative", "2U^0.5-at-zero", "(U^0.5)^-1", "(U^-2)^-2"],
     )
     def test_negative_power_of_zero_raises(self, f, tree, U, messages):
         # the value fails at the exponent q, the Jacobian at q - 1: 2 U**0.5 has a value at 0, but no derivative
@@ -147,6 +150,25 @@ class TestJacobian:
         val = h_eval(tree, U)
         resid = np.abs(h_jacobian(tree, U) @ U - 4.0 * val).max()
         assert resid <= 1e-10 * (1.0 + np.abs(val).max())
+
+    def test_nested_functions_evaluate_each_node_once(self, monkeypatch):
+        # a chain of d sin nodes: one sin and one cos per node, not a sin per node and ancestor
+        d, calls = 16, []
+        sin, cos = expressions._FUNCS["sin"]
+        counted = (lambda x: calls.append("sin") or sin(x), lambda x: calls.append("cos") or cos(x))
+        monkeypatch.setitem(expressions._FUNCS, "sin", counted)
+        tree = State()
+        for _ in range(d):
+            tree = ElementwiseFunction("sin", tree)
+        h_jacobian(tree, np.linspace(-1.0, 1.0, 8))
+        assert calls.count("sin") == d and calls.count("cos") == d
+
+    def test_linear_map_jacobian_is_a_copy(self, rng):
+        # writing into the returned J leaves the tree's A as it was, so the next call reads the same bits
+        tree, U = LinearMap(rng.standard_normal((4, 4))), rng.standard_normal(4)
+        A, J = tree.A.copy(), h_jacobian(tree, U)
+        J += 1.0
+        assert np.array_equal(tree.A, A) and np.array_equal(h_jacobian(tree, U), A)
 
 
 class TestBurgers:

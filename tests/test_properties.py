@@ -357,42 +357,50 @@ def _recursive_eval(e, U):
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _recursive_jacobian(e, U):
-    """The recursive chain-rule walk that expressions._compile replaced: each node's values come from _recursive_eval.
+def _recursive_linearize(e, U):
+    """The children-first chain-rule walk: each node's (value, J) from its children's, with the fold of expressions._fold.
 
-    A power's derivative q * v**(q - 1) is the power q - 1 of _recursive_eval, under the same domain rule.
+    A power's derivative q * v**(q - 1), the power q - 1 of _recursive_eval under the same domain rule, is formed
+    before its value, so the walk raises at the first node, children first and left to right, whose derivative is
+    undefined.  A linear map of the state has J = A.
     """
     n = U.size
-    if isinstance(e, Sum):
-        return _recursive_fold(e.weights, [_recursive_jacobian(c, U) for c in e.children])
-    if isinstance(e, LinearMap):
-        return e.A @ _recursive_jacobian(e.child, U)
-    if isinstance(e, HadamardProduct):
-        vals = [_recursive_eval(c, U) for c in e.children]
-        jacs = [_recursive_jacobian(c, U) for c in e.children]
-        total = np.zeros((vals[0].size, n))
+    if isinstance(e, State):
+        return U, np.eye(n)
+    if isinstance(e, (Sum, HadamardProduct)):
+        vals, jacs = zip(*(_recursive_linearize(c, U) for c in e.children))
+        if isinstance(e, Sum):
+            return _recursive_fold(e.weights, vals), _recursive_fold(e.weights, jacs)
+        value, total = vals[0], np.zeros((vals[0].size, n))
+        for v in vals[1:]:
+            value = value * v
         for i in range(len(vals)):
             others = np.ones_like(vals[0])
             for j, v in enumerate(vals):
                 if j != i:
                     others = others * v
             total += others[:, None] * jacs[i]
-        return total
-    if isinstance(e, State):
-        return np.eye(n)
+        return value, total
+    v, J = _recursive_linearize(e.child, U)
+    if isinstance(e, LinearMap):
+        return e.A @ v, e.A if isinstance(e.child, State) else e.A @ J
     if isinstance(e, HadamardPower):
         q = e.q
         if q == 0:
-            return np.zeros((_recursive_eval(e.child, U).size, n))
-        deriv = q * _recursive_eval(HadamardPower(e.child, q - 1), U)
-        return deriv[:, None] * _recursive_jacobian(e.child, U)
+            return np.ones_like(v), np.zeros((v.size, n))
+        deriv = q * _recursive_eval(HadamardPower(State(), q - 1), v)
+        return _recursive_eval(HadamardPower(State(), q), v), deriv[:, None] * J
     if isinstance(e, ElementwiseFunction):
-        v = _recursive_eval(e.child, U)
-        deriv = {"sin": np.cos, "cos": lambda x: -np.sin(x), "exp": np.exp}[e.name]
-        return deriv(v)[:, None] * _recursive_jacobian(e.child, U)
+        f, deriv = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda x: -np.sin(x)), "exp": (np.exp, np.exp)}[e.name]
+        return f(v), deriv(v)[:, None] * J
     if isinstance(e, DiagScale):
-        return e.c[:, None] * _recursive_jacobian(e.child, U)
+        return e.c * v, e.c[:, None] * J
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _recursive_jacobian(e, U):
+    """The J of _recursive_linearize, the reference for h_jacobian."""
+    return _recursive_linearize(e, U)[1]
 
 
 def _value_or_error(f, *args):

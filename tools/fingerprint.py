@@ -14,8 +14,10 @@ exactly when its answers are bit-identical.  One hash line per
   cli-batch each command's exit code, stdout, stderr and written files;
 - method of ``polyjac --format csv integrate burgers --n 128 --h 0.0005
   --steps 400 --report``, run in-process: exit code, stdout and stderr;
-- ``h_jacobian`` tree: Burgers n = 128 at its sine state, and
-  sin(A U) + (B U)^3 at n = 24 (seed 1).
+- ``h_jacobian`` tree: Burgers n = 128 at its sine state,
+  sin(A U) + (B U)^3 at n = 24 (seed 1), and, drawn after it, the product
+  (C cos(sin U)) o exp(D U)^0.5 o (c o U) at n = 24, which has every node
+  kind the first two lack.
 
 The census solves, for seeds 1 and 7, the 48 dense-solve systems (n=20, from
 U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from U0 = 1, the CLI's
@@ -144,6 +146,13 @@ def _trees(pj):
     yield "burgers-n128-sine", pj.burgers_discretize(128, 100.0).rhs, burgers_initial_state(128)
     sin_cube = pj.Sum((pj.ElementwiseFunction("sin", pj.LinearMap(A)), pj.HadamardPower(pj.LinearMap(B), 3.0)))
     yield "sin-cube-n24-seed1", sin_cube, rng.standard_normal(24)
+    C, D = rng.standard_normal((2, 24, 24))
+    mixed = pj.HadamardProduct(
+        pj.LinearMap(C, pj.ElementwiseFunction("cos", pj.ElementwiseFunction("sin", pj.State()))),
+        pj.HadamardPower(pj.ElementwiseFunction("exp", pj.LinearMap(D)), 0.5),
+        pj.DiagScale(rng.standard_normal(24), pj.State()),
+    )
+    yield "product3-n24-seed1", mixed, rng.standard_normal(24)
 
 
 def _pools(workloads, seed):
