@@ -4,12 +4,11 @@ Explicit methods carry a-priori bounds h < 2/||A|| (Euler) and
 h < 2.785/||A|| (classic RK4, real-axis stability interval), with the matrix
 norm (l1 or linf) standing in for the spectral radius.  Implicit methods are
 judged a posteriori by a negative-definiteness certificate on the symmetric
-part of A(U).  Implicit Euler is Newton with the exact Jacobian J(V) from
-the same record as A(V); semi-implicit Euler stops at its first iterate.
+part of A(U).  Implicit steps read f(U) and J(U) from one record of the
+lowered system, which reports and the linear form also need.
 """
 
 from dataclasses import dataclass, field
-import functools
 import json
 import math
 
@@ -34,18 +33,23 @@ __all__ = [
 METHODS = ("explicit_euler", "rk4", "implicit_euler", "semi_implicit_euler")
 RK4_REAL_AXIS = 2.785
 
-_NORM_AXIS = {"l1": 0, "linf": 1}
+_NORM_AXIS = {"l1": -2, "linf": -1}
 _REPORT_STACK_BYTES = 2**21  # bytes of one stack of A(U) in integrate's reports: 16 states at n = 128
 
 
-def _matrix_norm(A, norm_kind):
-    """The induced l1 norm (largest column sum of |A|) or linf norm (largest row sum).
+def _matrix_norm(A, norm_kind, out=None):
+    """The induced l1 norm (largest column sum of |A|) or linf norm (largest row sum), over the last two axes.
 
-    This is np.linalg.norm's own formula for ord 1 and inf, without its dispatch.
+    np.linalg.norm's own formula for ord 1 and inf, without its dispatch; |A| is formed in out, which may be A.
     """
     if norm_kind not in _NORM_AXIS:
         raise ValueError(f"norm_kind must be 'l1' or 'linf', got {norm_kind!r}")
-    return np.abs(A).sum(axis=_NORM_AXIS[norm_kind]).max()
+    return np.abs(A, out=out).sum(axis=_NORM_AXIS[norm_kind]).max(axis=-1)
+
+
+def _symmetric_eig_max(A):
+    """The largest eigenvalue of the symmetric part of A, over the last two axes."""
+    return np.linalg.eigvalsh(0.5 * (A + A.swapaxes(-1, -2)))[..., -1]
 
 
 def _limit(c, nrm):
@@ -96,7 +100,7 @@ def is_negative_definite(A):
     A = np.asarray(A, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got {A.shape}")
-    lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+    lam = float(_symmetric_eig_max(A))
     return lam < 0.0, lam
 
 
@@ -152,36 +156,35 @@ def _polynomial(source, user):
 
 
 class IVP:
-    """Initial value problem dU/dt = rhs(U) with optional polynomial structure.
+    """Initial value problem dU/dt = f(U) from a PolySystem or a SemiDiscreteIVP tree.
 
-    Built from a PolySystem (rhs = its residual, constant term folded in) or a
-    SemiDiscreteIVP expression tree.  Polynomial sources additionally expose
-    the exact Jacobian J(U), which implicit stepping requires, and A(U); a
-    polynomial expression tree is lowered when poly is first read.  Every rhs
-    evaluation of a tree calls the value the SemiDiscreteIVP compiled.  U0 is
-    checked as a solver's start is: a ValueError names a length other than n
-    or a non-finite entry.
+    Explicit and RK4 steps call value(U), picked once by the constructor: the
+    tree's compiled value, or PolySystem.eval.  Implicit steps call
+    linearize(U), (f, J) from one record of poly, as a tree's own linearize
+    returns them.  poly is the PolySystem, or the tree lowered at its first
+    use and kept; a ValueError says why a tree does not lower.  U0 is checked
+    as a solver's start: a ValueError names a wrong length or a non-finite entry.
     """
 
     def __init__(self, source, U0):
         self.U0 = start_state(U0, source.n)
-        self._source = source
-        self._tree = source._compiled[0] if isinstance(source, SemiDiscreteIVP) else None
-        self.n = source.n
+        self.n, self._source = source.n, source
+        self.value = source._compiled[0] if isinstance(source, SemiDiscreteIVP) else source.eval
 
-    @functools.cached_property
-    def poly(self):
-        """The PolySystem, lowered on first use; None, with the reason in _lowering_error, if the tree does not lower."""
-        try:
-            return _polynomial(self._source, "implicit stepping")
-        except ValueError as exc:
-            self._lowering_error = str(exc)
-            return None
+    def _lowered(self, user):
+        """poly, whose ValueError names its user."""
+        if "_system" not in vars(self):
+            self._system = _polynomial(self._source, user)
+        return self._system
+
+    poly = property(lambda self: self._lowered("the linear form"))
 
     def linear_form(self, U):
-        if self.poly is None:
-            raise ValueError("no polynomial structure; linear form unavailable")
         return self.poly.at(U)
+
+    def linearize(self, U):
+        st = self.poly.at(U)
+        return st.f, st.J
 
 
 NEWTON_TOL = 1e-12
@@ -195,37 +198,34 @@ def _reports(poly, method, states):
         A = poly._linear_forms(np.array(states[i : i + per_stack]))
         if method in ("explicit_euler", "rk4"):
             c = 2.0 if method == "explicit_euler" else RK4_REAL_AXIS
-            norms = np.abs(A, out=A).sum(axis=-1).max(axis=-1)  # _matrix_norm's linf, |A| in A's array
-            reports += [StabilityReport(h_bound=_limit(c, nrm)) for nrm in norms]
+            reports += [StabilityReport(h_bound=_limit(c, nrm)) for nrm in _matrix_norm(A, "linf", out=A)]
         else:
-            lam = np.linalg.eigvalsh(0.5 * (A + A.swapaxes(1, 2)))[:, -1]  # is_negative_definite's, stacked
-            reports += [StabilityReport(negdef_certificate=x < 0.0) for x in lam.tolist()]
+            reports += [StabilityReport(negdef_certificate=x < 0.0) for x in _symmetric_eig_max(A).tolist()]
     return reports
 
 
-def _step(ivp, rhs, method, U, h, eye):
+def _step(value, linearize, method, U, h, eye):
     """The state one step of size h after U, or None when an implicit solve fails.
 
-    rhs is the compiled tree or poly.eval, and eye the n x n identity, both read once per integration.
+    value(U) is f(U) and linearize(U) is (f(U), J(U)), as IVP gives them; eye is the n x n identity.
     """
     if method == "explicit_euler":
-        return U + h * rhs(U)
+        return U + h * value(U)
     if method == "rk4":
-        k1 = rhs(U)
-        k2 = rhs(U + 0.5 * h * k1)
-        k3 = rhs(U + 0.5 * h * k2)
-        k4 = rhs(U + h * k3)
+        k1 = value(U)
+        k2 = value(U + 0.5 * h * k1)
+        k3 = value(U + 0.5 * h * k2)
+        k4 = value(U + h * k3)
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
-        st = ivp.poly.at(U)
-        f = st.f if ivp._tree is None else rhs(U)
-        V = U + h * np.linalg.solve(eye - h * st.J, f)
+        f, J = linearize(U)
+        V = U + h * np.linalg.solve(eye - h * J, f)
         if method == "semi_implicit_euler":
             return V
-        # implicit Euler: Newton on V - U - h f(V) = 0, J(V) and f(V) from one record per iterate
+        # implicit Euler: Newton on V - U - h f(V) = 0, f(V) and J(V) from one linearize per iterate
         for _ in range(NEWTON_MAX_ITER):
-            st = ivp.poly.at(V)
-            dV = np.linalg.solve(eye - h * st.J, U + h * st.f - V)
+            f, J = linearize(V)
+            dV = np.linalg.solve(eye - h * J, U + h * f - V)
             V = V + dV
             # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
             if not math.isfinite(m := np.abs(V).max()):
@@ -240,18 +240,17 @@ def _step(ivp, rhs, method, U, h, eye):
 def integrate(ivp, method, h, steps, report=False):
     """Advance an IVP with steps >= 0 fixed steps of size 0 < h < inf; returns a Trajectory.
 
-    explicit_euler steps U + h rhs(U), which for polynomial structure equals
+    explicit_euler steps U + h f(U), which for polynomial structure equals
     the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
     solves the step equation by Newton with the exact Jacobian from the same
-    record as f; semi_implicit_euler takes only its first iterate, one solve
-    per step.  A failed solve ends the run as solver_failed.  Divergence (a
-    non-finite entry or ||U||_inf > 1e8) ends it as diverged.  With report,
-    each step of a polynomial IVP gets a StabilityReport from A(U) at the
-    step's start (at its end for implicit_euler), built after the march from
-    the stored states in stacks of A(U) of at most 2 MiB, with the very values
-    a report made at each step would have.  A tree evaluated outside its
-    domain raises DomainError.  A trajectory (steps + 1 states of n floats)
-    over system.DENSE_LIMIT_BYTES raises ValueError before any step.
+    record as f; semi_implicit_euler takes only its first iterate.  A failed
+    solve ends the run as solver_failed; divergence (a non-finite entry or
+    ||U||_inf > 1e8) as diverged.  With report, each step gets a
+    StabilityReport from A(U) at its start (at its end for implicit_euler),
+    built after the march in stacks of A(U) of at most 2 MiB.  A tree outside
+    its domain raises DomainError.  A ValueError before any step refuses a
+    tree that does not lower for implicit methods or report, and a
+    trajectory (steps + 1 states of n floats) over system.DENSE_LIMIT_BYTES.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -260,17 +259,17 @@ def integrate(ivp, method, h, steps, report=False):
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     check_dense((steps + 1, ivp.n), "trajectory")
-    if method in ("implicit_euler", "semi_implicit_euler") and ivp.poly is None:
-        raise ValueError(ivp._lowering_error)
+    if (implicit := method in ("implicit_euler", "semi_implicit_euler")) or report:
+        ivp._lowered("implicit stepping" if implicit else "a stability report")
 
     # every step returns a new array and reads U only, so each state is stored
     # as made; the copy keeps the first one apart from ivp.U0
     U = ivp.U0.copy()
     t = 0.0
     traj = Trajectory(times=[t], states=[U])
-    rhs, eye = ivp._tree or ivp.poly.eval, np.eye(ivp.n)
+    value, linearize, eye = ivp.value, ivp.linearize, np.eye(ivp.n)
     for k in range(steps):
-        U = _step(ivp, rhs, method, U, h, eye)
+        U = _step(value, linearize, method, U, h, eye)
         if U is None:
             traj.status, traj.failure_step = "solver_failed", k
             break
@@ -280,7 +279,7 @@ def integrate(ivp, method, h, steps, report=False):
         if diverged(U):
             traj.status, traj.failure_step = "diverged", k
             break
-    if report and len(traj.states) > 1 and ivp.poly is not None:  # one report per step taken
+    if report and len(traj.states) > 1:  # one report per step taken
         states = traj.states[1:] if method == "implicit_euler" else traj.states[:-1]
         traj.per_step_reports = _reports(ivp.poly, method, states)
     return traj

@@ -75,14 +75,21 @@ class TestExitCodes:
          (["stability", "circle-cubic", "--state", "inf,1"],
           "bad state 'inf,1': entries must be finite"),
          (["check-jacobian", "circle-cubic", "--state", "nan,1"],
-          "bad state 'nan,1': entries must be finite")],
+          "bad state 'nan,1': entries must be finite"),
+         (["solve", "circle-cubic", "--x0", "a,b"], "bad state 'a,b': could not convert string to float: 'a'")],
         ids=["zero-tol", "nan-tol", "negative-max-iter", "omega-3", "nan-x0", "inf-state",
-             "nan-checked-state"],
+             "nan-checked-state", "unparsed-x0"],
     )
     def test_option_outside_domain_is_one(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_unwritable_output_is_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.json"
+        assert main(["--out", str(out), "solve", "circle-cubic", "--x0", "0.5,1.0"]) == 1
+        message = f"error: cannot write output: [Errno 2] No such file or directory: '{out}'\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_numerical_failure_is_two(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -162,6 +169,25 @@ class TestUsageErrors:
             "error: implicit stepping needs a polynomial system; the tree does not lower: "
             "non-polynomial node: elementwise sin\n"
         )
+
+    @pytest.mark.parametrize("steps", ["2", "0"])
+    def test_report_on_a_tree_that_does_not_lower_is_one(self, tmp_path, capsys, steps):
+        # the tree L U - sin(U): no run, rather than h_bound and negdef columns left empty
+        L = [[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]]
+        rhs = {"op": "sum", "children": [{"op": "linear", "matrix": L},
+                                         {"op": "hfunction", "name": "sin", "child": {"op": "state"}}],
+               "weights": [1.0, -1.0]}
+        doc = write_doc(tmp_path, {"n": 3, "rhs": rhs})
+        assert main(["--format", "csv", "integrate", doc, "--h", "0.1", "--steps", steps, "--report"]) == 1
+        assert capsys.readouterr() == ("", "error: a stability report needs a polynomial system; the tree does not "
+                                           "lower: non-polynomial node: elementwise sin\n")
+
+    def test_report_on_a_tree_over_the_dense_limit_names_the_tensor(self, tmp_path, capsys, no_dense_over_limit):
+        doc = {"n": 200, "rhs": {"op": "hproduct", "children": [{"op": "state"}] * 3}}
+        assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2", "--report"]) == 1
+        assert capsys.readouterr() == ("", "error: a stability report needs a polynomial system; the tree does not "
+                                           "lower: lowered coefficient tensor of shape (200, 200, 200, 200) needs "
+                                           "12800000000 bytes, over the 1073741824-byte limit\n")
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_bad_seed_is_one(self, capsys, seed):

@@ -6,7 +6,8 @@ Jacobian against complex-step columns and its one failure, DomainError, the shap
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), the step equation an
-implicit Euler step solves, the per-step stability reports integrate builds
+implicit Euler step solves, the implicit trajectories of a tree against those
+of its lowering (bit for bit), the per-step stability reports integrate builds
 from stacks of A(U) against the reports made one state at a time (bit for
 bit), and diverged's one-call test against the exact test near its limit.
 The shared rank-one kernels, the one-pass reader of a system document's entries and the one-format CSV rows
@@ -286,6 +287,18 @@ def test_lowering_matches_tree_evaluation(case):
     for U in np.random.default_rng(seed).standard_normal((3, n)):
         scale = np.linalg.norm(h_eval(_abs_tree(tree), np.abs(U)), np.inf)
         assert _close(s.eval(U), h_eval(tree, U), scale)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3), st.integers(0, 2**32 - 1))),
+       st.sampled_from(("semi_implicit_euler", "implicit_euler")), st.floats(1e-3, 0.5))
+def test_implicit_trajectory_of_a_tree_equals_that_of_its_lowering(case, method, h):
+    # an implicit step reads f and J from one record of the lowered system, whatever the source
+    n, (tree, _), seed = case
+    U0 = np.random.default_rng(seed).standard_normal(n)
+    with np.errstate(all="ignore"):
+        got, want = [integrate(IVP(s, U0), method, h, 5) for s in (SemiDiscreteIVP(n, tree), lower_to_poly(tree, n))]
+    assert (got.status, got.failure_step, got.times) == (want.status, want.failure_step, want.times)
+    assert [U.tobytes() for U in got.states] == [U.tobytes() for U in want.states]
 
 
 fold_weights = st.sampled_from([1.0, -1.0, 0.0, 0.5, -2.5])

@@ -158,6 +158,12 @@ class TestImplicitStep:
         with pytest.raises(ValueError, match="singular I - L h"):
             pj_implicit_step(form, np.ones(2), 1.0)
 
+    def test_vanishing_sherman_morrison_denominator_named(self):
+        # L = 0 and w = v = 1 at U = 1 make 1 - h v.z vanish at h = 1
+        form = decompose(NonlinearRhs(L=np.zeros((1, 1)), N=lambda t, U: np.ones(1)), 0.0, np.ones(1))
+        with pytest.raises(ValueError, match="^Sherman-Morrison denominator 0.000e\\+00 below guard$"):
+            pj_implicit_step(form, np.ones(1), 1.0)
+
 
 class TestDeviationMatrix:
     def test_all_ones_state(self):
@@ -179,6 +185,10 @@ class TestPseudoJacobianOfPoly:
     def test_linear_system_gives_zero(self, rng):
         s = random_poly_system(rng, 3, linear_only=True)
         np.testing.assert_array_equal(pseudo_jacobian_of_poly(s, np.ones(3)), np.zeros((3, 3)))
+
+    def test_zero_entry_rejected(self):
+        with pytest.raises(ValueError, match="^U has a zero entry; pseudo-Jacobian undefined$"):
+            pseudo_jacobian_of_poly(circle_cubic_system(), np.array([1.0, 0.0]))
 
     def test_circle_cubic_action_at_ones(self):
         s = circle_cubic_system()

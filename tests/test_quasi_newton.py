@@ -307,8 +307,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "option, message",
         [({"tol": 0.0}, "tol must be positive"), ({"tol": float("nan")}, "tol must be positive"),
-         ({"max_iter": -1}, "max_iter must be at least 0")],
-        ids=["zero-tol", "nan-tol", "negative-max-iter"],
+         ({"max_iter": -1}, "max_iter must be at least 0"), ({"variant": "broyden"}, "variant must be one of")],
+        ids=["zero-tol", "nan-tol", "negative-max-iter", "unknown-variant"],
     )
     def test_options_outside_domain_rejected(self, option, message):
         with pytest.raises(ValueError, match=message):
@@ -477,6 +477,12 @@ class TestDeviationReport:
         )
         devs = deviation_report(s, tr)
         assert all(d is None or np.isfinite(d) for d in devs)
+
+    def test_entry_is_none_where_fbar_vanishes(self):
+        # f(U) = 1 - U from U = 0: fbar(0) = 0 leaves the start's deviation undefined
+        s = PolySystem(-np.eye(2), None, None, np.ones(2))
+        tr = qn_solve(s, np.zeros(2), QNOptions(variant="newton", keep_jacobians=True))
+        assert tr.status == "converged" and deviation_report(s, tr) == [None, 0.0]
 
     def test_requires_recorded_jacobians(self):
         s = circle_cubic_system()

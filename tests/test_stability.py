@@ -6,9 +6,11 @@ import pytest
 from polyjac import (
     IVP,
     ElementwiseFunction,
+    LinearMap,
     PolySystem,
     SemiDiscreteIVP,
     State,
+    Sum,
     burgers_discretize,
     burgers_step_bound,
     h_eval,
@@ -19,7 +21,7 @@ from polyjac import (
     step_bound_rk4,
 )
 from polyjac import expressions, stability
-from polyjac.expressions import _check_length as check_length, _compile as compile_tree
+from polyjac.expressions import _check_length as check_length
 from polyjac.presets import burgers_initial_state
 
 from conftest import count_calls, random_poly_system
@@ -28,6 +30,13 @@ from conftest import count_calls, random_poly_system
 def linear_system(A):
     n = A.shape[0]
     return PolySystem(L=A, quad=np.zeros((n, n, n)), cubic=np.zeros((n,) * 4), const=np.zeros(n))
+
+
+def l_minus_sin():
+    """The tree L U - sin(U) over R^3, which does not lower: its sin node has no polynomial form."""
+    L = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
+    rhs = Sum(children=(LinearMap(L), ElementwiseFunction("sin", State())), weights=(1.0, -1.0))
+    return SemiDiscreteIVP(n=3, rhs=rhs)
 
 
 def random_sym_negdef(rng, n):
@@ -120,6 +129,10 @@ class TestNegativeDefinite:
         ok, lam = is_negative_definite(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert not ok and lam == pytest.approx(0.0, abs=1e-14)
 
+    def test_non_square_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^A must be square, got \(2, 3\)$"):
+            is_negative_definite(np.zeros((2, 3)))
+
     def test_constructed_negdef(self, rng):
         for _ in range(10):
             assert is_negative_definite(random_sym_negdef(rng, 5))[0]
@@ -194,8 +207,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_semi_implicit_contracts_once_per_step(self, monkeypatch, tree):
-        # J and, for a PolySystem source, the rhs come from one state record; a tree
-        # is compiled once, by its SemiDiscreteIVP, and each step calls the value kept there
+        # f and J come from one state record for either source; a tree is compiled
+        # once, by its SemiDiscreteIVP, and no implicit step calls the value kept there
         compiles, calls = [], []
         monkeypatch.setattr(expressions, "_check_length", lambda e, n: compiles.append(e) or check_length(e, n))
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
@@ -208,20 +221,19 @@ class TestIntegrate:
         compiles.clear()
         at = count_calls(monkeypatch, PolySystem, "at")
         assert integrate(ivp, "semi_implicit_euler", 1e-3, 5).status == "completed"
-        assert len(at) == 5 and len(calls) == (5 if tree else 0)
+        assert len(at) == 5 and calls == []
         assert compiles == []
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_implicit_euler_starts_from_the_semi_implicit_step(self, monkeypatch, tree):
-        # semi-implicit Euler is U + h solve(I - h J(U), f(U)) bit for bit, with f
-        # from the record or the compiled tree; implicit Euler's Newton iteration
+        # semi-implicit Euler is U + h solve(I - h J(U), f(U)) bit for bit, with f and
+        # J from one record for either source; implicit Euler's Newton iteration
         # reads its second record at that very state
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
         U0, h = 0.1 * burgers_initial_state(8), 0.05
         ivp = IVP(source, U0)
         st = ivp.poly.at(U0)
-        f = compile_tree(source.rhs, 8)[1](U0) if tree else st.f
-        first = U0 + h * np.linalg.solve(np.eye(8) - h * st.J, f)
+        first = U0 + h * np.linalg.solve(np.eye(8) - h * st.J, st.f)
         assert np.array_equal(integrate(ivp, "semi_implicit_euler", h, 1).states[1], first)
         at = count_calls(monkeypatch, PolySystem, "at")
         assert integrate(ivp, "implicit_euler", h, 1).status == "completed"
@@ -297,10 +309,28 @@ class TestIntegrate:
     def test_tree_that_does_not_lower_keeps_the_reason(self):
         ivp = IVP(SemiDiscreteIVP(n=2, rhs=ElementwiseFunction("sin", State())), np.ones(2))
         assert integrate(ivp, "explicit_euler", 0.1, 2).status == "completed"
-        assert ivp.poly is None
+        with pytest.raises(ValueError, match="^the linear form needs a polynomial system; the tree does not "
+                                             "lower: non-polynomial node: elementwise sin$"):
+            ivp.poly
         with pytest.raises(ValueError, match="^implicit stepping needs a polynomial system; the tree does not "
                                              "lower: non-polynomial node: elementwise sin$"):
             integrate(ivp, "implicit_euler", 0.1, 2)
+
+    @pytest.mark.parametrize("steps", [2, 0])
+    def test_report_on_a_tree_that_does_not_lower_is_refused_before_any_step(self, monkeypatch, steps):
+        # the reports need A(U) from the lowered system, so the run never starts rather than report nothing
+        ivp = IVP(l_minus_sin(), np.ones(3))
+        taken = []
+        monkeypatch.setattr(stability, "_step", lambda *a: taken.append(a))
+        with pytest.raises(ValueError, match="^a stability report needs a polynomial system; the tree does not "
+                                             "lower: non-polynomial node: elementwise sin$"):
+            integrate(ivp, "explicit_euler", 0.1, steps, report=True)
+        assert taken == []
+
+    def test_linear_form_of_a_tree_that_does_not_lower_names_the_reason(self):
+        with pytest.raises(ValueError, match="^the linear form needs a polynomial system; the tree does not "
+                                             "lower: non-polynomial node: elementwise sin$"):
+            IVP(l_minus_sin(), np.ones(3)).linear_form(np.ones(3))
 
     def test_zero_steps_keeps_the_start_state(self):
         traj = integrate(IVP(linear_system(-np.eye(2)), np.ones(2)), "rk4", 0.1, 0)

@@ -66,6 +66,17 @@ class TestFromKronecker:
         with pytest.raises(ValueError, match="G must be"):
             from_kronecker(np.eye(2), np.zeros((2, 3)), np.zeros((2, 8)), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "K, R, F, message",
+        [(np.zeros((2, 3)), np.zeros((2, 8)), np.zeros(2), r"^K must be square, got \(2, 3\)$"),
+         (np.eye(2), np.zeros((2, 4)), np.zeros(2), r"^R must be \(2,8\), got \(2, 4\)$"),
+         (np.eye(2), np.zeros((2, 8)), np.zeros(3), r"^F must have length 2, got \(3,\)$")],
+        ids=["K-not-square", "R-shape", "F-length"],
+    )
+    def test_each_shape_error_names_its_matrix(self, K, R, F, message):
+        with pytest.raises(ValueError, match=message):
+            from_kronecker(K, np.zeros((2, 4)), R, F)
+
 
 class TestCallerArrays:
     def test_constructor_copies_caller_arrays(self):
@@ -430,8 +441,9 @@ class TestJsonFormat:
         "shape, text",
         [((124999999999999, 1), "shape (124999999999999, 1) needs 999999999999992 bytes"),
          ((10**15,), "shape (1e+15,) needs 8e+15 bytes"),
-         ((2, 10**400), "shape (2, 1e+400) needs 1.6e+401 bytes")],
-        ids=["below-rounding", "one-axis", "past-float-range"],
+         ((2, 10**400), "shape (2, 1e+400) needs 1.6e+401 bytes"),
+         ((999950000000000000,), "shape (1e+18,) needs 8e+18 bytes")],
+        ids=["below-rounding", "one-axis", "past-float-range", "carry-to-next-exponent"],
     )
     def test_dense_limit_rounds_counts_of_ten_to_the_fifteen(self, shape, text):
         with pytest.raises(ValueError) as err:

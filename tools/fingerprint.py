@@ -14,6 +14,10 @@ exactly when its answers are bit-identical.  One hash line per
   cli-batch each command's exit code, stdout, stderr and written files;
 - method of ``polyjac --format csv integrate burgers --n 128 --h 0.0005
   --steps 400 --report``, run in-process: exit code, stdout and stderr;
+- the 3-unknown tree L U - sin(U), which does not lower: exit code, stdout
+  and stderr of ``polyjac --format csv integrate TREE --h 0.1 --steps 2``
+  run in-process with explicit Euler, with explicit Euler and ``--report``,
+  and with ``--method implicit-euler``;
 - ``h_jacobian`` tree: Burgers n = 128 at its sine state,
   sin(A U) + (B U)^3 at n = 24 (seed 1), and, drawn after it, the product
   (C cos(sin U)) o exp(D U)^0.5 o (c o U) at n = 24, which has every node
@@ -44,6 +48,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import sys
 import tempfile
@@ -56,6 +61,11 @@ JOBS = {"burgers-march": 24, "dense-solve": 48, "cli-batch": 24}
 SEEDS = (1, 7)
 REPORT = "--format csv integrate burgers --n 128 --h 0.0005 --steps 400 --report --method".split()
 REPORT_METHODS = ("explicit-euler", "rk4", "implicit-euler", "semi-implicit-euler")
+# L U - sin(U) with L the 3 x 3 second-difference matrix
+SIN_TREE = {"n": 3, "rhs": {"op": "sum", "weights": [1.0, -1.0], "children": [
+    {"op": "linear", "matrix": [[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]]},
+    {"op": "hfunction", "name": "sin", "child": {"op": "state"}}]}}
+SIN_TREE_RUNS = ([], ["--report"], ["--method", "implicit-euler"])
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
 SWEEPS = (("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.1))
 MAX_ITER = 200
@@ -132,6 +142,15 @@ def _cli_batch(workload, jobs):
                 f.unlink()
             # Paths name the temporary directory, which differs between runs.
             yield [codes, stdout.replace(tmp, "<tmp>"), stderr.replace(tmp, "<tmp>"), files]
+
+
+def _sin_tree_runs(cli):
+    """[exit code, stdout, stderr] of each SIN_TREE_RUNS integrate run on SIN_TREE."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "tree.json"
+        doc.write_text(json.dumps(SIN_TREE))
+        argv = ["--format", "csv", "integrate", str(doc), "--h", "0.1", "--steps", "2"]
+        return [_captured(cli.main, argv + extra) for extra in SIN_TREE_RUNS]
 
 
 RUNNERS = {"burgers-march": _burgers_march, "dense-solve": _dense_solve, "cli-batch": _cli_batch}
@@ -211,6 +230,7 @@ def main(argv=None):
             print(f"{name} seed={seed} jobs={JOBS[name]} {digest}")
     for method in REPORT_METHODS:
         print(f"integrate-report n=128 {method} {_digest([_captured(cli.main, REPORT + [method])])}")
+    print(f"integrate-tree L U - sin(U) {_digest(_sin_tree_runs(cli))}")
     for name, tree, U in _trees(pj):
         print(f"h_jacobian {name} {_digest([pj.h_jacobian(tree, U)])}")
     return 1 if _census(pj, workloads) else 0
