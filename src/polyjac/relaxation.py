@@ -1,10 +1,10 @@
 """Direct nonlinear Jacobi, Gauss-Seidel and SOR sweeps on polynomial systems.
 
-A sweep assembles a = A(U) at its start (the linear-form identity: nothing is
-linearized); the residual of a U = -F is then f(U).  It row-interchanges a
-and f where a pivot collapses and returns U - delta: Jacobi takes delta = f / D,
-with D the diagonal of a; Gauss-Seidel (omega = 1) and SOR solve the triangular
-(D + omega L) delta = omega f, with L the strict lower part of a."""
+A sweep reads a = A(U) and the residual f = a U + F of a U = -F from one contraction
+at its start (the linear-form identity: nothing is linearized), so a state where that
+sum is exactly zero is a fixed point.  It row-interchanges a and f where a pivot collapses
+and returns U - delta: Jacobi takes delta = f / D, with D the diagonal of a; Gauss-Seidel
+(omega = 1) and SOR solve the triangular (D + omega L) delta = omega f, L the strict lower part of a."""
 
 from dataclasses import dataclass
 import functools
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .system import diverged
+from .system import _state, diverged
 from .trace import SolverTrace, start_state
 
 __all__ = ["IterativeOptions", "SingularPivotError", "iterative_solve", "sweep_once"]
@@ -93,43 +93,46 @@ def _pivot(a, f):
 
 
 @functools.cache
-def _strict_lower(n):
-    """Read-only mask of the entries below the diagonal of an n x n matrix."""
-    mask = np.tri(n, k=-1, dtype=bool)
+def _lower(n):
+    """Read-only mask of the entries on and below the diagonal of an n x n matrix."""
+    mask = np.tri(n, dtype=bool)
     mask.setflags(write=False)
     return mask
 
 
-def _sweep(st, f, method, omega):
-    """One sweep from the state record st and its residual f (changed in place); returns (U_new, permutation)."""
-    a = st.A  # a fresh array, changed in place
+def _linear_system(s, U):
+    """a = A(U), a new array, and the residual f = a U + F of a U = -F, from one contraction at U."""
+    a = s._linear_forms(U)
+    return a, a @ U + s.const
+
+
+def _sweep(U, a, f, method, omega):
+    """One sweep at U from a = A(U) and its residual f, both changed in place; returns (U_new, permutation)."""
     perm = _pivot(a, f)
     d = a.diagonal()
     if method == "jacobi":
-        return st.U - f / d, perm
-    m = np.where(_strict_lower(d.size), a, 0.0)  # D + omega L, its diagonal set below
-    if method == "sor":
+        return U - f / d, perm
+    m = np.where(_lower(d.size), a, 0.0)  # D + L
+    if method == "sor":  # D + omega L: the diagonal scaled with the rest is set back
         m *= omega
         f *= omega
-    m.flat[:: d.size + 1] = d
-    try:  # reversed, m is upper triangular: LAPACK swaps no rows and back-substitutes
-        return st.U - np.linalg.solve(m[::-1, ::-1], f[::-1])[::-1], perm
-    except np.linalg.LinAlgError:
-        raise SingularPivotError(int(np.argmin(np.abs(d)))) from None
+        m.flat[:: d.size + 1] = d
+    # reversed, m is upper triangular with _pivot's nonzero diagonal: LAPACK swaps no rows and back-substitutes
+    return U - np.linalg.solve(m[::-1, ::-1], f[::-1])[::-1], perm
 
 
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):
     """One full sweep at iterate U; returns (U_new, permutation).
 
-    The step is solved for from f(U), so a root U is returned unchanged.
+    The step is solved for from A(U) U + F, so a root U is returned unchanged.
     Equations whose diagonal entry of A(U) is at or below PIVOT_TOL are
     row-interchanged first; the permutation lists the row order used.
-    Raises SingularPivotError if no interchange fixes a diagonal, and
-    ValueError for a method outside METHODS or an omega outside (0, 2].
+    Raises SingularPivotError if no interchange fixes a diagonal, and ValueError for
+    a state of another length than s.n, a method outside METHODS or an omega outside (0, 2].
     """
     _check_sweep(method, omega)
-    st = s.at(U)
-    return _sweep(st, st.f, method, omega)
+    U = _state(U, s.n)
+    return _sweep(U, *_linear_system(s, U), method, omega)
 
 
 def iterative_solve(s, U0, opts=None):
@@ -137,17 +140,17 @@ def iterative_solve(s, U0, opts=None):
     opts = opts or IterativeOptions()
     U = start_state(U0, s.n)
     trace = SolverTrace()
-    st = s.at(U)  # one record per iterate: its residual and its sweep's A(U)
-    res = trace.record(U, f := st.f)
+    a, f = _linear_system(s, U)  # one contraction per iterate: its residual and its sweep's A(U)
+    res = trace.record(U, f)
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
         try:
-            U, trace.permutation = _sweep(st, f, opts.method, opts.omega)
+            U, trace.permutation = _sweep(U, a, f, opts.method, opts.omega)
         except SingularPivotError as exc:
             return trace.end("singular_pivot", exc.row)
-        st = s.at(U)
-        res = trace.record(U, f := st.f)
+        a, f = _linear_system(s, U)
+        res = trace.record(U, f)
         if not math.isfinite(res) or diverged(U):
             return trace.end("diverged", k)
     return trace.end("converged" if res <= opts.tol else "max_iter_exceeded")

@@ -4,8 +4,8 @@ Explicit methods carry a-priori bounds h < 2/||A|| (Euler) and
 h < 2.785/||A|| (classic RK4, real-axis stability interval), with the matrix
 norm (l1 or linf) standing in for the spectral radius.  Implicit methods are
 judged a posteriori by a negative-definiteness certificate on the symmetric
-part of A(U).  Implicit steps read f(U) and J(U) from one record of the
-lowered system, which reports and the linear form also need.
+part of A(U).  An implicit Newton iterate reads f(U) and I - h J(U) from one
+contraction of the lowered system, which reports and the linear form also need.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, check_dense, diverged
+from .system import PolySystem, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP, lower_to_poly
 from .trace import _csv_row, start_state
 
@@ -81,13 +81,9 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
     """
     if ivp.first_diff is None or ivp.second_diff is None:
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
-    U = np.asarray(U, dtype=float).ravel()
-    if U.shape != (ivp.n,):
-        raise ValueError(f"state length {U.size} != system dimension {ivp.n}")
-    denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds + _matrix_norm(
-        ivp.first_diff, norm_kind
-    ) * np.linalg.norm(U, np.inf)
-    return _limit(2.0, denom)
+    U = _state(U, ivp.n)
+    denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds
+    return _limit(2.0, denom + _matrix_norm(ivp.first_diff, norm_kind) * np.linalg.norm(U, np.inf))
 
 
 def is_negative_definite(A):
@@ -158,12 +154,11 @@ def _polynomial(source, user):
 class IVP:
     """Initial value problem dU/dt = f(U) from a PolySystem or a SemiDiscreteIVP tree.
 
-    Explicit and RK4 steps call value(U), picked once by the constructor: the
-    tree's compiled value, or PolySystem.eval.  Implicit steps call
-    linearize(U), (f, J) from one record of poly, as a tree's own linearize
-    returns them.  poly is the PolySystem, or the tree lowered at its first
-    use and kept; a ValueError says why a tree does not lower.  U0 is checked
-    as a solver's start: a ValueError names a wrong length or a non-finite entry.
+    Explicit and RK4 steps call value(U), picked once by the constructor: the tree's compiled
+    value, or PolySystem.eval.  Implicit steps of size h call newton_system(h)(U), f and I - h J
+    from one contraction of poly.  poly is the PolySystem, or the tree lowered at its first use
+    and kept; a ValueError says why a tree does not lower.  U0 is checked as a solver's start:
+    a ValueError names a wrong length or a non-finite entry.
     """
 
     def __init__(self, source, U0):
@@ -182,9 +177,17 @@ class IVP:
     def linear_form(self, U):
         return self.poly.at(U)
 
-    def linearize(self, U):
-        st = self.poly.at(U)
-        return st.f, st.J
+    def newton_system(self, h):
+        """U -> (f(U), I - h J(U)) from one contraction of poly: PolyState.f's sum and (I - h L) - sum (m h) M_m."""
+        poly = self._lowered("implicit stepping")
+        L, F, K0 = poly.L, poly.const, np.eye(self.n) - h * poly.L
+
+        def system(U):
+            f, K = L @ U, K0
+            for m, M in poly._products(U):
+                f, K = f + M @ U, K - (m * h) * M
+            return f + F, K
+        return system
 
 
 NEWTON_TOL = 1e-12
@@ -204,11 +207,8 @@ def _reports(poly, method, states):
     return reports
 
 
-def _step(value, linearize, method, U, h, eye):
-    """The state one step of size h after U, or None when an implicit solve fails.
-
-    value(U) is f(U) and linearize(U) is (f(U), J(U)), as IVP gives them; eye is the n x n identity.
-    """
+def _step(value, system, method, U, h):
+    """One step of size h from U, by value(U) = f(U) or system(U) = (f(U), I - h J(U)); None when a solve fails."""
     if method == "explicit_euler":
         return U + h * value(U)
     if method == "rk4":
@@ -218,14 +218,14 @@ def _step(value, linearize, method, U, h, eye):
         k4 = value(U + h * k3)
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
-        f, J = linearize(U)
-        V = U + h * np.linalg.solve(eye - h * J, f)
+        f, K = system(U)
+        V = U + h * np.linalg.solve(K, f)
         if method == "semi_implicit_euler":
             return V
-        # implicit Euler: Newton on V - U - h f(V) = 0, f(V) and J(V) from one linearize per iterate
+        # implicit Euler: Newton on V - U - h f(V) = 0, f(V) and I - h J(V) from one contraction per iterate
         for _ in range(NEWTON_MAX_ITER):
-            f, J = linearize(V)
-            dV = np.linalg.solve(eye - h * J, U + h * f - V)
+            f, K = system(V)
+            dV = np.linalg.solve(K, U + h * f - V)
             V = V + dV
             # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
             if not math.isfinite(m := np.abs(V).max()):
@@ -242,8 +242,8 @@ def integrate(ivp, method, h, steps, report=False):
 
     explicit_euler steps U + h f(U), which for polynomial structure equals
     the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
-    solves the step equation by Newton with the exact Jacobian from the same
-    record as f; semi_implicit_euler takes only its first iterate.  A failed
+    solves the step equation by Newton with I - h J(U) from the same
+    contraction as f(U); semi_implicit_euler takes only its first iterate.  A failed
     solve ends the run as solver_failed; divergence (a non-finite entry or
     ||U||_inf > 1e8) as diverged.  With report, each step gets a
     StabilityReport from A(U) at its start (at its end for implicit_euler),
@@ -259,17 +259,17 @@ def integrate(ivp, method, h, steps, report=False):
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     check_dense((steps + 1, ivp.n), "trajectory")
-    if (implicit := method in ("implicit_euler", "semi_implicit_euler")) or report:
-        ivp._lowered("implicit stepping" if implicit else "a stability report")
+    system = ivp.newton_system(h) if method in ("implicit_euler", "semi_implicit_euler") else None
+    if report:
+        ivp._lowered("a stability report")
 
     # every step returns a new array and reads U only, so each state is stored
     # as made; the copy keeps the first one apart from ivp.U0
     U = ivp.U0.copy()
     t = 0.0
     traj = Trajectory(times=[t], states=[U])
-    value, linearize, eye = ivp.value, ivp.linearize, np.eye(ivp.n)
     for k in range(steps):
-        U = _step(value, linearize, method, U, h, eye)
+        U = _step(ivp.value, system, method, U, h)
         if U is None:
             traj.status, traj.failure_step = "solver_failed", k
             break

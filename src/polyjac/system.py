@@ -12,8 +12,8 @@ matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
 those orders, computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.  A(U) for a stack of states, which integrate's
-reports read, comes from the same products, stacked.
+rest are one-liners over it.  Relaxation sweeps (A(U) at one state), integrate's reports
+(A(U) for a stack) and implicit steps read the same products without the record.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -84,6 +84,14 @@ def diverged(U):
     about 4e13.  Otherwise, NaN, inf and overflowing squares included, the exact test decides.
     """
     return not np.vdot(U, U) <= _DOT_LIMIT and not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
+
+
+def _state(U, n):
+    """U as a flat float array; a ValueError names a length other than n."""
+    U = np.asarray(U, dtype=float).ravel()
+    if U.shape != (n,):
+        raise ValueError(f"state length {U.size} != system dimension {n}")
+    return U
 
 
 def _symmetrized(t, *index):
@@ -167,9 +175,7 @@ class PolySystem:
 
     def at(self, U):
         """The system at state U: checks U and contracts each order it has once."""
-        U = np.asarray(U, dtype=float).ravel()
-        if U.shape != (self.n,):
-            raise ValueError(f"state length {U.size} != system dimension {self.n}")
+        U = _state(U, self.n)
         return PolyState(self, U, self._products(U))
 
     def _products(self, X):
@@ -185,11 +191,11 @@ class PolySystem:
         return tuple(terms)
 
     def _linear_forms(self, X):
-        """A(U) = L + sum M_m at each row U of the (k, n) stack X, a new (k, n, n) array: PolyState.A per row."""
-        A = np.broadcast_to(self.L, (*X.shape, self.n))
+        """A(U) = L + sum M_m at a state X (n,) or each row of a stack X (k, n), a new array: PolyState.A per state."""
+        A = self.L
         for _, M in self._products(X):
-            A = np.add(A, M, out=M)  # in the product's own array
-        return A if A.flags.writeable else A.copy()
+            A = np.add(A, M, out=M)  # in the product's own array, L broadcast over a stack
+        return np.broadcast_to(A, (*X.shape, self.n)).copy() if A is self.L else A
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""

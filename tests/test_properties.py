@@ -6,7 +6,8 @@ Jacobian against complex-step columns and its one failure, DomainError, the shap
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), the step equation an
-implicit Euler step solves, the implicit trajectories of a tree against those
+implicit Euler step solves, the f (bit for bit) and I - h J (to rounding) of an implicit
+Newton iterate against the state record, the implicit trajectories of a tree against those
 of its lowering (bit for bit), the per-step stability reports integrate builds
 from stacks of A(U) against the reports made one state at a time (bit for
 bit), and diverged's one-call test against the exact test near its limit.
@@ -120,6 +121,8 @@ def test_contraction_matches_einsum_reference(case):
               (st.fbar, "jacobian_action"), (2 * st.M2, "J2"), (3 * st.M3, "J3"))
     for got, key in fields:
         assert _close(got, ref[key], scale[key]), key
+    # A(U) as the sweeps read it, at one state, and as the reports read it, over a stack: the record's bits
+    assert _same_bits(s._linear_forms(U), st.A) and _same_bits(s._linear_forms(np.stack([-U, U]))[1], st.A)
 
 
 def _raw_reference(raw, U):
@@ -187,6 +190,19 @@ def test_implicit_euler_step_solves_the_step_equation_or_fails(case, h):
     if traj.status != "solver_failed":
         V = traj.states[1]
         assert np.abs(V - U - h * s.eval(V)).max() <= 1e-10 * (1.0 + np.abs(V).max())
+
+
+@given(systems_and_states(), st.floats(1e-4, 1.0))
+def test_newton_system_matches_the_state_record(case, h):
+    # f is the record's own sum, bit for bit; K = (I - h L) - sum (m h) M_m is I - h J rounded
+    # differently, within 1e-15 (1 + h max|J|), with J the Jacobian of |coefficients| at |U|, which
+    # bounds the terms of every entry (J itself can cancel in an entry whose terms do not)
+    s, U, _ = case
+    f, K = IVP(s, U).newton_system(h)(U)
+    st = s.at(U)
+    assert _same_bits(f, st.f)
+    bound = 1e-15 * (1.0 + h * np.abs(_abs_reference(s, U)["jacobian"]).max())
+    assert np.abs(K - (np.eye(s.n) - h * st.J)).max() <= bound
 
 
 triangular_methods = st.sampled_from(("gauss_seidel", "sor"))
@@ -878,7 +894,7 @@ def test_sweep_matches_triu_sweep(case, method, omega, data):
         return SimpleNamespace(A=A.copy(), s=SimpleNamespace(const=F), U=U)
 
     want = _sweep_outcome(_triu_sweep, state(), method, omega)
-    got = _sweep_outcome(_sweep, state(), A @ U + F, method, omega)
+    got = _sweep_outcome(_sweep, U, A.copy(), A @ U + F, method, omega)
     if isinstance(want, int):
         assert got == want
         return
@@ -905,7 +921,7 @@ def test_sweep_keeps_the_sign_of_a_zero_result():
     A, F, U = np.array([[1.0, 2.0], [-0.0, 1.0]]), np.array([-1.0, 0.0]), np.array([0.0, -0.0])
     f = A @ U + F
     assert _same_bits(f, [-1.0, 0.0])
-    got, perm = _sweep(SimpleNamespace(A=A.copy(), U=U), f, "gauss_seidel", 1.0)
+    got, perm = _sweep(U, A.copy(), f, "gauss_seidel", 1.0)
     assert _same_bits(got, [1.0, -0.0]) and perm == [0, 1]
 
 

@@ -7,6 +7,7 @@ from polyjac import (
     IVP,
     ElementwiseFunction,
     LinearMap,
+    PolyState,
     PolySystem,
     SemiDiscreteIVP,
     State,
@@ -207,8 +208,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_semi_implicit_contracts_once_per_step(self, monkeypatch, tree):
-        # f and J come from one state record for either source; a tree is compiled
-        # once, by its SemiDiscreteIVP, and no implicit step calls the value kept there
+        # f and I - h J come from one contraction for either source, with no state record; a tree
+        # is compiled once, by its SemiDiscreteIVP, and no implicit step calls the value kept there
         compiles, calls = [], []
         monkeypatch.setattr(expressions, "_check_length", lambda e, n: compiles.append(e) or check_length(e, n))
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
@@ -219,32 +220,39 @@ class TestIntegrate:
         assert compiles == ([source.rhs] if tree else [])
         ivp.poly  # lower_to_poly compiles the tree again for its own shape check
         compiles.clear()
-        at = count_calls(monkeypatch, PolySystem, "at")
+        products = count_calls(monkeypatch, PolySystem, "_products")
+        at, records = count_calls(monkeypatch, PolySystem, "at"), count_calls(monkeypatch, PolyState, "A")
         assert integrate(ivp, "semi_implicit_euler", 1e-3, 5).status == "completed"
-        assert len(at) == 5 and calls == []
-        assert compiles == []
+        assert len(products) == 5 and calls == []
+        assert at == [] and records == [] and compiles == []
 
     @pytest.mark.parametrize("tree", [False, True], ids=["poly-source", "tree-source"])
     def test_implicit_euler_starts_from_the_semi_implicit_step(self, monkeypatch, tree):
-        # semi-implicit Euler is U + h solve(I - h J(U), f(U)) bit for bit, with f and
-        # J from one record for either source; implicit Euler's Newton iteration
-        # reads its second record at that very state
+        # semi-implicit Euler is U + h solve((I - h L) - sum (m h) M_m, f(U)) bit for bit, with f
+        # and the M_m of one record for either source; implicit Euler's Newton iteration reads
+        # its second contraction at that very state
         source = burgers_discretize(8, 100.0) if tree else random_poly_system(np.random.default_rng(1), 8, 0.1)
         U0, h = 0.1 * burgers_initial_state(8), 0.05
         ivp = IVP(source, U0)
         st = ivp.poly.at(U0)
-        first = U0 + h * np.linalg.solve(np.eye(8) - h * st.J, st.f)
+        K = np.eye(8) - h * st.s.L
+        for m, M in st._terms:
+            K = K - (m * h) * M
+        first = U0 + h * np.linalg.solve(K, st.f)
         assert np.array_equal(integrate(ivp, "semi_implicit_euler", h, 1).states[1], first)
-        at = count_calls(monkeypatch, PolySystem, "at")
+        products = count_calls(monkeypatch, PolySystem, "_products")
         assert integrate(ivp, "implicit_euler", h, 1).status == "completed"
-        assert np.array_equal(at[0][0], U0) and np.array_equal(at[1][0], first)
+        assert np.array_equal(products[0][0], U0) and np.array_equal(products[1][0], first)
 
     def test_implicit_euler_contracts_once_per_newton_iterate(self, monkeypatch):
-        # one record for the semi-implicit first iterate and one per Newton correction: 4 a step here
+        # one contraction for the semi-implicit first iterate and one per Newton correction, at
+        # least one of which each step takes: 4 a step here, and no state record
         ivp = IVP(burgers_discretize(24, 100.0), burgers_initial_state(24))
-        at = count_calls(monkeypatch, PolySystem, "at")
+        products = count_calls(monkeypatch, PolySystem, "_products")
+        at, records = count_calls(monkeypatch, PolySystem, "at"), count_calls(monkeypatch, PolyState, "A")
         assert integrate(ivp, "implicit_euler", 0.005, 10).status == "completed"
-        assert len(at) <= 40
+        assert 20 <= len(products) <= 40
+        assert at == [] and records == []
 
     def test_implicit_euler_solves_the_step_equation_at_a_large_step(self):
         # h = 0.5 is about 12 times the a-priori explicit-Euler bound at the start state

@@ -21,7 +21,10 @@ exactly when its answers are bit-identical.  One hash line per
 - ``h_jacobian`` tree: Burgers n = 128 at its sine state,
   sin(A U) + (B U)^3 at n = 24 (seed 1), and, drawn after it, the product
   (C cos(sin U)) o exp(D U)^0.5 o (c o U) at n = 24, which has every node
-  kind the first two lack.
+  kind the first two lack;
+- ``sweep``: ``sweep_once``'s (U_new, permutation), or the row of its
+  SingularPivotError, by jacobi, gauss_seidel and sor with omega 1.1 on each
+  of the 48 dense-solve systems of seed 1 at U = 0.1 (1, ..., 1).
 
 The census solves, for seeds 1 and 7, the 48 dense-solve systems (n=20, from
 U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from U0 = 1, the CLI's
@@ -174,6 +177,18 @@ def _trees(pj):
     yield "product3-n24-seed1", mixed, rng.standard_normal(24)
 
 
+def _sweeps(pj, workloads):
+    """sweep_once's outcome per SWEEPS method on each dense-solve system of seed 1, at U = 0.1 (1, ..., 1)."""
+    dense = workloads.DenseSolve(1)
+    for k in range(dense.pool):
+        s = pj.from_kronecker(*dense.coeffs(k))
+        for method, omega in SWEEPS:
+            try:
+                yield pj.sweep_once(s, np.full(dense.N, 0.1), method, omega)
+            except pj.SingularPivotError as exc:
+                yield exc.row
+
+
 def _pools(workloads, seed):
     """(pool name, [(coefficients, start state)]) of the dense-solve and cli-batch solves."""
     dense = workloads.DenseSolve(seed)
@@ -233,6 +248,7 @@ def main(argv=None):
     print(f"integrate-tree L U - sin(U) {_digest(_sin_tree_runs(cli))}")
     for name, tree, U in _trees(pj):
         print(f"h_jacobian {name} {_digest([pj.h_jacobian(tree, U)])}")
+    print(f"sweep dense-solve seed=1 U=0.1 {_digest(_sweeps(pj, workloads))}")
     return 1 if _census(pj, workloads) else 0
 
 
