@@ -185,11 +185,14 @@ class IVP:
         def system(U):
             f, K = L @ U, K0
             for m, M in poly._products(U):
-                f, K = f + M @ U, K - (m * h) * M
+                f = f + M @ U
+                K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)  # in M's own array, once f has read it
             return f + F, K
         return system
 
 
+# Implicit Euler's Newton stops once its correction d, or the error left after it as estimated from
+# the contraction rate theta = d / d_prev, theta / (1 - theta) d, is at most NEWTON_TOL (1 + ||V||inf).
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -208,7 +211,12 @@ def _reports(poly, method, states):
 
 
 def _step(value, system, method, U, h):
-    """One step of size h from U, by value(U) = f(U) or system(U) = (f(U), I - h J(U)); None when a solve fails."""
+    """One step of size h from U, by value(U) = f(U) or system(U) = (f(U), I - h J(U)); None when a solve fails.
+
+    Implicit Euler's Newton stops when its correction d, or the error left after it as estimated
+    from the contraction rate, d^2 / (d_prev - d) with d <= d_prev / 2, is at most
+    NEWTON_TOL (1 + ||V||inf); the predictor is the first d_prev.
+    """
     if method == "explicit_euler":
         return U + h * value(U)
     if method == "rk4":
@@ -219,10 +227,13 @@ def _step(value, system, method, U, h):
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
         f, K = system(U)
-        V = U + h * np.linalg.solve(K, f)
+        dV = h * np.linalg.solve(K, f)
+        V = U + dV
         if method == "semi_implicit_euler":
             return V
-        # implicit Euler: Newton on V - U - h f(V) = 0, f(V) and I - h J(V) from one contraction per iterate
+        # implicit Euler: Newton on V - U - h f(V) = 0, f(V) and I - h J(V) from one contraction per
+        # iterate; the predictor is Newton's first correction from V = U
+        d_prev = np.abs(dV).max()
         for _ in range(NEWTON_MAX_ITER):
             f, K = system(V)
             dV = np.linalg.solve(K, U + h * f - V)
@@ -230,8 +241,11 @@ def _step(value, system, method, U, h):
             # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
             if not math.isfinite(m := np.abs(V).max()):
                 return None
-            if np.abs(dV).max() <= NEWTON_TOL * (1.0 + m):
+            d, tol = np.abs(dV).max(), NEWTON_TOL * (1.0 + m)
+            # the stop rule of the docstring, free of division (d_prev may be 0)
+            if d <= tol or (2.0 * d <= d_prev and d * d <= tol * (d_prev - d)):
                 return V
+            d_prev = d
     except np.linalg.LinAlgError:
         return None
     return None  # Newton iteration did not converge
@@ -243,7 +257,9 @@ def integrate(ivp, method, h, steps, report=False):
     explicit_euler steps U + h f(U), which for polynomial structure equals
     the linear-form step [I + A(U)h]U + hF up to rounding.  implicit_euler
     solves the step equation by Newton with I - h J(U) from the same
-    contraction as f(U); semi_implicit_euler takes only its first iterate.  A failed
+    contraction as f(U), stopping once the correction, or the error left
+    after it as estimated from the contraction rate, is at most
+    NEWTON_TOL (1 + ||U||inf) at the new U; semi_implicit_euler takes only its first iterate.  A failed
     solve ends the run as solver_failed; divergence (a non-finite entry or
     ||U||_inf > 1e8) as diverged.  With report, each step gets a
     StabilityReport from A(U) at its start (at its end for implicit_euler),

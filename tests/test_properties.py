@@ -6,7 +6,7 @@ Jacobian against complex-step columns and its one failure, DomainError, the shap
 loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), the step equation an
-implicit Euler step solves, the f (bit for bit) and I - h J (to rounding) of an implicit
+implicit Euler step solves and its stop rule against the correction test alone, the f (bit for bit) and I - h J (to rounding) of an implicit
 Newton iterate against the state record, the implicit trajectories of a tree against those
 of its lowering (bit for bit), the per-step stability reports integrate builds
 from stacks of A(U) against the reports made one state at a time (bit for
@@ -203,6 +203,44 @@ def test_newton_system_matches_the_state_record(case, h):
     assert _same_bits(f, st.f)
     bound = 1e-15 * (1.0 + h * np.abs(_abs_reference(s, U)["jacobian"]).max())
     assert np.abs(K - (np.eye(s.n) - h * st.J)).max() <= bound
+
+
+def _reference_implicit_step(system, U, h):
+    """Implicit Euler's step stopped by d <= NEWTON_TOL (1 + ||V||inf) alone: (V or None, contractions read)."""
+    calls = []
+
+    def counted(V):
+        calls.append(None)
+        return system(V)
+
+    try:
+        f, K = counted(U)
+        V = U + h * np.linalg.solve(K, f)
+        for _ in range(stability.NEWTON_MAX_ITER):
+            f, K = counted(V)
+            dV = np.linalg.solve(K, U + h * f - V)
+            V = V + dV
+            if not math.isfinite(m := np.abs(V).max()):
+                return None, len(calls)
+            if np.abs(dV).max() <= stability.NEWTON_TOL * (1.0 + m):
+                return V, len(calls)
+    except np.linalg.LinAlgError:
+        pass
+    return None, len(calls)
+
+
+@given(systems_and_states(), st.floats(1e-4, 1.0))
+def test_implicit_step_stops_no_later_than_the_correction_test_alone(case, h):
+    # the contraction estimate only adds a way to stop: wherever the correction test alone converges,
+    # _step converges after no more contractions, on the same iterates, within NEWTON_TOL (1 + ||V||)
+    s, U, _ = case
+    system, calls = IVP(s, U).newton_system(h), []
+    with np.errstate(all="ignore"):
+        want, most = _reference_implicit_step(system, U, h)
+        got = stability._step(None, lambda V: calls.append(None) or system(V), "implicit_euler", U, h)
+    assume(want is not None)
+    assert got is not None and len(calls) <= most
+    assert np.abs(got - want).max() <= stability.NEWTON_TOL * (1.0 + np.abs(want).max())
 
 
 triangular_methods = st.sampled_from(("gauss_seidel", "sor"))

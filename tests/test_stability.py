@@ -246,13 +246,38 @@ class TestIntegrate:
 
     def test_implicit_euler_contracts_once_per_newton_iterate(self, monkeypatch):
         # one contraction for the semi-implicit first iterate and one per Newton correction, at
-        # least one of which each step takes: 4 a step here, and no state record
+        # least one of which each step takes, and no state record
         ivp = IVP(burgers_discretize(24, 100.0), burgers_initial_state(24))
         products = count_calls(monkeypatch, PolySystem, "_products")
         at, records = count_calls(monkeypatch, PolySystem, "at"), count_calls(monkeypatch, PolyState, "A")
         assert integrate(ivp, "implicit_euler", 0.005, 10).status == "completed"
         assert 20 <= len(products) <= 40
         assert at == [] and records == []
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["burgers-n24", "linear"])
+    def test_implicit_euler_stops_once_the_contraction_rate_shows_convergence(self, monkeypatch, rng, linear):
+        # Burgers' corrections after the predictor read about 9e-6, 4e-12 and 1e-16: the contraction
+        # estimate stops after the second, so a step reads 3 contractions (4 with the correction
+        # test alone). A linear step's predictor already solves the step equation, so its first
+        # correction is rounding: 2 contractions a step
+        if linear:
+            ivp = IVP(linear_system(random_sym_negdef(rng, 4)), rng.standard_normal(4))
+        else:
+            ivp = IVP(burgers_discretize(24, 100.0), burgers_initial_state(24))
+        products = count_calls(monkeypatch, PolySystem, "_products")
+        assert integrate(ivp, "implicit_euler", 0.005, 10).status == "completed"
+        assert len(products) == (2 if linear else 3) * 10
+
+    def test_implicit_euler_rests_at_a_steady_state(self, rng):
+        # F = 0 and U0 = 0: the predictor and every correction are exactly zero, so the stop rule
+        # meets d_prev = 0, which it must handle without dividing, and no state moves
+        n = 4
+        s = PolySystem(L=-np.eye(n) + 0.1 * rng.standard_normal((n, n)), quad=rng.standard_normal((n, n, n)),
+                       cubic=rng.standard_normal((n,) * 4), const=np.zeros(n))
+        with np.errstate(all="raise"):
+            traj = integrate(IVP(s, np.zeros(n)), "implicit_euler", 0.1, 5)
+        assert traj.status == "completed" and len(traj.states) == 6
+        assert all(np.array_equal(U, np.zeros(n)) for U in traj.states)
 
     def test_implicit_euler_solves_the_step_equation_at_a_large_step(self):
         # h = 0.5 is about 12 times the a-priori explicit-Euler bound at the start state

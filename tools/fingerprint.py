@@ -1,4 +1,4 @@
-"""Print a checkout's answers: sha256 lines over what public calls return, then the solver census.
+"""Print a checkout's answers: sha256 lines over what public calls return, then two censuses.
 
     python3 tools/fingerprint.py [CHECKOUT]
     diff <(python3 tools/fingerprint.py ../parent) <(python3 tools/fingerprint.py)
@@ -26,16 +26,24 @@ exactly when its answers are bit-identical.  One hash line per
   SingularPivotError, by jacobi, gauss_seidel and sor with omega 1.1 on each
   of the 48 dense-solve systems of seed 1 at U = 0.1 (1, ..., 1).
 
-The census solves, for seeds 1 and 7, the 48 dense-solve systems (n=20, from
-U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from U0 = 1, the CLI's
-start) by newton, classic_rank1 and modified_rank1 (``qn_solve``, max_iter
-200) and by jacobi, gauss_seidel and sor with omega 1.1 (``iterative_solve``,
-tol 1e-10, max_iter 200): 2952 runs.  Its line per pool, seed and variant,
-quasi-Newton first, gives the status counts and the total, median, p90 and
-max of the iterations (recorded iterates minus the start; nearest rank), so
-it moves exactly when some run ends in another status or iteration count.
+Then one ``implicit-euler`` line per hashed run that takes implicit-Euler
+steps (the burgers-march seeds and the n = 128 ``implicit-euler`` report)
+gives its steps, the contractions they read in all (one per call of the
+step's ``newton_system`` closure: the predictor and each Newton correction),
+and the median and max per step, so a change to Newton's stop rule shows as
+a count.
 
-Exits 1 if any census run does not converge, else 0.  Uses numpy and the
+The solver census solves, for seeds 1 and 7, the 48 dense-solve systems
+(n=20, from U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from
+U0 = 1, the CLI's start) by newton, classic_rank1 and modified_rank1
+(``qn_solve``, max_iter 200) and by jacobi, gauss_seidel and sor with omega
+1.1 (``iterative_solve``, tol 1e-10, max_iter 200): 2952 runs.  Its line per
+pool, seed and variant, quasi-Newton first, gives the status counts and the
+total, median, p90 and max of the iterations (recorded iterates minus the
+start; nearest rank), so it moves exactly when some run ends in another
+status or iteration count.
+
+Exits 1 if any solver census run does not converge, else 0.  Uses numpy and the
 standard library only; BLAS is pinned to one thread as in
 ``perfbench/run.py``.  The oracles of ``workloads.py`` are not run.
 """
@@ -197,6 +205,25 @@ def _pools(workloads, seed):
     yield cli.name, [(cli._draw(k)[0], np.ones(cli.N)) for k in range(CLI_SYSTEMS)]
 
 
+@contextlib.contextmanager
+def _contractions(stability):
+    """A list that gets, per implicit-Euler step taken inside the block, the contractions the step read."""
+    per_step, step = [], stability._step
+
+    def counted(value, system, method, U, h):
+        calls = []
+        V = step(value, lambda X: calls.append(None) or system(X), method, U, h)
+        if method == "implicit_euler":
+            per_step.append(len(calls))
+        return V
+
+    stability._step = counted
+    try:
+        yield per_step
+    finally:
+        stability._step = step
+
+
 def _rank(ordered, fraction):
     """The nearest-rank percentile of a sorted list."""
     return ordered[max(math.ceil(fraction * len(ordered)) - 1, 0)]
@@ -234,21 +261,30 @@ def main(argv=None):
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import polyjac as pj
-    from polyjac import cli
+    from polyjac import cli, stability
     import workloads
 
     if Path(pj.__file__).resolve().parent != root / "src" / "polyjac":
         sys.exit(f"fingerprint: imported polyjac from {pj.__file__}, not {root / 'src'}")
+    implicit = {}
     for name in RUNNERS:
         for seed in SEEDS:
-            digest = _digest(RUNNERS[name](workloads.WORKLOADS[name](seed), JOBS[name]))
+            with _contractions(stability) as implicit[f"{name} seed={seed}"]:
+                digest = _digest(RUNNERS[name](workloads.WORKLOADS[name](seed), JOBS[name]))
             print(f"{name} seed={seed} jobs={JOBS[name]} {digest}")
     for method in REPORT_METHODS:
-        print(f"integrate-report n=128 {method} {_digest([_captured(cli.main, REPORT + [method])])}")
+        with _contractions(stability) as implicit[f"integrate-report n=128 {method}"]:
+            digest = _digest([_captured(cli.main, REPORT + [method])])
+        print(f"integrate-report n=128 {method} {digest}")
     print(f"integrate-tree L U - sin(U) {_digest(_sin_tree_runs(cli))}")
     for name, tree, U in _trees(pj):
         print(f"h_jacobian {name} {_digest([pj.h_jacobian(tree, U)])}")
     print(f"sweep dense-solve seed=1 U=0.1 {_digest(_sweeps(pj, workloads))}")
+    for run, per_step in implicit.items():
+        if per_step:
+            per_step.sort()
+            print(f"implicit-euler {run} steps={len(per_step)} contractions={sum(per_step)} "
+                  f"median={_rank(per_step, 0.5)} max={per_step[-1]}")
     return 1 if _census(pj, workloads) else 0
 
 
