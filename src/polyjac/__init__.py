@@ -9,7 +9,6 @@ directly to the nonlinear problem.
 """
 
 # The package surface is the union of these modules' __all__ lists.
-from .hadamard import *
 from .system import *
 from .expressions import *
 from .stability import *

@@ -2,7 +2,8 @@
 
 Exit codes are a stable scripting contract, decided in main by the error's
 type: 0 success; 2 numerical failure (a status other than converged or
-completed, a singular solve, or a DomainError); 1 every other error.
+completed, a singular solve, a DomainError, or a NaN in a JSON report); 1
+every other error.
 """
 
 import argparse
@@ -106,6 +107,24 @@ def _emit(text, out):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _nan_field(value, name=""):
+    """The name of a report's first field, in order, that holds a NaN (list entries by index); None if none does."""
+    if isinstance(value, dict):
+        fields = ((f"{name}.{key}" if name else key, v) for key, v in value.items())
+    elif isinstance(value, list):
+        fields = ((f"{name}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return name if isinstance(value, float) and math.isnan(value) else None
+    return next(filter(None, (_nan_field(v, key) for key, v in fields)), None)
+
+
+def _emit_report(report, out):
+    """Emit a JSON report; a NaN in it, which JSON cannot carry, raises FloatingPointError naming its field."""
+    if field := _nan_field(report):
+        raise FloatingPointError(f"report field {field} is NaN")
+    _emit(json.dumps(report, indent=2), out)
+
+
 def _cmd_solve(args):
     system = _polynomial(_load_input(args.input, args.n, args.re), "solve")
     n = system.n
@@ -172,7 +191,7 @@ def _cmd_check_jacobian(args):
         "max_deviation": max(devs) if devs else None,
         "reports": rows,
     }
-    _emit(json.dumps(summary, indent=2), args.out)
+    _emit_report(summary, args.out)
     return EXIT_OK
 
 
@@ -215,7 +234,7 @@ def _cmd_stability(args):
         relaxed, tight = pj_step_bound_explicit(form, "linf")
         report["pseudo_jacobian_bound_relaxed"] = relaxed
         report["pseudo_jacobian_bound_tight"] = tight
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit_report(report, args.out)
     return EXIT_OK
 
 
@@ -232,7 +251,7 @@ def _cmd_integrate(args):
         report = {"method": method, "blowup_threshold": threshold, "horizon": args.horizon}
         if _is_burgers(source):
             report["a_priori_bound"] = burgers_step_bound(source, U0, norm_kind="linf")
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit_report(report, args.out)
         return EXIT_OK
 
     if args.h is None:
@@ -327,7 +346,7 @@ def main(argv=None):
     except MemoryError:
         sys.stderr.write("error: input too large for memory\n")
         return EXIT_USAGE
-    except (DomainError, np.linalg.LinAlgError) as exc:
+    except (DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

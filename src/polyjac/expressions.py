@@ -4,6 +4,9 @@ A tree built from linear maps of the state, elementwise products, powers and
 functions evaluates to a length-n vector.  Its exact Jacobian falls out of the
 scalar chain rule: an elementwise node scales row i of its child's Jacobian by
 f'(v_i), so d/dU of (A U) o (B U) is diag(B U) A + diag(A U) B, and so on.
+row_scale and col_scale, diag(u) A and A diag(v), are that product on a
+caller's arrays: they reject non-finite entries and never broadcast
+silently, since a shape mismatch would mask an upstream assembly bug.
 
 Polynomial trees of total degree <= 3 can be lowered to an equivalent
 PolySystem for cross-checks and for the linear-form machinery.  A lowered
@@ -53,6 +56,8 @@ __all__ = [
     "burgers_discretize",
     "lower_to_poly",
     "load_hexpr_json",
+    "row_scale",
+    "col_scale",
 ]
 
 
@@ -277,6 +282,38 @@ def _product_rule(vals, jacs):
         others = functools.reduce(np.multiply, vals[:i] + vals[i + 1 :], np.ones_like(vals[0]))
         total += others[:, None] * jac
     return functools.reduce(np.multiply, vals), total
+
+
+def _as_matrix(a, name="a"):
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def row_scale(a, u):
+    """Scale row i of a by u[i]; equals diag(u) @ a.
+
+    For a column vector a this coincides with the elementwise product.
+    """
+    a = _as_matrix(a, "a")
+    u = np.asarray(u, dtype=float).ravel()
+    if u.size != a.shape[0]:
+        raise ValueError(f"length mismatch: u has {u.size}, a has {a.shape[0]} rows")
+    return a * u[:, None]
+
+
+def col_scale(v, a):
+    """Scale column j of a by v[j]; equals a @ diag(v)."""
+    a = _as_matrix(a, "a")
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != a.shape[1]:
+        raise ValueError(f"length mismatch: v has {v.size}, a has {a.shape[1]} cols")
+    return a * v[None, :]
 
 
 @dataclass(frozen=True)

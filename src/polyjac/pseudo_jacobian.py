@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stability import _limit, _matrix_norm
+from .stability import EULER_REAL_AXIS, _limit, _matrix_norm
 
 __all__ = [
     "RankOneForm",
@@ -91,7 +91,7 @@ def pj_step_bound_explicit(form, norm_kind="linf"):
         rank1 = np.linalg.norm(form.w, np.inf) * np.linalg.norm(form.v, 1)
     else:
         rank1 = np.linalg.norm(form.w, 1) * np.linalg.norm(form.v, np.inf)
-    return _limit(2.0, Lnrm + rank1), _limit(2.0, _matrix_norm(form.matrix(), norm_kind))
+    return _limit(EULER_REAL_AXIS, Lnrm + rank1), _limit(EULER_REAL_AXIS, _matrix_norm(form.matrix(), norm_kind))
 
 
 def pj_implicit_step(form, U_n, h):

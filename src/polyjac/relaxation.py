@@ -1,8 +1,8 @@
 """Direct nonlinear Jacobi, Gauss-Seidel and SOR sweeps on polynomial systems.
 
-A sweep reads a = A(U) and the residual f = a U + F of a U = -F from one contraction
-at its start (the linear-form identity: nothing is linearized), so a state where that
-sum is exactly zero is a fixed point.  It row-interchanges a and f where a pivot collapses
+A sweep reads a = A(U) and the residual f = a U + F of a U = -F from one contraction at
+its start, PolySystem._linear_system (the linear-form identity: nothing is linearized), so
+a state where that sum is exactly zero is a fixed point.  It row-interchanges a and f where a pivot collapses
 and returns U - delta: Jacobi takes delta = f / D, with D the diagonal of a; Gauss-Seidel
 (omega = 1) and SOR solve the triangular (D + omega L) delta = omega f, L the strict lower part of a."""
 
@@ -100,12 +100,6 @@ def _lower(n):
     return mask
 
 
-def _linear_system(s, U):
-    """a = A(U), a new array, and the residual f = a U + F of a U = -F, from one contraction at U."""
-    a = s._linear_forms(U)
-    return a, a @ U + s.const
-
-
 def _sweep(U, a, f, method, omega):
     """One sweep at U from a = A(U) and its residual f, both changed in place; returns (U_new, permutation)."""
     perm = _pivot(a, f)
@@ -132,7 +126,7 @@ def sweep_once(s, U, method="gauss_seidel", omega=1.0):
     """
     _check_sweep(method, omega)
     U = _state(U, s.n)
-    return _sweep(U, *_linear_system(s, U), method, omega)
+    return _sweep(U, *s._linear_system(U), method, omega)
 
 
 def iterative_solve(s, U0, opts=None):
@@ -140,7 +134,7 @@ def iterative_solve(s, U0, opts=None):
     opts = opts or IterativeOptions()
     U = start_state(U0, s.n)
     trace = SolverTrace()
-    a, f = _linear_system(s, U)  # one contraction per iterate: its residual and its sweep's A(U)
+    a, f = s._linear_system(U)  # one contraction per iterate: its residual and its sweep's A(U)
     res = trace.record(U, f)
     for k in range(opts.max_iter):
         if res <= opts.tol:
@@ -149,7 +143,7 @@ def iterative_solve(s, U0, opts=None):
             U, trace.permutation = _sweep(U, a, f, opts.method, opts.omega)
         except SingularPivotError as exc:
             return trace.end("singular_pivot", exc.row)
-        a, f = _linear_system(s, U)
+        a, f = s._linear_system(U)
         res = trace.record(U, f)
         if not math.isfinite(res) or diverged(U):
             return trace.end("diverged", k)

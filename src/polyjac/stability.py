@@ -5,7 +5,8 @@ h < 2.785/||A|| (classic RK4, real-axis stability interval), with the matrix
 norm (l1 or linf) standing in for the spectral radius.  Implicit methods are
 judged a posteriori by a negative-definiteness certificate on the symmetric
 part of A(U).  An implicit Newton iterate reads f(U) and I - h J(U) from one
-contraction of the lowered system, which reports and the linear form also need.
+contraction of the lowered system, PolySystem._newton_system behind
+IVP.newton_system; reports read A(U) from the same system.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 METHODS = ("explicit_euler", "rk4", "implicit_euler", "semi_implicit_euler")
+EULER_REAL_AXIS = 2.0
 RK4_REAL_AXIS = 2.785
 
 _NORM_AXIS = {"l1": -2, "linf": -1}
@@ -64,7 +66,7 @@ def step_bound_explicit_euler(A, norm_kind="linf"):
     the eigenvalue-based bound 2/|lambda|_max.  A zero matrix imposes no
     restriction; returns inf.
     """
-    return _limit(2.0, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
+    return _limit(EULER_REAL_AXIS, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
 
 
 def step_bound_rk4(A, norm_kind="linf"):
@@ -83,7 +85,7 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
     U = _state(U, ivp.n)
     denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds
-    return _limit(2.0, denom + _matrix_norm(ivp.first_diff, norm_kind) * np.linalg.norm(U, np.inf))
+    return _limit(EULER_REAL_AXIS, denom + _matrix_norm(ivp.first_diff, norm_kind) * np.linalg.norm(U, np.inf))
 
 
 def is_negative_definite(A):
@@ -178,17 +180,8 @@ class IVP:
         return self.poly.at(U)
 
     def newton_system(self, h):
-        """U -> (f(U), I - h J(U)) from one contraction of poly: PolyState.f's sum and (I - h L) - sum (m h) M_m."""
-        poly = self._lowered("implicit stepping")
-        L, F, K0 = poly.L, poly.const, np.eye(self.n) - h * poly.L
-
-        def system(U):
-            f, K = L @ U, K0
-            for m, M in poly._products(U):
-                f = f + M @ U
-                K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)  # in M's own array, once f has read it
-            return f + F, K
-        return system
+        """U -> (f(U), I - h J(U)) from one contraction of poly: PolySystem._newton_system."""
+        return self._lowered("implicit stepping")._newton_system(h)
 
 
 # Implicit Euler's Newton stops once its correction d, or the error left after it as estimated from
@@ -203,7 +196,7 @@ def _reports(poly, method, states):
     for i in range(0, len(states), per_stack):
         A = poly._linear_forms(np.array(states[i : i + per_stack]))
         if method in ("explicit_euler", "rk4"):
-            c = 2.0 if method == "explicit_euler" else RK4_REAL_AXIS
+            c = EULER_REAL_AXIS if method == "explicit_euler" else RK4_REAL_AXIS
             reports += [StabilityReport(h_bound=_limit(c, nrm)) for nrm in _matrix_norm(A, "linf", out=A)]
         else:
             reports += [StabilityReport(negdef_certificate=x < 0.0) for x in _symmetric_eig_max(A).tolist()]

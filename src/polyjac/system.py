@@ -12,8 +12,11 @@ matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
 those orders, computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.  Relaxation sweeps (A(U) at one state), integrate's reports
-(A(U) for a stack) and implicit steps read the same products without the record.
+rest are one-liners over it.  Three more readers form from one contraction
+only what a solver needs, without the record: _linear_forms, A(U) at a state
+or over a stack (integrate's reports); _linear_system, A(U) and the residual
+A U + F (relaxation sweeps); and _newton_system(h), U -> (f, I - h J)
+(implicit steps).  No other module reads the products.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -196,6 +199,23 @@ class PolySystem:
         for _, M in self._products(X):
             A = np.add(A, M, out=M)  # in the product's own array, L broadcast over a stack
         return np.broadcast_to(A, (*X.shape, self.n)).copy() if A is self.L else A
+
+    def _linear_system(self, U):
+        """A = A(U), a new array, and the residual A U + F of A U = -F, from one contraction at a state U (n,)."""
+        A = self._linear_forms(U)
+        return A, A @ U + self.const
+
+    def _newton_system(self, h):
+        """U -> (f(U), I - h J(U)) from one contraction: PolyState.f's sum and (I - h L) - sum (m h) M_m."""
+        L, F, K0 = self.L, self.const, np.eye(self.n) - h * self.L
+
+        def system(U):
+            f, K = L @ U, K0
+            for m, M in self._products(U):
+                f = f + M @ U
+                K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)  # in M's own array, once f has read it
+            return f + F, K
+        return system
 
     def eval(self, U):
         """Residual f(U) = L U + N2(U) + N3(U) + F."""

@@ -129,6 +129,16 @@ class TestExitCodes:
         assert main(["stability", "circle-cubic"]) == 1
         assert capsys.readouterr().err == "error: input too large for memory\n"
 
+    @pytest.mark.parametrize("argv, field", [
+        ("stability circle-cubic --state 1e200,1e200", "euler_bound_l1"),
+        ("check-jacobian circle-cubic --state 1e200,1e200", "max_fd_rel_error"),
+        ("stability burgers --n 8 --state 1e160,1,1,1,1,1,1,1", "pseudo_jacobian_bound_relaxed"),
+    ])
+    def test_nan_in_a_report_is_two(self, capsys, argv, field):
+        # JSON has no NaN: an overflowing report prints nothing and names its first NaN field
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"numerical error: report field {field} is NaN\n")
+
     def test_integrate_divergence_is_two(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(

@@ -56,6 +56,18 @@ def test_no_dead_private_helpers(path):
                 assert any(name in _references(s) for s in others), f"{path.name}: {name} is never referenced"
 
 
+def test_only_system_reads_the_order_products():
+    # Theorem 3.1's sums over the orders are formed in system.py alone; other modules call its readers
+    private = {"_products", "_orders", "_terms", "_packed"}
+    readers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    }
+    assert readers == {"system.py"}
+
+
 def test_package_reexports_each_module_all():
     # the package surface is declared once, in each module's __all__
     tree = ast.parse((SRC / "__init__.py").read_text())

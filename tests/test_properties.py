@@ -121,8 +121,11 @@ def test_contraction_matches_einsum_reference(case):
               (st.fbar, "jacobian_action"), (2 * st.M2, "J2"), (3 * st.M3, "J3"))
     for got, key in fields:
         assert _close(got, ref[key], scale[key]), key
-    # A(U) as the sweeps read it, at one state, and as the reports read it, over a stack: the record's bits
+    # A(U) at one state, and over a stack as the reports read it: the record's bits
     assert _same_bits(s._linear_forms(U), st.A) and _same_bits(s._linear_forms(np.stack([-U, U]))[1], st.A)
+    # A(U) and the residual as a sweep reads them: the record's A, and A U + F formed from it
+    A, residual = s._linear_system(U)
+    assert _same_bits(A, st.A) and _same_bits(residual, st.A @ U + s.const)
 
 
 def _raw_reference(raw, U):

@@ -18,6 +18,11 @@ exactly when its answers are bit-identical.  One hash line per
   and stderr of ``polyjac --format csv integrate TREE --h 0.1 --steps 2``
   run in-process with explicit Euler, with explicit Euler and ``--report``,
   and with ``--method implicit-euler``;
+- the NaN probes, states whose reports overflow to NaN: exit code, stdout
+  and stderr of ``polyjac stability circle-cubic --state 1e200,1e200``,
+  ``polyjac check-jacobian circle-cubic --state 1e200,1e200`` and
+  ``polyjac stability burgers --n 8 --state 1e160,1,1,1,1,1,1,1``, run
+  in-process;
 - ``h_jacobian`` tree: Burgers n = 128 at its sine state,
   sin(A U) + (B U)^3 at n = 24 (seed 1), and, drawn after it, the product
   (C cos(sin U)) o exp(D U)^0.5 o (c o U) at n = 24, which has every node
@@ -29,7 +34,7 @@ exactly when its answers are bit-identical.  One hash line per
 Then one ``implicit-euler`` line per hashed run that takes implicit-Euler
 steps (the burgers-march seeds and the n = 128 ``implicit-euler`` report)
 gives its steps, the contractions they read in all (one per call of the
-step's ``newton_system`` closure: the predictor and each Newton correction),
+closure ``IVP.newton_system`` returns: the predictor and each Newton correction),
 and the median and max per step, so a change to Newton's stop rule shows as
 a count.
 
@@ -77,6 +82,8 @@ SIN_TREE = {"n": 3, "rhs": {"op": "sum", "weights": [1.0, -1.0], "children": [
     {"op": "linear", "matrix": [[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]]},
     {"op": "hfunction", "name": "sin", "child": {"op": "state"}}]}}
 SIN_TREE_RUNS = ([], ["--report"], ["--method", "implicit-euler"])
+NAN_PROBES = ("stability circle-cubic --state 1e200,1e200", "check-jacobian circle-cubic --state 1e200,1e200",
+              "stability burgers --n 8 --state 1e160,1,1,1,1,1,1,1")
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
 SWEEPS = (("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.1))
 MAX_ITER = 200
@@ -277,6 +284,7 @@ def main(argv=None):
             digest = _digest([_captured(cli.main, REPORT + [method])])
         print(f"integrate-report n=128 {method} {digest}")
     print(f"integrate-tree L U - sin(U) {_digest(_sin_tree_runs(cli))}")
+    print(f"nan-probes {_digest([_captured(cli.main, probe.split()) for probe in NAN_PROBES])}")
     for name, tree, U in _trees(pj):
         print(f"h_jacobian {name} {_digest([pj.h_jacobian(tree, U)])}")
     print(f"sweep dense-solve seed=1 U=0.1 {_digest(_sweeps(pj, workloads))}")
