@@ -4,6 +4,9 @@ Exit codes are a stable scripting contract, decided in main by the error's
 type: 0 success; 2 numerical failure (a status other than converged or
 completed, a singular solve, a DomainError, or a NaN in a JSON report); 1
 every other error.
+
+A process that calls main more than once parses a document's text once,
+while it is the last document read: the text alone is the key.
 """
 
 import argparse
@@ -54,20 +57,38 @@ def _load_input(path, n=None, Re=None):
             raise ValueError(f"bad preset argument: {exc}") from exc
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read input: {path}: {exc}") from exc
+    try:
+        return _parse_document(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+
+
+_parsed = {}  # text -> source of the last document parsed: at most one entry
+
+
+def _parse_document(text):
+    """The source of a system or tree document's text, parsed once while it is the last text parsed."""
+    if text in _parsed:
+        return _parsed[text]
+    _parsed.clear()  # before parsing, so two documents' sources are never held at once
+    data = json.loads(text)
     if isinstance(data, dict) and "rhs" in data:
         try:
-            return SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
+            source = SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad expression input: {exc}") from exc
-    try:
-        return load_system_json(data)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad system input: {exc}") from exc
+    else:
+        try:
+            source = load_system_json(data)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"bad system input: {exc}") from exc
+    _parsed[text] = source
+    return source
 
 
 def _parse_state(text, n):

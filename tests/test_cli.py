@@ -1,11 +1,14 @@
+import gc
+import itertools
 import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, load_system_json, lower_to_poly, stability
+from polyjac import PolySystem, cli, load_system_json, lower_to_poly, stability
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 
@@ -153,6 +156,14 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 1
 
+    def test_undecodable_input_is_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "L": [[1.0]], "F": [1.0], "name": "\xff"}')
+        with pytest.raises(UnicodeDecodeError) as reason:  # as open() in text mode reads it
+            path.read_text()
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read input: {path}: {reason.value}\n")
+
     @pytest.mark.parametrize(
         "args", [["--n", "0"], ["--n", "2"], ["--re", "0"], ["--re", "-5"], ["--re", "nan"]]
     )
@@ -278,6 +289,124 @@ class TestParserReuse:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert build_parser() is build_parser()
+
+
+def one_unknown(F):
+    """The document of U + F = 0, whose root is -F."""
+    return json.dumps({"n": 1, "L": [[1.0]], "F": [F]})
+
+
+def count_parses(monkeypatch):
+    """Patch cli.load_system_json to log each call; returns the log."""
+    calls = []
+    monkeypatch.setattr(cli, "load_system_json", lambda data: calls.append(data) or load_system_json(data))
+    return calls
+
+
+class TestParseCache:
+    def test_rewritten_document_is_parsed_again(self, tmp_path):
+        # a key of path, size or mtime would return the old system: the text alone is the key
+        path, out = tmp_path / "in.json", tmp_path / "trace.json"
+        roots = []
+        for F in (-2.0, -3.0):
+            path.write_text(one_unknown(F))
+            assert main(["--out", str(out), "solve", str(path)]) == 0
+            roots.append(read_json(out)["iterates"][-1])
+        assert len(one_unknown(-2.0)) == len(one_unknown(-3.0))
+        assert roots == [[2.0], [3.0]]
+
+    def test_same_text_at_two_paths_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        parses = count_parses(monkeypatch)
+        for name in ("a.json", "b.json", "a.json"):
+            (tmp_path / name).write_text(one_unknown(-1.5))
+            assert main(["solve", str(tmp_path / name)]) == 0
+        assert len(parses) == 1
+
+    def test_a_failed_parse_is_not_kept(self, tmp_path, monkeypatch, capsys):
+        for name in ("bad.json", "bad.json", "other.json"):
+            (tmp_path / name).write_text("{not json")
+            assert main(["solve", str(tmp_path / name)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed JSON in {tmp_path / name}: ") and err.count("\n") == 1
+        parses = count_parses(monkeypatch)
+        (tmp_path / "bad.json").write_text('{"n": 1, "L": [[1.0]], "F": []}')
+        for _ in range(2):
+            assert main(["solve", str(tmp_path / "bad.json")]) == 1
+            assert capsys.readouterr().err == "error: bad system input: field 'F': expected length 1, got (0,)\n"
+        (tmp_path / "good.json").write_text(one_unknown(-1.0))
+        assert main(["solve", str(tmp_path / "good.json")]) == 0
+        assert len(parses) == 3
+
+    def test_the_last_source_is_dropped_before_the_next_parse(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(one_unknown(-1.0))
+        b.write_text(one_unknown(-2.0))
+        held = weakref.ref(cli._load_input(str(a)))
+        alive_while_parsing_b = []
+
+        def load(data):
+            gc.collect()
+            alive_while_parsing_b.append(held() is not None)
+            return load_system_json(data)
+
+        monkeypatch.setattr(cli, "load_system_json", load)
+        assert cli._load_input(str(b)).const.tolist() == [-2.0]
+        gc.collect()
+        assert alive_while_parsing_b == [False] and held() is None
+
+    def test_warm_and_cold_sessions_are_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # one cli-batch job's document commands, then the L U - sin(U) tree's integrate runs
+        rng = np.random.default_rng(8)
+        n = 8
+        system = {
+            "n": n,
+            "L": (4.0 * np.eye(n) + rng.standard_normal((n, n)) / n**0.5).tolist(),
+            "quadratic": [[*ijk, 0.5 * rng.standard_normal() / n] for ijk in itertools.product(range(n), repeat=3)],
+            "cubic": [[*ijkl, 0.5 * rng.standard_normal() / n**1.5]
+                      for ijkl in itertools.product(range(n), repeat=4)],
+            "F": rng.standard_normal(n).tolist(),
+        }
+        tree = {"n": 3, "rhs": {"op": "sum", "weights": [1.0, -1.0], "children": [
+            {"op": "linear", "matrix": [[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]]},
+            {"op": "hfunction", "name": "sin", "child": {"op": "state"}}]}}
+        docs, out = tmp_path / "docs", tmp_path / "out"
+        docs.mkdir()
+        out.mkdir()
+        (docs / "system.json").write_text(json.dumps(system))
+        (docs / "tree.json").write_text(json.dumps(tree))
+        path, tree_path = str(docs / "system.json"), str(docs / "tree.json")
+        integrate = ["--format", "csv", "--out", f"{out}/tree.csv", "integrate", tree_path,
+                     "--h", "0.1", "--steps", "2"]
+        session = [
+            ["--out", f"{out}/newton.json", "solve", path, "--method", "newton"],
+            ["--out", f"{out}/modified.json", "solve", path, "--method", "modified-rank1"],
+            ["--format", "csv", "--out", f"{out}/gs.csv", "solve", path, "--method", "gauss-seidel"],
+            ["--seed", "3", "--out", f"{out}/jac.json", "check-jacobian", path, "--random-states", "5"],
+            integrate,
+            integrate + ["--report"],
+            integrate + ["--method", "implicit-euler"],
+        ]
+        parses = count_parses(monkeypatch)
+
+        def run(cold):
+            results = []
+            for argv in session:
+                if cold:
+                    cli._parsed.clear()
+                code = main(argv)
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                for f in out.iterdir():
+                    f.unlink()
+                results.append((code, *capsys.readouterr(), files))
+            return results
+
+        cli._parsed.clear()
+        warm = run(cold=False)
+        assert len(parses) == 1
+        assert run(cold=True) == warm
+        assert len(parses) == 1 + 4
+        # the solves, check-jacobian and the explicit run exit 0 and write their files
+        assert all(r[0] == 0 and r[3] for r in warm[:5])
 
 
 class TestMalformedInput:

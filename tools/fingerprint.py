@@ -31,6 +31,11 @@ exactly when its answers are bit-identical.  One hash line per
   SingularPivotError, by jacobi, gauss_seidel and sor with omega 1.1 on each
   of the 48 dense-solve systems of seed 1 at U = 0.1 (1, ..., 1).
 
+The cli-batch lines and the ``integrate-tree`` line read one document
+several times in one process (a cli-batch job's system four times, the tree
+three times), so the diff against a parent checkout, which CI runs, covers the
+CLI's parse cache: a later read of the last text read reuses its source.
+
 Then one ``implicit-euler`` line per hashed run that takes implicit-Euler
 steps (the burgers-march seeds and the n = 128 ``implicit-euler`` report)
 gives its steps, the contractions they read in all (one per call of the
