@@ -161,8 +161,8 @@ def _cmd_solve(args):
 
 
 def _cmd_check_jacobian(args):
-    if not 0.0 < args.fd_step < np.inf:
-        raise ValueError(f"--fd-step must be finite and positive, got {args.fd_step}")
+    if not (eps := np.finfo(float).eps) <= args.fd_step < np.inf:  # below eps, U_j +- h_j can round to U_j
+        raise ValueError(f"--fd-step must be finite and at least machine epsilon {eps}, got {args.fd_step}")
     if not args.state and args.random_states < 1:
         raise ValueError(f"--random-states must be at least 1, got {args.random_states}")
     system = _polynomial(_load_input(args.input, args.n, args.re), "check-jacobian")
@@ -187,7 +187,7 @@ def _cmd_check_jacobian(args):
     for U in states:
         st = system.at(U)
         J = st.J
-        J_fd = _central_difference_jacobian(system.eval, U, args.fd_step)
+        J_fd = _central_difference_jacobian(system._values, U, args.fd_step)
         scale = 1.0 + np.abs(J).max()
         fd_err = float(np.abs(J - J_fd).max() / scale)
         r2, r3 = st.euler_residuals()
@@ -216,18 +216,21 @@ def _cmd_check_jacobian(args):
     return EXIT_OK
 
 
-def _central_difference_jacobian(f, U, step=1e-6):
-    """Central finite differences, step scaled per component by 1 + |U_j|."""
+def _central_difference_jacobian(values, U, step=1e-6):
+    """Central finite differences, step h_j = step (1 + |U_j|), as a new C-contiguous matrix.
+
+    values(X) gives f at each row of a stack X, and the 2n points U +- h_j e_j are one stack: U
+    repeated, h_j added on the diagonal, so a -0.0 entry of U stays -0.0 off it.  C order, as
+    the rounding of PolyState.deviation's J_hat @ U follows the layout.
+    """
     U = np.asarray(U, dtype=float)
-    cols = []
-    for j in range(U.size):
-        h = step * (1.0 + abs(U[j]))
-        up = U.copy()
-        dn = U.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((np.asarray(f(up)) - np.asarray(f(dn))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    n, j = U.size, np.arange(U.size)
+    h = step * (1.0 + np.abs(U))
+    X = np.tile(U, (2 * n, 1))
+    X[j, j] += h
+    X[j + n, j] -= h
+    F = values(X)
+    return np.ascontiguousarray(((F[:n] - F[n:]) / (2.0 * h)[:, None]).T)
 
 
 def _cmd_stability(args):

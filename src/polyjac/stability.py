@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, _state, check_dense, diverged
+from .system import _STACK_BYTES, PolySystem, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP, lower_to_poly
 from .trace import _csv_row, start_state
 
@@ -36,7 +36,6 @@ EULER_REAL_AXIS = 2.0
 RK4_REAL_AXIS = 2.785
 
 _NORM_AXIS = {"l1": -2, "linf": -1}
-_REPORT_STACK_BYTES = 2**21  # bytes of one stack of A(U) in integrate's reports: 16 states at n = 128
 
 
 def _matrix_norm(A, norm_kind, out=None):
@@ -191,8 +190,8 @@ NEWTON_MAX_ITER = 50
 
 
 def _reports(poly, method, states):
-    """Per state, the linf step bound (explicit) or certificate (implicit) of A(U), stacked by _REPORT_STACK_BYTES."""
-    reports, per_stack = [], max(1, _REPORT_STACK_BYTES // (8 * poly.n**2))
+    """Per state, the linf step bound (explicit) or certificate (implicit) of A(U), stacked by _STACK_BYTES."""
+    reports, per_stack = [], max(1, _STACK_BYTES // (8 * poly.n**2))
     for i in range(0, len(states), per_stack):
         A = poly._linear_forms(np.array(states[i : i + per_stack]))
         if method in ("explicit_euler", "rk4"):

@@ -12,11 +12,13 @@ matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
 those orders, computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.  Three more readers form from one contraction
-only what a solver needs, without the record: _linear_forms, A(U) at a state
-or over a stack (integrate's reports); _linear_system, A(U) and the residual
-A U + F (relaxation sweeps); and _newton_system(h), U -> (f, I - h J)
-(implicit steps).  No other module reads the products.
+rest are one-liners over it.  Four more readers form from one contraction
+only what a caller needs, without the record: _values, f at a state or over
+a stack (check-jacobian's central differences); _linear_forms, A(U) at a
+state or over a stack (integrate's reports); _linear_system, A(U) and the
+residual A U + F (relaxation sweeps); and _newton_system(h), U -> (f, I - h J)
+(implicit steps).  A stack is contracted in slices of at most _STACK_BYTES of
+products per order.  No other module reads the products.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -53,6 +55,7 @@ _DOT_LIMIT = 0.99 * DIVERGENCE_LIMIT**2  # the bound of diverged's one-call test
 # build against it before allocating.  A cubic is built dense before it is
 # packed, so the limit is unchanged; packing briefly holds a few half its size.
 DENSE_LIMIT_BYTES = 2**30
+_STACK_BYTES = 2**21  # bytes of one order's products over a stack of states: 16 states at n = 128
 
 
 def _count(count):
@@ -192,6 +195,15 @@ class PolySystem:
                 X = X.take(r, -1) * X.take(c, -1)
             terms.append((m, np.matmul(C, X[..., None]).reshape(shape)))
         return tuple(terms)
+
+    def _values(self, X):
+        """f at a state X (n,) or at each row of a stack X (k, n), by PolyState.f's sum: row i has the bits of at(X[i]).f."""
+        if X.ndim == 2 and len(X) > (per := max(1, _STACK_BYTES // (8 * self.n**2))):
+            return np.concatenate([self._values(X[i : i + per]) for i in range(0, len(X), per)])
+        f = np.matmul(self.L, X[..., None])
+        for _, M in self._products(X):
+            f = f + np.matmul(M, X[..., None])
+        return f[..., 0] + self.const
 
     def _linear_forms(self, X):
         """A(U) = L + sum M_m at a state X (n,) or each row of a stack X (k, n), a new array: PolyState.A per state."""

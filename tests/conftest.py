@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from polyjac import PolySystem, system
-from polyjac.cli import _central_difference_jacobian as fd_jacobian  # noqa: F401 (imported by the tests)
 
 # Property tests draw the same examples on every run and have no time limit,
 # so a slow or busy host cannot make them flaky.
@@ -42,6 +41,23 @@ def count_calls(monkeypatch, cls, name):
     else:
         monkeypatch.setattr(cls, name, lambda self, *a: calls.append(a) or orig(self, *a))
     return calls
+
+
+def fd_jacobian(f, U, step=1e-6):
+    """Central finite differences of a per-state f, step scaled per component by 1 + |U_j|.
+
+    One f call per point: the slow reference for check-jacobian's stacked differences.
+    """
+    U = np.asarray(U, dtype=float)
+    cols = []
+    for j in range(U.size):
+        h = step * (1.0 + abs(U[j]))
+        up = U.copy()
+        dn = U.copy()
+        up[j] += h
+        dn[j] -= h
+        cols.append((np.asarray(f(up)) - np.asarray(f(dn))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def random_poly_system(rng, n, scale=1.0, linear_only=False):

@@ -580,10 +580,11 @@ class TestCheckJacobian:
 
     def test_one_contraction_per_checked_state(self, monkeypatch, capsys):
         # one record per state for J, the identity residuals and the deviation,
-        # plus the 2n residual evaluations of the central differences
+        # and one stacked contraction for its 2n central-difference points
         at = count_calls(monkeypatch, PolySystem, "at")
+        products = count_calls(monkeypatch, PolySystem, "_products")
         assert main(["check-jacobian", "circle-cubic", "--random-states", "3"]) == 0
-        assert len(at) == 3 * (1 + 2 * 2)
+        assert len(at) == 3 and len(products) == 6
 
     def test_seeded_runs_bit_identical(self, tmp_path):
         a = tmp_path / "a.json"
@@ -623,6 +624,15 @@ class TestCheckJacobian:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {args[0].split('=')[0]} must be ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-320", str(np.nextafter(np.finfo(float).eps, 0))])
+    def test_fd_step_below_machine_epsilon_is_usage_error(self, capsys, step):
+        # below eps, U_j +- h_j can round back to U_j and the quotient is rounding alone
+        assert main(["check-jacobian", "circle-cubic", "--state", "1,2", "--fd-step", step]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --fd-step must be ") and str(np.finfo(float).eps) in err
+        assert err.count("\n") == 1
+        assert main(["check-jacobian", "circle-cubic", "--state", "1,2", "--fd-step", str(np.finfo(float).eps)]) == 0
 
     @pytest.mark.parametrize("content", ['{"a": 1}', '[[1, "x"], [0, 1]]', "[[1, 0]"], ids=["object", "text", "malformed"])
     def test_unreadable_jacobian_is_usage_error(self, tmp_path, capsys, content):

@@ -7,7 +7,8 @@ loop, the invariants of the rank-one updates, the secant check's J q read from
 f, y and q against the updated J, the one-formula modified updates
 against the three-term form they replaced (to rounding), the step equation an
 implicit Euler step solves and its stop rule against the correction test alone, the f (bit for bit) and I - h J (to rounding) of an implicit
-Newton iterate against the state record, the implicit trajectories of a tree against those
+Newton iterate against the state record, f at a state and over a stack of states in slices against the state
+record, and check-jacobian's stacked central differences against the per-point loop (bit for bit), the implicit trajectories of a tree against those
 of its lowering (bit for bit), the per-step stability reports integrate builds
 from stacks of A(U) against the reports made one state at a time (bit for
 bit), and diverged's one-call test against the exact test near its limit.
@@ -67,13 +68,14 @@ from polyjac import (
     modified_update,
     sweep_once,
 )
-from polyjac import stability
+from polyjac import stability, system
+from polyjac.cli import _central_difference_jacobian
 from polyjac.presets import burgers_initial_state
 from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
 from polyjac.system import _read_coefficients, check_dense, diverged
 
-from conftest import reference_linear_sweep, reference_values
+from conftest import fd_jacobian, reference_linear_sweep, reference_values
 
 TOL = 1e-12
 METHODS = ("eval", "nonlinear_parts", "jacobian", "linearized_matrix", "euler_residuals")
@@ -126,6 +128,36 @@ def test_contraction_matches_einsum_reference(case):
     # A(U) and the residual as a sweep reads them: the record's A, and A U + F formed from it
     A, residual = s._linear_system(U)
     assert _same_bits(A, st.A) and _same_bits(residual, st.A @ U + s.const)
+
+
+@given(systems_and_states(), st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+def test_values_are_the_records_f_at_a_state_and_over_a_stack_in_slices(case, seed, k, per):
+    # a budget of per states a slice, so a stack of k states takes ceil(k / per) contractions
+    s, U, _ = case
+    X, budget, stacks = np.random.default_rng(seed).standard_normal((k, s.n)), 8 * per * s.n**2, []
+    products = PolySystem._products
+    with mock.patch.object(system, "_STACK_BYTES", budget):
+        assert _same_bits(s._values(U), s.at(U).f)
+        with mock.patch.object(PolySystem, "_products", lambda self, Y: stacks.append(Y) or products(self, Y)):
+            got = s._values(X)
+    assert _same_bits(got, np.array([s.at(x).f for x in X]))
+    assert len(stacks) == -(-k // per) and all(8 * s.n**2 * len(Y) <= budget for Y in stacks)
+
+
+FD_ENTRIES = st.sampled_from([-0.0, 0.0, 1e150, -1e150, np.nextafter(1e150, 0), 1e100]) | st.floats(-3, 3)
+
+
+@given(systems_and_states(), st.data(), st.sampled_from([1e-6, 1e-3, np.finfo(float).eps]))
+def test_stacked_central_differences_are_the_per_point_loop(case, data, step):
+    # entries near 1e150 overflow a cubic to inf and NaN alike
+    s, stacks, points = case[0], [], []
+    U = data.draw(arrays(float, s.n, elements=FD_ENTRIES))
+    with np.errstate(all="ignore"):
+        got = _central_difference_jacobian(lambda X: stacks.append(X) or s._values(X), U, step)
+        want = fd_jacobian(lambda V: points.append(V) or s.eval(V), U, step)
+    # one stack of the loop's 2n points, ups then downs: a -0.0 entry of U stays -0.0 off the diagonal
+    assert len(stacks) == 1 and _same_bits(stacks[0], points[0::2] + points[1::2])
+    assert _same_bits(got, want) and got.flags.c_contiguous
 
 
 def _raw_reference(raw, U):
@@ -1232,7 +1264,7 @@ def test_stacked_reports_of_zero_steps_and_of_several_stacks(method):
     assert _check_stacked_reports(IVP(sd, U0), method, 1e-3, 0).per_step_reports == []
     # 2 MiB stacks hold 1024 states of A(U) at n = 16, so 2100 steps take three stacks
     traj = _check_stacked_reports(IVP(sd, U0), method, 0.5 * burgers_step_bound(sd, U0), 2100)
-    assert traj.status == "completed" and len(traj.per_step_reports) > 2 * stability._REPORT_STACK_BYTES // (8 * 16**2)
+    assert traj.status == "completed" and len(traj.per_step_reports) > 2 * system._STACK_BYTES // (8 * 16**2)
 
 
 @given(st.integers(1, 50).flatmap(lambda n: arrays(float, n, elements=st.floats(1e7, 1e9) | st.floats(-1e9, -1e7))),

@@ -23,6 +23,13 @@ exactly when its answers are bit-identical.  One hash line per
   ``polyjac check-jacobian circle-cubic --state 1e200,1e200`` and
   ``polyjac stability burgers --n 8 --state 1e160,1,1,1,1,1,1,1``, run
   in-process;
+- ``check-jacobian``: exit code, stdout and stderr of ``polyjac
+  check-jacobian burgers --n 16`` (its default 20 random states of a lowered
+  tree with no cubic), ``polyjac check-jacobian circle-cubic --state 0,-0``
+  (a signed zero, which the perturbed points keep off the diagonal) and
+  ``polyjac check-jacobian circle-cubic --state 1,1 --jacobian FILE`` with
+  FILE the matrix CHECK_JACOBIAN_MATRIX, run in-process: the central
+  differences and every report field;
 - ``h_jacobian`` tree: Burgers n = 128 at its sine state,
   sin(A U) + (B U)^3 at n = 24 (seed 1), and, drawn after it, the product
   (C cos(sin U)) o exp(D U)^0.5 o (c o U) at n = 24, which has every node
@@ -89,6 +96,9 @@ SIN_TREE = {"n": 3, "rhs": {"op": "sum", "weights": [1.0, -1.0], "children": [
 SIN_TREE_RUNS = ([], ["--report"], ["--method", "implicit-euler"])
 NAN_PROBES = ("stability circle-cubic --state 1e200,1e200", "check-jacobian circle-cubic --state 1e200,1e200",
               "stability burgers --n 8 --state 1e160,1,1,1,1,1,1,1")
+CHECK_JACOBIAN_RUNS = ("check-jacobian burgers --n 16", "check-jacobian circle-cubic --state 0,-0",
+                       "check-jacobian circle-cubic --state 1,1 --jacobian")
+CHECK_JACOBIAN_MATRIX = [[2.5, 1.0], [-0.75, 3.0]]
 VARIANTS = ("newton", "classic_rank1", "modified_rank1")
 SWEEPS = (("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.1))
 MAX_ITER = 200
@@ -174,6 +184,16 @@ def _sin_tree_runs(cli):
         doc.write_text(json.dumps(SIN_TREE))
         argv = ["--format", "csv", "integrate", str(doc), "--h", "0.1", "--steps", "2"]
         return [_captured(cli.main, argv + extra) for extra in SIN_TREE_RUNS]
+
+
+def _check_jacobian_runs(cli):
+    """[exit code, stdout, stderr] of each CHECK_JACOBIAN_RUNS run; the last reads CHECK_JACOBIAN_MATRIX."""
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = Path(tmp) / "J.json"
+        matrix.write_text(json.dumps(CHECK_JACOBIAN_MATRIX))
+        argvs = [run.split() for run in CHECK_JACOBIAN_RUNS]
+        argvs[-1].append(str(matrix))
+        return [_captured(cli.main, argv) for argv in argvs]
 
 
 RUNNERS = {"burgers-march": _burgers_march, "dense-solve": _dense_solve, "cli-batch": _cli_batch}
@@ -290,6 +310,7 @@ def main(argv=None):
         print(f"integrate-report n=128 {method} {digest}")
     print(f"integrate-tree L U - sin(U) {_digest(_sin_tree_runs(cli))}")
     print(f"nan-probes {_digest([_captured(cli.main, probe.split()) for probe in NAN_PROBES])}")
+    print(f"check-jacobian {_digest(_check_jacobian_runs(cli))}")
     for name, tree, U in _trees(pj):
         print(f"h_jacobian {name} {_digest([pj.h_jacobian(tree, U)])}")
     print(f"sweep dense-solve seed=1 U=0.1 {_digest(_sweeps(pj, workloads))}")
