@@ -68,13 +68,15 @@ def _load_input(path, n=None, Re=None):
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
-_parsed = {}  # text -> source of the last document parsed: at most one entry
+# [(text, source)] of the last document parsed: at most one pair.  Texts are compared with ==,
+# which a dict lookup would precede by hashing the whole text on every read.
+_parsed = []
 
 
 def _parse_document(text):
     """The source of a system or tree document's text, parsed once while it is the last text parsed."""
-    if text in _parsed:
-        return _parsed[text]
+    if _parsed and _parsed[0][0] == text:
+        return _parsed[0][1]
     _parsed.clear()  # before parsing, so two documents' sources are never held at once
     data = json.loads(text)
     if isinstance(data, dict) and "rhs" in data:
@@ -87,7 +89,7 @@ def _parse_document(text):
             source = load_system_json(data)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad system input: {exc}") from exc
-    _parsed[text] = source
+    _parsed.append((text, source))
     return source
 
 

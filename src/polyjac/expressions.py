@@ -18,8 +18,11 @@ and a weighted sum act on each order, and products and powers share one
 product of per-row polynomials truncated at degree 3, whose degree-d part
 sums the per-row outer products of the parts of degrees i and d - i.  An
 order still None at the root reaches PolySystem as None, an absent order, so
-a quadratic tree such as Burgers never allocates an n^4 cubic, and lowering
-it is cheap enough to repeat for each IVP built from the tree.
+a quadratic tree such as Burgers never allocates an n^4 cubic.  A
+SemiDiscreteIVP lowers its tree at the first read of its lowered system and
+keeps it, so every IVP built from one tree shares one PolySystem; to keep
+that sound, the arrays a tree holds are read-only copies made when it is
+built, and a non-finite matrix, scale or weight is refused there.
 
 One walk, _compile, gives a tree its meaning: at each node it checks the
 shape rule (no operand is broadcast) and builds two closures, the node's
@@ -34,6 +37,7 @@ allocating it.
 
 from dataclasses import dataclass, field
 import functools
+import math
 import operator
 
 import numpy as np
@@ -82,10 +86,19 @@ class LinearMap(HExpr):
     child: HExpr = field(default_factory=State)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _frozen(self.A, "linear map matrix")
         if A.ndim != 2:
             raise ValueError(f"linear map matrix must be 2-D, got shape {A.shape}")
         object.__setattr__(self, "A", A)
+
+
+def _frozen(a, name):
+    """A read-only float copy of a, so no edit of the caller's array reaches the tree; ValueError if not finite."""
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -135,7 +148,7 @@ class DiagScale(HExpr):
     child: HExpr
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
+        object.__setattr__(self, "c", _frozen(np.ravel(self.c), "diagonal scale"))
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,8 @@ class Sum(HExpr):
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if len(self.weights) != len(self.children):
             raise ValueError("weights and children length mismatch")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError(f"sum weights must be finite, got {list(self.weights)}")
 
 
 def h_eval(e, U):
@@ -322,7 +337,10 @@ class SemiDiscreteIVP:
 
     Construction checks n >= 1 and the shape rule of _compile with a value of
     length n, and keeps the compiled (value, linearize) for every IVP built on
-    it.  The optional matrices serve discretizers' step bounds (burgers_discretize).
+    it.  _poly is the tree lowered by lower_to_poly at its first read and then
+    kept for every IVP built on it; a tree that does not lower raises its
+    ValueError at each read.  The optional matrices serve discretizers' step
+    bounds (burgers_discretize).
     """
 
     n: int
@@ -335,6 +353,10 @@ class SemiDiscreteIVP:
         if self.n < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
         object.__setattr__(self, "_compiled", _check_length(self.rhs, self.n))
+
+    @functools.cached_property
+    def _poly(self):
+        return lower_to_poly(self.rhs, self.n)
 
 
 def burgers_discretize(n, Re):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .system import _STACK_BYTES, PolySystem, _state, check_dense, diverged
-from .expressions import SemiDiscreteIVP, lower_to_poly
+from .expressions import SemiDiscreteIVP
 from .trace import _csv_row, start_state
 
 __all__ = [
@@ -141,13 +141,13 @@ class Trajectory:
 
 
 def _polynomial(source, user):
-    """A PolySystem source itself, or a tree source lowered; the ValueError names the user and why it does not lower."""
+    """A PolySystem source itself, or a tree source's kept lowering; a ValueError names the user and the reason."""
     if isinstance(source, PolySystem):
         return source
     if not isinstance(source, SemiDiscreteIVP):
         raise TypeError("source must be a PolySystem or SemiDiscreteIVP")
     try:
-        return lower_to_poly(source.rhs, source.n)
+        return source._poly
     except ValueError as exc:
         raise ValueError(f"{user} needs a polynomial system; the tree does not lower: {exc}") from exc
 
@@ -157,9 +157,10 @@ class IVP:
 
     Explicit and RK4 steps call value(U), picked once by the constructor: the tree's compiled
     value, or PolySystem.eval.  Implicit steps of size h call newton_system(h)(U), f and I - h J
-    from one contraction of poly.  poly is the PolySystem, or the tree lowered at its first use
-    and kept; a ValueError says why a tree does not lower.  U0 is checked as a solver's start:
-    a ValueError names a wrong length or a non-finite entry.
+    from one contraction of poly.  poly is the PolySystem, or the tree's lowering, which the
+    SemiDiscreteIVP makes at its first use and shares with every IVP built on it; a ValueError
+    says why a tree does not lower.  U0 is checked as a solver's start: a ValueError names a
+    wrong length or a non-finite entry.
     """
 
     def __init__(self, source, U0):
@@ -167,20 +168,14 @@ class IVP:
         self.n, self._source = source.n, source
         self.value = source._compiled[0] if isinstance(source, SemiDiscreteIVP) else source.eval
 
-    def _lowered(self, user):
-        """poly, whose ValueError names its user."""
-        if "_system" not in vars(self):
-            self._system = _polynomial(self._source, user)
-        return self._system
-
-    poly = property(lambda self: self._lowered("the linear form"))
+    poly = property(lambda self: _polynomial(self._source, "the linear form"))
 
     def linear_form(self, U):
         return self.poly.at(U)
 
     def newton_system(self, h):
         """U -> (f(U), I - h J(U)) from one contraction of poly: PolySystem._newton_system."""
-        return self._lowered("implicit stepping")._newton_system(h)
+        return _polynomial(self._source, "implicit stepping")._newton_system(h)
 
 
 # Implicit Euler's Newton stops once its correction d, or the error left after it as estimated from
@@ -268,8 +263,7 @@ def integrate(ivp, method, h, steps, report=False):
         raise ValueError(f"steps must be at least 0, got {steps}")
     check_dense((steps + 1, ivp.n), "trajectory")
     system = ivp.newton_system(h) if method in ("implicit_euler", "semi_implicit_euler") else None
-    if report:
-        ivp._lowered("a stability report")
+    poly = _polynomial(ivp._source, "a stability report") if report else None
 
     # every step returns a new array and reads U only, so each state is stored
     # as made; the copy keeps the first one apart from ivp.U0
@@ -289,7 +283,7 @@ def integrate(ivp, method, h, steps, report=False):
             break
     if report and len(traj.states) > 1:  # one report per step taken
         states = traj.states[1:] if method == "implicit_euler" else traj.states[:-1]
-        traj.per_step_reports = _reports(ivp.poly, method, states)
+        traj.per_step_reports = _reports(poly, method, states)
     return traj
 
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import re
 import warnings
 import weakref
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, cli, load_system_json, lower_to_poly, stability
+from polyjac import PolySystem, cli, expressions, load_system_json, lower_to_poly
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 
@@ -165,7 +166,7 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: cannot read input: {path}: {reason.value}\n")
 
     @pytest.mark.parametrize(
-        "args", [["--n", "0"], ["--n", "2"], ["--re", "0"], ["--re", "-5"], ["--re", "nan"]]
+        "args", [["--n", "0"], ["--n", "2"], ["--re", "0"], ["--re", "-5"], ["--re", "nan"], ["--re", "1e-320"]]
     )
     def test_bad_preset_argument_is_one(self, capsys, args):
         # explicit values are used as given, never replaced by the defaults
@@ -173,6 +174,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: bad preset argument: ")
         assert err.count("\n") == 1
+
+
+# kind -> message of a quadratic n = 2 tree, L U - c o (U o U), spoiled by one non-finite entry
+NON_FINITE_TREES = {
+    "nan-matrix": "linear map matrix contains non-finite entries",
+    "-inf-matrix": "linear map matrix contains non-finite entries",
+    "nan-weight": "sum weights must be finite, got [1.0, nan]",
+    "nan-scale": "diagonal scale contains non-finite entries",
+}
+
+
+def non_finite_tree(kind):
+    """The tree document of a NON_FINITE_TREES kind, whose JSON text carries NaN or -Infinity."""
+    L, weights, scale = [[-2.0, 1.0], [1.0, -2.0]], [1.0, -1.0], [1.0, 1.0]
+    if kind == "nan-matrix":
+        L[0][1] = math.nan
+    elif kind == "-inf-matrix":
+        L[0][0] = -math.inf
+    elif kind == "nan-weight":
+        weights[1] = math.nan
+    else:
+        scale[0] = math.nan
+    square = {"op": "hproduct", "children": [{"op": "state"}, {"op": "state"}]}
+    return {"n": 2, "rhs": {"op": "sum", "weights": weights, "children": [
+        {"op": "linear", "matrix": L}, {"op": "diagscale", "scale": scale, "child": square}]}}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kind", list(NON_FINITE_TREES))
+    @pytest.mark.parametrize(
+        "command",
+        [["integrate", "--h", "0.01", "--steps", "2"], ["integrate", "--h", "0.01", "--steps", "2", "--report"],
+         ["integrate", "--scan", "--h-lo", "0.01", "--h-hi", "0.5"], ["stability"], ["solve"], ["check-jacobian"]],
+        ids=["integrate", "integrate-report", "integrate-scan", "stability", "solve", "check-jacobian"],
+    )
+    def test_non_finite_tree_entry_is_a_bad_input(self, tmp_path, capsys, kind, command):
+        # refused where the tree is built, before any command blames the lowering or a step diverges
+        path = write_doc(tmp_path, non_finite_tree(kind))
+        assert main([command[0], path, *command[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: bad expression input: {NON_FINITE_TREES[kind]}\n")
 
 
 class TestUsageErrors:
@@ -835,7 +876,7 @@ class TestEachInputLoweredOnce:
         doc = {"n": 200, "rhs": {"op": "hproduct", "children": [{"op": "state"}] * 3}}
         built = count_calls(monkeypatch, PolySystem, "__post_init__")
         lowered = []
-        monkeypatch.setattr(stability, "lower_to_poly", lambda *a: lowered.append(a) or lower_to_poly(*a))
+        monkeypatch.setattr(expressions, "lower_to_poly", lambda *a: lowered.append(a) or lower_to_poly(*a))
         assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 0
         assert built == [] and lowered == []
 

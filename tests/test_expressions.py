@@ -171,6 +171,26 @@ class TestJacobian:
         assert np.array_equal(tree.A, A) and np.array_equal(h_jacobian(tree, U), A)
 
 
+class TestConstruction:
+    def test_tree_arrays_are_read_only_copies(self, rng):
+        # the compiled tree and its kept lowering read the same bits, whatever the caller does to A and c
+        A, c = rng.standard_normal((3, 3)), rng.standard_normal(3)
+        tree = DiagScale(c, LinearMap(A))
+        assert A.flags.writeable and c.flags.writeable
+        A[0, 0], c[0] = 5.0, 5.0
+        assert tree.child.A[0, 0] != 5.0 and tree.c[0] != 5.0
+        assert not tree.child.A.flags.writeable and not tree.c.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_scale_or_weight_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^linear map matrix contains non-finite entries$"):
+            LinearMap([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^diagonal scale contains non-finite entries$"):
+            DiagScale([bad, 1.0], State())
+        with pytest.raises(ValueError, match=re.escape(f"sum weights must be finite, got [1.0, {bad}]")):
+            Sum(children=(State(), State()), weights=(1.0, bad))
+
+
 class TestBurgers:
     def test_constant_state_annihilated(self):
         sd = burgers_discretize(8, 10.0)
@@ -192,6 +212,10 @@ class TestBurgers:
         expected = B / Re - np.diag(A @ U) - row_scale(A, U)
         np.testing.assert_allclose(h_jacobian(sd.rhs, U), expected, rtol=1e-12, atol=1e-13)
         assert jac_rel_error(sd.rhs, U) < 1e-6
+
+    def test_reynolds_number_whose_matrix_overflows_is_refused(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^linear map matrix contains non-finite"):
+            burgers_discretize(8, 1e-320)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="too small"):

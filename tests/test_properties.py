@@ -618,6 +618,18 @@ def test_degree_two_tree_lowers_to_zero_cubic(case):
     assert not np.any(lower_to_poly(tree, n).cubic)
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3))))
+def test_kept_lowering_is_a_fresh_lowering(case):
+    # every IVP built on the tree reads the lowering its SemiDiscreteIVP keeps
+    n, (tree, _) = case
+    sd = SemiDiscreteIVP(n=n, rhs=tree)
+    kept, fresh = IVP(sd, np.ones(n)).poly, lower_to_poly(tree, n)
+    assert kept is stability._polynomial(sd, "a test")
+    for name in ("L", "quad", "cubic", "const"):
+        got, want = getattr(kept, name), getattr(fresh, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 def _nodes(e):
     """The tree's nodes, parents before children."""
     kids = e.children if isinstance(e, (Sum, HadamardProduct)) else () if isinstance(e, State) else (e.child,)

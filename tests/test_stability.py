@@ -339,6 +339,15 @@ class TestIntegrate:
         assert integrate(ivp, "rk4", 1e-3, 3).status == "completed" and built == []
         assert ivp.poly is ivp.poly and len(built) == 1
 
+    def test_one_tree_is_lowered_once_for_every_ivp_built_on_it(self, monkeypatch):
+        # the lowering belongs to the tree, not to the state: the SemiDiscreteIVP keeps it
+        sd, U = burgers_discretize(8, 100.0), burgers_initial_state(8)
+        built = count_calls(monkeypatch, PolySystem, "__post_init__")
+        first, second = IVP(sd, U), IVP(sd, 0.5 * U)
+        assert first.poly is second.poly is stability._polynomial(sd, "stability") and len(built) == 1
+        assert integrate(second, "implicit_euler", 1e-3, 2, report=True).status == "completed"
+        assert len(built) == 1
+
     def test_tree_that_does_not_lower_keeps_the_reason(self):
         ivp = IVP(SemiDiscreteIVP(n=2, rhs=ElementwiseFunction("sin", State())), np.ones(2))
         assert integrate(ivp, "explicit_euler", 0.1, 2).status == "completed"

@@ -50,6 +50,10 @@ closure ``IVP.newton_system`` returns: the predictor and each Newton correction)
 and the median and max per step, so a change to Newton's stop rule shows as
 a count.
 
+Then one ``lowerings`` line per burgers-march seed gives the ``lower_to_poly``
+calls its jobs made, counted wherever a polyjac module looks the name up, so
+whether the jobs share one lowering of their one Burgers tree shows as a count.
+
 The solver census solves, for seeds 1 and 7, the 48 dense-solve systems
 (n=20, from U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from
 U0 = 1, the CLI's start) by newton, classic_rank1 and modified_rank1
@@ -256,6 +260,25 @@ def _contractions(stability):
         stability._step = step
 
 
+@contextlib.contextmanager
+def _lowerings(lower_to_poly):
+    """A list that gets one entry per lower_to_poly call inside the block, in every polyjac module holding the name."""
+    calls, places = [], [m for key, m in sys.modules.items()
+                         if key.partition(".")[0] == "polyjac" and vars(m).get("lower_to_poly") is lower_to_poly]
+
+    def counted(*args):
+        calls.append(None)
+        return lower_to_poly(*args)
+
+    for place in places:
+        place.lower_to_poly = counted
+    try:
+        yield calls
+    finally:
+        for place in places:
+            place.lower_to_poly = lower_to_poly
+
+
 def _rank(ordered, fraction):
     """The nearest-rank percentile of a sorted list."""
     return ordered[max(math.ceil(fraction * len(ordered)) - 1, 0)]
@@ -298,12 +321,14 @@ def main(argv=None):
 
     if Path(pj.__file__).resolve().parent != root / "src" / "polyjac":
         sys.exit(f"fingerprint: imported polyjac from {pj.__file__}, not {root / 'src'}")
-    implicit = {}
+    implicit, lowerings = {}, {}
     for name in RUNNERS:
         for seed in SEEDS:
-            with _contractions(stability) as implicit[f"{name} seed={seed}"]:
+            with _contractions(stability) as implicit[f"{name} seed={seed}"], _lowerings(pj.lower_to_poly) as calls:
                 digest = _digest(RUNNERS[name](workloads.WORKLOADS[name](seed), JOBS[name]))
             print(f"{name} seed={seed} jobs={JOBS[name]} {digest}")
+            if name == "burgers-march":
+                lowerings[seed] = len(calls)
     for method in REPORT_METHODS:
         with _contractions(stability) as implicit[f"integrate-report n=128 {method}"]:
             digest = _digest([_captured(cli.main, REPORT + [method])])
@@ -319,6 +344,8 @@ def main(argv=None):
             per_step.sort()
             print(f"implicit-euler {run} steps={len(per_step)} contractions={sum(per_step)} "
                   f"median={_rank(per_step, 0.5)} max={per_step[-1]}")
+    for seed, count in lowerings.items():
+        print(f"lowerings burgers-march seed={seed} jobs={JOBS['burgers-march']} lowerings={count}")
     return 1 if _census(pj, workloads) else 0
 
 
