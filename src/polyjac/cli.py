@@ -6,11 +6,15 @@ completed, a singular solve, a DomainError, or a NaN in a JSON report); 1
 every other error.
 
 A process that calls main more than once parses a document's text once,
-while it is the last document read: the text alone is the key.
+while it is the last document read: the text alone is the key.  It builds
+the Burgers preset once, while it is the last preset built: its (n, Re) is
+the key, and the commands on it share its one lowering.
 """
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import math
 import sys
@@ -52,7 +56,7 @@ def _load_input(path, n=None, Re=None):
         return presets.circle_cubic_system()
     if path == "burgers":
         try:
-            return burgers_discretize(32 if n is None else n, 100.0 if Re is None else Re)
+            return _burgers(32 if n is None else n, 100.0 if Re is None else Re)
         except ValueError as exc:
             raise ValueError(f"bad preset argument: {exc}") from exc
     try:
@@ -68,6 +72,24 @@ def _load_input(path, n=None, Re=None):
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=1)
+def _burgers(n, Re):
+    """The Burgers preset of n points at Reynolds number Re, kept while it is the last one built; a refusal is not kept."""
+    return burgers_discretize(n, Re)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector over the block, leaving it as it was found; reference counts still free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # [(text, source)] of the last document parsed: at most one pair.  Texts are compared with ==,
 # which a dict lookup would precede by hashing the whole text on every read.
 _parsed = []
@@ -78,19 +100,25 @@ def _parse_document(text):
     if _parsed and _parsed[0][0] == text:
         return _parsed[0][1]
     _parsed.clear()  # before parsing, so two documents' sources are never held at once
-    data = json.loads(text)
-    if isinstance(data, dict) and "rhs" in data:
-        try:
-            source = SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"bad expression input: {exc}") from exc
-    else:
-        try:
-            source = load_system_json(data)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"bad system input: {exc}") from exc
+    # A document decodes to many small lists that hold no cycles.  They are freed, by reference
+    # count, before the collector resumes, so no collector pass walks them.
+    with _collector_paused():
+        source = _source(json.loads(text))
     _parsed.append((text, source))
     return source
+
+
+def _source(data):
+    """The source of a decoded system or tree document."""
+    if isinstance(data, dict) and "rhs" in data:
+        try:
+            return SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"bad expression input: {exc}") from exc
+    try:
+        return load_system_json(data)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad system input: {exc}") from exc
 
 
 def _parse_state(text, n):
@@ -142,10 +170,17 @@ def _nan_field(value, name=""):
 
 
 def _emit_report(report, out):
-    """Emit a JSON report; a NaN in it, which JSON cannot carry, raises FloatingPointError naming its field."""
-    if field := _nan_field(report):
-        raise FloatingPointError(f"report field {field} is NaN")
-    _emit(json.dumps(report, indent=2), out)
+    """Emit a JSON report; a NaN in it, which JSON cannot carry, raises FloatingPointError naming its field.
+
+    An infinity is written as Infinity.  Only a report that holds a NaN or an infinity is walked.
+    """
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        if field := _nan_field(report):
+            raise FloatingPointError(f"report field {field} is NaN")
+        text = json.dumps(report, indent=2)
+    _emit(text, out)
 
 
 def _cmd_solve(args):

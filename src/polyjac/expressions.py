@@ -340,7 +340,8 @@ class SemiDiscreteIVP:
     it.  _poly is the tree lowered by lower_to_poly at its first read and then
     kept for every IVP built on it; a tree that does not lower raises its
     ValueError at each read.  The optional matrices serve discretizers' step
-    bounds (burgers_discretize).
+    bounds (burgers_discretize); like the tree's arrays, they are read-only
+    copies, so a bound and the tree it bounds read the same coefficients.
     """
 
     n: int
@@ -353,6 +354,9 @@ class SemiDiscreteIVP:
         if self.n < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
         object.__setattr__(self, "_compiled", _check_length(self.rhs, self.n))
+        for name in ("first_diff", "second_diff"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name), name))
 
     @functools.cached_property
     def _poly(self):

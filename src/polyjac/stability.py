@@ -17,7 +17,7 @@ import numpy as np
 
 from .system import _STACK_BYTES, PolySystem, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP
-from .trace import _csv_row, start_state
+from .trace import _csv_format, start_state
 
 __all__ = [
     "IVP",
@@ -122,11 +122,13 @@ class Trajectory:
     def to_csv(self):
         n = np.asarray(self.states[0]).size
         lines = ["t," + ",".join(f"U{i}" for i in range(n)) + ",h_bound,negdef"]
-        for k, (t, u) in enumerate(zip(self.times, self.states)):
+        row = _csv_format(n + 1) + ",%s,%s"
+        states = np.reshape(self.states, (len(self.states), n)).tolist()
+        for k, (t, u) in enumerate(zip(self.times, states)):
             rep = self.per_step_reports[k] if k < len(self.per_step_reports) else None
             hb = "" if rep is None or rep.h_bound is None else f"{rep.h_bound:.17g}"
             nd = "" if rep is None or rep.negdef_certificate is None else str(rep.negdef_certificate).lower()
-            lines.append(_csv_row([t, *np.asarray(u).ravel().tolist()]) + f",{hb},{nd}")
+            lines.append(row % (t, *u, hb, nd))
         return "\n".join(lines) + "\n"
 
     def to_json(self):

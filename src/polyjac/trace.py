@@ -18,8 +18,8 @@ def start_state(U0, n):
     return U
 
 
-def _csv_row(values):  # numbers joined by commas, each as %.17g (the bytes of f"{x:.17g}"), in one format operation
-    return ",".join(["%.17g"] * len(values)) % tuple(values)
+def _csv_format(count):  # count numbers joined by commas, each as %.17g (the bytes of f"{x:.17g}"), one % per row
+    return ",".join(["%.17g"] * count)
 
 
 @dataclass
@@ -82,6 +82,7 @@ class SolverTrace:
     def to_csv(self):
         n = np.asarray(self.iterates[0]).size if self.iterates else 0
         lines = ["iter," + ",".join(f"U{i}" for i in range(n)) + ",residual"]
+        row = "%d," + _csv_format(n + 1)
         for k, (u, r) in enumerate(zip(self.iterates, self.residual_norms)):
-            lines.append(f"{k}," + _csv_row([*np.asarray(u).ravel().tolist(), r]))
+            lines.append(row % (k, *np.asarray(u).ravel().tolist(), r))
         return "\n".join(lines) + "\n"

@@ -881,6 +881,99 @@ class TestEachInputLoweredOnce:
         assert built == [] and lowered == []
 
 
+def count_builds(monkeypatch):
+    """Clear the CLI's preset slot and log each burgers_discretize and lower_to_poly call; returns the two logs."""
+    cli._burgers.cache_clear()
+    built, lowered = [], []
+    discretize = cli.burgers_discretize
+    monkeypatch.setattr(cli, "burgers_discretize", lambda *a: built.append(a) or discretize(*a))
+    monkeypatch.setattr(expressions, "lower_to_poly", lambda *a: lowered.append(a) or lower_to_poly(*a))
+    return built, lowered
+
+
+def preset_session(out, n="16", re="75.5"):
+    """A cli-batch job's three Burgers commands, each writing into the directory out."""
+    burgers = ["burgers", "--n", n, "--re", re]
+    return [
+        ["--out", f"{out}/stability.json", "stability", *burgers],
+        ["--format", "csv", "--out", f"{out}/euler.csv", "integrate", *burgers,
+         "--method", "explicit-euler", "--h", "0.01", "--steps", "100", "--report"],
+        ["--out", f"{out}/scan.json", "integrate", *burgers, "--scan",
+         "--h-lo", "0.02", "--h-hi", "0.3", "--horizon", "2"],
+    ]
+
+
+class TestPresetCache:
+    def test_burgers_commands_share_one_build_and_one_lowering(self, tmp_path, monkeypatch):
+        built, lowered = count_builds(monkeypatch)
+        for argv in preset_session(tmp_path):
+            assert main(argv) == 0
+        assert built == [(16, 75.5)] and len(lowered) == 1
+
+    def test_another_n_or_re_builds_again(self, monkeypatch, capsys):
+        built, _ = count_builds(monkeypatch)
+        for n, re in (("16", "50"), ("16", "50"), ("16", "60"), ("8", "60"), ("8", "60"), ("16", "50")):
+            assert main(["stability", "burgers", "--n", n, "--re", re]) == 0
+        assert built == [(16, 50.0), (16, 60.0), (8, 60.0), (16, 50.0)]
+
+    def test_a_refused_preset_is_not_kept(self, monkeypatch, capsys):
+        built, _ = count_builds(monkeypatch)
+        for _ in range(2):
+            assert main(["stability", "burgers", "--n", "16", "--re", "-1"]) == 1
+            assert capsys.readouterr().err == (
+                "error: bad preset argument: Reynolds number must be positive, got -1.0\n")
+        assert len(built) == 2 and cli._burgers.cache_info().currsize == 0
+
+    def test_warm_and_cold_sessions_are_byte_identical(self, tmp_path, monkeypatch, capsys):
+        built, _ = count_builds(monkeypatch)
+
+        def run(cold):
+            results = []
+            for argv in preset_session(tmp_path):
+                if cold:
+                    cli._burgers.cache_clear()
+                code = main(argv)
+                files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+                for f in tmp_path.iterdir():
+                    f.unlink()
+                results.append((code, *capsys.readouterr(), files))
+            return results
+
+        warm = run(cold=False)
+        assert len(built) == 1
+        assert run(cold=True) == warm
+        assert len(built) == 1 + 3
+        assert all(r[0] == 0 and len(r[3]) == 1 for r in warm)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Start the test with the cyclic collector on or off; restore its state after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("text, code", [(one_unknown(-1.0), 0), ("{not json", 1)], ids=["good", "malformed"])
+    def test_parse_leaves_the_collector_as_it_was(self, tmp_path, capsys, collector, text, code):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        cli._parsed.clear()
+        assert main(["solve", str(path)]) == code
+        assert gc.isenabled() == collector
+
+    def test_collector_is_paused_while_parsing(self, tmp_path, monkeypatch, collector):
+        seen = []
+        monkeypatch.setattr(cli, "load_system_json", lambda data: seen.append(gc.isenabled()) or load_system_json(data))
+        path = tmp_path / "in.json"
+        path.write_text(one_unknown(-1.0))
+        cli._parsed.clear()
+        assert cli._load_input(str(path)).const.tolist() == [-1.0]
+        assert seen == [False] and gc.isenabled() == collector
+
+
 class TestRoundTrip:
     def test_dumped_system_file_round_trips_through_cli_input(self, tmp_path, system_file):
         s = load_system_json(read_json(system_file))

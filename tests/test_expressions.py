@@ -13,6 +13,7 @@ from polyjac import (
     State,
     Sum,
     burgers_discretize,
+    burgers_step_bound,
     h_eval,
     h_jacobian,
     load_hexpr_json,
@@ -212,6 +213,22 @@ class TestBurgers:
         expected = B / Re - np.diag(A @ U) - row_scale(A, U)
         np.testing.assert_allclose(h_jacobian(sd.rhs, U), expected, rtol=1e-12, atol=1e-13)
         assert jac_rel_error(sd.rhs, U) < 1e-6
+
+    def test_difference_matrices_are_read_only_copies(self):
+        # an in-place edit of a matrix cannot move burgers_step_bound off the tree it bounds
+        sd = burgers_discretize(8, 100.0)
+        U = np.sin(2 * np.pi * np.arange(8) / 8)
+        bound = burgers_step_bound(sd, U)
+        for name in ("first_diff", "second_diff"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sd, name)[:] *= 10
+        assert burgers_step_bound(sd, U) == bound
+        A, B = sd.first_diff.copy(), sd.second_diff.copy()
+        own = expressions.SemiDiscreteIVP(n=8, rhs=sd.rhs, first_diff=A, second_diff=B, reynolds=100.0)
+        A[0, 1] = B[0, 0] = 5.0
+        assert A.flags.writeable and B.flags.writeable
+        assert own.first_diff[0, 1] != 5.0 and own.second_diff[0, 0] != 5.0
+        assert not own.first_diff.flags.writeable and not own.second_diff.flags.writeable
 
     def test_reynolds_number_whose_matrix_overflows_is_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^linear map matrix contains non-finite"):

@@ -53,6 +53,9 @@ a count.
 Then one ``lowerings`` line per burgers-march seed gives the ``lower_to_poly``
 calls its jobs made, counted wherever a polyjac module looks the name up, so
 whether the jobs share one lowering of their one Burgers tree shows as a count.
+One ``lowerings`` line per cli-batch seed gives its jobs' ``burgers_discretize``
+and ``lower_to_poly`` calls, counted the same way, so whether a job's three
+Burgers commands share one preset and its one lowering shows as a count.
 
 The solver census solves, for seeds 1 and 7, the 48 dense-solve systems
 (n=20, from U0 = 0) and the systems of cli-batch jobs 0-197 (n=8, from
@@ -261,22 +264,23 @@ def _contractions(stability):
 
 
 @contextlib.contextmanager
-def _lowerings(lower_to_poly):
-    """A list that gets one entry per lower_to_poly call inside the block, in every polyjac module holding the name."""
+def _calls(function):
+    """A list that gets one entry per call of function inside the block, in every polyjac module holding its name."""
+    name = function.__name__
     calls, places = [], [m for key, m in sys.modules.items()
-                         if key.partition(".")[0] == "polyjac" and vars(m).get("lower_to_poly") is lower_to_poly]
+                         if key.partition(".")[0] == "polyjac" and vars(m).get(name) is function]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return lower_to_poly(*args)
+        return function(*args, **kwargs)
 
     for place in places:
-        place.lower_to_poly = counted
+        setattr(place, name, counted)
     try:
         yield calls
     finally:
         for place in places:
-            place.lower_to_poly = lower_to_poly
+            setattr(place, name, function)
 
 
 def _rank(ordered, fraction):
@@ -321,14 +325,17 @@ def main(argv=None):
 
     if Path(pj.__file__).resolve().parent != root / "src" / "polyjac":
         sys.exit(f"fingerprint: imported polyjac from {pj.__file__}, not {root / 'src'}")
-    implicit, lowerings = {}, {}
+    implicit, lowerings, builds = {}, {}, {}
     for name in RUNNERS:
         for seed in SEEDS:
-            with _contractions(stability) as implicit[f"{name} seed={seed}"], _lowerings(pj.lower_to_poly) as calls:
+            with (_contractions(stability) as implicit[f"{name} seed={seed}"],
+                  _calls(pj.lower_to_poly) as lowered, _calls(pj.burgers_discretize) as discretized):
                 digest = _digest(RUNNERS[name](workloads.WORKLOADS[name](seed), JOBS[name]))
             print(f"{name} seed={seed} jobs={JOBS[name]} {digest}")
             if name == "burgers-march":
-                lowerings[seed] = len(calls)
+                lowerings[seed] = len(lowered)
+            elif name == "cli-batch":
+                builds[seed] = len(discretized), len(lowered)
     for method in REPORT_METHODS:
         with _contractions(stability) as implicit[f"integrate-report n=128 {method}"]:
             digest = _digest([_captured(cli.main, REPORT + [method])])
@@ -346,6 +353,9 @@ def main(argv=None):
                   f"median={_rank(per_step, 0.5)} max={per_step[-1]}")
     for seed, count in lowerings.items():
         print(f"lowerings burgers-march seed={seed} jobs={JOBS['burgers-march']} lowerings={count}")
+    for seed, (discretized, lowered) in builds.items():
+        print(f"lowerings cli-batch seed={seed} jobs={JOBS['cli-batch']} discretizations={discretized} "
+              f"lowerings={lowered}")
     return 1 if _census(pj, workloads) else 0
 
 
