@@ -198,9 +198,12 @@ def _compile(e, n):
     At each node, children first, it checks the shape rule, under which no
     operand is broadcast, and builds two closures of U, the node's value and
     its linearize, (value, J) from one call of each child's linearize.  A
-    linear map of the state is A's own matmul, with J a copy of A, and a Sum
-    is _fold of its children's values, and of their J.  An elementwise
-    node's J is one row scaling d[:, None] * J of its child's, d = f'(v); a
+    linear map applies A by ndarray.dot, which has @'s bits and less dispatch
+    for a C-contiguous A of more than one element, and by @ otherwise (dot
+    multiplies a 1 x 1 A as a scalar, which can give a zero the other sign);
+    of the state, its J is a copy of A.  A Sum is _fold of its children's
+    values, and of their J.  An elementwise node's J is one row scaling
+    d[:, None] * J of its child's, d = f'(v); a
     power forms q * v**(q - 1) before v**q, both through _pow, so linearize
     raises at the first node, children first and left to right, whose
     derivative is undefined (a power's value is undefined only where it is).
@@ -217,9 +220,10 @@ def _compile(e, n):
         A, (m, child, linearize) = e.A, _compile(e.child, n)
         if A.shape[1] != m:
             raise ValueError(f"linear map of shape {A.shape} applied to length {m}")
+        dot = A.dot if A.size > 1 and A.flags.c_contiguous else A.__matmul__
         if isinstance(e.child, State):
-            return A.shape[0], A.__matmul__, lambda U: (A @ U, A.copy())
-        return A.shape[0], lambda U: A @ child(U), lambda U: tuple(A @ x for x in linearize(U))
+            return A.shape[0], dot, lambda U: (dot(U), A.copy())
+        return A.shape[0], lambda U: dot(child(U)), lambda U: tuple(map(dot, linearize(U)))
     if isinstance(e, State):
         return n, lambda U: U, lambda U: (U, np.eye(n))
     if isinstance(e, HadamardPower):

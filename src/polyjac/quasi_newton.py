@@ -111,13 +111,13 @@ def _update(J_prev, q, y, qq, t):
     return J_prev - _outer(J_prev @ q - y, q) / (qq + t)
 
 
-def _inverse_update(Jinv_prev, q, y, qq, t):
-    """Sherman-Morrison inverse of _update's result, from J_prev^-1 alone."""
-    z = Jinv_prev @ y
+def _inverse_update(Jinv_prev, q, y, qq, t, dot=np.matmul):
+    """Sherman-Morrison inverse of _update's result, from J_prev^-1 alone, its two matrix products by dot."""
+    z = dot(Jinv_prev, y)
     denom = float(q @ z) + t
     if abs(denom) <= _guard(qq):
         raise GuardTripError("q^T (Jinv y) + t", denom)
-    return Jinv_prev - _outer(z - q, q @ Jinv_prev) / denom
+    return Jinv_prev - _outer(z - q, dot(q, Jinv_prev)) / denom
 
 
 def classic_update(J_prev, q, delta_f):
@@ -203,6 +203,8 @@ def qn_solve(s, U0, opts=None):
     f, J, J_inv = st.f, st.J, None
     fbar = st.fbar if modified else None
     res = trace.record(U, f, J)
+    # the inverses are C-contiguous arrays made here: ndarray.dot has @'s bits for more than one element
+    dot = np.ndarray.dot if s.n > 1 else np.matmul
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
@@ -212,7 +214,7 @@ def qn_solve(s, U0, opts=None):
             else:
                 if J_inv is None:
                     J_inv = np.linalg.inv(J)
-                step = -J_inv @ f
+                step = dot(-J_inv, f)
         except np.linalg.LinAlgError:
             return trace.end("singular_jacobian", k)
         U_new = U + step
@@ -228,7 +230,7 @@ def qn_solve(s, U0, opts=None):
             t = float(q @ U) if modified else 0.0
             try:
                 _check_step(qq, t)
-                J_inv = _inverse_update(J_inv, q, y, qq, t)
+                J_inv = _inverse_update(J_inv, q, y, qq, t, dot)
                 restart = modified and not _secant_holds(_updated_action(f, y, qq, t), f_new - f)
             except GuardTripError:
                 restart = True

@@ -20,6 +20,14 @@ residual A U + F (relaxation sweeps); and _newton_system(h), U -> (f, I - h J)
 (implicit steps).  A stack is contracted in slices of at most _STACK_BYTES of
 products per order.  No other module reads the products.
 
+The per-state products go through ndarray.dot, which calls BLAS with less
+dispatch than the @ gufunc and gives its bits for a C-contiguous matrix of
+more than one element; a system picks its product once, as _dot.  Three cases
+keep @: a matrix of one element (an n = 1 system, whose dot multiplies as by a
+scalar, so [[-0.65]] . [0.0] reads -0.0 where @ reads +0.0), vector . vector
+products, and arrays a caller passes, which may be reversed or strided; stacks
+keep np.matmul.
+
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
 it is never stored, allocated, symmetrized or contracted; its M2 or M3 reads
@@ -161,7 +169,8 @@ class PolySystem:
             t.setflags(write=False)
             object.__setattr__(self, name, t)
             orders.append((m, t.reshape(n * n, -1)))
-        for name, val in (("L", L), ("const", const), ("_orders", tuple(orders))):
+        dot = np.ndarray.dot if n > 1 and L.flags.c_contiguous else np.matmul  # the products of M_m are C-contiguous
+        for name, val in (("L", L), ("const", const), ("_orders", tuple(orders)), ("_dot", dot)):
             object.__setattr__(self, name, val)
         L.setflags(write=False)
         const.setflags(write=False)
@@ -193,7 +202,8 @@ class PolySystem:
             if m == 3:  # cubic last: X becomes the monomials U_k U_l, k <= l
                 r, c = _pairs(shape[-1])
                 X = X.take(r, -1) * X.take(c, -1)
-            terms.append((m, np.matmul(C, X[..., None]).reshape(shape)))
+            M = self._dot(C, X) if X.ndim == 1 else np.matmul(C, X[..., None])
+            terms.append((m, M.reshape(shape)))
         return tuple(terms)
 
     def _values(self, X):
@@ -215,16 +225,16 @@ class PolySystem:
     def _linear_system(self, U):
         """A = A(U), a new array, and the residual A U + F of A U = -F, from one contraction at a state U (n,)."""
         A = self._linear_forms(U)
-        return A, A @ U + self.const
+        return A, self._dot(A, U) + self.const
 
     def _newton_system(self, h):
         """U -> (f(U), I - h J(U)) from one contraction: PolyState.f's sum and (I - h L) - sum (m h) M_m."""
-        L, F, K0 = self.L, self.const, np.eye(self.n) - h * self.L
+        L, F, K0, dot = self.L, self.const, np.eye(self.n) - h * self.L, self._dot
 
         def system(U):
-            f, K = L @ U, K0
+            f, K = dot(L, U), K0
             for m, M in self._products(U):
-                f = f + M @ U
+                f = f + dot(M, U)
                 K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)  # in M's own array, once f has read it
             return f + F, K
         return system
@@ -282,9 +292,10 @@ class PolyState:
     @property
     def f(self):
         """Residual f(U) = L U + sum M_m U + F."""
-        f = self.s.L @ self.U
+        dot = self.s._dot
+        f = dot(self.s.L, self.U)
         for _, M in self._terms:
-            f = f + M @ self.U
+            f = f + dot(M, self.U)
         return f + self.s.const
 
     @property
@@ -306,9 +317,10 @@ class PolyState:
     @property
     def fbar(self):
         """fbar(U) = J(U) U without forming J: L U + sum m M_m U."""
-        fbar = self.s.L @ self.U
+        dot = self.s._dot
+        fbar = dot(self.s.L, self.U)
         for m, M in self._terms:
-            fbar = fbar + m * (M @ self.U)
+            fbar = fbar + m * dot(M, self.U)
         return fbar
 
     def euler_residuals(self):

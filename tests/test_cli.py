@@ -125,6 +125,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "command, err, field, tail",
+        [(["solve"], "", "residual_norms", [math.inf, math.nan]),
+         (["integrate", "--h", "1", "--steps", "3"], "integration diverged at step 0\n", "states",
+          [[1e200, 1e200], [math.inf, math.inf]])],
+        ids=["solve", "integrate"],
+    )
+    def test_diverged_json_trace_carries_non_finite_tokens(self, tmp_path, capsys, command, err, field, tail):
+        # a trace, unlike a report, writes a non-finite value as NaN or Infinity, which json.loads reads
+        doc = {"n": 2, "L": [[1, 0], [0, 1]], "quadratic": [[0, 0, 0, 50], [1, 1, 1, 50]], "F": [10, 10]}
+        out = tmp_path / "t.json"
+        argv = ["--out", str(out), command[0], write_doc(tmp_path, doc), *command[1:], "--x0", "1e200,1e200"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+        text = out.read_text()
+        assert ("NaN" in text) == (command[0] == "solve") and "Infinity" in text
+        trace = json.loads(text)
+        assert trace["status"] == "diverged"
+        np.testing.assert_equal(trace[field][-len(tail):], tail)
+
     def test_out_of_memory_is_one(self, monkeypatch, capsys):
         def exhausted(self):
             raise MemoryError
