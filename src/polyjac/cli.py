@@ -5,14 +5,16 @@ type: 0 success; 2 numerical failure (a status other than converged or
 completed, a singular solve, a DomainError, or a NaN in a JSON report); 1
 every other error.
 
-A process that calls main more than once parses a document's text once,
-while it is the last document read: the text alone is the key.  It builds
-the Burgers preset once, while it is the last preset built: its (n, Re) is
-the key, and the commands on it share its one lowering.
+A process that calls main more than once keeps its last input in one
+(key, source) slot, the key a preset's resolved ("burgers", n, Re) or a
+document's text, never its path; commands on one input share its parse,
+discretization and lowering.  The slot is cleared before each build, and a
+refused preset or a failed parse is not kept.  A document is parsed with the
+cyclic collector paused, as its decoded lists hold no cycles, and the
+collector is left as it was found.
 """
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -50,61 +52,44 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# [(key, source)] of the last input built: at most one pair.  Keys are compared with ==, which a
+# dict lookup would precede by hashing the whole text on every read.
+_slot = []
+
+
 def _load_input(path, n=None, Re=None):
-    """Resolve an input token to its source: a PolySystem or a SemiDiscreteIVP."""
+    """Resolve an input token to its source: a PolySystem or a SemiDiscreteIVP, kept while it is the last one built."""
     if path == "circle-cubic":
         return presets.circle_cubic_system()
     if path == "burgers":
+        key = ("burgers", 32 if n is None else n, 100.0 if Re is None else Re)
+    else:
         try:
-            return _burgers(32 if n is None else n, 100.0 if Re is None else Re)
+            with open(path) as fh:
+                key = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read input: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read input: {path}: {exc}") from exc
+    if _slot and _slot[0][0] == key:
+        return _slot[0][1]
+    _slot.clear()
+    if path == "burgers":
+        try:
+            source = burgers_discretize(*key[1:])
         except ValueError as exc:
             raise ValueError(f"bad preset argument: {exc}") from exc
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read input: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read input: {path}: {exc}") from exc
-    try:
-        return _parse_document(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-
-
-@functools.lru_cache(maxsize=1)
-def _burgers(n, Re):
-    """The Burgers preset of n points at Reynolds number Re, kept while it is the last one built; a refusal is not kept."""
-    return burgers_discretize(n, Re)
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector over the block, leaving it as it was found; reference counts still free."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# [(text, source)] of the last document parsed: at most one pair.  Texts are compared with ==,
-# which a dict lookup would precede by hashing the whole text on every read.
-_parsed = []
-
-
-def _parse_document(text):
-    """The source of a system or tree document's text, parsed once while it is the last text parsed."""
-    if _parsed and _parsed[0][0] == text:
-        return _parsed[0][1]
-    _parsed.clear()  # before parsing, so two documents' sources are never held at once
-    # A document decodes to many small lists that hold no cycles.  They are freed, by reference
-    # count, before the collector resumes, so no collector pass walks them.
-    with _collector_paused():
-        source = _source(json.loads(text))
-    _parsed.append((text, source))
+    else:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            source = _source(json.loads(key))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
+    _slot.append((key, source))
     return source
 
 

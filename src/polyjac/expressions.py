@@ -42,7 +42,7 @@ import operator
 
 import numpy as np
 
-from .system import PolySystem, check_dense
+from .system import PolySystem, _dot_exact, check_dense
 
 __all__ = [
     "HExpr",
@@ -198,10 +198,8 @@ def _compile(e, n):
     At each node, children first, it checks the shape rule, under which no
     operand is broadcast, and builds two closures of U, the node's value and
     its linearize, (value, J) from one call of each child's linearize.  A
-    linear map applies A by ndarray.dot, which has @'s bits and less dispatch
-    for a C-contiguous A of more than one element, and by @ otherwise (dot
-    multiplies a 1 x 1 A as a scalar, which can give a zero the other sign);
-    of the state, its J is a copy of A.  A Sum is _fold of its children's
+    linear map applies A by ndarray.dot or @, as system._dot_exact picks; of
+    the state, its J is a copy of A.  A Sum is _fold of its children's
     values, and of their J.  An elementwise node's J is one row scaling
     d[:, None] * J of its child's, d = f'(v); a
     power forms q * v**(q - 1) before v**q, both through _pow, so linearize
@@ -220,7 +218,7 @@ def _compile(e, n):
         A, (m, child, linearize) = e.A, _compile(e.child, n)
         if A.shape[1] != m:
             raise ValueError(f"linear map of shape {A.shape} applied to length {m}")
-        dot = A.dot if A.size > 1 and A.flags.c_contiguous else A.__matmul__
+        dot = A.dot if _dot_exact(A) else A.__matmul__
         if isinstance(e.child, State):
             return A.shape[0], dot, lambda U: (dot(U), A.copy())
         return A.shape[0], lambda U: dot(child(U)), lambda U: tuple(map(dot, linearize(U)))
@@ -468,9 +466,8 @@ def _lower(e, n):
         if e.q == 0:
             return [np.ones(base[0].size), np.zeros((base[0].size, n)), None, None]
         return functools.reduce(_product, [base] * int(e.q))
-    if isinstance(e, ElementwiseFunction):
-        raise ValueError(f"non-polynomial node: elementwise {e.name}")
-    raise TypeError(f"unknown node {type(e).__name__}")
+    # an ElementwiseFunction, the one node left: _compile has refused every node it does not know
+    raise ValueError(f"non-polynomial node: elementwise {e.name}")
 
 
 def lower_to_poly(e, n):

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .system import diverged
-from .trace import SolverTrace, start_state
+from .system import _dot_exact, diverged
+from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
     "QNOptions",
@@ -65,10 +65,7 @@ class QNOptions:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+        check_stop(self.tol, self.max_iter)
 
 
 def _guard(qq):
@@ -203,8 +200,6 @@ def qn_solve(s, U0, opts=None):
     f, J, J_inv = st.f, st.J, None
     fbar = st.fbar if modified else None
     res = trace.record(U, f, J)
-    # the inverses are C-contiguous arrays made here: ndarray.dot has @'s bits for more than one element
-    dot = np.ndarray.dot if s.n > 1 else np.matmul
     for k in range(opts.max_iter):
         if res <= opts.tol:
             break
@@ -213,7 +208,8 @@ def qn_solve(s, U0, opts=None):
                 step = np.linalg.solve(J, -f)
             else:
                 if J_inv is None:
-                    J_inv = np.linalg.inv(J)
+                    J_inv = np.linalg.inv(J)  # C-contiguous, as is each update of it
+                    dot = np.ndarray.dot if _dot_exact(J_inv) else np.matmul
                 step = dot(-J_inv, f)
         except np.linalg.LinAlgError:
             return trace.end("singular_jacobian", k)

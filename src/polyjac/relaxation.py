@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .system import _state, diverged
-from .trace import SolverTrace, start_state
+from .trace import SolverTrace, check_stop, start_state
 
 __all__ = ["IterativeOptions", "SingularPivotError", "iterative_solve", "sweep_once"]
 
@@ -37,10 +37,7 @@ class IterativeOptions:
 
     def __post_init__(self):
         _check_sweep(self.method, self.omega)
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+        check_stop(self.tol, self.max_iter)
 
 
 def _check_sweep(method, omega):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .system import _STACK_BYTES, PolySystem, _state, check_dense, diverged
+from .system import PolySystem, _per_stack, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP
 from .trace import _csv_format, start_state
 
@@ -187,8 +187,8 @@ NEWTON_MAX_ITER = 50
 
 
 def _reports(poly, method, states):
-    """Per state, the linf step bound (explicit) or certificate (implicit) of A(U), stacked by _STACK_BYTES."""
-    reports, per_stack = [], max(1, _STACK_BYTES // (8 * poly.n**2))
+    """Per state, the linf step bound (explicit) or certificate (implicit) of A(U), in stacks of _per_stack(n)."""
+    reports, per_stack = [], _per_stack(poly.n)
     for i in range(0, len(states), per_stack):
         A = poly._linear_forms(np.array(states[i : i + per_stack]))
         if method in ("explicit_euler", "rk4"):

@@ -11,22 +11,20 @@ which checks U and contracts each order m the system has once, one BLAS
 matrix-vector product each: M2 = quad . U and M3 = P . (U_k U_l)_{k<=l}.
 As N_m(U) = M_m U and J_m(U) = m M_m, the record's f = L U + sum M_m U + F,
 J(U) = L + sum m M_m, A(U) = L + sum M_m and fbar = J(U) U are sums over
-those orders, computed when read; eval, jacobian, linearized_matrix and the
-rest are one-liners over it.  Four more readers form from one contraction
-only what a caller needs, without the record: _values, f at a state or over
-a stack (check-jacobian's central differences); _linear_forms, A(U) at a
-state or over a stack (integrate's reports); _linear_system, A(U) and the
-residual A U + F (relaxation sweeps); and _newton_system(h), U -> (f, I - h J)
-(implicit steps).  A stack is contracted in slices of at most _STACK_BYTES of
-products per order.  No other module reads the products.
+those orders, computed when read; f and fbar share _order_sum.  Four more
+readers form from one contraction only what a caller needs: _values (f),
+_linear_forms (A(U)), _linear_system (A(U) and A U + F) and _newton_system(h)
+(U -> (f, I - h J)).  No other module reads the products.  A stack of states
+is contracted by np.matmul in slices of _per_stack(n) states, at most 2 MiB
+of products per order, and stability's reports stack A(U) alike.
 
-The per-state products go through ndarray.dot, which calls BLAS with less
-dispatch than the @ gufunc and gives its bits for a C-contiguous matrix of
-more than one element; a system picks its product once, as _dot.  Three cases
-keep @: a matrix of one element (an n = 1 system, whose dot multiplies as by a
-scalar, so [[-0.65]] . [0.0] reads -0.0 where @ reads +0.0), vector . vector
-products, and arrays a caller passes, which may be reversed or strided; stacks
-keep np.matmul.
+A per-state product of a matrix the code made takes ndarray.dot, which calls
+BLAS with less dispatch than @, where _dot_exact says dot has @'s bits: a
+C-contiguous matrix of more than one element.  dot multiplies a one-element
+matrix (n = 1) as a scalar, so [[-0.65]] . [0.0] reads -0.0 where @ reads
++0.0.  A system picks its product once (_dot), qn_solve once per inverse and
+a compiled tree once per LinearMap; vector . vector products, arrays a
+caller passes and stacks keep @.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -64,6 +62,24 @@ _DOT_LIMIT = 0.99 * DIVERGENCE_LIMIT**2  # the bound of diverged's one-call test
 # packed, so the limit is unchanged; packing briefly holds a few half its size.
 DENSE_LIMIT_BYTES = 2**30
 _STACK_BYTES = 2**21  # bytes of one order's products over a stack of states: 16 states at n = 128
+
+
+def _per_stack(n):
+    """States per stack at dimension n: _STACK_BYTES of n x n products, and at least one."""
+    return max(1, _STACK_BYTES // (8 * n**2))
+
+
+def _dot_exact(A):
+    """True when ndarray.dot gives A's products the bits of @: A is C-contiguous with more than one element."""
+    return A.size > 1 and A.flags.c_contiguous
+
+
+def _order_sum(dot, L, X, terms, weighted=False):
+    """L X + sum w_m M_m X over the (m, M_m) terms, by dot: w_m = 1 gives f - F, w_m = m gives fbar."""
+    total = dot(L, X)
+    for m, M in terms:
+        total = total + (m * dot(M, X) if weighted else dot(M, X))
+    return total
 
 
 def _count(count):
@@ -169,7 +185,7 @@ class PolySystem:
             t.setflags(write=False)
             object.__setattr__(self, name, t)
             orders.append((m, t.reshape(n * n, -1)))
-        dot = np.ndarray.dot if n > 1 and L.flags.c_contiguous else np.matmul  # the products of M_m are C-contiguous
+        dot = np.ndarray.dot if _dot_exact(L) else np.matmul  # the products M_m are C-contiguous too
         for name, val in (("L", L), ("const", const), ("_orders", tuple(orders)), ("_dot", dot)):
             object.__setattr__(self, name, val)
         L.setflags(write=False)
@@ -208,12 +224,9 @@ class PolySystem:
 
     def _values(self, X):
         """f at a state X (n,) or at each row of a stack X (k, n), by PolyState.f's sum: row i has the bits of at(X[i]).f."""
-        if X.ndim == 2 and len(X) > (per := max(1, _STACK_BYTES // (8 * self.n**2))):
+        if X.ndim == 2 and len(X) > (per := _per_stack(self.n)):
             return np.concatenate([self._values(X[i : i + per]) for i in range(0, len(X), per)])
-        f = np.matmul(self.L, X[..., None])
-        for _, M in self._products(X):
-            f = f + np.matmul(M, X[..., None])
-        return f[..., 0] + self.const
+        return _order_sum(np.matmul, self.L, X[..., None], self._products(X))[..., 0] + self.const
 
     def _linear_forms(self, X):
         """A(U) = L + sum M_m at a state X (n,) or each row of a stack X (k, n), a new array: PolyState.A per state."""
@@ -229,14 +242,14 @@ class PolySystem:
 
     def _newton_system(self, h):
         """U -> (f(U), I - h J(U)) from one contraction: PolyState.f's sum and (I - h L) - sum (m h) M_m."""
-        L, F, K0, dot = self.L, self.const, np.eye(self.n) - h * self.L, self._dot
+        K0 = np.eye(self.n) - h * self.L
 
         def system(U):
-            f, K = dot(L, U), K0
-            for m, M in self._products(U):
-                f = f + dot(M, U)
-                K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)  # in M's own array, once f has read it
-            return f + F, K
+            terms, K = self._products(U), K0
+            f = _order_sum(self._dot, self.L, U, terms) + self.const  # before K reuses M's array
+            for m, M in terms:
+                K = np.subtract(K, np.multiply(M, m * h, out=M), out=M)
+            return f, K
         return system
 
     def eval(self, U):
@@ -292,11 +305,7 @@ class PolyState:
     @property
     def f(self):
         """Residual f(U) = L U + sum M_m U + F."""
-        dot = self.s._dot
-        f = dot(self.s.L, self.U)
-        for _, M in self._terms:
-            f = f + dot(M, self.U)
-        return f + self.s.const
+        return _order_sum(self.s._dot, self.s.L, self.U, self._terms) + self.s.const
 
     @property
     def J(self):
@@ -317,11 +326,7 @@ class PolyState:
     @property
     def fbar(self):
         """fbar(U) = J(U) U without forming J: L U + sum m M_m U."""
-        dot = self.s._dot
-        fbar = dot(self.s.L, self.U)
-        for m, M in self._terms:
-            fbar = fbar + m * dot(M, self.U)
-        return fbar
+        return _order_sum(self.s._dot, self.s.L, self.U, self._terms, weighted=True)
 
     def euler_residuals(self):
         """Residuals of the homogeneous-function identity, per nonlinear order.

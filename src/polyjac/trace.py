@@ -18,6 +18,14 @@ def start_state(U0, n):
     return U
 
 
+def check_stop(tol, max_iter):
+    """Raise ValueError unless a solve's stop settings hold: tol > 0 and max_iter >= 0."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+
+
 def _csv_format(count):  # count numbers joined by commas, each as %.17g (the bytes of f"{x:.17g}"), one % per row
     return ",".join(["%.17g"] * count)
 

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, cli, expressions, load_system_json, lower_to_poly
+from polyjac import PolySystem, burgers_discretize, cli, expressions, load_system_json, lower_to_poly
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 
@@ -252,6 +252,12 @@ class TestUsageErrors:
             "non-polynomial node: elementwise sin\n"
         )
 
+    def test_an_unsupported_function_is_one(self, tmp_path, capsys):
+        doc = {"n": 3, "rhs": {"op": "hfunction", "name": "tan", "child": {"op": "state"}}}
+        assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: bad expression input: unsupported function 'tan'; use sin, cos or exp\n")
+
     @pytest.mark.parametrize("steps", ["2", "0"])
     def test_report_on_a_tree_that_does_not_lower_is_one(self, tmp_path, capsys, steps):
         # the tree L U - sin(U): no run, rather than h_bound and negdef columns left empty
@@ -453,7 +459,7 @@ class TestParseCache:
             results = []
             for argv in session:
                 if cold:
-                    cli._parsed.clear()
+                    cli._slot.clear()
                 code = main(argv)
                 files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
                 for f in out.iterdir():
@@ -461,7 +467,7 @@ class TestParseCache:
                 results.append((code, *capsys.readouterr(), files))
             return results
 
-        cli._parsed.clear()
+        cli._slot.clear()
         warm = run(cold=False)
         assert len(parses) == 1
         assert run(cold=True) == warm
@@ -902,8 +908,8 @@ class TestEachInputLoweredOnce:
 
 
 def count_builds(monkeypatch):
-    """Clear the CLI's preset slot and log each burgers_discretize and lower_to_poly call; returns the two logs."""
-    cli._burgers.cache_clear()
+    """Clear the CLI's input slot and log each burgers_discretize and lower_to_poly call; returns the two logs."""
+    cli._slot.clear()
     built, lowered = [], []
     discretize = cli.burgers_discretize
     monkeypatch.setattr(cli, "burgers_discretize", lambda *a: built.append(a) or discretize(*a))
@@ -942,7 +948,7 @@ class TestPresetCache:
             assert main(["stability", "burgers", "--n", "16", "--re", "-1"]) == 1
             assert capsys.readouterr().err == (
                 "error: bad preset argument: Reynolds number must be positive, got -1.0\n")
-        assert len(built) == 2 and cli._burgers.cache_info().currsize == 0
+        assert len(built) == 2 and cli._slot == []
 
     def test_warm_and_cold_sessions_are_byte_identical(self, tmp_path, monkeypatch, capsys):
         built, _ = count_builds(monkeypatch)
@@ -951,7 +957,7 @@ class TestPresetCache:
             results = []
             for argv in preset_session(tmp_path):
                 if cold:
-                    cli._burgers.cache_clear()
+                    cli._slot.clear()
                 code = main(argv)
                 files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
                 for f in tmp_path.iterdir():
@@ -964,6 +970,50 @@ class TestPresetCache:
         assert run(cold=True) == warm
         assert len(built) == 1 + 3
         assert all(r[0] == 0 and len(r[3]) == 1 for r in warm)
+
+
+class TestOneSlot:
+    # documents and presets share the one slot: the last input built, of either kind, is the one kept
+
+    def test_a_document_after_a_preset_is_parsed_again_and_a_preset_after_a_document_is_built_again(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        built, _ = count_builds(monkeypatch)
+        parses = count_parses(monkeypatch)
+        doc = tmp_path / "in.json"
+        doc.write_text(one_unknown(-1.0))
+        for argv in (["solve", str(doc)], ["stability", "burgers", "--n", "8"]) * 2:
+            assert main(argv) == 0
+        assert len(parses) == 2 and built == [(8, 100.0)] * 2
+        assert cli._slot[0][0] == ("burgers", 8, 100.0)
+
+    def test_the_last_source_is_dropped_before_a_build_of_the_other_kind(self, tmp_path, monkeypatch):
+        doc = tmp_path / "in.json"
+        doc.write_text(one_unknown(-1.0))
+        held, alive = [weakref.ref(cli._load_input(str(doc)))], []
+
+        def logged(build):
+            """build, after noting whether the last source kept is still alive."""
+            def call(*args):
+                gc.collect()
+                alive.append(held[-1]() is not None)
+                return build(*args)
+            return call
+
+        monkeypatch.setattr(cli, "burgers_discretize", logged(burgers_discretize))
+        monkeypatch.setattr(cli, "load_system_json", logged(load_system_json))
+        held.append(weakref.ref(cli._load_input("burgers", 8, 50.0)))
+        assert cli._load_input(str(doc)).const.tolist() == [-1.0]
+        gc.collect()
+        assert alive == [False, False] and held[0]() is None and held[1]() is None
+
+    def test_a_refused_input_leaves_the_slot_empty(self, tmp_path, capsys):
+        doc = tmp_path / "in.json"
+        doc.write_text(one_unknown(-1.0))
+        for refused in (["stability", "burgers", "--re", "-1"], ["solve", str(tmp_path / "bad.json")]):
+            (tmp_path / "bad.json").write_text("{not json")
+            assert main(["solve", str(doc)]) == 0 and len(cli._slot) == 1
+            assert main(refused) == 1 and cli._slot == []
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
@@ -980,7 +1030,7 @@ class TestCollectorPause:
     def test_parse_leaves_the_collector_as_it_was(self, tmp_path, capsys, collector, text, code):
         path = tmp_path / "in.json"
         path.write_text(text)
-        cli._parsed.clear()
+        cli._slot.clear()
         assert main(["solve", str(path)]) == code
         assert gc.isenabled() == collector
 
@@ -989,7 +1039,7 @@ class TestCollectorPause:
         monkeypatch.setattr(cli, "load_system_json", lambda data: seen.append(gc.isenabled()) or load_system_json(data))
         path = tmp_path / "in.json"
         path.write_text(one_unknown(-1.0))
-        cli._parsed.clear()
+        cli._slot.clear()
         assert cli._load_input(str(path)).const.tolist() == [-1.0]
         assert seen == [False] and gc.isenabled() == collector
 

@@ -192,6 +192,11 @@ class TestConstruction:
             Sum(children=(State(), State()), weights=(1.0, bad))
 
 
+    def test_a_node_of_no_known_kind_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown node HExpr$"):
+            h_eval(expressions.HExpr(), np.ones(2))
+
+
 class TestBurgers:
     def test_constant_state_annihilated(self):
         sd = burgers_discretize(8, 10.0)

@@ -43,3 +43,16 @@ class TestRowColScale:
             row_scale(np.eye(3), [1.0, 2.0])
         with pytest.raises(ValueError, match="length mismatch"):
             col_scale([1.0, 2.0], np.eye(3))
+
+    def test_a_vector_a_is_a_column(self):
+        a = np.array([1.0, -2.0, 3.0])
+        assert np.array_equal(row_scale(a, [2.0, 3.0, 4.0]), np.array([[2.0], [-6.0], [12.0]]))
+        assert np.array_equal(col_scale([2.0], a), np.array([[2.0], [-4.0], [6.0]]))
+
+    @pytest.mark.parametrize("scale", [row_scale, lambda a, u: col_scale(u, a)], ids=["row_scale", "col_scale"])
+    def test_a_must_be_a_finite_matrix(self, scale):
+        with pytest.raises(ValueError, match=r"^a must be a matrix, got ndim=3$"):
+            scale(np.ones((2, 2, 2)), [1.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^a contains non-finite entries$"):
+                scale(np.array([[1.0, bad], [0.0, 1.0]]), [1.0, 1.0])

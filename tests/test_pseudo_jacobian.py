@@ -165,6 +165,18 @@ class TestImplicitStep:
             pj_implicit_step(form, np.ones(1), 1.0)
 
 
+    @pytest.mark.parametrize("gap, trips", [(1e-13, True), (1e-11, False)])
+    def test_sherman_morrison_guard_is_1e_12(self, gap, trips):
+        # dU/dt = U at U = 1 as L = 0, w = v = 1: the denominator is 1 - h, exact for h = 1 - gap
+        form = decompose(NonlinearRhs(L=np.zeros((1, 1)), N=lambda t, U: U), 0.0, np.ones(1))
+        h = 1.0 - gap
+        if trips:
+            with pytest.raises(ValueError, match=f"^Sherman-Morrison denominator {1.0 - h:.3e} below guard$"):
+                pj_implicit_step(form, np.ones(1), h)
+        else:
+            assert pj_implicit_step(form, np.ones(1), h)[0] == pytest.approx(1.0 / (1.0 - h), rel=1e-12)
+
+
 class TestDeviationMatrix:
     def test_all_ones_state(self):
         np.testing.assert_allclose(deviation_matrix(np.ones(4)), np.full((4, 4), 0.25))

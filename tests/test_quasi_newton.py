@@ -350,6 +350,45 @@ def secant_residuals(s, trace):
     return out
 
 
+def guard(qq):
+    """The rank-one guard written out, so that a change to its constant fails here: 1e-12 (1 + q^T q)."""
+    return 1e-12 * (1.0 + qq)
+
+
+class TestGuardEdges:
+    """Each rank-one denominator trips at 0.999 and at exactly guard(qq), and clears at 1.001 guard(qq)."""
+
+    QQ_EQUAL = guard(1e-12)  # q^T q equal to guard(q^T q) in floats: 1e-12 (1 + 1e-12) rounds to a fixed point
+
+    def test_the_step_length(self):
+        assert self.QQ_EQUAL == guard(self.QQ_EQUAL)
+        for qq in (0.999e-12, self.QQ_EQUAL):
+            with pytest.raises(GuardTripError, match=r"^denominator q\^T q = "):
+                quasi_newton._check_step(qq, 0.0)
+        quasi_newton._check_step(1.001e-12, 0.0)
+
+    def test_the_shifted_step_length(self):
+        # q^T q = 2^-39 lies within a factor 2 of the guard, so t = c guard - q^T q and q^T q + t are exact
+        qq = 2.0**-39
+        assert qq > guard(qq) and qq + (guard(qq) - qq) == guard(qq)
+        for c in (0.999, 1.0, -0.999, -1.0):
+            with pytest.raises(GuardTripError, match=r"^denominator q\^T q \+ q\^T U_prev = "):
+                quasi_newton._check_step(qq, c * guard(qq) - qq)
+        for c in (1.001, -1.001):
+            quasi_newton._check_step(qq, c * guard(qq) - qq)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_inverse_update(self, sign):
+        # Jinv = I, q = e_0 and delta_f = d e_0 give q^T (Jinv delta_f) = d exactly, against guard(1) = 2e-12
+        q = np.array([1.0, 0.0])
+        for c in (0.999, 1.0):
+            with pytest.raises(GuardTripError, match=r"^denominator q\^T \(Jinv y\) \+ t = "):
+                classic_inverse_update(np.eye(2), q, np.array([sign * c * guard(1.0), 0.0]))
+        d = sign * 1.001 * guard(1.0)
+        np.testing.assert_allclose(classic_inverse_update(np.eye(2), q, np.array([d, 0.0])), np.diag([1.0 / d, 1.0]),
+                                   rtol=1e-12)
+
+
 class TestSecantGuard:
     """modified_rank1 restarts from the exact Jacobian when the secant residual exceeds 1.
 

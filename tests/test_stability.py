@@ -146,6 +146,13 @@ class TestIntegrate:
         assert traj.status == "completed"
         assert traj.states[-1][0] == pytest.approx(0.9**10)
 
+    def test_an_implicit_run_on_a_duck_typed_source_is_a_type_error(self):
+        # a source with n and eval steps explicitly, but has no polynomial system to step implicitly with
+        duck = type("Duck", (), {"n": 2, "eval": lambda self, U: -U})()
+        assert integrate(IVP(duck, [1.0, 2.0]), "explicit_euler", 0.5, 1).states[-1].tolist() == [0.5, 1.0]
+        with pytest.raises(TypeError, match="^source must be a PolySystem or SemiDiscreteIVP$"):
+            integrate(IVP(duck, [1.0, 2.0]), "implicit_euler", 0.1, 1)
+
     @pytest.mark.parametrize("source", ["burgers", "poly"])
     def test_explicit_step_equals_linear_form_step(self, rng, source):
         # U + h rhs(U) = [I + h A(U)] U + h F, the step the linear form gives
