@@ -1008,10 +1008,10 @@ class TestOneSlot:
         assert alive == [False, False] and held[0]() is None and held[1]() is None
 
     def test_a_refused_input_leaves_the_slot_empty(self, tmp_path, capsys):
-        doc = tmp_path / "in.json"
+        doc, bad = tmp_path / "in.json", tmp_path / "bad.json"
         doc.write_text(one_unknown(-1.0))
-        for refused in (["stability", "burgers", "--re", "-1"], ["solve", str(tmp_path / "bad.json")]):
-            (tmp_path / "bad.json").write_text("{not json")
+        bad.write_text("{not json")
+        for refused in (["stability", "burgers", "--re", "-1"], ["solve", str(bad)]):
             assert main(["solve", str(doc)]) == 0 and len(cli._slot) == 1
             assert main(refused) == 1 and cli._slot == []
 
