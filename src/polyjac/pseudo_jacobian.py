@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stability import EULER_REAL_AXIS, _limit, _matrix_norm
+from .system import _solve
 
 __all__ = [
     "RankOneForm",
@@ -104,8 +105,8 @@ def pj_implicit_step(form, U_n, h):
     n = U_n.size
     M = np.eye(n) - h * form.L
     try:
-        x0 = np.linalg.solve(M, U_n)
-        z = np.linalg.solve(M, form.w)
+        x0 = _solve(M, U_n)
+        z = _solve(M, form.w)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular I - L h at step size {h}") from exc
     denom = 1.0 - h * float(form.v @ z)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import _dot_exact, diverged
+from .system import _dot_exact, _solve, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
@@ -205,7 +205,7 @@ def qn_solve(s, U0, opts=None):
             break
         try:
             if newton:
-                step = np.linalg.solve(J, -f)
+                step = _solve(J, -f)
             else:
                 if J_inv is None:
                     J_inv = np.linalg.inv(J)  # C-contiguous, as is each update of it

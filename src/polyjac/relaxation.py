@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .system import _state, diverged
+from .system import _solve, _state, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = ["IterativeOptions", "SingularPivotError", "iterative_solve", "sweep_once"]
@@ -109,7 +109,7 @@ def _sweep(U, a, f, method, omega):
         f *= omega
         m.flat[:: d.size + 1] = d
     # reversed, m is upper triangular with _pivot's nonzero diagonal: LAPACK swaps no rows and back-substitutes
-    return U - np.linalg.solve(m[::-1, ::-1], f[::-1])[::-1], perm
+    return U - _solve(m[::-1, ::-1], f[::-1])[::-1], perm
 
 
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):

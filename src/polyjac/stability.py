@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, _per_stack, _state, check_dense, diverged
+from .system import PolySystem, _per_stack, _solve, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP
 from .trace import _csv_format, start_state
 
@@ -216,7 +216,7 @@ def _step(value, system, method, U, h):
         return U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     try:
         f, K = system(U)
-        dV = h * np.linalg.solve(K, f)
+        dV = h * _solve(K, f)
         V = U + dV
         if method == "semi_implicit_euler":
             return V
@@ -225,7 +225,7 @@ def _step(value, system, method, U, h):
         d_prev = np.abs(dV).max()
         for _ in range(NEWTON_MAX_ITER):
             f, K = system(V)
-            dV = np.linalg.solve(K, U + h * f - V)
+            dV = _solve(K, U + h * f - V)
             V = V + dV
             # np.abs(x).max() is np.linalg.norm(x, inf) for a vector; NaN propagates through max
             if not math.isfinite(m := np.abs(V).max()):

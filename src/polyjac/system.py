@@ -32,6 +32,13 @@ it is never stored, allocated, symmetrized or contracted; its M2 or M3 reads
 as a zero matrix, and its .quad or .cubic as a read-only zero-stride view of
 full shape, made when read, so a quadratic system costs no n^4 memory.
 
+Each solve in a loop (implicit steps, Newton, the sweeps, pj_implicit_step) is
+_solve(K, b), float64 K and b: LAPACK's gufunc solve1 without np.linalg's solve
+wrapper, whose checks are a large share of a solve at n <= 24.  It keeps the
+wrapper's errstate: invalid, set by a singular K, calls a handler raising
+LinAlgError, and over, divide and under are ignored (a NaN K gives NaN).  It is set
+per call, by a decorator: one around a march would make inf - inf NaNs LinAlgErrors.
+
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
 """
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 __all__ = [
     "PolySystem",
@@ -80,6 +88,16 @@ def _order_sum(dot, L, X, terms, weighted=False):
     for m, M in terms:
         total = total + (m * dot(M, X) if weighted else dot(M, X))
     return total
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(K, b):
+    """K^-1 b for a float64 matrix K and vector b, as np.linalg's solve gives it; LinAlgError if K is singular."""
+    return solve1(K, b, signature="dd->d")
 
 
 def _count(count):

@@ -8,7 +8,12 @@ tests pin that rule on the shapes the code meets, check that a 1 x 1 linear map 
 an n = 1 system keep @'s signed zeros on every path that takes dot for larger
 matrices, and check that the public rank-one updates keep @'s bits for a matrix
 of any layout.  Every expected value is written with @.
+
+The solves in the solvers' loops call system._solve, numpy's LAPACK gufunc under
+the errstate of np.linalg.solve; the last tests check it against np.linalg.solve.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from polyjac import (
 )
 from polyjac import expressions
 from polyjac.stability import IVP
+from polyjac.system import _solve
 
 
 def same_bits(a, b):
@@ -181,3 +187,48 @@ def test_layouts_are_what_they_say():
     assert all(np.array_equal(W, M) for W in ways.values())
     assert ways["reversed"].strides[0] < 0 and not ways["column-strided"].flags.c_contiguous
     assert ways["fortran"].flags.f_contiguous and not ways["fortran"].flags.c_contiguous
+
+
+def solve_cases(n):
+    """K in C order, Fortran order and as the reversed view that _sweep passes, with right-hand sides."""
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + n * np.eye(n)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    b = rng.standard_normal(n)
+    b[::2] = zeros[::2]
+    for K in (M, np.asfortranarray(M), M[::-1, ::-1]):
+        for rhs in (rng.standard_normal(n), zeros, b, b[::-1]):
+            yield K, rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 24])
+def test_solve_has_the_bits_of_linalg_solve(n):
+    for K, b in solve_cases(n):
+        assert same_bits(_solve(K, b), np.linalg.solve(K, b))
+
+
+SINGULAR = [np.zeros((1, 1)), np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])]
+
+
+@pytest.mark.parametrize("outer", [{}, {"all": "ignore"}, {"all": "raise"}], ids=["default", "ignore", "raise"])
+@pytest.mark.parametrize("K", SINGULAR, ids=["1x1", "3x3", "rank-1"])
+def test_a_singular_matrix_raises_under_any_errstate(K, outer):
+    # cli.main runs under errstate(all="ignore"); the kernel's own errstate decides either way
+    with np.errstate(**outer):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _solve(K, np.ones(K.shape[0]))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(K, np.ones(K.shape[0]))
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+@pytest.mark.parametrize("outer", [{}, {"all": "raise"}], ids=["default", "raise"])
+def test_a_nan_matrix_gives_nan_without_error_or_warning(outer):
+    K = np.full((3, 3), np.nan)
+    with warnings.catch_warnings(), np.errstate(**outer):
+        warnings.simplefilter("error")
+        before = np.geterr(), np.geterrcall()
+        x = _solve(K, np.ones(3))
+        assert (np.geterr(), np.geterrcall()) == before
+    assert np.isnan(x).all() and same_bits(x, np.linalg.solve(K, np.ones(3)))

@@ -389,6 +389,18 @@ class TestGuardEdges:
                                    rtol=1e-12)
 
 
+def test_dense_solve_iteration_totals():
+    # the 48 systems of the benchmark's dense-solve seed 1 from U0 = 0 at tol 1e-10: each run converges,
+    # and the rank-one totals move with the guard (1e-10 (1 + q^T q) gives 302 and 303)
+    systems = [random_cubic_system(1, 2, k, 20) for k in range(48)]
+    totals = {}
+    for variant in ("newton", "classic_rank1", "modified_rank1"):
+        traces = [qn_solve(s, np.zeros(20), QNOptions(variant=variant, tol=1e-10)) for s in systems]
+        assert all(tr.status == "converged" for tr in traces)
+        totals[variant] = sum(len(tr.iterates) - 1 for tr in traces)
+    assert totals == {"newton": 171, "classic_rank1": 340, "modified_rank1": 339}
+
+
 class TestSecantGuard:
     """modified_rank1 restarts from the exact Jacobian when the secant residual exceeds 1.
 

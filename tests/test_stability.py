@@ -422,6 +422,46 @@ class TestIntegrate:
         assert len(lines) == 5
 
 
+class TestImplicitNewton:
+    """Implicit Euler's Newton on one equation whose iterates are known.
+
+    With L = 1, a quadratic q and h = 1, the step equation V - U - h f(V) = 0 from U reads
+    -(U + F) - q V^2 = 0: a double root at 0 for F = -U, roots +-eps for F = -U - q eps^2.
+    """
+
+    @staticmethod
+    def step(U, q, F):
+        """One implicit Euler step of size 1 from U: (V or None, the states its contractions read)."""
+        system, read = IVP(PolySystem([[1.0]], [[[q]]], None, [F]), [U]).newton_system(1.0), []
+        V = stability._step(None, lambda V: read.append(V[0]) or system(V), "implicit_euler", np.array([U]), 1.0)
+        return V, read
+
+    def test_a_double_root_takes_43_corrections(self):
+        # from U = 16 with q = 2^40 every value is a power of two, so Newton halves V exactly: after the
+        # predictor 8, the k-th correction is 2^(3 - k), first at most NEWTON_TOL (1 + V) for k = 43
+        V, read = self.step(16.0, 2.0**40, -16.0)
+        assert len(read) - 1 == 43 and V.tolist() == [2.0**-40]
+
+    def test_a_last_rate_between_a_third_and_a_half_stops_by_the_estimate(self):
+        # roots +-eps: V halves toward eps until the rate falls; the 39th correction d has rate about 0.40
+        # and d about 1.18 NEWTON_TOL (1 + V), so the correction test alone would go on, while
+        # d^2 / (d_prev - d) <= NEWTON_TOL (1 + V) stops here
+        eps, U, q = 2.2e-12, 1.75, 2.0**40
+        V, read = self.step(U, q, -U - q * eps**2)
+        d = np.abs(np.diff([*read, V[0]]))
+        assert len(read) - 1 == 39
+        assert 1.0 / 3.0 < d[-1] / d[-2] <= 0.5 and d[-1] > stability.NEWTON_TOL * (1.0 + abs(V[0]))
+        assert abs(V[0] - eps) <= 1e-12
+
+    def test_a_singular_newton_matrix_fails_the_step(self):
+        # f(V) = 1/2 + V^2 from 0: the predictor reaches V = 1/2, where I - h J(V) = 1 - 2 V is exactly 0
+        s = PolySystem([[0.0]], [[[1.0]]], None, [0.5])
+        semi = integrate(IVP(s, [0.0]), "semi_implicit_euler", 1.0, 1)
+        assert semi.status == "completed" and semi.states[-1].tolist() == [0.5]
+        traj = integrate(IVP(s, [0.0]), "implicit_euler", 1.0, 1)
+        assert traj.status == "solver_failed" and traj.failure_step == 0
+
+
 class TestScan:
     def test_scalar_threshold(self):
         s = linear_system(np.array([[-1.0]]))
