@@ -239,11 +239,10 @@ def _cmd_check_jacobian(args):
 
 
 def _central_difference_jacobian(values, U, step=1e-6):
-    """Central finite differences, step h_j = step (1 + |U_j|), as a new C-contiguous matrix.
+    """Central finite differences, step h_j = step (1 + |U_j|), as a new matrix.
 
     values(X) gives f at each row of a stack X, and the 2n points U +- h_j e_j are one stack: U
-    repeated, h_j added on the diagonal, so a -0.0 entry of U stays -0.0 off it.  C order, as
-    the rounding of PolyState.deviation's J_hat @ U follows the layout.
+    repeated, h_j added on the diagonal, so a -0.0 entry of U stays -0.0 off it.
     """
     U = np.asarray(U, dtype=float)
     n, j = U.size, np.arange(U.size)
@@ -252,7 +251,7 @@ def _central_difference_jacobian(values, U, step=1e-6):
     X[j, j] += h
     X[j + n, j] -= h
     F = values(X)
-    return np.ascontiguousarray(((F[:n] - F[n:]) / (2.0 * h)[:, None]).T)
+    return ((F[:n] - F[n:]) / (2.0 * h)[:, None]).T
 
 
 def _cmd_stability(args):

@@ -42,7 +42,7 @@ import operator
 
 import numpy as np
 
-from .system import PolySystem, _dot_exact, check_dense
+from .system import PolySystem, _dot_exact, _frozen, check_dense
 
 __all__ = [
     "HExpr",
@@ -90,15 +90,6 @@ class LinearMap(HExpr):
         if A.ndim != 2:
             raise ValueError(f"linear map matrix must be 2-D, got shape {A.shape}")
         object.__setattr__(self, "A", A)
-
-
-def _frozen(a, name):
-    """A read-only float copy of a, so no edit of the caller's array reaches the tree; ValueError if not finite."""
-    a = np.array(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from .stability import EULER_REAL_AXIS, _limit, _matrix_norm
 from .system import _solve
 
 __all__ = [
-    "RankOneForm",
     "NonlinearRhs",
     "decompose",
     "pj_step_bound_explicit",

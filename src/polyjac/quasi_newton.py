@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import _dot_exact, _solve, diverged
+from .system import _solve, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
@@ -208,9 +208,8 @@ def qn_solve(s, U0, opts=None):
                 step = _solve(J, -f)
             else:
                 if J_inv is None:
-                    J_inv = np.linalg.inv(J)  # C-contiguous, as is each update of it
-                    dot = np.ndarray.dot if _dot_exact(J_inv) else np.matmul
-                step = dot(-J_inv, f)
+                    J_inv = np.linalg.inv(J)
+                step = s._dot(-J_inv, f)
         except np.linalg.LinAlgError:
             return trace.end("singular_jacobian", k)
         U_new = U + step
@@ -226,7 +225,7 @@ def qn_solve(s, U0, opts=None):
             t = float(q @ U) if modified else 0.0
             try:
                 _check_step(qq, t)
-                J_inv = _inverse_update(J_inv, q, y, qq, t, dot)
+                J_inv = _inverse_update(J_inv, q, y, qq, t, s._dot)
                 restart = modified and not _secant_holds(_updated_action(f, y, qq, t), f_new - f)
             except GuardTripError:
                 restart = True

@@ -18,13 +18,17 @@ _linear_forms (A(U)), _linear_system (A(U) and A U + F) and _newton_system(h)
 is contracted by np.matmul in slices of _per_stack(n) states, at most 2 MiB
 of products per order, and stability's reports stack A(U) alike.
 
-A per-state product of a matrix the code made takes ndarray.dot, which calls
-BLAS with less dispatch than @, where _dot_exact says dot has @'s bits: a
-C-contiguous matrix of more than one element.  dot multiplies a one-element
-matrix (n = 1) as a scalar, so [[-0.65]] . [0.0] reads -0.0 where @ reads
-+0.0.  A system picks its product once (_dot), qn_solve once per inverse and
-a compiled tree once per LinearMap; vector . vector products, arrays a
-caller passes and stacks keep @.
+Layout is decided once, where an array enters, so answers depend on values
+alone: each matrix polyjac keeps is a C-ordered, read-only float64 copy by
+_frozen (L, const, LinearMap.A, DiagScale.c, an IVP's difference matrices);
+a quad is taken in C order before it is symmetrized, so it is stored once, and
+deviation takes J_hat in C order.  A per-state product of such a matrix, or of
+one made from them, takes ndarray.dot, which calls BLAS with less dispatch
+than @, where _dot_exact says dot has @'s bits: more than one element; dot
+multiplies a one-element matrix as a scalar, so [[-0.65]] . [0.0] reads -0.0
+where @ reads +0.0.  A system picks its product once (_dot), which qn_solve's
+inverse shares, and a tree once per LinearMap; vector . vector products and
+stacks keep @.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -78,8 +82,17 @@ def _per_stack(n):
 
 
 def _dot_exact(A):
-    """True when ndarray.dot gives A's products the bits of @: A is C-contiguous with more than one element."""
-    return A.size > 1 and A.flags.c_contiguous
+    """True when ndarray.dot gives a C-ordered A's products the bits of @: A has more than one element."""
+    return A.size > 1
+
+
+def _frozen(a, name=None):
+    """A new C-ordered, read-only float64 copy of a; with a name, ValueError if an entry is not finite."""
+    a = np.array(a, dtype=float, order="C")
+    if name is not None and not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    a.setflags(write=False)
+    return a
 
 
 def _order_sum(dot, L, X, terms, weighted=False):
@@ -159,7 +172,7 @@ def _pairs(n):  # read-only rows k, l of the pairs k <= l, in np.triu_indices(n)
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PolySystem:
     """Cubic-capped polynomial system over R^n, immutable after construction.
 
@@ -172,11 +185,10 @@ class PolySystem:
     const: np.ndarray
 
     def __post_init__(self):
-        # Copies, so freezing the stored arrays never freezes the caller's.
-        L = np.array(self.L, dtype=float)
-        quad = None if self.quad is None else np.asarray(self.quad, dtype=float)
+        L = _frozen(self.L)
+        quad = None if self.quad is None else np.asarray(self.quad, dtype=float, order="C")  # so its _orders matrix is a view
         cubic = None if self.cubic is None else np.asarray(self.cubic, dtype=float)
-        const = np.array(self.const, dtype=float).ravel()
+        const = _frozen(self.const).ravel()
         n = L.shape[0]
         if L.shape != (n, n):
             raise ValueError(f"L must be square, got {L.shape}")
@@ -203,11 +215,9 @@ class PolySystem:
             t.setflags(write=False)
             object.__setattr__(self, name, t)
             orders.append((m, t.reshape(n * n, -1)))
-        dot = np.ndarray.dot if _dot_exact(L) else np.matmul  # the products M_m are C-contiguous too
+        dot = np.ndarray.dot if _dot_exact(L) else np.matmul
         for name, val in (("L", L), ("const", const), ("_orders", tuple(orders)), ("_dot", dot)):
             object.__setattr__(self, name, val)
-        L.setflags(write=False)
-        const.setflags(write=False)
 
     def __getattr__(self, name):  # .quad or .cubic not stored: read-only zeros, or the cubic rebuilt from P
         if name not in ("quad", "cubic"):
@@ -292,7 +302,7 @@ class PolySystem:
         return self.at(U)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PolyState:
     """A PolySystem at one state U; the properties are sums over its orders, computed when read.
 
@@ -371,7 +381,7 @@ class PolyState:
         denom = np.linalg.norm(fbar)
         if denom == 0.0:
             raise ValueError("fbar(U) = 0: deviation undefined at this state")
-        return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float) @ self.U) / denom)
+        return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float, order="C") @ self.U) / denom)
 
 
 def from_kronecker(K, G, R, F):

@@ -43,6 +43,21 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+LAYOUTS = ("c", "fortran", "transposed", "strided")
+
+
+def laid_out(a, layout):
+    """a's values in one of LAYOUTS: C order, Fortran order, the last two axes swapped in memory
+    (a 1-D a reversed in memory), or every other entry of a wider array; None stays None."""
+    if a is None or layout == "c":
+        return a
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return a[::-1].copy()[::-1] if a.ndim == 1 else np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
 def fd_jacobian(f, U, step=1e-6):
     """Central finite differences of a per-state f, step scaled per component by 1 + |U_j|.
 

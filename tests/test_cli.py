@@ -653,6 +653,18 @@ class TestCheckJacobian:
         assert main(["check-jacobian", "circle-cubic", "--random-states", "3"]) == 0
         assert len(at) == 3 and len(products) == 6
 
+    def test_identity_residuals_of_a_one_dimensional_cubic(self, tmp_path):
+        # at n = 1 the cubic residual |3 (M u) - (3 M) u|, M = c u^2, is scalar IEEE arithmetic,
+        # nonzero here; the quadratic one doubles exactly, so it is 0
+        c, u = 1.4134158109371489, 2.7476249074199464
+        doc = {"n": 1, "L": [[-0.5]], "quadratic": [[0, 0, 0, 0.75]], "cubic": [[0, 0, 0, 0, c]], "F": [0.25]}
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out), "check-jacobian", write_doc(tmp_path, doc), "--state", repr(u)]) == 0
+        report = read_json(str(out))["reports"][0]
+        M = c * (u * u)
+        assert report["identity_residual_cubic"] == abs(3 * (M * u) - (3 * M) * u) == 1.4210854715202004e-14
+        assert report["identity_residual_quadratic"] == 0.0
+
     def test_seeded_runs_bit_identical(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -11,7 +11,9 @@ Newton iterate against the state record, f at a state and over a stack of states
 record, and check-jacobian's stacked central differences against the per-point loop (bit for bit), the implicit trajectories of a tree against those
 of its lowering (bit for bit), the per-step stability reports integrate builds
 from stacks of A(U) against the reports made one state at a time (bit for
-bit), and diverged's one-call test against the exact test near its limit.
+bit), diverged's one-call test against the exact test near its limit, and
+every answer of a system or tree, solvers and integrators included, given its
+matrices in C, Fortran, transposed and strided layouts (bit for bit).
 The shared rank-one kernels, the one-pass reader of a system document's entries and the one-format CSV rows
 must match, bit for bit, the code they replaced; the correction-form sweep
 must match the direct-form sweep it replaced to rounding times a conditioning
@@ -43,9 +45,11 @@ from polyjac import (
     HadamardPower,
     HadamardProduct,
     IVP,
+    IterativeOptions,
     LinearMap,
     PolySystem,
     GuardTripError,
+    QNOptions,
     SemiDiscreteIVP,
     SolverTrace,
     StabilityReport,
@@ -61,11 +65,13 @@ from polyjac import (
     h_eval,
     h_jacobian,
     integrate,
+    iterative_solve,
     jacobian_action,
     load_system_json,
     lower_to_poly,
     modified_inverse_update,
     modified_update,
+    qn_solve,
     sweep_once,
 )
 from polyjac import stability, system
@@ -75,7 +81,7 @@ from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
 from polyjac.system import _read_coefficients, check_dense, diverged
 
-from conftest import fd_jacobian, reference_linear_sweep, reference_values
+from conftest import LAYOUTS, fd_jacobian, laid_out, reference_linear_sweep, reference_values
 
 TOL = 1e-12
 METHODS = ("eval", "nonlinear_parts", "jacobian", "linearized_matrix", "euler_residuals")
@@ -157,7 +163,11 @@ def test_stacked_central_differences_are_the_per_point_loop(case, data, step):
         want = fd_jacobian(lambda V: points.append(V) or s.eval(V), U, step)
     # one stack of the loop's 2n points, ups then downs: a -0.0 entry of U stays -0.0 off the diagonal
     assert len(stacks) == 1 and _same_bits(stacks[0], points[0::2] + points[1::2])
-    assert _same_bits(got, want) and got.flags.c_contiguous
+    assert _same_bits(got, want)
+    # deviation takes J_hat in C order, so the matrix and its C copy give one answer
+    with np.errstate(all="ignore"):
+        devs = [_value_or_error(s.at(U).deviation, J_hat) for J_hat in (got, got.copy())]
+    assert repr(devs[0]) == repr(devs[1])  # a float's repr is its bits; a string is fbar(U) = 0's error
 
 
 def _raw_reference(raw, U):
@@ -1286,3 +1296,80 @@ def test_diverged_equals_the_exact_test_near_the_limit(U, edge):
     assert diverged(U) == (not np.abs(U).max() <= 1e8)
     U[0] = edge
     assert diverged(U) == (not np.abs(U).max() <= 1e8)
+
+
+def _bits(x):
+    """x's exact content, to compare answers bit for bit: arrays and floats as bytes, records field by field."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_bits, x))
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def _system_answers(s, U, X, J_hat):
+    """Everything the solvers and integrators answer for s from U, as bits: what must not depend on layout."""
+    st = s.at(U)
+    answers = {name: getattr(st, name) for name in ("f", "J", "A", "fbar")}
+    answers.update(eval=s.eval(U), values=s._values(X), deviation=_value_or_error(st.deviation, J_hat))
+    for variant in ("newton", "classic_rank1", "modified_rank1"):
+        answers[variant] = qn_solve(s, U, QNOptions(variant=variant, max_iter=6, keep_jacobians=True))
+    for method in ("jacobi", "gauss_seidel", "sor"):
+        answers[method] = iterative_solve(s, U, IterativeOptions(method=method, omega=1.2, max_iter=6))
+    for method in stability.METHODS:
+        answers[method] = integrate(IVP(s, U), method, 0.05, 4, report=True)
+    return {name: _bits(a) for name, a in answers.items()}
+
+
+def _laid_out_tree(e, layout):
+    """The tree e with every LinearMap matrix and DiagScale scale given in layout."""
+    if isinstance(e, LinearMap):
+        return LinearMap(laid_out(e.A, layout), _laid_out_tree(e.child, layout))
+    if isinstance(e, DiagScale):
+        return DiagScale(laid_out(e.c, layout), _laid_out_tree(e.child, layout))
+    if isinstance(e, Sum):
+        return Sum(tuple(_laid_out_tree(c, layout) for c in e.children), e.weights)
+    if isinstance(e, HadamardProduct):
+        return HadamardProduct(*(_laid_out_tree(c, layout) for c in e.children))
+    if isinstance(e, HadamardPower):
+        return HadamardPower(_laid_out_tree(e.child, layout), e.q)
+    return e
+
+
+def _tree_answers(tree, n, U, diffs):
+    sd = SemiDiscreteIVP(n, tree, *diffs, reynolds=10.0)
+    answers = {"h_eval": h_eval(tree, U), "h_jacobian": h_jacobian(tree, U), "step_bound": burgers_step_bound(sd, U)}
+    st = lower_to_poly(tree, n).at(U)
+    answers.update(lowered_f=st.f, lowered_J=st.J)
+    return {name: _bits(a) for name, a in answers.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 24])
+@settings(max_examples=8)
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_answers_depend_on_values_alone_not_on_layout(n, data, has_quad, has_cubic, seed):
+    # every matrix given in C order, Fortran order, transposed in memory and strided, and a
+    # system both as PolySystem and as from_kronecker's flattened matrices: one set of bits
+    rng = np.random.default_rng(seed)
+    L = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+    quad = 0.3 * rng.standard_normal((n,) * 3) / n if has_quad else None
+    cubic = 0.1 * rng.standard_normal((n,) * 4) / n**1.5 if has_cubic else None
+    F, U, X = rng.standard_normal(n), 0.5 * rng.standard_normal(n), rng.standard_normal((3, n))
+    J_hat, diffs = rng.standard_normal((n, n)), rng.standard_normal((2, n, n))
+    tree, _ = data.draw(trees(n, 3))
+    kron = [np.zeros((n, n**m)) if t is None else t.reshape(n, -1) for m, t in ((2, quad), (3, cubic))]
+    with np.errstate(all="ignore"):
+        want_system = _system_answers(PolySystem(L, quad, cubic, F), U, X, J_hat)
+        want_tree = _tree_answers(tree, n, U, diffs)
+        for layout in LAYOUTS:
+            given_as = {"PolySystem": PolySystem(*(laid_out(a, layout) for a in (L, quad, cubic, F))),
+                        "from_kronecker": from_kronecker(*(laid_out(a, layout) for a in (L, *kron, F)))}
+            for how, s in given_as.items():
+                got = _system_answers(s, U, X, laid_out(J_hat, layout))
+                assert [k for k in got if got[k] != want_system[k]] == [], (layout, how)
+            got = _tree_answers(_laid_out_tree(tree, layout), n, U, [laid_out(d, layout) for d in diffs])
+            assert [k for k in got if got[k] != want_tree[k]] == [], layout

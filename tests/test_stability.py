@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,6 +480,19 @@ class TestScan:
         bound = burgers_step_bound(sd, U0)
         thr = scan_blowup_threshold(IVP(sd, U0), "explicit_euler", bound, 4.0 * bound, 1.0)
         assert thr >= bound
+
+    def test_bisection_stops_within_two_percent_below_the_threshold(self, monkeypatch):
+        # a run completes exactly below h* = 1.09; bisecting [1, 2] stops at width 1/64 for 2%, and
+        # a 3% width would stop a halving sooner, at h_lo = 1.0625 with 1.02 h_lo < h*
+        h_star, runs = 1.09, []
+
+        def integrate(ivp, method, h, steps):
+            runs.append(h)
+            return SimpleNamespace(status="completed" if h < h_star else "diverged")
+
+        monkeypatch.setattr(stability, "integrate", integrate)
+        h_lo = scan_blowup_threshold(None, "explicit_euler", 1.0, 2.0, 1.0)  # the stub never reads the IVP
+        assert h_lo < h_star <= h_lo * (1 + 0.02) and h_lo == 1.078125 and len(runs) == 8
 
     def test_invalid_bracket(self):
         s = linear_system(np.array([[-1.0]]))

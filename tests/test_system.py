@@ -9,7 +9,7 @@ from polyjac import PolySystem, burgers_discretize, from_kronecker, load_system_
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 from polyjac.system import check_dense, diverged
 
-from conftest import random_poly_system, fd_jacobian
+from conftest import LAYOUTS, fd_jacobian, laid_out, random_poly_system
 
 
 def kron_eval(K, G, R, F, C):
@@ -111,6 +111,28 @@ class TestCallerArrays:
         assert K.flags.writeable and F.flags.writeable
         K[0, 0], F[0] = 5.0, 5.0
         assert s.L[0, 0] == 1.0 and s.const[0] == 1.0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_kept_arrays_are_c_ordered_and_a_quad_is_stored_once(self, rng, layout):
+        n = 5
+        L, quad, F = rng.standard_normal((n, n)), rng.standard_normal((n, n, n)), rng.standard_normal(n)
+        s = PolySystem(*(laid_out(a, layout) for a in (L, quad, None, F)))
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in (s.L, s.quad, s.const))
+        assert np.shares_memory(s._orders[0][1], s.quad) and _stored_floats(s) == n**3 + n**2 + n
+
+    def test_records_compare_and_hash_by_identity(self, rng):
+        s = from_kronecker(*random_kron_coeffs(rng, 3))
+        st = s.at(rng.standard_normal(3))
+        assert s == s and st == st and st != s.at(st.U)
+        assert s != PolySystem(s.L, s.quad, s.cubic, s.const)
+        assert len({s, s}) == 1 and len({st, st}) == 1
+
+    def test_repr_does_not_rebuild_the_cubic(self, rng):
+        # the cubic is kept packed; a dense 40^4 rebuild would take 20 MB
+        n = 40
+        s = PolySystem(np.eye(n), None, rng.standard_normal((n,) * 4), np.zeros(n))
+        st = s.at(np.ones(n))
+        assert _peak_bytes(lambda: (repr(s), repr(st))) < 1e6
 
 
 def _peak_bytes(build):
