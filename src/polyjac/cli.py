@@ -9,9 +9,10 @@ A process that calls main more than once keeps its last input in one
 (key, source) slot, the key a preset's resolved ("burgers", n, Re) or a
 document's text, never its path; commands on one input share its parse,
 discretization and lowering.  The slot is cleared before each build, and a
-refused preset or a failed parse is not kept.  A document is parsed with the
-cyclic collector paused, as its decoded lists hold no cycles, and the
-collector is left as it was found.
+refused preset or a failed parse is not kept; --n or --re given for an input
+other than burgers is refused before the slot is read.  A document is parsed
+with the cyclic collector paused, as its decoded lists hold no cycles, and
+the collector is left as it was found.
 """
 
 import argparse
@@ -59,6 +60,8 @@ _slot = []
 
 def _load_input(path, n=None, Re=None):
     """Resolve an input token to its source: a PolySystem or a SemiDiscreteIVP, kept while it is the last one built."""
+    if path != "burgers" and (n, Re) != (None, None):
+        raise ValueError(f"{'--n' if n is not None else '--re'} shapes only the burgers preset, not {path}")
     if path == "circle-cubic":
         return presets.circle_cubic_system()
     if path == "burgers":

@@ -42,7 +42,7 @@ import operator
 
 import numpy as np
 
-from .system import PolySystem, _dot_exact, _frozen, check_dense
+from .system import PolySystem, _dot_exact, _frozen, _vector, check_dense
 
 __all__ = [
     "HExpr",
@@ -73,12 +73,12 @@ class DomainError(ValueError):
     """A power, or its derivative, outside its domain: a fractional power of a negative entry or a negative power of zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State(HExpr):
     """The state vector U itself."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap(HExpr):
     """A @ child, with A acting on the child's value."""
 
@@ -92,7 +92,7 @@ class LinearMap(HExpr):
         object.__setattr__(self, "A", A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardProduct(HExpr):
     """Elementwise product of the children's values."""
 
@@ -104,7 +104,7 @@ class HadamardProduct(HExpr):
         object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardPower(HExpr):
     """Elementwise power child**q."""
 
@@ -119,7 +119,7 @@ class HadamardPower(HExpr):
 _FUNCS = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda x: -np.sin(x)), "exp": (np.exp, np.exp)}  # (f, f')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementwiseFunction(HExpr):
     """Elementwise scalar function of the child; one of sin, cos, exp."""
 
@@ -131,7 +131,7 @@ class ElementwiseFunction(HExpr):
             raise ValueError(f"unsupported function {self.name!r}; use sin, cos or exp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagScale(HExpr):
     """Fixed coefficient vector c times the child, elementwise."""
 
@@ -142,7 +142,7 @@ class DiagScale(HExpr):
         object.__setattr__(self, "c", _frozen(np.ravel(self.c), "diagonal scale"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(HExpr):
     """Weighted sum of the children's values."""
 
@@ -165,13 +165,13 @@ class Sum(HExpr):
 
 def h_eval(e, U):
     """Evaluate a tree at state U; ValueError if it breaks the shape rule, DomainError outside its domain."""
-    U = np.asarray(U, dtype=float).ravel()
+    U = _vector(U)
     return _check_length(e, U.size)[0](U)
 
 
 def h_jacobian(e, U):
     """Exact Jacobian of h_eval(e, .) at U; DomainError at the first node, children first, whose derivative is undefined."""
-    U = np.asarray(U, dtype=float).ravel()
+    U = _vector(U)
     return _check_length(e, U.size)[1](U)[1]
 
 
@@ -293,14 +293,10 @@ def _product_rule(vals, jacs):
 
 
 def _as_matrix(a, name="a"):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.ndim != 2:
+    a = _frozen(a, name)
+    if a.ndim not in (1, 2):
         raise ValueError(f"{name} must be a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return a[:, None] if a.ndim == 1 else a
 
 
 def row_scale(a, u):
@@ -309,7 +305,7 @@ def row_scale(a, u):
     For a column vector a this coincides with the elementwise product.
     """
     a = _as_matrix(a, "a")
-    u = np.asarray(u, dtype=float).ravel()
+    u = _vector(u)
     if u.size != a.shape[0]:
         raise ValueError(f"length mismatch: u has {u.size}, a has {a.shape[0]} rows")
     return a * u[:, None]
@@ -318,13 +314,13 @@ def row_scale(a, u):
 def col_scale(v, a):
     """Scale column j of a by v[j]; equals a @ diag(v)."""
     a = _as_matrix(a, "a")
-    v = np.asarray(v, dtype=float).ravel()
+    v = _vector(v)
     if v.size != a.shape[1]:
         raise ValueError(f"length mismatch: v has {v.size}, a has {a.shape[1]} cols")
     return a * v[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stability import EULER_REAL_AXIS, _limit, _matrix_norm
-from .system import _solve
+from .system import _frozen, _solve, _square, _state, _vector
 
 __all__ = [
     "NonlinearRhs",
@@ -26,7 +26,7 @@ __all__ = [
 SM_DENOM_GUARD = 1e-12  # smallest usable Sherman-Morrison denominator in pj_implicit_step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearRhs:
     """dU/dt = L U + N(t, U) with a caller-supplied nonlinearity."""
 
@@ -34,10 +34,10 @@ class NonlinearRhs:
     N: callable
 
     def __post_init__(self):
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=float))
+        object.__setattr__(self, "L", _frozen(_square(self.L, "L")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneForm:
     """L + w v^T built at a fixed state, with (w v^T) U_at = w."""
 
@@ -59,7 +59,7 @@ def decompose(rhs, t, U):
     decomposition then represents the system at the shifted state, which the
     returned form records.
     """
-    U = np.asarray(U, dtype=float).ravel()
+    U = _state(U, rhs.L.shape[0])
     if not np.all(np.isfinite(U)):
         raise ValueError("U contains non-finite entries")
     n = U.size
@@ -72,7 +72,7 @@ def decompose(rhs, t, U):
         signs = np.where(U[offenders] >= 0.0, 1.0, -1.0)
         shift[offenders] = 2.0 * zero_tol * signs
         U_at = U + shift
-    w = np.asarray(rhs.N(t, U_at), dtype=float).ravel()
+    w = _vector(rhs.N(t, U_at))
     v = (1.0 / n) / U_at
     return RankOneForm(L=rhs.L, w=w, v=v, U_at=U_at, shift=shift)
 
@@ -100,9 +100,10 @@ def pj_implicit_step(form, U_n, h):
     Computed with one dense solve against I - L h plus a Sherman-Morrison
     rank-one correction; the full matrix is never inverted.
     """
-    U_n = np.asarray(U_n, dtype=float).ravel()
-    n = U_n.size
-    M = np.eye(n) - h * form.L
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    U_n = _state(U_n, form.L.shape[0])
+    M = np.eye(U_n.size) - h * form.L
     try:
         x0 = _solve(M, U_n)
         z = _solve(M, form.w)
@@ -120,7 +121,7 @@ def deviation_matrix(U):
     Links the pseudo-Jacobian to the exact nonlinear-part Jacobian of a
     polynomial system: pseudo = exact @ p(U).
     """
-    U = np.asarray(U, dtype=float).ravel()
+    U = _vector(U)
     if np.any(U == 0.0):
         raise ValueError("U has a zero entry; deviation matrix undefined")
     return (1.0 / U.size) * np.outer(U, 1.0 / U)
@@ -133,7 +134,7 @@ def pseudo_jacobian_of_poly(s, U):
     Jacobian post-multiplied by deviation_matrix(U); both act identically
     on U itself.
     """
-    U = np.asarray(U, dtype=float).ravel()
+    U = _state(U, s.n)
     if np.any(U == 0.0):
         raise ValueError("U has a zero entry; pseudo-Jacobian undefined")
     n2, n3 = s.nonlinear_parts(U)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import _solve, diverged
+from .system import _solve, _vector, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
@@ -71,10 +71,6 @@ class QNOptions:
 def _guard(qq):
     """Smallest usable rank-one denominator for a step q with q^T q = qq: 1e-12 (1 + qq)."""
     return 1e-12 * (1.0 + qq)
-
-
-def _vector(x):
-    return np.asarray(x, dtype=float).ravel()
 
 
 def _outer(a, b):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, _per_stack, _solve, _state, check_dense, diverged
+from .system import PolySystem, _per_stack, _solve, _square, _state, check_dense, diverged
 from .expressions import SemiDiscreteIVP
 from .trace import _csv_format, start_state
 
@@ -65,12 +65,12 @@ def step_bound_explicit_euler(A, norm_kind="linf"):
     the eigenvalue-based bound 2/|lambda|_max.  A zero matrix imposes no
     restriction; returns inf.
     """
-    return _limit(EULER_REAL_AXIS, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
+    return _limit(EULER_REAL_AXIS, _matrix_norm(_square(A, "A"), norm_kind))
 
 
 def step_bound_rk4(A, norm_kind="linf"):
     """Classic RK4 step bound 2.785/||A|| (real-axis stability interval)."""
-    return _limit(RK4_REAL_AXIS, _matrix_norm(np.asarray(A, dtype=float), norm_kind))
+    return _limit(RK4_REAL_AXIS, _matrix_norm(_square(A, "A"), norm_kind))
 
 
 def burgers_step_bound(ivp, U, norm_kind="linf"):
@@ -94,10 +94,7 @@ def is_negative_definite(A):
     criterion is the standard sufficient condition for ||exp(At)|| decay and
     is the definition adopted here for nonsymmetric A.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    lam = float(_symmetric_eig_max(A))
+    lam = float(_symmetric_eig_max(_square(A, "A")))
     return lam < 0.0, lam
 
 
@@ -109,7 +106,7 @@ class StabilityReport:
     negdef_certificate: bool = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time grid, states and optional per-step reports of one integration."""
 

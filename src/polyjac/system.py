@@ -18,17 +18,17 @@ _linear_forms (A(U)), _linear_system (A(U) and A U + F) and _newton_system(h)
 is contracted by np.matmul in slices of _per_stack(n) states, at most 2 MiB
 of products per order, and stability's reports stack A(U) alike.
 
-Layout is decided once, where an array enters, so answers depend on values
-alone: each matrix polyjac keeps is a C-ordered, read-only float64 copy by
-_frozen (L, const, LinearMap.A, DiagScale.c, an IVP's difference matrices);
-a quad is taken in C order before it is symmetrized, so it is stored once, and
-deviation takes J_hat in C order.  A per-state product of such a matrix, or of
-one made from them, takes ndarray.dot, which calls BLAS with less dispatch
-than @, where _dot_exact says dot has @'s bits: more than one element; dot
-multiplies a one-element matrix as a scalar, so [[-0.65]] . [0.0] reads -0.0
-where @ reads +0.0.  A system picks its product once (_dot), which qn_solve's
-inverse shares, and a tree once per LinearMap; vector . vector products and
-stacks keep @.
+A caller's array is read by one rule, decided here: a vector by _vector (flat
+float64), a state by _state (a vector of the system's length), a square matrix
+by _square, and a matrix polyjac keeps by _frozen, a C-ordered, read-only
+float64 copy, so answers depend on values alone.  A quad is taken in C order
+before it is symmetrized, so it is stored once; deviation takes J_hat in C
+order.  A per-state product of a kept matrix, or of one made from them, takes
+ndarray.dot, which calls BLAS with less dispatch than @, where _dot_exact says
+dot has @'s bits: more than one element; dot multiplies a one-element matrix
+as a scalar, so [[-0.65]] . [0.0] reads -0.0 where @ reads +0.0.  A system
+picks its product once (_dot), which qn_solve's inverse shares, and a tree
+once per LinearMap; vector . vector products and stacks keep @.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
 tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
@@ -95,6 +95,25 @@ def _frozen(a, name=None):
     return a
 
 
+def _vector(x):  # x as a flat float64 array
+    return np.asarray(x, dtype=float).ravel()
+
+
+def _state(U, n):
+    """_vector(U); a ValueError names a length other than n."""
+    U = _vector(U)
+    if U.shape != (n,):
+        raise ValueError(f"state length {U.size} != system dimension {n}")
+    return U
+
+
+def _square(A, name):
+    """A as a float64 array; a ValueError names it unless it is a square matrix."""
+    if (A := np.asarray(A, dtype=float)).ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got {A.shape}")
+    return A
+
+
 def _order_sum(dot, L, X, terms, weighted=False):
     """L X + sum w_m M_m X over the (m, M_m) terms, by dot: w_m = 1 gives f - F, w_m = m gives fbar."""
     total = dot(L, X)
@@ -147,14 +166,6 @@ def diverged(U):
     return not np.vdot(U, U) <= _DOT_LIMIT and not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 
 
-def _state(U, n):
-    """U as a flat float array; a ValueError names a length other than n."""
-    U = np.asarray(U, dtype=float).ravel()
-    if U.shape != (n,):
-        raise ValueError(f"state length {U.size} != system dimension {n}")
-    return U
-
-
 def _symmetrized(t, *index):
     """The average of t over every permutation of its trailing axes, at t[index] only.
 
@@ -185,13 +196,11 @@ class PolySystem:
     const: np.ndarray
 
     def __post_init__(self):
-        L = _frozen(self.L)
+        L = _square(_frozen(self.L), "L")
         quad = None if self.quad is None else np.asarray(self.quad, dtype=float, order="C")  # so its _orders matrix is a view
         cubic = None if self.cubic is None else np.asarray(self.cubic, dtype=float)
         const = _frozen(self.const).ravel()
         n = L.shape[0]
-        if L.shape != (n, n):
-            raise ValueError(f"L must be square, got {L.shape}")
         if quad is not None and quad.shape != (n, n, n):
             raise ValueError(f"quad must be ({n},{n},{n}), got {quad.shape}")
         if cubic is not None and cubic.shape != (n, n, n, n):
@@ -393,13 +402,11 @@ def from_kronecker(K, G, R, F):
     R reshapes to the cube over (j, k, l).  Rows are symmetrized on ingestion,
     which leaves the evaluation unchanged because C kron C is symmetric.
     """
-    K = np.asarray(K, dtype=float)
+    K = _square(K, "K")
     G = np.asarray(G, dtype=float)
     R = np.asarray(R, dtype=float)
-    F = np.asarray(F, dtype=float).ravel()
+    F = _vector(F)
     n = K.shape[0]
-    if K.shape != (n, n):
-        raise ValueError(f"K must be square, got {K.shape}")
     if G.shape != (n, n * n):
         raise ValueError(f"G must be ({n},{n * n}), got {G.shape}")
     if R.shape != (n, n * n * n):

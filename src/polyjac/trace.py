@@ -5,15 +5,14 @@ import json
 
 import numpy as np
 
+from .system import _state
+
 __all__ = ["SolverTrace"]
 
 
 def start_state(U0, n):
-    """A solve's start U0 as a flat float array, checked for length n and finiteness."""
-    U = np.asarray(U0, dtype=float).ravel()
-    if U.size != n:
-        raise ValueError(f"U0 length {U.size} != system dimension {n}")
-    if not np.all(np.isfinite(U)):
+    """A solve's start U0 by _state, refused if an entry is not finite."""
+    if not np.all(np.isfinite(U := _state(U0, n))):
         raise ValueError("U0 contains non-finite entries")
     return U
 
@@ -30,7 +29,7 @@ def _csv_format(count):  # count numbers joined by commas, each as %.17g (the by
     return ",".join(["%.17g"] * count)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverTrace:
     """Iterate history, residual norms and termination status of one solve.
 

@@ -1,11 +1,18 @@
+import contextlib
 import gc
+import io
 import itertools
 import json
 import math
+from pathlib import Path
 import re
+import shutil
+import tempfile
 import warnings
 import weakref
 
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 import numpy as np
 import pytest
 
@@ -1026,6 +1033,85 @@ class TestOneSlot:
         for refused in (["stability", "burgers", "--re", "-1"], ["solve", str(bad)]):
             assert main(["solve", str(doc)]) == 0 and len(cli._slot) == 1
             assert main(refused) == 1 and cli._slot == []
+
+
+class TestPresetFlags:
+    # --n and --re shape the burgers preset alone; on another input they are refused before the slot is touched
+
+    @pytest.mark.parametrize("command", ["solve", "check-jacobian", "stability", "integrate"])
+    @pytest.mark.parametrize("input_, flag", [("circle-cubic", "--n"), ("document", "--re")])
+    def test_a_flag_another_input_ignores_is_refused(self, tmp_path, capsys, command, input_, flag):
+        doc = tmp_path / "in.json"
+        doc.write_text(one_unknown(-1.0))
+        path = str(doc) if input_ == "document" else input_
+        cli._slot.clear()
+        kept = cli._load_input(str(doc))
+        assert main([command, path, flag, "5" if flag == "--n" else "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} shapes only the burgers preset, not {path}\n")
+        assert cli._slot == [(one_unknown(-1.0), kept)]
+
+
+class SlotMachine(RuleBasedStateMachine):
+    """Interleaved commands over a few documents and presets: each gives what a cold process gives.
+
+    The two documents are rewritten in place and may hold one text at both paths, a
+    malformed text or a tree that does not lower; the commands include a refused preset
+    and the refused --n and --re.
+    """
+
+    TEXTS = (one_unknown(-1.0), one_unknown(-2.0), "{not json",
+             json.dumps({"n": 2, "rhs": {"op": "hfunction", "name": "sin", "child": {"op": "state"}}}))
+    COMMANDS = (
+        ["solve", "DOC"],
+        ["check-jacobian", "DOC", "--random-states", "2"],
+        ["integrate", "DOC", "--h", "0.1", "--steps", "2"],
+        ["solve", "DOC", "--re", "3"],
+        ["stability", "burgers", "--n", "8"],
+        ["stability", "burgers", "--n", "8", "--re", "50"],
+        ["integrate", "burgers", "--n", "8", "--h", "0.01", "--steps", "3"],
+        ["stability", "burgers", "--n", "8", "--re", "-1"],
+        ["solve", "circle-cubic", "--n", "5"],
+    )
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp())
+        for name in ("a.json", "b.json"):
+            (self.dir / name).write_text(self.TEXTS[0])
+        cli._slot.clear()
+
+    @rule(argv=st.sampled_from(COMMANDS), name=st.sampled_from(("a.json", "b.json")),
+          text=st.none() | st.sampled_from(TEXTS))
+    def run(self, argv, name, text):
+        """Rewrite the document name in place with text, unless it is None, then run argv on it."""
+        if text is not None:
+            (self.dir / name).write_text(text)
+        argv = [str(self.dir / name) if a == "DOC" else a for a in argv]
+        before = list(cli._slot)
+        warm = self._main(argv)
+        after = list(cli._slot)
+        cli._slot.clear()
+        assert self._main(argv) == warm
+        cli._slot[:] = after
+        if "shapes only the burgers preset" in warm[2]:
+            assert after == before
+
+    def _main(self, argv):
+        """(exit code, stdout, stderr, the file written or None) of one command."""
+        out, stdout, stderr = self.dir / "out", io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--out", str(out), *argv])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout.getvalue(), stderr.getvalue(), written
+
+    def teardown(self):
+        cli._slot.clear()
+        shutil.rmtree(self.dir)
+
+
+TestSlotMachine = SlotMachine.TestCase
+TestSlotMachine.settings = settings(max_examples=50, stateful_step_count=15)
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -152,6 +152,12 @@ class TestImplicitStep:
         out = pj_implicit_step(form, U, h)
         np.testing.assert_allclose(out, np.linalg.solve(np.eye(n) - h * L, U), rtol=1e-13)
 
+    @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1, math.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        form = decompose(square_rhs(-np.eye(2)), 0.0, np.ones(2))
+        with pytest.raises(ValueError, match=f"^step h must be positive and finite, got {h}$"):
+            pj_implicit_step(form, np.ones(2), h)
+
     def test_singular_linear_part_named(self):
         rhs = NonlinearRhs(L=np.eye(2), N=lambda t, U: np.zeros(2))
         form = decompose(rhs, 0.0, np.ones(2))

@@ -396,7 +396,7 @@ class TestIntegrate:
         U0[3] = bad
         with pytest.raises(ValueError, match="^U0 contains non-finite entries$"):
             IVP(source, U0)
-        with pytest.raises(ValueError, match="^U0 length 3 != system dimension 8$"):
+        with pytest.raises(ValueError, match="^state length 3 != system dimension 8$"):
             IVP(source, np.ones(3))
 
     @pytest.mark.parametrize("method", stability.METHODS)

@@ -5,7 +5,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, burgers_discretize, from_kronecker, load_system_json, lower_to_poly
+from polyjac import (
+    DiagScale,
+    ElementwiseFunction,
+    HadamardPower,
+    HadamardProduct,
+    LinearMap,
+    NonlinearRhs,
+    PolySystem,
+    SolverTrace,
+    State,
+    Sum,
+    Trajectory,
+    burgers_discretize,
+    decompose,
+    from_kronecker,
+    is_negative_definite,
+    load_system_json,
+    lower_to_poly,
+    pj_implicit_step,
+    step_bound_explicit_euler,
+    step_bound_rk4,
+)
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
 from polyjac.system import check_dense, diverged
 
@@ -133,6 +154,77 @@ class TestCallerArrays:
         s = PolySystem(np.eye(n), None, rng.standard_normal((n,) * 4), np.zeros(n))
         st = s.at(np.ones(n))
         assert _peak_bytes(lambda: (repr(s), repr(st))) < 1e6
+
+
+def _twice(t, U):  # a nonlinearity N(t, U) = 2 U for NonlinearRhs
+    return 2.0 * U
+
+
+_FORM = decompose(NonlinearRhs(L=np.eye(2), N=_twice), 0.0, [1.0, 2.0])
+
+
+class TestIntake:
+    # each public reader of a caller's vector or square matrix refuses a malformed one by name
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: PolySystem(L=3.0, quad=None, cubic=None, const=[0.0]), r"^L must be square, got \(\)$"),
+            (lambda: from_kronecker(3.0, [[0.0]], [[0.0]], [0.0]), r"^K must be square, got \(\)$"),
+            (lambda: is_negative_definite(np.array(3.0)), r"^A must be square, got \(\)$"),
+            (lambda: is_negative_definite([1.0, 2.0]), r"^A must be square, got \(2,\)$"),
+            (lambda: is_negative_definite(np.zeros((2, 2, 2))), r"^A must be square, got \(2, 2, 2\)$"),
+            (lambda: step_bound_explicit_euler(np.ones((2, 3))), r"^A must be square, got \(2, 3\)$"),
+            (lambda: step_bound_rk4(np.ones((2, 3))), r"^A must be square, got \(2, 3\)$"),
+            (lambda: step_bound_explicit_euler([1.0, 2.0]), r"^A must be square, got \(2,\)$"),
+            (lambda: step_bound_rk4([1.0, 2.0]), r"^A must be square, got \(2,\)$"),
+            (lambda: step_bound_explicit_euler(np.ones((2, 3, 3))), r"^A must be square, got \(2, 3, 3\)$"),
+            (lambda: step_bound_rk4(np.ones((2, 3, 3))), r"^A must be square, got \(2, 3, 3\)$"),
+            (lambda: step_bound_rk4([1.0, 2.0], "l1"), r"^A must be square, got \(2,\)$"),
+            (lambda: NonlinearRhs(L=[1.0, 2.0], N=_twice), r"^L must be square, got \(2,\)$"),
+            (lambda: decompose(NonlinearRhs(L=np.eye(2), N=_twice), 0.0, np.ones(3)),
+             r"^state length 3 != system dimension 2$"),
+            (lambda: decompose(NonlinearRhs(L=np.eye(2), N=_twice), 0.0, []),
+             r"^state length 0 != system dimension 2$"),
+            (lambda: pj_implicit_step(_FORM, np.ones(3), 0.1), r"^state length 3 != system dimension 2$"),
+        ],
+        ids=["PolySystem-L-0d", "from_kronecker-K-0d", "negdef-0d", "negdef-vector", "negdef-stack",
+             "euler-2x3", "rk4-2x3", "euler-vector", "rk4-vector", "euler-stack", "rk4-stack", "rk4-vector-l1",
+             "NonlinearRhs-L-vector", "decompose-long-state", "decompose-empty-state", "pj-step-long-state"],
+    )
+    def test_a_malformed_array_is_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_nonlinear_rhs_keeps_a_read_only_c_ordered_copy(self):
+        L = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+        rhs = NonlinearRhs(L=L, N=_twice)
+        assert rhs.L is not L and not np.shares_memory(rhs.L, L) and rhs.L.tolist() == L.tolist()
+        assert rhs.L.flags.c_contiguous and not rhs.L.flags.writeable and L.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinearMap(np.eye(2)),
+        State,
+        lambda: HadamardProduct(State(), LinearMap(np.eye(2))),
+        lambda: HadamardPower(State(), 2.0),
+        lambda: ElementwiseFunction("sin", State()),
+        lambda: DiagScale([1.0, 2.0], State()),
+        lambda: Sum((State(), State()), (1.0, -1.0)),
+        lambda: burgers_discretize(8, 10.0),
+        lambda: NonlinearRhs(L=np.eye(2), N=_twice),
+        lambda: decompose(NonlinearRhs(L=np.eye(2), N=_twice), 0.0, [1.0, 2.0]),
+        lambda: SolverTrace(iterates=[np.ones(2)], residual_norms=[1.0]),
+        lambda: Trajectory(times=[0.0], states=[np.ones(2)]),
+    ],
+    ids=["LinearMap", "State", "HadamardProduct", "HadamardPower", "ElementwiseFunction", "DiagScale", "Sum",
+         "SemiDiscreteIVP", "NonlinearRhs", "RankOneForm", "SolverTrace", "Trajectory"],
+)
+def test_records_holding_arrays_compare_and_hash_by_identity(build):
+    x, twin = build(), build()
+    assert x == x and x != twin
+    assert isinstance(hash(x), int) and {x: 1}[x] == 1 and len({x, twin}) == 2
 
 
 def _peak_bytes(build):
