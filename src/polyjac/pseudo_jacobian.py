@@ -72,7 +72,8 @@ def decompose(rhs, t, U):
         signs = np.where(U[offenders] >= 0.0, 1.0, -1.0)
         shift[offenders] = 2.0 * zero_tol * signs
         U_at = U + shift
-    w = _vector(rhs.N(t, U_at))
+    if (w := _vector(rhs.N(t, U_at))).shape != U.shape:
+        raise ValueError(f"N(t, U) length {w.size} != system dimension {n}")
     v = (1.0 / n) / U_at
     return RankOneForm(L=rhs.L, w=w, v=v, U_at=U_at, shift=shift)
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import _solve, _vector, diverged
+from .system import _inverse, _solve, _vector, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
@@ -73,11 +73,6 @@ def _guard(qq):
     return 1e-12 * (1.0 + qq)
 
 
-def _outer(a, b):
-    """np.outer(a, b) of two 1-D float arrays, without its ravel and dispatch."""
-    return a[:, None] * b
-
-
 def jacobian_action(s, U):
     """fbar(U) = J(U) U computed without forming J: L U + 2 N2 + 3 N3."""
     return s.at(U).fbar
@@ -101,7 +96,7 @@ def _check_step(qq, t):
 def _update(J_prev, q, y, qq, t):
     """J = J_prev - (J_prev q - y) q^T / (q^T q + t)."""
     _check_step(qq, t)
-    return J_prev - _outer(J_prev @ q - y, q) / (qq + t)
+    return J_prev - (J_prev @ q - y)[:, None] * q / (qq + t)
 
 
 def _inverse_update(Jinv_prev, q, y, qq, t, dot=np.matmul):
@@ -110,7 +105,7 @@ def _inverse_update(Jinv_prev, q, y, qq, t, dot=np.matmul):
     denom = float(q @ z) + t
     if abs(denom) <= _guard(qq):
         raise GuardTripError("q^T (Jinv y) + t", denom)
-    return Jinv_prev - _outer(z - q, dot(q, Jinv_prev)) / denom
+    return Jinv_prev - (z - q)[:, None] * dot(q, Jinv_prev) / denom
 
 
 def classic_update(J_prev, q, delta_f):
@@ -204,7 +199,7 @@ def qn_solve(s, U0, opts=None):
                 step = _solve(J, -f)
             else:
                 if J_inv is None:
-                    J_inv = np.linalg.inv(J)
+                    J_inv = _inverse(J)
                 step = s._dot(-J_inv, f)
         except np.linalg.LinAlgError:
             return trace.end("singular_jacobian", k)

@@ -63,7 +63,7 @@ def _pivot(a, f):
     """
     n = a.shape[0]
     perm = list(range(n))
-    if np.abs(np.diagonal(a)).min() > PIVOT_TOL:
+    if np.abs(a.diagonal()).min() > PIVOT_TOL:
         return perm
     for i in range(n):
         if abs(a[i, i]) > PIVOT_TOL:
@@ -90,26 +90,26 @@ def _pivot(a, f):
 
 
 @functools.cache
-def _lower(n):
-    """Read-only mask of the entries on and below the diagonal of an n x n matrix."""
-    mask = np.tri(n, dtype=bool)
+def _upper(n):
+    """Read-only mask of the entries above the diagonal of an n x n matrix."""
+    mask = ~np.tri(n, dtype=bool)
     mask.setflags(write=False)
     return mask
 
 
 def _sweep(U, a, f, method, omega):
-    """One sweep at U from a = A(U) and its residual f, both changed in place; returns (U_new, permutation)."""
+    """One sweep at U from a = A(U), C-ordered, and its residual f, both changed in place; returns (U_new, permutation)."""
     perm = _pivot(a, f)
     d = a.diagonal()
     if method == "jacobi":
         return U - f / d, perm
-    m = np.where(_lower(d.size), a, 0.0)  # D + L
+    np.copyto(a, 0.0, where=_upper(d.size))  # a becomes D + L
     if method == "sor":  # D + omega L: the diagonal scaled with the rest is set back
-        m *= omega
+        a = a * omega
         f *= omega
-        m.flat[:: d.size + 1] = d
-    # reversed, m is upper triangular with _pivot's nonzero diagonal: LAPACK swaps no rows and back-substitutes
-    return U - _solve(m[::-1, ::-1], f[::-1])[::-1], perm
+        a.ravel()[:: d.size + 1] = d
+    # reversed, a is upper triangular with _pivot's nonzero diagonal: LAPACK swaps no rows and back-substitutes
+    return U - _solve(a[::-1, ::-1], f[::-1])[::-1], perm
 
 
 def sweep_once(s, U, method="gauss_seidel", omega=1.0):

@@ -36,12 +36,12 @@ it is never stored, allocated, symmetrized or contracted; its M2 or M3 reads
 as a zero matrix, and its .quad or .cubic as a read-only zero-stride view of
 full shape, made when read, so a quadratic system costs no n^4 memory.
 
-Each solve in a loop (implicit steps, Newton, the sweeps, pj_implicit_step) is
-_solve(K, b), float64 K and b: LAPACK's gufunc solve1 without np.linalg's solve
-wrapper, whose checks are a large share of a solve at n <= 24.  It keeps the
-wrapper's errstate: invalid, set by a singular K, calls a handler raising
-LinAlgError, and over, divide and under are ignored (a NaN K gives NaN).  It is set
-per call, by a decorator: one around a march would make inf - inf NaNs LinAlgErrors.
+Each loop solve (implicit steps, Newton, the sweeps, pj_implicit_step) is _solve(K, b)
+and each rank-one qn_solve inverse _inverse(K), float64 K and b: LAPACK's gufuncs solve1
+and inv without np.linalg's wrappers, whose checks are a large share of a call at n <= 24.
+Both keep the wrappers' errstate, _errstate: invalid, set by a singular K, calls a handler
+raising LinAlgError; over, divide and under are ignored (a NaN K gives NaN).  It is set per
+call, by a decorator: one around a march would make inf - inf NaNs LinAlgErrors.
 
 Sign convention: the residual is f(U) = L U + N2 + N3 + F and solvers target
 f(U) = 0; the iterative sweeps solve A(U) U = -F.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1
+from numpy.linalg._umath_linalg import inv, solve1
 
 __all__ = [
     "PolySystem",
@@ -108,9 +108,11 @@ def _state(U, n):
 
 
 def _square(A, name):
-    """A as a float64 array; a ValueError names it unless it is a square matrix."""
+    """A as a float64 array; a ValueError names it unless it is a square matrix of at least one entry."""
     if (A := np.asarray(A, dtype=float)).ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got {A.shape}")
+    if A.size == 0:
+        raise ValueError(f"{name} must not be empty, got {A.shape}")
     return A
 
 
@@ -126,10 +128,19 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+_errstate = np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_errstate
 def _solve(K, b):
     """K^-1 b for a float64 matrix K and vector b, as np.linalg's solve gives it; LinAlgError if K is singular."""
     return solve1(K, b, signature="dd->d")
+
+
+@_errstate
+def _inverse(K):
+    """K^-1 for a float64 matrix K, as np.linalg's inv gives it; LinAlgError if K is singular."""
+    return inv(K, signature="d->d")
 
 
 def _count(count):
@@ -250,13 +261,19 @@ class PolySystem:
         """(m, M_m) per order, at a state X (n,) or at each row of a stack X (k, n).
 
         One matrix-vector product per state and order: quad . U and P . (U_k U_l)_{k<=l}."""
-        shape, terms = (*X.shape, self.L.shape[0]), []
+        n, terms = self.L.shape[0], []
+        if X.ndim == 1:  # one state: one ndarray product per order, no stack axes
+            for m, C in self._orders:
+                if m == 3:
+                    r, c = _pairs(n)
+                    X = X[r] * X[c]
+                terms.append((m, self._dot(C, X).reshape(n, n)))
+            return tuple(terms)
         for m, C in self._orders:
             if m == 3:  # cubic last: X becomes the monomials U_k U_l, k <= l
-                r, c = _pairs(shape[-1])
+                r, c = _pairs(n)
                 X = X.take(r, -1) * X.take(c, -1)
-            M = self._dot(C, X) if X.ndim == 1 else np.matmul(C, X[..., None])
-            terms.append((m, M.reshape(shape)))
+            terms.append((m, np.matmul(C, X[..., None]).reshape(*X.shape[:-1], n, n)))
         return tuple(terms)
 
     def _values(self, X):
@@ -274,7 +291,10 @@ class PolySystem:
 
     def _linear_system(self, U):
         """A = A(U), a new array, and the residual A U + F of A U = -F, from one contraction at a state U (n,)."""
-        A = self._linear_forms(U)
+        A = self.L
+        for _, M in self._products(U):
+            A = np.add(A, M, out=M)
+        A = self.L.copy() if A is self.L else A
         return A, self._dot(A, U) + self.const
 
     def _newton_system(self, h):

@@ -10,7 +10,9 @@ matrices, and check that the public rank-one updates keep @'s bits for a matrix
 of any layout.  Every expected value is written with @.
 
 The solves in the solvers' loops call system._solve, numpy's LAPACK gufunc under
-the errstate of np.linalg.solve; the last tests check it against np.linalg.solve.
+the errstate of np.linalg.solve, and qn_solve inverts by system._inverse, the inv
+gufunc under the same errstate; the last tests check them against np.linalg's
+solve and inv.
 """
 
 import warnings
@@ -34,7 +36,7 @@ from polyjac import (
 )
 from polyjac import expressions
 from polyjac.stability import IVP
-from polyjac.system import _solve
+from polyjac.system import _inverse, _solve
 
 
 def same_bits(a, b):
@@ -232,3 +234,27 @@ def test_a_nan_matrix_gives_nan_without_error_or_warning(outer):
         x = _solve(K, np.ones(3))
         assert (np.geterr(), np.geterrcall()) == before
     assert np.isnan(x).all() and same_bits(x, np.linalg.solve(K, np.ones(3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 24])
+def test_inverse_has_the_bits_of_linalg_inv(n):
+    for K, _ in solve_cases(n):  # C order, Fortran order and reversed
+        assert same_bits(_inverse(K), np.linalg.inv(K))
+
+
+@pytest.mark.parametrize("outer", [{}, {"all": "ignore"}], ids=["default", "ignore"])
+@pytest.mark.parametrize("K", SINGULAR, ids=["1x1", "3x3", "rank-1"])
+def test_inverse_of_a_singular_matrix_raises_under_any_errstate(K, outer):
+    with np.errstate(**outer):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _inverse(K)
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_inverse_of_a_nan_matrix_is_nan_without_warning():
+    K = np.full((3, 3), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K_inv = _inverse(K)
+    assert np.isnan(K_inv).all() and same_bits(K_inv, np.linalg.inv(K))

@@ -74,6 +74,16 @@ class TestDecompose:
         form = decompose(rhs, 3.0, np.array([1.0, 2.0]))
         np.testing.assert_allclose(form.w, [3.0, 6.0])
 
+    @pytest.mark.parametrize(
+        "path", [pj_step_bound_explicit, lambda form: pj_implicit_step(form, np.ones(2), 0.1)],
+        ids=["pj_step_bound_explicit", "pj_implicit_step"],
+    )
+    def test_nonlinearity_of_another_length_refused(self, path):
+        # refused where w = N(t, U) is read, by both lengths, before either path reads the form
+        rhs = NonlinearRhs(L=np.eye(2), N=lambda t, U: np.ones(3))
+        with pytest.raises(ValueError, match=r"^N\(t, U\) length 3 != system dimension 2$"):
+            path(decompose(rhs, 0.0, np.ones(2)))
+
     def test_nonfinite_state_rejected(self):
         rhs = square_rhs(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-finite"):

@@ -264,6 +264,16 @@ class TestSolve:
             assert r == float(np.linalg.norm(s.eval(U), np.inf))
 
     @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
+    def test_each_iterate_contracts_once(self, variant, monkeypatch):
+        # one contraction per iterate gives its f, its fbar and, on a restart, its exact Jacobian;
+        # from this start both rank-one variants restart after a guard trip
+        products = count_calls(monkeypatch, PolySystem, "_products")
+        jacobians = count_calls(monkeypatch, PolyState, "J")
+        tr = qn_solve(circle_cubic_system(), np.array([0.5, 1.0]), QNOptions(variant=variant))
+        assert tr.status == "converged" and tr.iterations > 2 and len(jacobians) > 1
+        assert len(products) == tr.iterations
+
+    @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
     def test_singular_start_jacobian(self, variant):
         # f(U) = U^2 - 1 from U0 = 0: J(U0) = 0, no rank-one guard involved
         s = PolySystem(

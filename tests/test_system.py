@@ -195,6 +195,24 @@ class TestIntake:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda E: PolySystem(L=E, quad=None, cubic=None, const=np.zeros(0)), "L"),
+            (lambda E: from_kronecker(E, np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0)), "K"),
+            (is_negative_definite, "A"),
+            (step_bound_explicit_euler, "A"),
+            (step_bound_rk4, "A"),
+            (lambda E: NonlinearRhs(L=E, N=_twice), "L"),
+        ],
+        ids=["PolySystem", "from_kronecker", "is_negative_definite", "step_bound_explicit_euler", "step_bound_rk4",
+             "NonlinearRhs"],
+    )
+    def test_an_empty_matrix_is_refused_by_name(self, call, name):
+        # a 0 x 0 matrix is square, but no reader of one has a system to build or bound
+        with pytest.raises(ValueError, match=rf"^{name} must not be empty, got \(0, 0\)$"):
+            call(np.zeros((0, 0)))
+
     def test_nonlinear_rhs_keeps_a_read_only_c_ordered_copy(self):
         L = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
         rhs = NonlinearRhs(L=L, N=_twice)
