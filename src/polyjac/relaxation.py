@@ -98,14 +98,14 @@ def _upper(n):
 
 
 def _sweep(U, a, f, method, omega):
-    """One sweep at U from a = A(U), C-ordered, and its residual f, both changed in place; returns (U_new, permutation)."""
+    """One sweep at U from a = A(U) and its residual f, both changed in place; returns (U_new, permutation)."""
     perm = _pivot(a, f)
     d = a.diagonal()
     if method == "jacobi":
         return U - f / d, perm
     np.copyto(a, 0.0, where=_upper(d.size))  # a becomes D + L
     if method == "sor":  # D + omega L: the diagonal scaled with the rest is set back
-        a = a * omega
+        a = np.multiply(a, omega, order="C")  # C order: ravel() is a view to write the diagonal into
         f *= omega
         a.ravel()[:: d.size + 1] = d
     # reversed, a is upper triangular with _pivot's nonzero diagonal: LAPACK swaps no rows and back-substitutes

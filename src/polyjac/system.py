@@ -261,19 +261,13 @@ class PolySystem:
         """(m, M_m) per order, at a state X (n,) or at each row of a stack X (k, n).
 
         One matrix-vector product per state and order: quad . U and P . (U_k U_l)_{k<=l}."""
-        n, terms = self.L.shape[0], []
-        if X.ndim == 1:  # one state: one ndarray product per order, no stack axes
-            for m, C in self._orders:
-                if m == 3:
-                    r, c = _pairs(n)
-                    X = X[r] * X[c]
-                terms.append((m, self._dot(C, X).reshape(n, n)))
-            return tuple(terms)
+        shape, terms = (*X.shape, self.L.shape[0]), []
         for m, C in self._orders:
             if m == 3:  # cubic last: X becomes the monomials U_k U_l, k <= l
-                r, c = _pairs(n)
-                X = X.take(r, -1) * X.take(c, -1)
-            terms.append((m, np.matmul(C, X[..., None]).reshape(*X.shape[:-1], n, n)))
+                r, c = _pairs(shape[-1])
+                X = X[r] * X[c] if X.ndim == 1 else X.take(r, -1) * X.take(c, -1)
+            M = self._dot(C, X) if X.ndim == 1 else np.matmul(C, X[..., None])
+            terms.append((m, M.reshape(shape)))
         return tuple(terms)
 
     def _values(self, X):
@@ -291,10 +285,7 @@ class PolySystem:
 
     def _linear_system(self, U):
         """A = A(U), a new array, and the residual A U + F of A U = -F, from one contraction at a state U (n,)."""
-        A = self.L
-        for _, M in self._products(U):
-            A = np.add(A, M, out=M)
-        A = self.L.copy() if A is self.L else A
+        A = self._linear_forms(U)
         return A, self._dot(A, U) + self.const
 
     def _newton_system(self, h):

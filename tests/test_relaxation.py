@@ -11,6 +11,7 @@ from polyjac import (
     sweep_once,
 )
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
+from polyjac.relaxation import _sweep
 
 from conftest import count_calls, diag_dominant_quadratic_system, reference_linear_sweep
 
@@ -99,6 +100,18 @@ class TestSweepOnce:
         A = np.array([[1e-11, 5.0, 0.0], [5.0, 1e-11, 1.0], [0.0, 1.0, 2.0]])
         _, perm = sweep_once(linear_system(A, [1.0, 1.0, 1.0]), np.zeros(3), method, omega=1.3)
         assert perm == [0, 1, 2]
+
+    @pytest.mark.parametrize("method, omega", [("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.3)])
+    def test_a_matrix_of_any_layout_gives_the_same_sweep(self, method, omega, rng):
+        # _sweep writes D + omega L into its a; a Fortran-ordered or strided a must get the same writes
+        A = rng.standard_normal((5, 5)) + 6.0 * np.eye(5)
+        U, f = rng.standard_normal(5), rng.standard_normal(5)
+        want, _ = _sweep(U, A.copy(), f.copy(), method, omega)
+        strided = np.empty((10, 10))[::2, ::2]
+        strided[...] = A
+        for a in (np.asfortranarray(A), strided):
+            got, _ = _sweep(U, a, f.copy(), method, omega)
+            assert got.tobytes() == want.tobytes()
 
     def test_state_of_the_wrong_length_is_rejected(self):
         s = linear_system(np.diag([2.0, 0.5, 3.0]), [1.0, 1.0, 1.0])
