@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .system import _inverse, _solve, _vector, diverged
+from .system import _inverse, _solve, _square, _vector, diverged
 from .trace import SolverTrace, check_stop, start_state
 
 __all__ = [
@@ -80,8 +80,8 @@ def jacobian_action(s, U):
 
 # The step check and the two update kernels below take trusted 1-D float
 # arrays, qq = q^T q and the shift t (0 for the classic update, q^T U_prev for
-# the modified one).  The public functions after them convert their arguments
-# and call them; qn_solve calls them directly, and _update only to keep J.
+# the modified one).  The public functions after them read their arguments by
+# _operands and call them; qn_solve calls them directly, and _update only to keep J.
 
 
 def _check_step(qq, t):
@@ -108,26 +108,34 @@ def _inverse_update(Jinv_prev, q, y, qq, t, dot=np.matmul):
     return Jinv_prev - (z - q)[:, None] * dot(q, Jinv_prev) / denom
 
 
+def _operands(name, M, **vectors):
+    """M read by _square, then each vector by _vector; a ValueError names a vector whose length is not M's."""
+    M, out = _square(M, name), [_vector(v) for v in vectors.values()]
+    for key, v in zip(vectors, out):
+        if v.shape != M.shape[:1]:
+            raise ValueError(f"{key} length {v.size} != {name} dimension {len(M)}")
+    return M, *out
+
+
 def classic_update(J_prev, q, delta_f):
     """Rank-one secant update: J = J_prev - (J_prev q - delta_f) q^T / (q^T q).
 
     The result satisfies J q = delta_f exactly and leaves the action on any
     direction orthogonal to q unchanged.
     """
-    q = _vector(q)
-    return _update(np.asarray(J_prev, dtype=float), q, _vector(delta_f), float(q @ q), 0.0)
+    J_prev, q, delta_f = _operands("J_prev", J_prev, q=q, delta_f=delta_f)
+    return _update(J_prev, q, delta_f, float(q @ q), 0.0)
 
 
 def classic_inverse_update(Jinv_prev, q, delta_f):
     """Sherman-Morrison counterpart of classic_update on the inverse."""
-    q = _vector(q)
-    return _inverse_update(np.asarray(Jinv_prev, dtype=float), q, _vector(delta_f), float(q @ q), 0.0)
+    Jinv_prev, q, delta_f = _operands("Jinv_prev", Jinv_prev, q=q, delta_f=delta_f)
+    return _inverse_update(Jinv_prev, q, delta_f, float(q @ q), 0.0)
 
 
 def _modified_step(U_prev, U_cur):
-    """(q, q^T q, t = q^T U_prev) of a modified update, from its public arguments."""
-    U_prev = _vector(U_prev)
-    q = _vector(U_cur) - U_prev
+    """(q, q^T q, t = q^T U_prev) of a modified update, from its checked states."""
+    q = U_cur - U_prev
     return q, float(q @ q), float(q @ U_prev)
 
 
@@ -138,8 +146,9 @@ def modified_update(J_prev, U_prev, U_cur, y):
     Solved for J = J_prev + r q^T, the relation gives r = (y - J_prev q) /
     (q^T U_cur): the secant update with q^T q + q^T U_prev as denominator.
     """
+    J_prev, U_prev, U_cur, y = _operands("J_prev", J_prev, U_prev=U_prev, U_cur=U_cur, y=y)
     q, qq, t = _modified_step(U_prev, U_cur)
-    return _update(np.asarray(J_prev, dtype=float), q, _vector(y), qq, t)
+    return _update(J_prev, q, y, qq, t)
 
 
 def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
@@ -147,8 +156,9 @@ def modified_inverse_update(Jinv_prev, J_prev, U_prev, U_cur, y):
 
     J_prev is not read: the inverse update needs only Jinv_prev.
     """
+    Jinv_prev, U_prev, U_cur, y = _operands("Jinv_prev", Jinv_prev, U_prev=U_prev, U_cur=U_cur, y=y)
     q, qq, t = _modified_step(U_prev, U_cur)
-    return _inverse_update(np.asarray(Jinv_prev, dtype=float), q, _vector(y), qq, t)
+    return _inverse_update(Jinv_prev, q, y, qq, t)
 
 
 def _updated_action(f, y, qq, t):

@@ -3,8 +3,9 @@
 Coefficients are fully symmetrized at ingestion: quad[i, j, k] multiplies
 U_j U_k in equation i (symmetric in j, k), cubic[i, j, k, l] multiplies
 U_j U_k U_l (symmetric in j, k, l), so the Euler identity m N_m(U) = J_m(U) U
-holds to rounding.  The cubic is kept packed: P[i, j, p] = w cubic[i, j, k, l]
-for the p-th pair k <= l of np.triu_indices(n), w = 1 if k == l else 2 (exact).
+holds to rounding.  The quad is kept as _quad and the cubic packed, as _packed:
+P[i, j, p] = w cubic[i, j, k, l] for the p-th pair k <= l of np.triu_indices(n),
+w = 1 if k == l else 2 (exact).
 
 Everything at a state U comes from one record, PolySystem.at(U) -> PolyState,
 which checks U and contracts each order m the system has once, one BLAS
@@ -31,10 +32,8 @@ picks its product once (_dot), which qn_solve's inverse shares, and a tree
 once per LinearMap; vector . vector products and stacks keep @.
 
 A nonlinear order is absent when the input gives None for it or an all-zero
-tensor (Burgers has no cubic, a linear system neither).  The sums skip it, so
-it is never stored, allocated, symmetrized or contracted; its M2 or M3 reads
-as a zero matrix, and its .quad or .cubic as a read-only zero-stride view of
-full shape, made when read, so a quadratic system costs no n^4 memory.
+tensor (Burgers has no cubic, a linear system neither).  An absent order is
+simply absent: never stored, symmetrized or contracted, so it costs no memory.
 
 Each loop solve (implicit steps, Newton, the sweeps, pj_implicit_step) is _solve(K, b)
 and each rank-one qn_solve inverse _inverse(K), float64 K and b: LAPACK's gufuncs solve1
@@ -49,7 +48,7 @@ f(U) = 0; the iterative sweeps solve A(U) U = -F.
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 import math
 
 import numpy as np
@@ -198,18 +197,18 @@ def _pairs(n):  # read-only rows k, l of the pairs k <= l, in np.triu_indices(n)
 class PolySystem:
     """Cubic-capped polynomial system over R^n, immutable after construction.
 
-    quad or cubic may be None, an absent order, which stores nothing; a present cubic is stored as P in ._packed.
+    quad and cubic are inputs only: a present order is stored as _quad or _packed, an absent one not at all.
     """
 
     L: np.ndarray
-    quad: np.ndarray
-    cubic: np.ndarray
+    quad: InitVar[np.ndarray]
+    cubic: InitVar[np.ndarray]
     const: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, quad, cubic):
         L = _square(_frozen(self.L), "L")
-        quad = None if self.quad is None else np.asarray(self.quad, dtype=float, order="C")  # so its _orders matrix is a view
-        cubic = None if self.cubic is None else np.asarray(self.cubic, dtype=float)
+        quad = None if quad is None else np.asarray(quad, dtype=float, order="C")  # so its _orders matrix is a view
+        cubic = None if cubic is None else np.asarray(cubic, dtype=float)
         const = _frozen(self.const).ravel()
         n = L.shape[0]
         if quad is not None and quad.shape != (n, n, n):
@@ -223,13 +222,12 @@ class PolySystem:
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         orders = []  # (m, the coefficients as an (n^2, .) matrix) per order the system has
-        for m, name, t in ((2, "quad", quad), (3, "cubic", cubic)):
-            object.__delattr__(self, name)  # __getattr__ reads an absent order and the packed cubic
+        for m, name, t in ((2, "_quad", quad), (3, "_packed", cubic)):
             if t is None or not np.any(t):
                 continue
             if m == 3:  # symmetrized straight into P
                 r, c = _pairs(n)
-                name, t = "_packed", np.multiply(_symmetrized(t, ..., r, c), 2 - (r == c), order="C")
+                t = np.multiply(_symmetrized(t, ..., r, c), 2 - (r == c), order="C")
             else:
                 t = _symmetrized(t)
             t.setflags(write=False)
@@ -238,15 +236,6 @@ class PolySystem:
         dot = np.ndarray.dot if _dot_exact(L) else np.matmul
         for name, val in (("L", L), ("const", const), ("_orders", tuple(orders)), ("_dot", dot)):
             object.__setattr__(self, name, val)
-
-    def __getattr__(self, name):  # .quad or .cubic not stored: read-only zeros, or the cubic rebuilt from P
-        if name not in ("quad", "cubic"):
-            raise AttributeError(name)
-        t = np.broadcast_to(0.0, (self.n,) * (3 if name == "quad" else 4))
-        if name == "cubic" and "_packed" in vars(self):
-            (r, c), t = _pairs(self.n), np.empty(t.shape)
-            t[..., r, c] = t[..., c, r] = self._packed / (2 - (r == c))
-        return np.broadcast_to(t, t.shape)
 
     @property
     def n(self):
@@ -305,9 +294,10 @@ class PolySystem:
         return self.at(U).f
 
     def nonlinear_parts(self, U):
-        """The pure quadratic and pure cubic term values (N2(U), N3(U)) = (M2 U, M3 U)."""
+        """(N2(U), N3(U)) = (M2 U, M3 U); an absent order's part is 0 . U: zeros, or NaN where U is not finite."""
         st = self.at(U)
-        return st.M2 @ st.U, st.M3 @ st.U
+        parts = {m: M @ st.U for m, M in st._terms}
+        return tuple(parts[m] if m in parts else np.full(self.n, np.zeros(self.n) @ st.U) for m in (2, 3))
 
     def jacobian(self, U):
         """Exact Jacobian of eval at U: L + 2 M2 + 3 M3."""
@@ -333,22 +323,6 @@ class PolyState:
     s: PolySystem
     U: np.ndarray
     _terms: tuple
-
-    def _matrix(self, order):
-        for m, M in self._terms:
-            if m == order:
-                return M
-        return np.zeros((self.s.n,) * 2)
-
-    @property
-    def M2(self):
-        """quad . U, the quadratic part of A(U)."""
-        return self._matrix(2)
-
-    @property
-    def M3(self):
-        """cubic . U . U, the cubic part of A(U), formed as P . (U_k U_l)_{k<=l}."""
-        return self._matrix(3)
 
     @property
     def f(self):
@@ -394,14 +368,16 @@ class PolyState:
         """Relative deviation ||fbar - J_hat U||_2 / ||fbar||_2 of an approximate Jacobian.
 
         Uses the identity J(U) U = L U + 2 N2(U) + 3 N3(U) =: fbar(U), so it
-        needs no exact Jacobian.  Raises at states where fbar(U) = 0 (metric
-        undefined).
+        needs no exact Jacobian.  Raises ValueError unless J_hat is n x n, and
+        at states where fbar(U) = 0 (metric undefined).
         """
+        if (J_hat := _square(J_hat, "J_hat")).shape != (n := self.U.size, n):
+            raise ValueError(f"J_hat must be {n}x{n}, got {J_hat.shape}")
         fbar = self.fbar
         denom = np.linalg.norm(fbar)
         if denom == 0.0:
             raise ValueError("fbar(U) = 0: deviation undefined at this state")
-        return float(np.linalg.norm(fbar - np.asarray(J_hat, dtype=float, order="C") @ self.U) / denom)
+        return float(np.linalg.norm(fbar - np.asarray(J_hat, order="C") @ self.U) / denom)
 
 
 def from_kronecker(K, G, R, F):

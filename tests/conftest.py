@@ -104,17 +104,35 @@ def diag_dominant_quadratic_system(rng, n, margin=2.0):
     return PolySystem(L=L, quad=quad, cubic=np.zeros((n, n, n, n)), const=F)
 
 
+def dense_coefficients(s):
+    """A system's full symmetric (quad, cubic), rebuilt from its stored orders; zeros for an absent order.
+
+    A packed cubic column p holds w cubic[i, j, k, l] for the p-th pair k <= l, w = 1 if k == l else 2.
+    """
+    n = s.n
+    quad, cubic = np.zeros((n,) * 3), np.zeros((n,) * 4)
+    for m, C in s._orders:
+        if m == 2:
+            quad[...] = C.reshape(quad.shape)
+        else:
+            r, c = np.triu_indices(n)
+            cubic[..., r, c] = cubic[..., c, r] = C.reshape(n, n, -1) / (2 - (r == c))
+    return quad, cubic
+
+
 def reference_values(s, U):
     """The system's quantities at U from plain einsum over the dense tensors.
 
     The slow reference for PolySystem's contraction path; keyed by method name,
-    plus the per-order Jacobians J2 and J3.
+    plus the per-order Jacobians J2 and J3.  s is a PolySystem, or anything
+    with L, quad, cubic and const.
     """
     U = np.asarray(U, dtype=float)
-    n2 = np.einsum("ijk,j,k->i", s.quad, U, U)
-    n3 = np.einsum("ijkl,j,k,l->i", s.cubic, U, U, U)
-    J2 = 2.0 * np.einsum("ijk,k->ij", s.quad, U)
-    J3 = 3.0 * np.einsum("ijkl,k,l->ij", s.cubic, U, U)
+    quad, cubic = dense_coefficients(s) if isinstance(s, PolySystem) else (s.quad, s.cubic)
+    n2 = np.einsum("ijk,j,k->i", quad, U, U)
+    n3 = np.einsum("ijkl,j,k,l->i", cubic, U, U, U)
+    J2 = 2.0 * np.einsum("ijk,k->ij", quad, U)
+    J3 = 3.0 * np.einsum("ijkl,k,l->ij", cubic, U, U)
     return {
         "eval": s.L @ U + n2 + n3 + s.const,
         "nonlinear_parts": (n2, n3),

@@ -58,7 +58,7 @@ def test_no_dead_private_helpers(path):
 
 def test_only_system_reads_the_order_products():
     # Theorem 3.1's sums over the orders are formed in system.py alone; other modules call its readers
-    private = {"_products", "_orders", "_terms", "_packed"}
+    private = {"_products", "_orders", "_terms", "_quad", "_packed"}
     readers = {
         path.name
         for path in SRC.glob("*.py")

@@ -81,7 +81,7 @@ from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
 from polyjac.relaxation import SingularPivotError, _pivot, _sweep
 from polyjac.system import _read_coefficients, check_dense, diverged
 
-from conftest import LAYOUTS, fd_jacobian, laid_out, reference_linear_sweep, reference_values
+from conftest import LAYOUTS, dense_coefficients, fd_jacobian, laid_out, reference_linear_sweep, reference_values
 
 TOL = 1e-12
 METHODS = ("eval", "nonlinear_parts", "jacobian", "linearized_matrix", "euler_residuals")
@@ -105,7 +105,8 @@ def systems_and_states(draw):
 
 
 def _abs_reference(s, U):
-    absolute = SimpleNamespace(L=np.abs(s.L), quad=np.abs(s.quad), cubic=np.abs(s.cubic), const=np.abs(s.const))
+    quad, cubic = dense_coefficients(s)
+    absolute = SimpleNamespace(L=np.abs(s.L), quad=np.abs(quad), cubic=np.abs(cubic), const=np.abs(s.const))
     return reference_values(absolute, np.abs(U))
 
 
@@ -125,8 +126,10 @@ def test_contraction_matches_einsum_reference(case):
         assert _close(got, ref[name], bound), name
     assert _close(jacobian_action(s, U), ref["jacobian_action"], scale["jacobian_action"])
     st = s.at(U)
+    M = dict(st._terms)
+    zero = np.zeros((s.n, s.n))
     fields = ((st.f, "eval"), (st.J, "jacobian"), (st.A, "linearized_matrix"),
-              (st.fbar, "jacobian_action"), (2 * st.M2, "J2"), (3 * st.M3, "J3"))
+              (st.fbar, "jacobian_action"), (2 * M.get(2, zero), "J2"), (3 * M.get(3, zero), "J3"))
     for got, key in fields:
         assert _close(got, ref[key], scale[key]), key
     # A(U) at one state, and over a stack as the reports read it: the record's bits
@@ -174,7 +177,7 @@ def _raw_reference(raw, U):
     """f, J, fbar and M3 at U from einsum over the unsymmetrized input alone.
 
     Each derivative sums the input over every slot U_j takes in a monomial, so
-    it reads nothing the system stores, .quad and .cubic included.
+    it reads nothing the system stores, dense_coefficients included.
     """
     q, c = raw.quad, raw.cubic
     J2 = np.einsum("ijk,k->ij", q, U) + np.einsum("ikj,k->ij", q, U)
@@ -186,14 +189,15 @@ def _raw_reference(raw, U):
 
 @given(systems_and_states())
 def test_state_matches_einsum_over_the_raw_input(case):
-    # .cubic is rebuilt from the packed cubic, so a packing that weighs the pairs
-    # k < l wrongly passes a reference read from it; this one never reads it.
+    # dense_coefficients rebuilds the cubic from the packed cubic, so a packing that weighs the
+    # pairs k < l wrongly passes a reference read from it; this one never reads it.
     s, U, raw = case
     absolute = SimpleNamespace(**{k: np.abs(v) for k, v in vars(raw).items()})
     want, scale = _raw_reference(raw, U), _raw_reference(absolute, np.abs(U))
     st = s.at(U)
+    got = {"f": st.f, "J": st.J, "fbar": st.fbar, "M3": dict(st._terms).get(3, np.zeros((s.n, s.n)))}
     for key in ("f", "J", "fbar", "M3"):
-        assert _close(getattr(st, key), want[key], scale[key]), key
+        assert _close(got[key], want[key], scale[key]), key
 
 
 @given(systems_and_states(), st.sampled_from(("quad", "cubic", "both")))
@@ -204,12 +208,14 @@ def test_absent_order_equals_explicit_zeros(case, absent):
     without = PolySystem(**dict(vars(raw), **{k: None for k in names}))
     zeros = PolySystem(**dict(vars(raw), **{k: np.zeros_like(getattr(raw, k)) for k in names}))
     a, b = without.at(U), zeros.at(U)
-    for field in ("f", "J", "A", "fbar", "M2", "M3"):
+    for field in ("f", "J", "A", "fbar"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    for k in ("quad", "cubic"):
-        ta, tb = getattr(without, k), getattr(zeros, k)
+    # neither stores or contracts the order: the same stored arrays and the same products
+    assert vars(without).keys() == vars(zeros).keys() and len(a._terms) == len(b._terms)
+    for (ma, Ma), (mb, Mb) in zip(a._terms, b._terms):
+        assert ma == mb and np.array_equal(Ma, Mb), ma
+    for k, ta, tb in zip(("quad", "cubic"), dense_coefficients(without), dense_coefficients(zeros)):
         assert ta.shape == tb.shape == np.shape(getattr(raw, k)) and np.array_equal(ta, tb), k
-        assert not ta.flags.writeable and not tb.flags.writeable, k
 
 
 @given(systems_and_states())
@@ -625,7 +631,7 @@ def test_product_lowering_keeps_every_term(n, degrees, seed):
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 2))))
 def test_degree_two_tree_lowers_to_zero_cubic(case):
     n, (tree, _) = case
-    assert not np.any(lower_to_poly(tree, n).cubic)
+    assert not np.any(dense_coefficients(lower_to_poly(tree, n))[1])
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), trees(n, 3))))
@@ -635,9 +641,10 @@ def test_kept_lowering_is_a_fresh_lowering(case):
     sd = SemiDiscreteIVP(n=n, rhs=tree)
     kept, fresh = IVP(sd, np.ones(n)).poly, lower_to_poly(tree, n)
     assert kept is stability._polynomial(sd, "a test")
-    for name in ("L", "quad", "cubic", "const"):
-        got, want = getattr(kept, name), getattr(fresh, name)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    for name in ("L", "_quad", "_packed", "const"):
+        got, want = vars(kept).get(name), vars(fresh).get(name)
+        assert (got is None) == (want is None), name
+        assert got is None or _same_bits(got, want), name
 
 
 def _nodes(e):
@@ -1162,7 +1169,7 @@ def test_dense_document_matches_from_kronecker(n, quad_kind, cubic_kind, seed):
         "F": F.tolist(),
     }
     got, want = load_system_json(json.loads(json.dumps(doc))), from_kronecker(K, G, R, F)
-    for name in ("L", "quad", "_packed", "const"):
+    for name in ("L", "_quad", "_packed", "const"):
         g, w = vars(got).get(name), vars(want).get(name)
         assert (g is None) == (w is None), name
         assert g is None or _same_bits(g, w), name

@@ -196,6 +196,31 @@ class TestModifiedInverseUpdate:
             modified_update(J, -q, np.zeros(n), rng.standard_normal(n))
 
 
+# (public update, its matrix, its vectors); modified_inverse_update's J_prev is not read
+UPDATES = [
+    (classic_update, "J_prev", ("q", "delta_f")),
+    (classic_inverse_update, "Jinv_prev", ("q", "delta_f")),
+    (modified_update, "J_prev", ("U_prev", "U_cur", "y")),
+    (modified_inverse_update, "Jinv_prev", ("U_prev", "U_cur", "y")),
+]
+
+
+@pytest.mark.parametrize("update, matrix, vectors", UPDATES, ids=[u[0].__name__ for u in UPDATES])
+def test_public_update_refuses_a_malformed_argument_by_name(update, matrix, vectors):
+    # a vector matrix used to give a matrix back; a short vector failed inside numpy, naming nothing
+    args = {matrix: np.eye(2), "J_prev": np.eye(2), **{v: np.full(2, k + 1.0) for k, v in enumerate(vectors)}}
+    if update is not modified_inverse_update:
+        args = {k: args[k] for k in (matrix, *vectors)}
+    assert update(**args).shape == (2, 2)
+    for bad, shape in ((np.ones(2), r"\(2,\)"), (np.ones((2, 3)), r"\(2, 3\)"), (np.zeros((0, 0)), None)):
+        message = rf"^{matrix} must be square, got {shape}$" if shape else rf"^{matrix} must not be empty"
+        with pytest.raises(ValueError, match=message):
+            update(**{**args, matrix: bad})
+    for v in vectors:
+        with pytest.raises(ValueError, match=rf"^{v} length 3 != {matrix} dimension 2$"):
+            update(**{**args, v: np.ones(3)})
+
+
 class TestSolve:
     @pytest.mark.parametrize("variant", ["newton", "classic_rank1", "modified_rank1"])
     def test_positive_branch_root(self, variant):

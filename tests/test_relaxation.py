@@ -102,6 +102,24 @@ class TestSweepOnce:
         assert perm == [0, 1, 2]
 
     @pytest.mark.parametrize("method, omega", [("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.3)])
+    def test_pivot_skips_a_larger_candidate_that_breaks_its_own_row(self, method, omega):
+        # row 0's diagonal is zero; row 1 has the larger entry in column 0, but a[0, 1] = 0 would
+        # become row 1's diagonal, so the swap takes row 2, whose slot a[0, 2] = 1 stays usable
+        A = np.array([[0.0, 0.0, 1.0], [5.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+        b, U = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 0.25])
+        U_new, perm = sweep_once(linear_system(A, b), U, method, omega)
+        assert perm == [2, 1, 0]
+        want = reference_linear_sweep(A[perm], b[perm], U, method, omega)
+        assert np.abs(U_new - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor"])
+    def test_diagonal_between_1e_13_and_pivot_tol_is_swapped_away(self, method):
+        # 5e-13 is at or below PIVOT_TOL = 1e-12, so row 0 takes row 1's equation
+        A = np.array([[5e-13, 2.0], [3.0, 1.0]])
+        _, perm = sweep_once(linear_system(A, [1.0, 1.0]), np.zeros(2), method, omega=1.3)
+        assert perm == [1, 0]
+
+    @pytest.mark.parametrize("method, omega", [("jacobi", 1.0), ("gauss_seidel", 1.0), ("sor", 1.3)])
     def test_a_matrix_of_any_layout_gives_the_same_sweep(self, method, omega, rng):
         # _sweep writes D + omega L into its a; a Fortran-ordered or strided a must get the same writes
         A = rng.standard_normal((5, 5)) + 6.0 * np.eye(5)

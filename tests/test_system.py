@@ -28,9 +28,10 @@ from polyjac import (
     step_bound_rk4,
 )
 from polyjac.presets import circle_cubic_system, CIRCLE_CUBIC_ROOT_POS
+from polyjac import system
 from polyjac.system import check_dense, diverged
 
-from conftest import LAYOUTS, fd_jacobian, laid_out, random_poly_system
+from conftest import LAYOUTS, dense_coefficients, fd_jacobian, laid_out, random_poly_system
 
 
 def kron_eval(K, G, R, F, C):
@@ -138,14 +139,14 @@ class TestCallerArrays:
         n = 5
         L, quad, F = rng.standard_normal((n, n)), rng.standard_normal((n, n, n)), rng.standard_normal(n)
         s = PolySystem(*(laid_out(a, layout) for a in (L, quad, None, F)))
-        assert all(a.flags.c_contiguous and not a.flags.writeable for a in (s.L, s.quad, s.const))
-        assert np.shares_memory(s._orders[0][1], s.quad) and _stored_floats(s) == n**3 + n**2 + n
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in (s.L, s._quad, s.const))
+        assert np.shares_memory(s._orders[0][1], s._quad) and _stored_floats(s) == n**3 + n**2 + n
 
     def test_records_compare_and_hash_by_identity(self, rng):
         s = from_kronecker(*random_kron_coeffs(rng, 3))
         st = s.at(rng.standard_normal(3))
         assert s == s and st == st and st != s.at(st.U)
-        assert s != PolySystem(s.L, s.quad, s.cubic, s.const)
+        assert s != PolySystem(s.L, *dense_coefficients(s), s.const)
         assert len({s, s}) == 1 and len({st, st}) == 1
 
     def test_repr_does_not_rebuild_the_cubic(self, rng):
@@ -261,7 +262,7 @@ class TestSymmetrization:
         s = PolySystem(np.eye(4), quad, None, np.zeros(4))
         want = 0.5 * (quad + np.swapaxes(quad, -1, -2))
         assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
-        np.testing.assert_array_equal(np.signbit(s.quad), np.signbit(want))
+        np.testing.assert_array_equal(np.signbit(dense_coefficients(s)[0]), np.signbit(want))
 
     def test_cubic_entry_negative_zero_under_every_permutation_stays_negative_zero(self):
         # The average sums from the identity permutation, so -0.0 + ... + -0.0 stays -0.0;
@@ -274,17 +275,18 @@ class TestSymmetrization:
         for i, p in ((1, (0, 1, 2)), (2, (2, 2, 0))):
             for q in itertools.permutations(p):
                 mixed[(i, *q)] = True
-        np.testing.assert_array_equal(s.cubic[1][mixed[1]], 1.0)
-        np.testing.assert_array_equal(np.signbit(s.cubic[2][mixed[2]]), False)
-        assert np.all(s.cubic[2][mixed[2]] == 0.0) and np.all(np.signbit(s.cubic[~mixed]))
+        got = dense_coefficients(s)[1]
+        np.testing.assert_array_equal(got[1][mixed[1]], 1.0)
+        np.testing.assert_array_equal(np.signbit(got[2][mixed[2]]), False)
+        assert np.all(got[2][mixed[2]] == 0.0) and np.all(np.signbit(got[~mixed]))
 
 
 class TestAbsentOrders:
-    def test_absent_orders_read_as_read_only_zeros(self):
-        s = PolySystem(np.eye(3), None, None, np.ones(3))
-        assert s.quad.shape == (3, 3, 3) and s.cubic.shape == (3, 3, 3, 3)
-        assert not np.any(s.quad) and not np.any(s.cubic)
-        assert not s.quad.flags.writeable and not s.cubic.flags.writeable
+    def test_absent_orders_are_not_stored(self):
+        # quad and cubic are inputs only; an absent order leaves no attribute and no product
+        s = PolySystem(np.eye(3), None, np.zeros((3,) * 4), np.ones(3))
+        assert vars(s).keys() == {"L", "const", "_orders", "_dot"} and s._orders == () and s.at(np.ones(3))._terms == ()
+        assert not hasattr(s, "quad") and not hasattr(s, "cubic")
         np.testing.assert_array_equal(s.eval(np.arange(3.0)), np.arange(3.0) + 1.0)
 
     def test_state_matrices_stay_writable(self, rng):
@@ -295,9 +297,8 @@ class TestAbsentOrders:
     def test_missing_and_empty_fields_are_absent(self):
         doc = {"n": 2, "L": [[1.0, 0.0], [0.0, 1.0]], "quadratic": [], "F": [0.0, 1.0]}
         s = load_system_json(doc)
-        # zero-stride views: nothing of size n^3 or n^4 is stored
-        assert s.quad.strides == (0,) * 3 and s.cubic.strides == (0,) * 4
-        assert s.quad.shape == (2, 2, 2) and s.cubic.shape == (2, 2, 2, 2)
+        # nothing of size n^3 or n^4 is stored
+        assert vars(s).keys() == {"L", "const", "_orders", "_dot"} and s._orders == ()
 
     # One dense 64^4 float tensor is 134 MB; an absent cubic must cost none of it.
     @pytest.mark.parametrize("source", ["burgers-tree", "system-json"])
@@ -311,6 +312,18 @@ class TestAbsentOrders:
                    "quadratic": [[i, i, (i + 1) % n, 1.0] for i in range(n)]}
             build = lambda: load_system_json(doc)  # noqa: E731
         assert _peak_bytes(build) < 16e6
+
+
+def test_a_stack_of_17_states_at_n_128_takes_two_slices(rng, monkeypatch):
+    # _STACK_BYTES holds 16 states of n x n products at n = 128, so 17 states take a slice of 16 and one of 1
+    n = 128
+    assert system._per_stack(n) == 16
+    s = PolySystem(np.eye(n), rng.standard_normal((n,) * 3), None, rng.standard_normal(n))
+    X, stacks, products = rng.standard_normal((17, n)), [], PolySystem._products
+    monkeypatch.setattr(PolySystem, "_products", lambda self, Y: stacks.append(len(Y)) or products(self, Y))
+    got = s._values(X)
+    assert stacks == [16, 1]
+    assert got.tobytes() == np.array([s.at(x).f for x in X]).tobytes()
 
 
 def _stored_floats(s):
@@ -334,18 +347,16 @@ class TestPackedCubic:
         # the packed cubic, the quad, L and const; a full cubic alone would be n^4 = 160000
         assert _stored_floats(s) <= n * n * n * (n + 1) // 2 + n**3 + n**2 + n
 
-    def test_cubic_reads_as_an_equal_read_only_symmetric_tensor_on_every_read(self, rng):
+    def test_packed_cubic_holds_the_symmetrized_tensor(self, rng):
         n = 5
         K, G, R, F = random_kron_coeffs(rng, n)
         s = from_kronecker(K, G, R, F)
         raw = R.reshape((n,) * 4)
         want = sum(np.transpose(raw, (0, *p)) for p in itertools.permutations((1, 2, 3))) / 6
-        first, second = s.cubic, s.cubic
-        for t in (first, second):
-            assert t.shape == (n,) * 4 and not t.flags.writeable
-            np.testing.assert_array_equal(t, np.swapaxes(t, 2, 3))
-            np.testing.assert_allclose(t, want, rtol=1e-14, atol=1e-15)
-        np.testing.assert_array_equal(first, second)
+        t = dense_coefficients(s)[1]
+        assert s._packed.shape == (n, n, n * (n + 1) // 2) and not s._packed.flags.writeable
+        np.testing.assert_array_equal(t, np.swapaxes(t, 2, 3))
+        np.testing.assert_allclose(t, want, rtol=1e-14, atol=1e-15)
 
 
 class TestEval:
@@ -406,6 +417,22 @@ class TestNonlinearParts:
             np.testing.assert_allclose(m2, t**2 * n2, rtol=1e-12)
             np.testing.assert_allclose(m3, t**3 * n3, rtol=1e-12)
 
+    @pytest.mark.parametrize("orders", ["both", "quad", "cubic", "none"])
+    def test_parts_are_the_product_matrices_times_u(self, rng, orders):
+        # an absent order's part has the bits of zeros((n, n)) @ U: zeros, or NaN where U is not finite
+        n = 4
+        quad = rng.standard_normal((n,) * 3) if orders in ("both", "quad") else None
+        cubic = rng.standard_normal((n,) * 4) if orders in ("both", "cubic") else None
+        s = PolySystem(rng.standard_normal((n, n)), quad, cubic, rng.standard_normal(n))
+        states = [rng.standard_normal(n), -np.abs(rng.standard_normal(n)), np.full(n, -0.0),
+                  np.array([1.0, np.inf, -2.0, 0.5]), np.array([-np.inf, 1.0, np.nan, 0.5])]
+        for U in states:
+            with np.errstate(all="ignore"):
+                M = dict(s.at(U)._terms)
+                want = [M.get(m, np.zeros((n, n))) @ U for m in (2, 3)]
+                got = s.nonlinear_parts(U)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], U
+
     def test_sum_recovers_eval(self, rng):
         s = random_poly_system(rng, 4)
         U = rng.standard_normal(4)
@@ -422,8 +449,9 @@ class TestEulerResiduals:
         s = circle_cubic_system()
         U = np.array([1.0, 1.0])
         st = s.at(U)
-        np.testing.assert_allclose((2 * st.M2) @ U, [4.0, 0.0])
-        np.testing.assert_allclose((3 * st.M3) @ U, [0.0, 2.25])
+        M2, M3 = dict(st._terms).values()
+        np.testing.assert_allclose((2 * M2) @ U, [4.0, 0.0])
+        np.testing.assert_allclose((3 * M3) @ U, [0.0, 2.25])
         r2, r3 = s.euler_residuals(U)
         assert r2 < 1e-14 and r3 < 1e-14
 
@@ -433,8 +461,9 @@ class TestEulerResiduals:
             s = random_poly_system(rng, n)
             U = rng.standard_normal(n)
             r2, r3 = s.euler_residuals(U)
-            scale2 = (1.0 + np.linalg.norm(U, np.inf)) ** 2 * (1.0 + np.abs(s.quad).max())
-            scale3 = (1.0 + np.linalg.norm(U, np.inf)) ** 3 * (1.0 + np.abs(s.cubic).max())
+            quad, cubic = dense_coefficients(s)
+            scale2 = (1.0 + np.linalg.norm(U, np.inf)) ** 2 * (1.0 + np.abs(quad).max())
+            scale3 = (1.0 + np.linalg.norm(U, np.inf)) ** 3 * (1.0 + np.abs(cubic).max())
             assert r2 <= 1e-10 * scale2
             assert r3 <= 1e-10 * scale3
 
@@ -503,6 +532,20 @@ class TestJacobianDeviation:
         with pytest.raises(ValueError, match="deviation undefined"):
             s.at(np.zeros(2)).deviation(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "J_hat, message",
+        [(np.ones(2), r"must be square, got \(2,\)"), (np.ones((3, 2, 2)), r"must be square, got \(3, 2, 2\)"),
+         (np.ones((3, 3)), r"must be 2x2, got \(3, 3\)"), (np.ones((1, 1)), r"must be 2x2, got \(1, 1\)")],
+        ids=["vector", "stack", "3x3", "1x1"],
+    )
+    def test_j_hat_of_another_shape_is_refused(self, J_hat, message):
+        # a vector read 0.7518 and a stack 1.302 without an error; the check comes before fbar's
+        st = circle_cubic_system().at([1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"^J_hat {message}$"):
+            st.deviation(J_hat)
+        with pytest.raises(ValueError, match=rf"^J_hat {message}$"):
+            circle_cubic_system().at(np.zeros(2)).deviation(J_hat)
+
 
 class TestJsonFormat:
     def test_sparse_entries_symmetrized(self):
@@ -515,7 +558,8 @@ class TestJsonFormat:
         }
         s = load_system_json(data)
         # contribution 2 * U0 * U1 to equation 0, split across symmetric slots
-        assert s.quad[0, 0, 1] == 1.0 and s.quad[0, 1, 0] == 1.0
+        quad = dense_coefficients(s)[0]
+        assert quad[0, 0, 1] == 1.0 and quad[0, 1, 0] == 1.0
         np.testing.assert_allclose(s.eval([3.0, 4.0]), [24.0, 0.0])
 
     def test_missing_field_named(self):
@@ -567,7 +611,7 @@ class TestJsonFormat:
             load_system_json(doc)
         del doc["cubic"]
         doc["quadratic"] = [[0, 1, 2, 1.0]]
-        assert load_system_json(doc).quad[0, 1, 2] == 0.5  # n^3 floats, 64 MB, are within the limit
+        assert load_system_json(doc)._quad[0, 1, 2] == 0.5  # n^3 floats, 64 MB, are within the limit
 
     @pytest.mark.parametrize(
         "shape, text",
