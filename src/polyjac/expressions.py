@@ -305,7 +305,7 @@ def row_scale(a, u):
     For a column vector a this coincides with the elementwise product.
     """
     a = _as_matrix(a, "a")
-    u = _vector(u)
+    u = _frozen(u, "u").ravel()
     if u.size != a.shape[0]:
         raise ValueError(f"length mismatch: u has {u.size}, a has {a.shape[0]} rows")
     return a * u[:, None]
@@ -314,7 +314,7 @@ def row_scale(a, u):
 def col_scale(v, a):
     """Scale column j of a by v[j]; equals a @ diag(v)."""
     a = _as_matrix(a, "a")
-    v = _vector(v)
+    v = _frozen(v, "v").ravel()
     if v.size != a.shape[1]:
         raise ValueError(f"length mismatch: v has {v.size}, a has {a.shape[1]} cols")
     return a * v[None, :]
@@ -328,9 +328,11 @@ class SemiDiscreteIVP:
     length n, and keeps the compiled (value, linearize) for every IVP built on
     it.  _poly is the tree lowered by lower_to_poly at its first read and then
     kept for every IVP built on it; a tree that does not lower raises its
-    ValueError at each read.  The optional matrices serve discretizers' step
-    bounds (burgers_discretize); like the tree's arrays, they are read-only
-    copies, so a bound and the tree it bounds read the same coefficients.
+    ValueError at each read.  The optional Burgers fields serve discretizers'
+    step bounds (burgers_discretize) and come all three or none: finite n x n
+    difference matrices, kept like the tree's arrays as read-only copies, so a
+    bound and the tree it bounds read the same coefficients, and a finite
+    reynolds > 0.
     """
 
     n: int
@@ -343,9 +345,17 @@ class SemiDiscreteIVP:
         if self.n < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
         object.__setattr__(self, "_compiled", _check_length(self.rhs, self.n))
+        missing = [name for name in ("first_diff", "second_diff", "reynolds") if getattr(self, name) is None]
+        if len(missing) == 3:
+            return
+        if missing:
+            raise ValueError(f"{missing[0]} is missing: first_diff, second_diff and reynolds come together or not at all")
         for name in ("first_diff", "second_diff"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            if (a := _frozen(getattr(self, name), name)).shape != (self.n, self.n):
+                raise ValueError(f"{name} must be {self.n} x {self.n}, got shape {a.shape}")
+            object.__setattr__(self, name, a)
+        if not 0.0 < self.reynolds < math.inf:
+            raise ValueError(f"reynolds must be positive and finite, got {self.reynolds}")
 
     @functools.cached_property
     def _poly(self):

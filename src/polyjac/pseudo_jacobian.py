@@ -59,9 +59,7 @@ def decompose(rhs, t, U):
     decomposition then represents the system at the shifted state, which the
     returned form records.
     """
-    U = _state(U, rhs.L.shape[0])
-    if not np.all(np.isfinite(U)):
-        raise ValueError("U contains non-finite entries")
+    U = _state(_frozen(U, "U"), rhs.L.shape[0])
     n = U.size
     zero_tol = 1e-8 * (1.0 + np.linalg.norm(U, np.inf))
     offenders = np.abs(U) <= zero_tol
@@ -122,7 +120,7 @@ def deviation_matrix(U):
     Links the pseudo-Jacobian to the exact nonlinear-part Jacobian of a
     polynomial system: pseudo = exact @ p(U).
     """
-    U = _vector(U)
+    U = _frozen(U, "U").ravel()
     if np.any(U == 0.0):
         raise ValueError("U has a zero entry; deviation matrix undefined")
     return (1.0 / U.size) * np.outer(U, 1.0 / U)
@@ -135,7 +133,7 @@ def pseudo_jacobian_of_poly(s, U):
     Jacobian post-multiplied by deviation_matrix(U); both act identically
     on U itself.
     """
-    U = _state(U, s.n)
+    U = _state(_frozen(U, "U"), s.n)
     if np.any(U == 0.0):
         raise ValueError("U has a zero entry; pseudo-Jacobian undefined")
     n2, n3 = s.nonlinear_parts(U)

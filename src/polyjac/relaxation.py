@@ -56,10 +56,13 @@ class SingularPivotError(ValueError):
 def _pivot(a, f):
     """Row-interchange equations so every diagonal exceeds PIVOT_TOL.
 
-    For each deficient diagonal, searches rows below (then above) for the
-    largest usable entry in that column and swaps the equations: the rows of
-    a and the entries of the residual f.  Returns the applied row ordering;
-    raises SingularPivotError at the first row still deficient after the swaps.
+    A deficient row i takes the equation of the row j, searched below i and
+    then above, whose |a[j, i]| exceeds PIVOT_TOL and ranks highest by the key
+    (|a[i, j]| > PIVOT_TOL, |a[j, i]|): a row whose own slot the swap keeps
+    usable first, then the larger entry, the first of equal keys winning.  The
+    rows of a and the entries of the residual f are swapped.  Returns the
+    applied row ordering; raises SingularPivotError at the first row still
+    deficient after the swaps.
     """
     n = a.shape[0]
     perm = list(range(n))
@@ -68,17 +71,8 @@ def _pivot(a, f):
     for i in range(n):
         if abs(a[i, i]) > PIVOT_TOL:
             continue
-        candidates = [j for j in range(i + 1, n)] + [j for j in range(i)]
-        best, best_val = None, PIVOT_TOL
-        for j in candidates:
-            # the swap must leave row i usable without breaking row j's slot
-            if abs(a[j, i]) > best_val and abs(a[i, j]) > PIVOT_TOL:
-                best, best_val = j, abs(a[j, i])
-        if best is None:
-            # fall back: any row with a large entry in column i
-            for j in candidates:
-                if abs(a[j, i]) > best_val:
-                    best, best_val = j, abs(a[j, i])
+        usable = (j for j in (*range(i + 1, n), *range(i)) if abs(a[j, i]) > PIVOT_TOL)  # NaN is not usable
+        best = max(usable, key=lambda j: (abs(a[i, j]) > PIVOT_TOL, abs(a[j, i])), default=None)
         if best is None:
             raise SingularPivotError(i)
         a[[i, best]] = a[[best, i]]

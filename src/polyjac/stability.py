@@ -80,7 +80,7 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
     conservative than 2/||A(t,U)|| of the assembled state-dependent matrix
     (triangle inequality applied termwise).
     """
-    if ivp.first_diff is None or ivp.second_diff is None:
+    if ivp.reynolds is None:
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
     U = _state(U, ivp.n)
     denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds

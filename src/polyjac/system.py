@@ -64,7 +64,7 @@ __all__ = [
 
 # Divergence rule shared by every solver and integrator.
 DIVERGENCE_LIMIT = 1e8
-_DOT_LIMIT = 0.99 * DIVERGENCE_LIMIT**2  # the bound of diverged's one-call test on U . U
+_DOT_LIMIT = DIVERGENCE_LIMIT**2  # the bound of diverged's one-call test on U . U
 
 # Largest dense coefficient tensor an input may ask for, in bytes (1 GiB): a
 # cubic up to n = 107 (n^4 floats), a quadratic up to n = 512 (n^3 floats).
@@ -169,9 +169,11 @@ def check_dense(shape, what):
 def diverged(U):
     """True when U has a non-finite entry or ||U||_inf > DIVERGENCE_LIMIT.
 
-    One BLAS call decides most calls: U . U <= 0.99 DIVERGENCE_LIMIT**2 gives ||U||_inf <= ||U||_2 <
-    DIVERGENCE_LIMIT, the 0.99 covering the dot product's rounding (relative n * 1.1e-16) for n below
-    about 4e13.  Otherwise, NaN, inf and overflowing squares included, the exact test decides.
+    One BLAS call decides most calls: a computed U . U <= DIVERGENCE_LIMIT**2 gives ||U||_inf <=
+    DIVERGENCE_LIMIT with no margin, as every partial sum of non-negative rounded squares is at least
+    its largest rounded square, in any summation order and with or without FMA, and the next double
+    above 1e8 squares to 1e16 + 2.98, which rounds to 1e16 + 2.  Otherwise, NaN, inf and overflowing
+    squares included, the exact test decides.
     """
     return not np.vdot(U, U) <= _DOT_LIMIT and not np.abs(U).max() <= DIVERGENCE_LIMIT  # True for NaN as well
 

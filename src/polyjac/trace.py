@@ -18,9 +18,9 @@ def start_state(U0, n):
 
 
 def check_stop(tol, max_iter):
-    """Raise ValueError unless a solve's stop settings hold: tol > 0 and max_iter >= 0."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """Raise ValueError unless a solve's stop settings hold: 0 < tol < inf and max_iter >= 0."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
 

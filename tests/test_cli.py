@@ -77,8 +77,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["solve", "circle-cubic", "--tol", "0"], "tol must be positive, got 0.0"),
-         (["solve", "circle-cubic", "--tol", "nan"], "tol must be positive, got nan"),
+        [(["solve", "circle-cubic", "--tol", "0"], "tol must be positive and finite, got 0.0"),
+         (["solve", "circle-cubic", "--tol", "nan"], "tol must be positive and finite, got nan"),
+         (["solve", "circle-cubic", "--tol", "inf"], "tol must be positive and finite, got inf"),
          (["solve", "circle-cubic", "--max-iter=-1"], "max_iter must be at least 0, got -1"),
          (["solve", "circle-cubic", "--method", "sor", "--omega", "3"],
           "omega must lie in (0, 2], got 3.0"),
@@ -88,7 +89,7 @@ class TestExitCodes:
          (["check-jacobian", "circle-cubic", "--state", "nan,1"],
           "bad state 'nan,1': entries must be finite"),
          (["solve", "circle-cubic", "--x0", "a,b"], "bad state 'a,b': could not convert string to float: 'a'")],
-        ids=["zero-tol", "nan-tol", "negative-max-iter", "omega-3", "nan-x0", "inf-state",
+        ids=["zero-tol", "nan-tol", "inf-tol", "negative-max-iter", "omega-3", "nan-x0", "inf-state",
              "nan-checked-state", "unparsed-x0"],
     )
     def test_option_outside_domain_is_one(self, capsys, argv, message):

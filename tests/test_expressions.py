@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -234,6 +235,24 @@ class TestBurgers:
         assert A.flags.writeable and B.flags.writeable
         assert own.first_diff[0, 1] != 5.0 and own.second_diff[0, 0] != 5.0
         assert not own.first_diff.flags.writeable and not own.second_diff.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n, fields, message",
+        [(8, {"reynolds": None}, "reynolds is missing: first_diff, second_diff and reynolds come together or not at all"),
+         (8, {"second_diff": None}, "second_diff is missing: first_diff, second_diff and reynolds come together or not at all"),
+         (8, {"first_diff": np.full(8, 0.5)}, r"first_diff must be 8 x 8, got shape \(8,\)"),
+         (3, {"first_diff": np.eye(4)}, r"first_diff must be 3 x 3, got shape \(4, 4\)"),
+         (8, {"second_diff": np.full((8, 8), np.inf)}, "second_diff contains non-finite entries"),
+         (8, {"reynolds": -1.0}, "reynolds must be positive and finite, got -1.0"),
+         (8, {"reynolds": math.inf}, "reynolds must be positive and finite, got inf")],
+        ids=["no-reynolds", "no-second-diff", "1-d-first-diff", "first-diff-of-another-n", "inf-second-diff",
+             "negative-reynolds", "inf-reynolds"],
+    )
+    def test_burgers_fields_are_checked_where_built(self, n, fields, message):
+        # unchecked, these reach burgers_step_bound as a TypeError or as a bound of 0.5, 1.0 or inf
+        given = {"first_diff": np.eye(n), "second_diff": np.eye(n), "reynolds": 10.0} | fields
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expressions.SemiDiscreteIVP(n=n, rhs=State(), **given)
 
     def test_reynolds_number_whose_matrix_overflows_is_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^linear map matrix contains non-finite"):

@@ -78,7 +78,7 @@ from polyjac import stability, system
 from polyjac.cli import _central_difference_jacobian
 from polyjac.presets import burgers_initial_state
 from polyjac.quasi_newton import _check_step, _inverse_update, _updated_action
-from polyjac.relaxation import SingularPivotError, _pivot, _sweep
+from polyjac.relaxation import PIVOT_TOL, SingularPivotError, _pivot, _sweep
 from polyjac.system import _read_coefficients, check_dense, diverged
 
 from conftest import LAYOUTS, dense_coefficients, fd_jacobian, laid_out, reference_linear_sweep, reference_values
@@ -969,6 +969,64 @@ def _sweep_matrix(a, method, omega):
     """D + omega L of the row-interchanged a (D alone for Jacobi, omega = 1 for Gauss-Seidel)."""
     w = 0.0 if method == "jacobi" else 1.0 if method == "gauss_seidel" else omega
     return np.diag(np.diagonal(a)) + w * np.tril(a, -1)
+
+
+def _two_pass_pivot(a, f):
+    """_pivot as two searches per deficient row, the reference for its one ranked search.
+
+    The first search takes the largest |a[j, i]| > PIVOT_TOL among rows j whose
+    |a[i, j]| > PIVOT_TOL; only if none has both, a fallback takes the largest
+    |a[j, i]| > PIVOT_TOL of any row.  Rows below i come first, then rows above,
+    and the first of equal entries wins.
+    """
+    n = a.shape[0]
+    perm = list(range(n))
+    if np.abs(a.diagonal()).min() > PIVOT_TOL:
+        return perm
+    for i in range(n):
+        if abs(a[i, i]) > PIVOT_TOL:
+            continue
+        candidates = [j for j in range(i + 1, n)] + [j for j in range(i)]
+        best, best_val = None, PIVOT_TOL
+        for j in candidates:
+            if abs(a[j, i]) > best_val and abs(a[i, j]) > PIVOT_TOL:
+                best, best_val = j, abs(a[j, i])
+        if best is None:
+            for j in candidates:
+                if abs(a[j, i]) > best_val:
+                    best, best_val = j, abs(a[j, i])
+        if best is None:
+            raise SingularPivotError(i)
+        a[[i, best]] = a[[best, i]]
+        f[[i, best]] = f[[best, i]]
+        perm[i], perm[best] = perm[best], perm[i]
+    if bad := [i for i in range(n) if not abs(a[i, i]) > PIVOT_TOL]:
+        raise SingularPivotError(bad[0])
+    return perm
+
+
+# entries on both sides of PIVOT_TOL, signed zeros, infinities and NaN: few values, so ties are common
+PIVOT_ENTRIES = (0.0, -0.0, 1e-13, PIVOT_TOL, 2e-12, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, np.inf, -np.inf, np.nan)
+
+
+def _pivot_outcome(pivot, a, f):
+    """(permutation or ("singular", row), bytes of a, bytes of f) after pivot on copies of a and f."""
+    a, f = a.copy(), f.copy()
+    try:
+        outcome = pivot(a, f)
+    except SingularPivotError as exc:
+        outcome = ("singular", exc.row)
+    return outcome, a.tobytes(), f.tobytes()
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.sampled_from(PIVOT_ENTRIES), min_size=n * n, max_size=n * n)))
+def test_pivot_matches_two_pass_search(entries):
+    # one ranked search per deficient row, against a preferred search plus a fallback loop: the same
+    # interchanges of a and f, the same permutation, the same SingularPivotError row
+    n = math.isqrt(len(entries))
+    a, f = np.array(entries).reshape(n, n), np.arange(1.0, n + 1.0)
+    assert _pivot_outcome(_pivot, a, f) == _pivot_outcome(_two_pass_pivot, a, f)
 
 
 @given(systems_and_states(), st.sampled_from(("jacobi", "gauss_seidel", "sor")), omegas, st.data())

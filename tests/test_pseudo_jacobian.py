@@ -10,7 +10,9 @@ from polyjac import (
     deviation_matrix,
     pj_implicit_step,
     pj_step_bound_explicit,
+    col_scale,
     pseudo_jacobian_of_poly,
+    row_scale,
     step_bound_explicit_euler,
 )
 from polyjac.presets import circle_cubic_system
@@ -242,3 +244,16 @@ class TestPseudoJacobianOfPoly:
         exact_nl = s.jacobian(U) - s.L
         scale = 1.0 + np.linalg.norm(exact_nl @ U)
         assert np.linalg.norm(pseudo_jacobian_of_poly(s, U) @ U - exact_nl @ U) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "helper, name",
+    [(lambda: row_scale(np.eye(2), [np.nan, 1.0]), "u"), (lambda: col_scale([np.inf, 1.0], np.eye(2)), "v"),
+     (lambda: deviation_matrix([1.0, np.inf]), "U"),
+     (lambda: pseudo_jacobian_of_poly(circle_cubic_system(), [1.0, np.inf]), "U")],
+    ids=["row_scale", "col_scale", "deviation_matrix", "pseudo_jacobian_of_poly"],
+)
+def test_non_finite_vector_is_refused_by_name(helper, name):
+    # unchecked, a NaN entry gives a NaN row and an inf entry meets numpy's inf * 0 RuntimeWarning
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        helper()

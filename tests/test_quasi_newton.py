@@ -336,8 +336,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "option, message",
         [({"tol": 0.0}, "tol must be positive"), ({"tol": float("nan")}, "tol must be positive"),
+         ({"tol": math.inf}, "^tol must be positive and finite, got inf$"),
          ({"max_iter": -1}, "max_iter must be at least 0"), ({"variant": "broyden"}, "variant must be one of")],
-        ids=["zero-tol", "nan-tol", "negative-max-iter", "unknown-variant"],
+        ids=["zero-tol", "nan-tol", "inf-tol", "negative-max-iter", "unknown-variant"],
     )
     def test_options_outside_domain_rejected(self, option, message):
         with pytest.raises(ValueError, match=message):

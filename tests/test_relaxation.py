@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,11 @@ class TestIterativeSolve:
     def test_options_outside_domain_rejected(self, option, message):
         with pytest.raises(ValueError, match=message):
             IterativeOptions(**option)
+
+    def test_infinite_tol_rejected(self):
+        # an infinite tol would report the start state converged, whatever its residual
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got inf$"):
+            IterativeOptions(tol=math.inf)
 
     def test_trace_serialization(self):
         s = coupled_quadratic_system()

@@ -1,6 +1,6 @@
 """Time a parent checkout against this one in alternating pairs of perfbench runs.
 
-    python3 tools/abpairs.py PARENT --workload dense-solve [--seed 1] [--pairs 10] [--seconds 30]
+    python3 tools/abpairs.py PARENT --workload dense-solve [--seed 1] [--pairs 10] [--seconds 30] [--json PATH]
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T`` in PARENT and in
 the checkout holding this file, one after the other, PARENT first in even
@@ -11,6 +11,13 @@ the parent's quartiles and the number of pairs this checkout wins: a strictly
 better value, by the metric's "better" direction.  A claimed gain should win
 at least 9 of 10 pairs and move the median by more than the parent's
 interquartile range.
+
+With ``--json PATH`` the batch is also merged into the JSON object in PATH
+(made if missing) under "<workload>/seed<S>", replacing an earlier batch
+there: each side's commit (HEAD's sha, "+dirty" for uncommitted changes to
+tracked files, null outside git) and ``tools/srcsize.py`` line, the pairs'
+count and metrics, the seconds per run, and per metric both medians, the
+parent's quartiles and the change's wins.
 """
 
 import argparse
@@ -33,6 +40,22 @@ def run(checkout, workload, seed, seconds):
     return {name: m["value"] for name, m in last["metrics"].items()}
 
 
+def commit(checkout):
+    """HEAD's sha in checkout, with "+dirty" if a tracked file differs from it; None outside git."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    dirty = subprocess.run(git + ["diff", "--quiet", "HEAD"]).returncode != 0
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def srcsize(checkout):
+    """The line tools/srcsize.py (this checkout's) prints for checkout."""
+    cmd = [sys.executable, str(HERE / "tools" / "srcsize.py"), str(checkout)]
+    return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def quartiles(values):
     """The first and third quartiles of values (both the value itself for one run)."""
     if len(values) < 2:
@@ -48,6 +71,7 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--json", type=Path, help="JSON file to merge this batch into")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -55,23 +79,37 @@ def main():
     sides = {"parent": args.parent.resolve(), "change": HERE}
     runs = {side: [] for side in sides}
     width = max(len(m["name"]) for m in metrics)
+    pairs = []
     print("pair  first   side " + " ".join(f"{m['name']:>{width}s}" for m in metrics))
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run(sides[side], args.workload, args.seed, args.seconds))
+        pairs.append({"first": order[0], **{side: runs[side][-1] for side in sides}})
         for side in ("parent", "change"):
             cells = " ".join(f"{runs[side][-1][m['name']]:>{width}.6g}" for m in metrics)
             print(f"{i:4d} {order[0]:>6s} {side:>6s} {cells}", flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of --seconds {args.seconds:g}:")
+    summary = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent, change = ([r[name] for r in runs[side]] for side in ("parent", "change"))
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         (q1, q3), p50, c50 = quartiles(parent), statistics.median(parent), statistics.median(change)
+        summary[name] = {"better": m["better"], "parent_median": p50, "change_median": c50,
+                         "parent_quartiles": [q1, q3], "change_wins": wins}
         moved = f" ({100 * (c50 / p50 - 1):+.1f}%)" if p50 else ""
         print(f"  {name:{width}s} parent median {p50:.6g} (quartiles {q1:.6g}, {q3:.6g}), change median {c50:.6g}"
               f"{moved}, change wins {wins}/{args.pairs} ({m['better']} is better)")
+    if args.json:
+        merged = json.loads(args.json.read_text()) if args.json.exists() else {}
+        merged[f"{args.workload}/seed{args.seed}"] = {
+            **{side: {"commit": commit(path), "srcsize": srcsize(path)} for side, path in sides.items()},
+            "seconds": args.seconds,
+            "pairs": pairs,
+            "metrics": summary,
+        }
+        args.json.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
