@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import presets, relaxation, stability
-from .expressions import DomainError, SemiDiscreteIVP, burgers_discretize, load_hexpr_json
+from .expressions import DomainError, SemiDiscreteIVP, _Burgers, burgers_discretize, load_hexpr_json
 from .quasi_newton import VARIANTS, QNOptions, qn_solve
 from .relaxation import IterativeOptions, iterative_solve
 from .pseudo_jacobian import NonlinearRhs, decompose, pj_step_bound_explicit
@@ -39,7 +39,7 @@ from .stability import (
     step_bound_explicit_euler,
     step_bound_rk4,
 )
-from .system import load_system_json
+from .system import _integer, load_system_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,7 +100,7 @@ def _source(data):
     """The source of a decoded system or tree document."""
     if isinstance(data, dict) and "rhs" in data:
         try:
-            return SemiDiscreteIVP(n=int(data["n"]), rhs=load_hexpr_json(data["rhs"]))
+            return SemiDiscreteIVP(n=_integer(data["n"], "field 'n'"), rhs=load_hexpr_json(data["rhs"]))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad expression input: {exc}") from exc
     try:
@@ -123,7 +123,7 @@ def _parse_state(text, n):
 
 def _is_burgers(source):
     """True for a Burgers input, whose difference matrices give an a-priori step bound."""
-    return isinstance(source, SemiDiscreteIVP) and source.reynolds is not None
+    return isinstance(source, _Burgers)
 
 
 def _initial_state(text, source):

@@ -42,7 +42,7 @@ import operator
 
 import numpy as np
 
-from .system import PolySystem, _dot_exact, _frozen, _vector, check_dense
+from .system import PolySystem, _dot_exact, _frozen, _integer, _vector, check_dense
 
 __all__ = [
     "HExpr",
@@ -324,61 +324,55 @@ def col_scale(v, a):
 class SemiDiscreteIVP:
     """A method-of-lines system dU/dt = rhs(U) of dimension n.
 
-    Construction checks n >= 1 and the shape rule of _compile with a value of
-    length n, and keeps the compiled (value, linearize) for every IVP built on
-    it.  _poly is the tree lowered by lower_to_poly at its first read and then
-    kept for every IVP built on it; a tree that does not lower raises its
-    ValueError at each read.  The optional Burgers fields serve discretizers'
-    step bounds (burgers_discretize) and come all three or none: finite n x n
-    difference matrices, kept like the tree's arrays as read-only copies, so a
-    bound and the tree it bounds read the same coefficients, and a finite
-    reynolds > 0.
+    Construction checks an integer n >= 1 and the shape rule of _compile with
+    a value of length n, and keeps the compiled (value, linearize) for every
+    IVP built on it.  _poly is the tree lowered by lower_to_poly at its first
+    read and then kept for every IVP built on it; a tree that does not lower
+    raises its ValueError at each read.  burgers_discretize returns a subclass.
     """
 
     n: int
     rhs: HExpr
-    first_diff: np.ndarray = None
-    second_diff: np.ndarray = None
-    reynolds: float = None
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "n") < 1:
             raise ValueError(f"'n' is {self.n}, needs at least 1")
         object.__setattr__(self, "_compiled", _check_length(self.rhs, self.n))
-        missing = [name for name in ("first_diff", "second_diff", "reynolds") if getattr(self, name) is None]
-        if len(missing) == 3:
-            return
-        if missing:
-            raise ValueError(f"{missing[0]} is missing: first_diff, second_diff and reynolds come together or not at all")
-        for name in ("first_diff", "second_diff"):
-            if (a := _frozen(getattr(self, name), name)).shape != (self.n, self.n):
-                raise ValueError(f"{name} must be {self.n} x {self.n}, got shape {a.shape}")
-            object.__setattr__(self, name, a)
-        if not 0.0 < self.reynolds < math.inf:
-            raise ValueError(f"reynolds must be positive and finite, got {self.reynolds}")
 
     @functools.cached_property
     def _poly(self):
         return lower_to_poly(self.rhs, self.n)
 
 
+@dataclass(frozen=True, eq=False)
+class _Burgers(SemiDiscreteIVP):
+    """burgers_discretize's record: the read-only A and B its tree is built from, and Re, for burgers_step_bound."""
+
+    first_diff: np.ndarray
+    second_diff: np.ndarray
+    reynolds: float
+
+
 def burgers_discretize(n, Re):
     """Central-difference Burgers semi-discretization on a periodic unit domain.
 
     rhs(U) = (1/Re) B U - U o (A U) with A the central first-difference and B
-    the central second-difference matrix, spacing dx = 1/n.  The boundary
-    treatment (periodic) and spacing are implementation choices; they keep the
-    difference matrices circulant so constants are annihilated exactly.
+    the central second-difference matrix, spacing dx = 1/n, for an integer
+    n >= 4 and 0 < Re < inf.  The boundary treatment (periodic) and spacing
+    are implementation choices; they keep the difference matrices circulant
+    so constants are annihilated exactly.  The record also holds A, B and Re
+    as first_diff, second_diff and reynolds, so a step bound reads the
+    coefficients of the tree it bounds.
     """
-    if n < 4:
+    if _integer(n, "n") < 4:
         raise ValueError(f"grid too small: n={n} < 4")
-    if not Re > 0:
-        raise ValueError(f"Reynolds number must be positive, got {Re}")
+    if not 0.0 < Re < math.inf:
+        raise ValueError(f"Reynolds number must be positive and finite, got {Re}")
     dx = 1.0 / n
     right = np.eye(n, k=1) + np.eye(n, k=1 - n)  # ones at (i, i+1 mod n)
     left = right.T  # ones at (i, i-1 mod n)
-    A = (right - left) / (2.0 * dx)
-    B = (right + left - 2.0 * np.eye(n)) / dx**2
+    A = _frozen((right - left) / (2.0 * dx))
+    B = _frozen((right + left - 2.0 * np.eye(n)) / dx**2)
     rhs = Sum(
         children=(
             LinearMap(B / Re),
@@ -386,13 +380,7 @@ def burgers_discretize(n, Re):
         ),
         weights=(1.0, -1.0),
     )
-    return SemiDiscreteIVP(
-        n=n,
-        rhs=rhs,
-        first_diff=A,
-        second_diff=B,
-        reynolds=float(Re),
-    )
+    return _Burgers(n, rhs, A, B, float(Re))
 
 
 def _add(*terms):

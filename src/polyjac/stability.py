@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .system import PolySystem, _per_stack, _solve, _square, _state, check_dense, diverged
-from .expressions import SemiDiscreteIVP
+from .system import PolySystem, _integer, _per_stack, _solve, _square, _state, check_dense, diverged
+from .expressions import SemiDiscreteIVP, _Burgers
 from .trace import _csv_format, start_state
 
 __all__ = [
@@ -80,7 +80,7 @@ def burgers_step_bound(ivp, U, norm_kind="linf"):
     conservative than 2/||A(t,U)|| of the assembled state-dependent matrix
     (triangle inequality applied termwise).
     """
-    if ivp.reynolds is None:
+    if not isinstance(ivp, _Burgers):
         raise ValueError("ivp lacks difference matrices; build it with burgers_discretize")
     U = _state(U, ivp.n)
     denom = _matrix_norm(ivp.second_diff, norm_kind) / ivp.reynolds
@@ -258,7 +258,7 @@ def integrate(ivp, method, h, steps, report=False):
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
-    if steps < 0:
+    if _integer(steps, "steps") < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     check_dense((steps + 1, ivp.n), "trajectory")
     system = ivp.newton_system(h) if method in ("implicit_euler", "semi_implicit_euler") else None

@@ -22,7 +22,8 @@ of products per order, and stability's reports stack A(U) alike.
 A caller's array is read by one rule, decided here: a vector by _vector (flat
 float64), a state by _state (a vector of the system's length), a square matrix
 by _square, and a matrix polyjac keeps by _frozen, a C-ordered, read-only
-float64 copy, so answers depend on values alone.  A quad is taken in C order
+float64 copy, so answers depend on values alone; a count (n, steps, max_iter)
+must be a Python or numpy integer, by _integer.  A quad is taken in C order
 before it is symmetrized, so it is stored once; deviation takes J_hat in C
 order.  A per-state product of a kept matrix, or of one made from them, takes
 ndarray.dot, which calls BLAS with less dispatch than @, where _dot_exact says
@@ -104,6 +105,13 @@ def _state(U, n):
     if U.shape != (n,):
         raise ValueError(f"state length {U.size} != system dimension {n}")
     return U
+
+
+def _integer(k, name):
+    """k itself; a ValueError names it unless it is a Python or numpy integer other than a bool."""
+    if type(k) is bool or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    return k
 
 
 def _square(A, name):
@@ -421,7 +429,7 @@ def load_system_json(data):
     if not isinstance(data, dict):
         raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "field 'n'")
         L, F = (_read_dense(data[name], name) for name in ("L", "F"))
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r} in system JSON") from exc

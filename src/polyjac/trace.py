@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from .system import _state
+from .system import _integer, _state
 
 __all__ = ["SolverTrace"]
 
@@ -18,10 +18,10 @@ def start_state(U0, n):
 
 
 def check_stop(tol, max_iter):
-    """Raise ValueError unless a solve's stop settings hold: 0 < tol < inf and max_iter >= 0."""
+    """Raise ValueError unless a solve's stop settings hold: 0 < tol < inf and an integer max_iter >= 0."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 0:
+    if _integer(max_iter, "max_iter") < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
 
 

@@ -16,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 import numpy as np
 import pytest
 
-from polyjac import PolySystem, burgers_discretize, cli, expressions, load_system_json, lower_to_poly
+from polyjac import PolySystem, burgers_discretize, burgers_step_bound, cli, expressions, load_system_json, lower_to_poly
 from polyjac.cli import build_parser, main
 from polyjac.presets import CIRCLE_CUBIC_ROOT_POS, circle_cubic_system
 
@@ -202,6 +202,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: bad preset argument: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "re_, reason",
+        [("inf", "Reynolds number must be positive and finite, got inf"),
+         ("-1", "Reynolds number must be positive and finite, got -1.0"),
+         ("nan", "Reynolds number must be positive and finite, got nan"),
+         ("1e-320", "linear map matrix contains non-finite entries")],
+        ids=["inf", "-1", "nan", "1e-320"],
+    )
+    def test_reynolds_number_outside_its_range_is_one_line(self, capsys, re_, reason):
+        # one check of 0 < Re < inf where the record is built; 1e-320 passes it and B/Re overflows
+        assert main(["stability", "burgers", "--re", re_]) == 1
+        assert capsys.readouterr() == ("", f"error: bad preset argument: {reason}\n")
 
 
 # kind -> message of a quadratic n = 2 tree, L U - c o (U o U), spoiled by one non-finite entry
@@ -485,6 +498,15 @@ class TestParseCache:
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize("n", [2.5, "2"], ids=["fraction", "string"])
+    @pytest.mark.parametrize("kind", ["system", "expression"])
+    def test_dimension_that_is_not_an_integer_is_refused(self, tmp_path, capsys, kind, n):
+        # int() would solve "n": 2.5 as n = 2, and accept "n": "2"
+        doc = {"n": n, "L": [[1.0, 0.0], [0.0, 1.0]], "F": [0.0, 0.0]} if kind == "system" else {
+            "n": n, "rhs": {"op": "state"}}
+        assert main(["integrate", write_doc(tmp_path, doc), "--h", "0.1", "--steps", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: bad {kind} input: field 'n' must be an integer, got {n!r}\n")
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -760,6 +782,23 @@ class TestStability:
         assert d["euler_bound_linf"] == pytest.approx(2.0 / 3.0)
         assert d["pseudo_jacobian_bound_relaxed"] <= d["pseudo_jacobian_bound_tight"] * (1 + 1e-12)
 
+    def test_only_the_burgers_record_reports_an_a_priori_bound(self, tmp_path, capsys):
+        # the same tree as a document is a plain SemiDiscreteIVP: its reports match the preset's but for the bound
+        sd = burgers_discretize(8, 50.0)
+        A, B = sd.first_diff, sd.second_diff
+        doc = write_doc(tmp_path, {"n": 8, "rhs": {"op": "sum", "weights": [1.0, -1.0], "children": [
+            {"op": "linear", "matrix": (B / 50.0).tolist()},
+            {"op": "hproduct", "children": [{"op": "state"}, {"op": "linear", "matrix": A.tolist()}]}]}})
+        U = ",".join(map(repr, (0.5 + np.sin(2 * np.pi * np.arange(8) / 8)).tolist()))
+        scan = ["integrate", "--x0", U, "--scan", "--h-lo", "0.01", "--h-hi", "0.6", "--horizon", "10"]
+        for argv, key in ((["stability", "--state", U], "burgers_a_priori_bound"), (scan, "a_priori_bound")):
+            reports = []
+            for source in (["burgers", "--n", "8", "--re", "50"], [doc]):
+                assert main(argv[:1] + source + argv[1:]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            preset, tree = reports
+            assert preset.pop(key) == burgers_step_bound(sd, np.array(U.split(","), dtype=float)) and preset == tree
+
     def test_zero_matrix_has_no_step_restriction(self, tmp_path):
         sys_file = tmp_path / "sys.json"
         sys_file.write_text(json.dumps({"n": 1, "L": [[0.0]], "F": [1.0]}))
@@ -967,7 +1006,7 @@ class TestPresetCache:
         for _ in range(2):
             assert main(["stability", "burgers", "--n", "16", "--re", "-1"]) == 1
             assert capsys.readouterr().err == (
-                "error: bad preset argument: Reynolds number must be positive, got -1.0\n")
+                "error: bad preset argument: Reynolds number must be positive and finite, got -1.0\n")
         assert len(built) == 2 and cli._slot == []
 
     def test_warm_and_cold_sessions_are_byte_identical(self, tmp_path, monkeypatch, capsys):

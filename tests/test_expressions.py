@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -211,6 +212,12 @@ class TestBurgers:
         expected = sd.second_diff @ U / Re - U * (sd.first_diff @ U)
         np.testing.assert_allclose(h_eval(sd.rhs, U), expected, rtol=1e-13, atol=1e-14)
 
+    def test_spacing_is_one_over_n(self):
+        # dx = 1/8 on the periodic unit domain: A's entries are +-1/(2 dx) = +-4, B's 1/dx^2 = 64 and -128
+        sd = burgers_discretize(8, 10.0)
+        assert sd.first_diff[0, 1] == sd.first_diff[7, 0] == 4.0 and sd.first_diff[0, 7] == sd.first_diff[1, 0] == -4.0
+        assert sd.second_diff[0, 0] == -128.0 and sd.second_diff[0, 1] == sd.second_diff[0, 7] == 64.0
+
     def test_jacobian_structure(self):
         n, Re = 8, 10.0
         sd = burgers_discretize(n, Re)
@@ -226,37 +233,43 @@ class TestBurgers:
         U = np.sin(2 * np.pi * np.arange(8) / 8)
         bound = burgers_step_bound(sd, U)
         for name in ("first_diff", "second_diff"):
+            a = getattr(sd, name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                getattr(sd, name)[:] *= 10
+                a[:] *= 10
         assert burgers_step_bound(sd, U) == bound
-        A, B = sd.first_diff.copy(), sd.second_diff.copy()
-        own = expressions.SemiDiscreteIVP(n=8, rhs=sd.rhs, first_diff=A, second_diff=B, reynolds=100.0)
-        A[0, 1] = B[0, 0] = 5.0
-        assert A.flags.writeable and B.flags.writeable
-        assert own.first_diff[0, 1] != 5.0 and own.second_diff[0, 0] != 5.0
-        assert not own.first_diff.flags.writeable and not own.second_diff.flags.writeable
+        assert type(sd.reynolds) is float and sd.reynolds == 100.0
+
+    def test_a_system_holds_its_dimension_and_tree_alone(self):
+        # the difference matrices and Re exist only on the record burgers_discretize returns
+        assert [f.name for f in dataclasses.fields(expressions.SemiDiscreteIVP)] == ["n", "rhs"]
+        sd = burgers_discretize(8, 100.0)
+        with pytest.raises(TypeError, match="first_diff"):
+            expressions.SemiDiscreteIVP(8, sd.rhs, first_diff=sd.first_diff)
+        plain = expressions.SemiDiscreteIVP(8, sd.rhs)
+        with pytest.raises(ValueError, match="^ivp lacks difference matrices; build it with burgers_discretize$"):
+            burgers_step_bound(plain, np.zeros(8))
 
     @pytest.mark.parametrize(
-        "n, fields, message",
-        [(8, {"reynolds": None}, "reynolds is missing: first_diff, second_diff and reynolds come together or not at all"),
-         (8, {"second_diff": None}, "second_diff is missing: first_diff, second_diff and reynolds come together or not at all"),
-         (8, {"first_diff": np.full(8, 0.5)}, r"first_diff must be 8 x 8, got shape \(8,\)"),
-         (3, {"first_diff": np.eye(4)}, r"first_diff must be 3 x 3, got shape \(4, 4\)"),
-         (8, {"second_diff": np.full((8, 8), np.inf)}, "second_diff contains non-finite entries"),
-         (8, {"reynolds": -1.0}, "reynolds must be positive and finite, got -1.0"),
-         (8, {"reynolds": math.inf}, "reynolds must be positive and finite, got inf")],
-        ids=["no-reynolds", "no-second-diff", "1-d-first-diff", "first-diff-of-another-n", "inf-second-diff",
-             "negative-reynolds", "inf-reynolds"],
+        "Re", [-1.0, math.inf, 0.0, -0.0, math.nan, -math.inf],
+        ids=["negative-reynolds", "inf-reynolds", "zero-reynolds", "minus-zero-reynolds", "nan-reynolds",
+             "minus-inf-reynolds"],
     )
-    def test_burgers_fields_are_checked_where_built(self, n, fields, message):
-        # unchecked, these reach burgers_step_bound as a TypeError or as a bound of 0.5, 1.0 or inf
-        given = {"first_diff": np.eye(n), "second_diff": np.eye(n), "reynolds": 10.0} | fields
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            expressions.SemiDiscreteIVP(n=n, rhs=State(), **given)
+    def test_burgers_fields_are_checked_where_built(self, Re):
+        # reynolds is the one field a caller gives; unchecked, it reaches burgers_step_bound as a bound of 0, inf or nan
+        with pytest.raises(ValueError, match=f"^Reynolds number must be positive and finite, got {Re}$"):
+            burgers_discretize(8, Re)
 
     def test_reynolds_number_whose_matrix_overflows_is_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^linear map matrix contains non-finite"):
             burgers_discretize(8, 1e-320)
+
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8"], ids=["fraction", "integral-float", "string"])
+    def test_grid_size_that_is_not_an_integer_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            burgers_discretize(n, 10.0)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            expressions.SemiDiscreteIVP(n=n, rhs=State())
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="too small"):

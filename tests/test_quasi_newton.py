@@ -337,8 +337,12 @@ class TestSolve:
         "option, message",
         [({"tol": 0.0}, "tol must be positive"), ({"tol": float("nan")}, "tol must be positive"),
          ({"tol": math.inf}, "^tol must be positive and finite, got inf$"),
-         ({"max_iter": -1}, "max_iter must be at least 0"), ({"variant": "broyden"}, "variant must be one of")],
-        ids=["zero-tol", "nan-tol", "inf-tol", "negative-max-iter", "unknown-variant"],
+         ({"max_iter": -1}, "max_iter must be at least 0"), ({"variant": "broyden"}, "variant must be one of"),
+         # a non-integer would construct, and the solve then raise a TypeError from range
+         ({"max_iter": 2.5}, "^max_iter must be an integer, got 2.5$"),
+         ({"max_iter": "3"}, "^max_iter must be an integer, got '3'$")],
+        ids=["zero-tol", "nan-tol", "inf-tol", "negative-max-iter", "unknown-variant", "fractional-max-iter",
+             "string-max-iter"],
     )
     def test_options_outside_domain_rejected(self, option, message):
         with pytest.raises(ValueError, match=message):

@@ -247,8 +247,11 @@ class TestIterativeSolve:
 
     @pytest.mark.parametrize(
         "option, message",
-        [({"tol": float("nan")}, "tol must be positive"), ({"max_iter": -1}, "max_iter must be at least 0")],
-        ids=["nan-tol", "negative-max-iter"],
+        [({"tol": float("nan")}, "tol must be positive"), ({"max_iter": -1}, "max_iter must be at least 0"),
+         # a non-integer would construct, and the solve then raise a TypeError from range
+         ({"max_iter": 2.5}, "^max_iter must be an integer, got 2.5$"),
+         ({"max_iter": "3"}, "^max_iter must be an integer, got '3'$")],
+        ids=["nan-tol", "negative-max-iter", "fractional-max-iter", "string-max-iter"],
     )
     def test_options_outside_domain_rejected(self, option, message):
         with pytest.raises(ValueError, match=message):

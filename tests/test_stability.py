@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -120,6 +121,50 @@ class TestBurgersBound:
     def test_state_of_another_length_rejected(self):
         with pytest.raises(ValueError, match="state length 3 != system dimension 8"):
             burgers_step_bound(burgers_discretize(8, 100.0), np.ones(3))
+
+
+SHIFT = 5  # the roll of the translation relation
+
+
+@functools.cache
+def periodic_burgers_runs(n, method):
+    """burgers_discretize(n, 100) and its 200 reported steps of 0.001 by method, from U0 and from U0 rolled by SHIFT."""
+    sd, x = burgers_discretize(n, 100.0), np.arange(n) / n
+    U0 = 0.5 + np.sin(2 * np.pi * x) + 0.25 * np.cos(6 * np.pi * x)
+    return sd, U0, [integrate(IVP(sd, U), method, 0.001, 200, report=True) for U in (U0, np.roll(U0, SHIFT))]
+
+
+@pytest.mark.parametrize("method", stability.METHODS)
+@pytest.mark.parametrize("n", [24, 64])
+class TestPeriodicBurgersRelations:
+    """Relations of the periodic grid that need no reference: its difference matrices are circulant, and Sum U is kept."""
+
+    def test_a_rolled_start_gives_the_rolled_trajectory(self, n, method):
+        _, _, (run, rolled) = periodic_burgers_runs(n, method)
+        assert run.status == rolled.status == "completed" and len(run.per_step_reports) == 200
+        states, shifted = np.array(run.states), np.array(rolled.states)
+        # within 4e-15 of max |U|; 2.7e-16 at most is seen, and explicit Euler is exact
+        assert np.abs(np.roll(states, SHIFT, axis=1) - shifted).max() <= 4e-15 * np.abs(states).max()
+        reports, rolled_reports = ([(r.negdef_certificate, r.h_bound) for r in t.per_step_reports] for t in (run, rolled))
+        assert [r[0] for r in reports] == [r[0] for r in rolled_reports]
+        bounds, rolled_bounds = (np.array([r[1] for r in rs], dtype=float) for rs in (reports, rolled_reports))
+        # an explicit method's bounds within 1e-15 relative (3.4e-16 seen); an implicit one has none
+        np.testing.assert_allclose(rolled_bounds, bounds, rtol=1e-15, atol=0)
+
+    def test_step_bound_of_a_rolled_state_is_bit_identical(self, n, method):
+        sd, _, (run, _) = periodic_burgers_runs(n, method)
+        for U in run.states[::40]:
+            assert {burgers_step_bound(sd, np.roll(U, shift)) for shift in range(n)} == {burgers_step_bound(sd, U)}
+
+    def test_mass_is_kept(self, n, method):
+        sd, U0, runs = periodic_burgers_runs(n, method)
+        A, B = sd.first_diff, sd.second_diff
+        # by telescoping: B's columns sum to 0 and A is skew, so Sum (B U)_i = 0 and Sum U_i (A U)_i = U . A U = 0
+        assert not B.sum(axis=0).any() and np.array_equal(A.T, -A)
+        for traj in runs:
+            mass = np.array(traj.states).sum(axis=1)
+            # a few eps of Sum |U0| (1.9 eps seen) over all 200 steps
+            assert np.abs(mass - mass[0]).max() <= 8 * np.finfo(float).eps * np.abs(U0).sum()
 
 
 class TestNegativeDefinite:
@@ -333,8 +378,9 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "h, steps, match",
         [(math.nan, 5, "step h"), (math.inf, 5, "step h"), (0.0, 5, "step h"), (-0.1, 5, "step h"),
-         (0.1, -1, "steps")],
-        ids=["nan-h", "inf-h", "zero-h", "negative-h", "negative-steps"],
+         (0.1, -1, "steps"), (0.1, 2.5, "^steps must be an integer, got 2.5$"),
+         (0.1, "2", "^steps must be an integer, got '2'$")],
+        ids=["nan-h", "inf-h", "zero-h", "negative-h", "negative-steps", "fractional-steps", "string-steps"],
     )
     def test_out_of_domain_step_is_rejected(self, h, steps, match):
         s = linear_system(-np.eye(2))

@@ -562,6 +562,17 @@ class TestJsonFormat:
         assert quad[0, 0, 1] == 1.0 and quad[0, 1, 0] == 1.0
         np.testing.assert_allclose(s.eval([3.0, 4.0]), [24.0, 0.0])
 
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_python_and_numpy_integers_are_counts(self, k):
+        assert system._integer(k, "k") is k
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True], ids=["fraction", "integral-float", "string", "bool"])
+    def test_dimension_that_is_not_an_integer_is_refused(self, n):
+        # int() would read 2.5 as 2 and "2" as 2
+        with pytest.raises(ValueError) as err:
+            load_system_json({"n": n, "L": [[1.0, 0.0], [0.0, 1.0]], "F": [0.0, 0.0]})
+        assert str(err.value) == f"field 'n' must be an integer, got {n!r}"
+
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="'L'"):
             load_system_json({"n": 2, "F": [0.0, 0.0]})

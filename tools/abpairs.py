@@ -15,12 +15,15 @@ interquartile range.
 With ``--json PATH`` the batch is also merged into the JSON object in PATH
 (made if missing) under "<workload>/seed<S>", replacing an earlier batch
 there: each side's commit (HEAD's sha, "+dirty" for uncommitted changes to
-tracked files, null outside git) and ``tools/srcsize.py`` line, the pairs'
-count and metrics, the seconds per run, and per metric both medians, the
-parent's quartiles and the change's wins.
+tracked files, null outside git), ``tools/srcsize.py`` line, and the sha256
+of what ``tools/fingerprint.py`` prints for that side with its exit code
+(both tools this checkout's), the pairs' count and metrics, the seconds per
+run, and per metric both medians, the parent's quartiles and the change's
+wins.  Equal sha256s mean bit-identical answers.
 """
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 import statistics
@@ -54,6 +57,12 @@ def srcsize(checkout):
     """The line tools/srcsize.py (this checkout's) prints for checkout."""
     cmd = [sys.executable, str(HERE / "tools" / "srcsize.py"), str(checkout)]
     return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def fingerprint(checkout):
+    """The sha256 of what tools/fingerprint.py (this checkout's) prints for checkout, and its exit code."""
+    done = subprocess.run([sys.executable, str(HERE / "tools" / "fingerprint.py"), str(checkout)], capture_output=True)
+    return {"fingerprint_sha256": hashlib.sha256(done.stdout).hexdigest(), "fingerprint_exit": done.returncode}
 
 
 def quartiles(values):
@@ -104,7 +113,8 @@ def main():
     if args.json:
         merged = json.loads(args.json.read_text()) if args.json.exists() else {}
         merged[f"{args.workload}/seed{args.seed}"] = {
-            **{side: {"commit": commit(path), "srcsize": srcsize(path)} for side, path in sides.items()},
+            **{side: {"commit": commit(path), "srcsize": srcsize(path), **fingerprint(path)}
+               for side, path in sides.items()},
             "seconds": args.seconds,
             "pairs": pairs,
             "metrics": summary,
