@@ -256,7 +256,7 @@ class TestBurgers:
              "minus-inf-reynolds"],
     )
     def test_burgers_fields_are_checked_where_built(self, Re):
-        # reynolds is the one field a caller gives; unchecked, it reaches burgers_step_bound as a bound of 0, inf or nan
+        # Re is the one field a caller gives, checked once where the record is built
         with pytest.raises(ValueError, match=f"^Reynolds number must be positive and finite, got {Re}$"):
             burgers_discretize(8, Re)
 
